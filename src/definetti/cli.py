@@ -10,6 +10,7 @@ to stderr; data goes to stdout or --out.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal
@@ -202,8 +203,8 @@ def figure_spec(figure_id: int, overrides: dict[str, str | None]) -> FigureSpec:
     tj_min = as_twoj(overrides["j_min"]).doubled if overrides.get("j_min") else base["tj_min"]
     tj_max = as_twoj(overrides["j_max"]).doubled if overrides.get("j_max") else base["tj_max"]
     r_max = int(overrides["r_max"]) if overrides.get("r_max") else base["r_max"]
-    mu = Fraction(overrides.get("mu") or 50)
-    nu = Fraction(overrides.get("nu") or 50)
+    mu = _fraction(overrides.get("mu") or "50", "mu")
+    nu = _fraction(overrides.get("nu") or "50", "nu")
     delta_max = int(overrides["delta_max"]) if overrides.get("delta_max") else 10
     spec = FigureSpec(
         figure_id=figure_id,
@@ -314,9 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run oracle and property suites")
     p_verify.add_argument("suite", choices=("weights", "cg", "symmetric", "heisenberg", "mc", "all"))
     p_verify.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p_verify.add_argument("--tol", type=float, default=1e-10, help="oracle tolerance (default 1e-10)")
+    p_verify.add_argument(
+        "--tol", type=float, default=1e-10, help="oracle tolerance, finite and positive (default 1e-10)"
+    )
     p_verify.add_argument("--samples", type=int, default=10**4, help="Monte Carlo sample count (default 10^4)")
-    p_verify.add_argument("--parallel", action="store_true", help="run suites concurrently")
     return parser
 
 
@@ -362,9 +364,10 @@ def cmd_verify(args) -> int:
     if args.samples < 10**3:
         print("definetti verify: --samples must be at least 10^3", file=sys.stderr)
         return 2
-    results = verify_suites.run_suites(
-        names, seed=args.seed, tol=args.tol, n_samples=args.samples, parallel=args.parallel
-    )
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print(f"definetti verify: --tol must be finite and positive, got {args.tol!r}", file=sys.stderr)
+        return 2
+    results = verify_suites.run_suites(names, seed=args.seed, tol=args.tol, n_samples=args.samples)
     failed = 0
     total = 0
     for suite, checks in results:

@@ -23,11 +23,9 @@ from .symmetric import SymTriple, dim_sym, epsilon
 from .weights import Weight, sym_weights
 
 __all__ = [
-    "DenseOperator",
     "McReport",
     "sym_basis",
     "sym_basis_vector",
-    "symmetric_projector",
     "brute_delta_symmetric",
     "trace_distance",
     "cg_oracle",
@@ -43,54 +41,11 @@ __all__ = [
 ]
 
 SYM_SIZE_GUARD = 10**6
-PROJECTOR_SIZE_GUARD = 4096
 CG_TABLE_GUARD = 24  # doubled angular momentum
-
-
-# ---------------------------------------------------------------------------
-# dense carriers
-
-
-@dataclass
-class DenseOperator:
-    """A dense matrix over an explicitly labeled basis."""
-
-    dims: tuple[int, int]
-    entries: np.ndarray
-    basis_labels: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        self.entries = np.asarray(self.entries)
-        if self.entries.shape != tuple(self.dims):
-            raise ValueError(f"shape {self.entries.shape} != declared dims {self.dims}")
-        if self.basis_labels is not None and len(self.basis_labels) != self.dims[0]:
-            raise ValueError("one basis label per row required")
-
-    def projector_defect(self) -> float:
-        e = self.entries
-        return max(
-            float(np.abs(e @ e - e).max(initial=0.0)),
-            float(np.abs(e - e.conj().T).max(initial=0.0)),
-        )
-
-    def is_projector(self, tol: float = 1e-10) -> bool:
-        return self.projector_defect() <= tol
-
-    def unitary_defect(self) -> float:
-        e = self.entries
-        eye = np.eye(e.shape[0])
-        return float(np.abs(e.conj().T @ e - eye).max(initial=0.0))
-
-    def is_unitary(self, tol: float = 1e-10) -> bool:
-        return self.unitary_defect() <= tol
 
 
 def trace_distance(a, b) -> float:
     """(1/2) tr|a - b| for hermitian matrices (the convention used throughout)."""
-    if isinstance(a, DenseOperator):
-        a = a.entries
-    if isinstance(b, DenseOperator):
-        b = b.entries
     diff = np.asarray(a) - np.asarray(b)
     herm_defect = np.abs(diff - diff.conj().T).max(initial=0.0)
     if herm_defect > 1e-8:
@@ -154,15 +109,6 @@ def sym_basis(n: int, d: int) -> list[tuple[Weight, np.ndarray]]:
     return [(w, mat[:, i]) for i, w in enumerate(ws)]
 
 
-def symmetric_projector(n: int, d: int) -> DenseOperator:
-    """Dense projector onto the symmetric subspace (small sizes only)."""
-    if d**n > PROJECTOR_SIZE_GUARD:
-        raise ValueError(f"size guard exceeded: {d}^{n} > {PROJECTOR_SIZE_GUARD}")
-    _, mat = _sym_basis_matrix(n, d)
-    proj = mat @ mat.T
-    return DenseOperator(dims=proj.shape, entries=proj)
-
-
 def brute_delta_symmetric(t: SymTriple) -> float:
     """Dense evaluation of the overlap functional for the symmetric family.
 
@@ -216,7 +162,6 @@ def _lower_exact(
 
 def _cg_oracle_exact(tj1: int, tj2: int) -> dict[tuple[int, int, int], ExactReal]:
     nm1 = tj1 + 1
-    tops: dict[int, list[RadicalSum]] = {}
     vectors: dict[tuple[int, int], list[RadicalSum]] = {}
     for tj in range(tj1 + tj2, abs(tj1 - tj2) - 2, -2):
         v = [RadicalSum.zero()] * nm1
@@ -230,7 +175,6 @@ def _cg_oracle_exact(tj1: int, tj2: int) -> dict[tuple[int, int, int], ExactReal
         v = [vi.times_sqrt(1 / norm2) for vi in v]
         if v[0].sign() <= 0:
             raise AssertionError("phase convention broken: seed overlap not positive")
-        tops[tj] = v
         vectors[(tj, tj)] = v
         for tm in range(tj, -tj, -2):
             v = _lower_exact(v, tj1, tj2, tj, tm)

@@ -28,7 +28,7 @@ class TwoJ:
     doubled: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.doubled, int):
+        if not isinstance(self.doubled, int) or isinstance(self.doubled, bool):
             raise TypeError(f"doubled value must be an integer, got {self.doubled!r}")
 
     @property

@@ -1,45 +1,26 @@
 """Acceptance gate: thirteen numbered end-to-end checks at pinned tolerances.
 
 Each check prints one [PASS]/[FAIL] line (run pytest -s to see them all)
-and enforces its runtime budget where one is pinned.
+and enforces its runtime budget where one is pinned.  A criterion that
+shares a property with `definetti verify` calls the same check function
+from `definetti.verify`, at the criterion's own ranges.
 """
 
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from math import comb, sqrt
+from itertools import product
+from math import comb
 
-import numpy as np
 import pytest
 
+from definetti import su2_cg, symmetric, verify
 from definetti.cli import figure_spec, figure_values, main, render_csv
-from definetti.heisenberg import (
-    HeisenbergTriple,
-    coherent_bound,
-    delta_number_space,
-    epsilon_heisenberg,
-)
-from definetti.oracle import (
-    brute_delta_symmetric,
-    cg_oracle,
-    heis_oracle,
-    lambda_up_set,
-    mc_theorem1,
-    pair_annihilate,
-    pair_tower,
-)
+from definetti.heisenberg import coherent_bound
+from definetti.oracle import lambda_up_set, mc_theorem1
 from definetti.report import DeltaReport
-from definetti import su2_cg, symmetric
-from definetti.radicals import RadicalSum
-from definetti.su2_cg import TwoJ, cg, delta_su2, _racah_parts
-from definetti.symmetric import (
-    SymTriple,
-    bound_exponential,
-    closed_form_sum,
-    dim_sym,
-    epsilon,
-    exact_error_d2,
-)
+from definetti.su2_cg import TwoJ, cg, delta_su2
+from definetti.symmetric import SymTriple, dim_sym
 from definetti.weights import Weight, exact_radius, w_r_set
 
 
@@ -57,10 +38,7 @@ def test_criterion_01_aligned_overlap_closed_form():
     with criterion(1, "top-block overlap is (2j2+1)/(2j+1), exactly"):
         t0 = time.perf_counter()
         assert delta_su2(Fraction(1, 2), Fraction(1, 2), 1, Fraction(1, 2), 0).delta == Fraction(2, 3)
-        for tj1 in range(0, 41):
-            for tj2 in range(0, 41):
-                rep = delta_su2(TwoJ(tj1), TwoJ(tj2), TwoJ(tj1 + tj2), TwoJ(tj2), 0)
-                assert rep.delta == Fraction(tj2 + 1, tj1 + tj2 + 1)
+        verify.aligned_block_overlap(40)
         assert time.perf_counter() - t0 < 10
 
 
@@ -97,138 +75,56 @@ def test_criterion_03_second_figure_vanishes_inside_radius():
 
 def test_criterion_04_zero_radius_identity():
     with criterion(4, "epsilon at r=0 is twice the dimension-ratio deficit"):
-        for n in range(1, 61):
-            for k in range(1, n + 1):
-                for d in range(2, 7):
-                    want = 2 * (1 - Fraction(dim_sym(n - k, d), dim_sym(n, d)))
-                    assert epsilon(SymTriple(n, k, d, 0)) == want
+        verify.zero_radius_identity(60, 6)
 
 
 def test_criterion_05_sum_closed_form_and_recursion():
     with criterion(5, "closed-form tail sum matches the direct sum and its recursion"):
-        for n in range(1, 61):
-            for k in range(1, n + 1):
-                direct = Fraction(0)
-                for r in range(k - 1, -1, -1):
-                    direct += Fraction(comb(k, r + 1), comb(n, r + 1))
-                    assert closed_form_sum(n, k, r) == direct
-                for r in range(1, k):
-                    step = Fraction(comb(k, r), comb(n, r))
-                    assert closed_form_sum(n, k, r) == closed_form_sum(n, k, r - 1) - step
+        verify.tail_sum_closed_form(60)
+        verify.tail_sum_recursion(60)
 
 
 def test_criterion_06_exponential_bound_chain():
-    with criterion(6, "epsilon/2 <= intermediate <= headline; d=2 closed form exact"):
-        for n in range(4, 61):
-            for k in range(2, n - 1):
-                for d in range(2, 6):
-                    if d > min(k, n - k):
-                        continue
-                    for r in range(k + 1):
-                        t = SymTriple(n, k, d, r)
-                        eps = float(epsilon(t))
-                        inter, head = bound_exponential(t)
-                        assert eps / 2 <= inter * (1 + 1e-12), (n, k, d, r)
-                        assert inter <= head * (1 + 1e-12), (n, k, d, r)
-        for n in range(1, 61):
-            for k in range(1, n + 1):
-                for r in range(k + 1):
-                    assert exact_error_d2(n, k, r) == epsilon(SymTriple(n, k, 2, r))
+    with criterion(6, "epsilon/2 <= intermediate <= headline/2; d=2 closed form exact"):
+        verify.bound_chain(60, 5)
+        verify.d2_exact_error(60)
 
 
 def test_criterion_07_dense_projector_oracle():
     with criterion(7, "dense projector overlap matches 1 - epsilon/2 to 1e-10"):
         t0 = time.perf_counter()
-        for d, n_max in ((2, 12), (3, 8)):
-            for n in range(1, n_max + 1):
-                for k in range(1, n + 1):
-                    for r in range(k + 1):
-                        t = SymTriple(n, k, d, r)
-                        got = brute_delta_symmetric(t)
-                        want = 1 - float(epsilon(t)) / 2
-                        assert abs(got - want) <= 1e-10, (n, k, d, r)
+        verify.dense_projector_oracle(((2, 12), (3, 8)), 1e-10)
         assert time.perf_counter() - t0 < 300
 
 
 def test_criterion_08_coupling_table_oracle():
     with criterion(8, "ladder-built coupling tables match the closed form"):
-        for tj1 in range(0, 25):
-            for tj2 in range(0, 25):
-                table = cg_oracle(TwoJ(tj1), TwoJ(tj2))
-                exact_zone = tj1 <= 8 and tj2 <= 8
-                for (tj, tm, tm1), val in table.items():
-                    if exact_zone:
-                        direct = cg(TwoJ(tj1), TwoJ(tm1), TwoJ(tj2), TwoJ(tm - tm1), TwoJ(tj), TwoJ(tm))
-                        assert val == direct
-                    s, pre = _racah_parts(tj1, tm1, tj2, tm - tm1, tj, tm)
-                    assert abs(float(val) - float(s) * sqrt(float(pre))) <= 1e-12
-        # orthogonality across coupled blocks and completeness per split, exact
-        for tj1 in range(0, 13):
-            for tj2 in range(0, 13):
-                for tm in range(-(tj1 + tj2), tj1 + tj2 + 1, 2):
-                    rows = []
-                    for tj in range(max(abs(tj1 - tj2), abs(tm)), tj1 + tj2 + 1, 2):
-                        rows.append([
-                            RadicalSum.from_exact(
-                                cg(TwoJ(tj1), TwoJ(tm1), TwoJ(tj2), TwoJ(tm - tm1), TwoJ(tj), TwoJ(tm))
-                            )
-                            for tm1 in range(max(-tj1, tm - tj2), min(tj1, tm + tj2) + 1, 2)
-                        ])
-                    for a in range(len(rows)):
-                        for b in range(a, len(rows)):
-                            acc = RadicalSum.zero()
-                            for x, y in zip(rows[a], rows[b]):
-                                acc = acc + x * y
-                            assert acc.as_fraction() == (1 if a == b else 0)
+        verify.cg_oracle_match(24, 8)
+        verify.cg_rows_orthonormal(range(0, 13))
 
 
 def test_criterion_09_oscillator_oracle():
     with criterion(9, "truncated oscillator oracle matches the number-window formula"):
-        for mu in range(1, 11):
-            for nu in range(1, 11):
-                for D in range(0, 6):
-                    for r in range(0, 11):
-                        want = delta_number_space(HeisenbergTriple(mu=mu, nu=nu, Delta=D, r=r))
-                        got = heis_oracle(mu, nu, D, r, r + D + 40)
-                        assert abs(got - float(want.delta)) < 1e-10, (mu, nu, D, r)
-        for mu in range(1, 11):
-            for nu in range(1, 11):
-                for D in range(0, 6):
-                    tower = pair_tower(mu, nu, D, 12, 60)
-                    assert np.linalg.norm(pair_annihilate(mu, nu, tower[0])) < 1e-10
-                    for a in range(len(tower)):
-                        for b in range(a + 1, len(tower)):
-                            assert abs(float(np.sum(tower[a] * tower[b]))) < 1e-10
-        # offset-zero rational path telescopes exactly
-        for mu in range(1, 11):
-            for nu in range(1, 11):
-                x = Fraction(mu, mu + nu)
-                for r in range(0, 11):
-                    rep = delta_number_space(HeisenbergTriple(mu=mu, nu=nu, Delta=0, r=r))
-                    assert isinstance(rep.delta, Fraction)
-                    assert rep.delta == 1 - x ** (r + 1)
+        pairs = list(product(range(1, 11), repeat=2))
+        verify.fock_oracle(pairs, 5, 10, 1e-10)
+        verify.vacuum_annihilation(pairs, 5, 1e-10)
+        verify.tower_orthonormal(pairs, 5, 12, 60, 1e-10)
+        verify.geometric_closed_form(pairs, 10)
 
 
 def test_criterion_10_coherent_splitting_bound():
     with criterion(10, "coherent splitting bound is the zero-offset oscillator bound"):
         assert coherent_bound(100, 10, 0) == Fraction(1, 5)
         assert float(coherent_bound(100, 10, 0)) == 0.2
-        for n in range(2, 201):
-            for k in range(1, n):
-                for r in (0, 1, 2, 3):
-                    t = HeisenbergTriple(mu=Fraction(k), nu=Fraction(n - k), Delta=0, r=r)
-                    assert coherent_bound(n, k, r) == epsilon_heisenberg(t)
+        verify.coherent_consistency(200, (0, 1, 2, 3))
 
 
 def test_criterion_11_monte_carlo_inequality():
     with criterion(11, "sampled mixtures respect the reconstruction inequality"):
         t0 = time.perf_counter()
-        for r in (0, 1, 2):
-            rep = mc_theorem1(4, 2, r, 10**5, 1)
-            assert rep.identity_residual < 0.02
-            assert rep.lhs_distance <= rep.bound + rep.mc_tolerance  # tolerance is 5 SE
-            if r == 2:
-                assert rep.lhs_distance < 0.02  # window covers everything
+        verify.mc_inequality(1, 10**5)  # tolerance is 5 SE
+        verify.mc_identity_recovery(1, 10**5)  # residual <= 0.02 at 10^5 samples
+        assert mc_theorem1(4, 2, 2, 10**5, 1).lhs_distance < 0.02  # window covers everything
         assert time.perf_counter() - t0 < 120
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from definetti import verify
 from definetti.cli import main
 
 
@@ -124,6 +125,8 @@ def test_figure_usage_and_io_errors(capsys):
     assert code == 2 and err
     code, _, err = run(capsys, "figure", "1", "--out", "/nonexistent/dir/f.csv")
     assert code == 1 and err
+    code, out, err = run(capsys, "figure", "3", "--mu", "1/0")
+    assert code == 2 and out == "" and err.count("\n") == 1
 
 
 def test_verify_weights_suite(capsys):
@@ -141,6 +144,16 @@ def test_verify_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "verify", "mc", "--samples", "10")
     assert code == 2 and err
+    for tol in ("nan", "inf", "0", "-1e-10"):
+        code, out, err = run(capsys, "verify", "weights", f"--tol={tol}")
+        assert code == 2 and out == "" and err.count("\n") == 1, tol
+
+
+def test_verify_comparison_sees_nan():
+    verify._approx(0.5, 0.5 + 1e-12, 1e-10, "close values")
+    for a, b, tol in ((float("nan"), 0.5, 1e-10), (0.5, 0.5, float("nan"))):
+        with pytest.raises(AssertionError):
+            verify._approx(a, b, tol, "nan comparison")
 
 
 def test_no_command_is_usage_error(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from definetti import verify
 from definetti.heisenberg import (
     HeisenbergTriple,
     alpha_coeff,
@@ -13,6 +14,7 @@ from definetti.heisenberg import (
     delta_number_space,
     epsilon_heisenberg,
 )
+from definetti.report import DeltaReport
 
 
 def test_triple_validation():
@@ -36,8 +38,7 @@ def test_triple_validation():
 def test_alpha_coeff():
     assert alpha_coeff(2, 1, 1, 1) == Fraction(1, 2)
     assert alpha_coeff(0, 0, 3, 4) == 1
-    for D in range(0, 8):
-        assert sum(alpha_coeff(D, ell, Fraction(2), Fraction(5)) for ell in range(D + 1)) == 1
+    verify.mass_identities([(Fraction(2), Fraction(5))], 7)
     with pytest.raises(ValueError):
         alpha_coeff(2, 3, 1, 1)
     with pytest.raises(ValueError):
@@ -74,11 +75,7 @@ def test_delta_number_space_values():
     assert rep.delta == Fraction(1, 2)
     assert rep.formula_id == "oscillator-number-window"
     # offset zero telescopes to 1 - (mu/(mu+nu))^(r+1)
-    for mu, nu in [(1, 1), (Fraction(1, 2), 3), (7, 2)]:
-        x = Fraction(mu) / Fraction(mu + nu)
-        for r in range(0, 9):
-            rep = delta_number_space(HeisenbergTriple(mu=mu, nu=nu, Delta=0, r=r))
-            assert rep.delta == 1 - x ** (r + 1)
+    verify.geometric_closed_form([(1, 1), (Fraction(1, 2), 3), (7, 2)], 8)
     # window below the offset never meets the support
     for D in (1, 3, 6):
         for r in range(D):
@@ -115,12 +112,21 @@ def test_coherent_bound():
     assert coherent_bound(100, 10, 0) == Fraction(1, 5)
     assert coherent_bound(100, 10, 3) == Fraction(1, 50)
     assert coherent_bound(2, 1, 0) == 1
-    for n, k, r in [(30, 7, 0), (30, 7, 5), (144, 12, 9)]:
-        t = HeisenbergTriple(mu=Fraction(k), nu=Fraction(n - k), Delta=0, r=r)
-        assert coherent_bound(n, k, r) == epsilon_heisenberg(t)
+    t = HeisenbergTriple(mu=Fraction(12), nu=Fraction(132), Delta=0, r=9)
+    assert coherent_bound(144, 12, 9) == epsilon_heisenberg(t)
     with pytest.raises(ValueError):
         coherent_bound(10, 0, 0)
     with pytest.raises(ValueError):
         coherent_bound(10, 10, 0)
     with pytest.raises(ValueError):
         coherent_bound(10, 11, 0)
+
+
+def test_delta_report_range():
+    with pytest.raises(ValueError, match="delta out of range"):
+        DeltaReport.from_delta(Fraction(3, 2), "f", "psi")
+    with pytest.raises(ValueError, match="delta out of range"):
+        DeltaReport.from_delta(1.1, "f", "psi")
+    rep = DeltaReport.from_delta(-1e-13, "f", "psi")  # roundoff below 0 is clamped
+    assert rep.delta == 0.0 and isinstance(rep.delta, float)
+    assert (rep.bound_linear, rep.bound_sqrt) == (2.0, 2.0)
