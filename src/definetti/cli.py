@@ -364,6 +364,9 @@ def cmd_verify(args) -> int:
     if args.samples < 10**3:
         print("definetti verify: --samples must be at least 10^3", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print(f"definetti verify: --seed must be nonnegative, got {args.seed}", file=sys.stderr)
+        return 2
     if not (math.isfinite(args.tol) and args.tol > 0):
         print(f"definetti verify: --tol must be finite and positive, got {args.tol!r}", file=sys.stderr)
         return 2

@@ -8,14 +8,14 @@ the closed form
     delta = (nu/(mu+nu))^(D+1) * sum_{n=0}^{r-D} C(n+D, D) (mu/(mu+nu))^n
 
 which is exact rational whenever mu and nu are.  Float inputs fall back
-to compensated floating summation.
+to compensated floating summation over the term ratios.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb, exp, log, sqrt
 
 from .report import DeltaReport
 
@@ -28,6 +28,9 @@ __all__ = [
     "epsilon_heisenberg",
     "coherent_bound",
 ]
+
+_RESCALE = 2.0**512
+_LOG_RESCALE = 512 * log(2.0)
 
 
 @dataclass(frozen=True)
@@ -95,17 +98,6 @@ def _exact_pair(mu, nu) -> bool:
     return isinstance(mu, (int, Fraction)) and isinstance(nu, (int, Fraction))
 
 
-def _kahan(terms) -> float:
-    total = 0.0
-    carry = 0.0
-    for t in terms:
-        y = t - carry
-        s = total + y
-        carry = (s - total) - y
-        total = s
-    return total
-
-
 def delta_number_space(t: HeisenbergTriple) -> DeltaReport:
     """Vacuum-reference overlap against the number window {0, ..., r}."""
     label = f"vacuum |0> at offset Delta={t.Delta}"
@@ -121,9 +113,23 @@ def delta_number_space(t: HeisenbergTriple) -> DeltaReport:
         return DeltaReport.from_delta(delta, formula_id=formula, psi_label=label)
     mu, nu = float(t.mu), float(t.nu)
     x = mu / (mu + nu)
-    y = nu / (mu + nu)
-    terms = (comb(n + t.Delta, t.Delta) * x**n for n in range(t.r - t.Delta + 1))
-    delta = y ** (t.Delta + 1) * _kahan(terms)
+    # C(n+Delta, Delta) x^n by the term ratio x (n+1+Delta)/(n+1), from 1;
+    # y^(Delta+1) and every factor _RESCALE taken out of the running term
+    # are carried as a logarithm, so neither the binomial nor the power
+    # of y leaves the float range
+    log_scale = (t.Delta + 1) * log(nu / (mu + nu))
+    term, total, carry = 1.0, 0.0, 0.0
+    for n in range(t.r - t.Delta + 1):
+        # compensated summation
+        step = term - carry
+        acc = total + step
+        carry = (acc - total) - step
+        total = acc
+        term *= x * (n + 1 + t.Delta) / (n + 1)
+        if term > _RESCALE:
+            term, total, carry = term / _RESCALE, total / _RESCALE, carry / _RESCALE
+            log_scale += _LOG_RESCALE
+    delta = exp(log(total) + log_scale) if total else 0.0
     return DeltaReport.from_delta(delta, formula_id=formula, psi_label=label)
 
 

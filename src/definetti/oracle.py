@@ -1,10 +1,11 @@
 """Brute-force oracles for every closed form in the package.
 
 Nothing here reuses the formula derivations: symmetric-subspace overlaps
-are dense projector traces, coupling coefficients come from exact
-highest-weight plus lowering synthesis, oscillator overlaps from
-truncated Fock matrices, and the reconstruction theorem itself gets a
-Monte Carlo end-to-end inequality check.
+are dense projector traces, coupling coefficients come from highest-weight
+plus lowering synthesis in integer arithmetic (on a factorial-rescaled
+product basis, with one square root taken per entry at the end),
+oscillator overlaps from truncated Fock matrices, and the reconstruction
+theorem itself gets a Monte Carlo end-to-end inequality check.
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, sqrt
+from math import comb, factorial, gcd, lcm, sqrt
 
 import numpy as np
 
 from .exact import ExactReal
-from .radicals import RadicalSum, dot
 from .su2_cg import as_twoj
 from .symmetric import SymTriple, dim_sym, epsilon
 from .weights import Weight, sym_weights
@@ -134,58 +134,88 @@ def brute_delta_symmetric(t: SymTriple) -> float:
 # coupling coefficients by ladder synthesis
 
 
-def _lower_exact(
-    v: list[RadicalSum], tj1: int, tj2: int, tj: int, tm: int
-) -> list[RadicalSum]:
-    """Apply the total lowering operator to an exact coupled state at m."""
-    nm1 = tj1 + 1
-    out = [RadicalSum.zero()] * nm1
-    div = Fraction(4, (tj + tm) * (tj - tm + 2))
-    for im1 in range(nm1):
+def _slice_weights(tj1: int, tj2: int, tm: int) -> list[int]:
+    """Integer inner-product weights M/F of the m-slice, 0 off the slice.
+
+    F = (j1+m1)! (j1-m1)! (j2+m2)! (j2-m2)! rescales each product state,
+    and M is the lcm of the slice's F values.
+    """
+    fs = []
+    for im1 in range(tj1 + 1):
+        tm1 = tj1 - 2 * im1
+        tm2 = tm - tm1
+        if abs(tm2) > tj2:
+            fs.append(0)
+            continue
+        fs.append(
+            factorial((tj1 + tm1) // 2)
+            * factorial((tj1 - tm1) // 2)
+            * factorial((tj2 + tm2) // 2)
+            * factorial((tj2 - tm2) // 2)
+        )
+    top = lcm(*(f for f in fs if f))
+    return [top // f if f else 0 for f in fs]
+
+
+def _wdot(u: list[int], v: list[int], w: list[int]) -> int:
+    return sum(a * b * c for a, b, c in zip(u, v, w))
+
+
+def _reduced(v: list[int]) -> list[int]:
+    """v divided by the gcd of its entries (direction and sign kept)."""
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def _lower(v: list[int], tj1: int, tj2: int, tm: int) -> list[int]:
+    """Apply the total lowering operator to a rescaled state at m.
+
+    On the coordinates a = c sqrt(F), J- takes (m1, m2) to (m1-1, m2)
+    with coefficient j1-m1+1 and to (m1, m2-1) with coefficient j2-m2+1.
+    """
+    out = [0] * (tj1 + 1)
+    for im1 in range(tj1 + 1):
         tm1 = tj1 - 2 * im1
         tm2 = (tm - 2) - tm1
         if abs(tm2) > tj2:
             continue
-        acc = RadicalSum.zero()
-        if im1 >= 1 and v[im1 - 1]:
-            f1 = Fraction((tj1 + tm1 + 2) * (tj1 - tm1), 4)
-            if f1 > 0:
-                acc = acc + v[im1 - 1].times_sqrt(f1)
-        if v[im1]:
-            f2 = Fraction((tj2 + tm - tm1) * (tj2 - tm + tm1 + 2), 4)
-            if f2 > 0:
-                acc = acc + v[im1].times_sqrt(f2)
-        if acc:
-            out[im1] = acc.times_sqrt(div)
-    return out
+        acc = v[im1] * ((tj2 - tm2) // 2)
+        if im1:
+            acc += v[im1 - 1] * ((tj1 - tm1) // 2)
+        out[im1] = acc
+    return _reduced(out)
 
 
 def _cg_oracle_exact(tj1: int, tj2: int) -> dict[tuple[int, int, int], ExactReal]:
     nm1 = tj1 + 1
-    vectors: dict[tuple[int, int], list[RadicalSum]] = {}
-    for tj in range(tj1 + tj2, abs(tj1 - tj2) - 2, -2):
-        v = [RadicalSum.zero()] * nm1
-        v[0] = RadicalSum.of(1)  # seed at m1 = j1, m2 = j - j1
-        for tjp in range(tj + 2, tj1 + tj2 + 2, 2):
+    tj_top = tj1 + tj2
+    weights = {tm: _slice_weights(tj1, tj2, tm) for tm in range(-tj_top, tj_top + 1, 2)}
+    vectors: dict[tuple[int, int], list[int]] = {}
+    for tj in range(tj_top, abs(tj1 - tj2) - 2, -2):
+        w = weights[tj]
+        v = [0] * nm1
+        v[0] = 1  # seed at m1 = j1, m2 = j - j1
+        for tjp in range(tj + 2, tj_top + 2, 2):
             u = vectors[(tjp, tj)]
-            c = u[0]  # overlap of the seed with |j' j>
-            if c:
-                v = [vi - c * ui for vi, ui in zip(v, u)]
-        norm2 = dot(v, v).as_fraction()
-        v = [vi.times_sqrt(1 / norm2) for vi in v]
-        if v[0].sign() <= 0:
+            vu = _wdot(v, u, w)
+            if vu:
+                uu = _wdot(u, u, w)
+                v = _reduced([uu * vi - vu * ui for vi, ui in zip(v, u)])
+        if v[0] <= 0:
             raise AssertionError("phase convention broken: seed overlap not positive")
         vectors[(tj, tj)] = v
         for tm in range(tj, -tj, -2):
-            v = _lower_exact(v, tj1, tj2, tj, tm)
+            v = _lower(v, tj1, tj2, tm)
             vectors[(tj, tm - 2)] = v
     table: dict[tuple[int, int, int], ExactReal] = {}
     for (tj, tm), vec in vectors.items():
+        w = weights[tm]
+        norm2 = _wdot(vec, vec, w)
         for im1 in range(nm1):
-            tm1 = tj1 - 2 * im1
-            tm2 = tm - tm1
-            if abs(tm2) <= tj2:
-                table[(tj, tm, tm1)] = vec[im1].as_exact()
+            if w[im1]:
+                a = vec[im1]
+                sign = (a > 0) - (a < 0)
+                table[(tj, tm, tj1 - 2 * im1)] = ExactReal(sign, Fraction(a * a * w[im1], norm2))
     return table
 
 
@@ -197,11 +227,22 @@ def cg_oracle(j1, j2) -> dict[tuple[int, int, int], ExactReal]:
     the m = j subspace with positive seed overlap (Condon-Shortley),
     then lowered exactly.
 
-    The synthesis runs in exact radical arithmetic throughout: a floating
-    version of the same ladder is numerically unstable, because any
-    contamination of a low-j block by higher blocks grows under lowering
-    by the ratio of their ladder factors (up to ~30x per step near the
-    bottom of a j1+j2 = 24 tower), which is why no float shortcut exists.
+    The synthesis runs in integers.  A state with product-basis
+    coefficients c is stored as the integers a = c sqrt(F), F = (j1+m1)!
+    (j1-m1)! (j2+m2)! (j2-m2)!.  On these coordinates the lowering
+    operator has the integer entries j1-m1+1 and j2-m2+1, and the inner
+    product of an m-slice has the integer weights W = M/F (M the lcm of
+    the slice's F values).
+    Gram-Schmidt becomes v <- <u,u>_W v - <v,u>_W u, and every state is
+    kept divided by the gcd of its entries; positive scalings drop out
+    because only directions and signs matter.  Each entry is formed once,
+    at the end, as sign(a) sqrt(a^2 W / sum a^2 W).
+
+    The synthesis is exact throughout: a floating version of the same
+    ladder is numerically unstable, because any contamination of a low-j
+    block by higher blocks grows under lowering by the ratio of their
+    ladder factors (up to ~30x per step near the bottom of a j1+j2 = 24
+    tower), which is why no float shortcut exists.
     """
     tj1, tj2 = as_twoj(j1).doubled, as_twoj(j2).doubled
     if tj1 < 0 or tj2 < 0:

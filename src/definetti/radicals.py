@@ -1,9 +1,9 @@
 """Exact sums of scaled square roots.
 
-The ladder-operator oracle builds coupled basis vectors whose entries are
-finite sums sum_f q_f * sqrt(f) over squarefree f.  This tiny ring is enough
-to run Gram-Schmidt and lowering exactly and to certify that each final
-entry collapses to a single square root.
+Products and sums of coupling coefficients are finite sums
+sum_f q_f * sqrt(f) over squarefree f.  This tiny ring is enough to add
+such products exactly (the row-orthogonality check in `verify`) and to
+certify when a sum collapses to a rational or to a single square root.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, sqrt
 
-from .exact import ExactReal, split_square
+from .exact import ExactReal
 
 
 class RadicalSum:

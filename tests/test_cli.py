@@ -144,6 +144,8 @@ def test_verify_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "verify", "mc", "--samples", "10")
     assert code == 2 and err
+    code, out, err = run(capsys, "verify", "mc", "--seed=-1")
+    assert code == 2 and out == "" and err.count("\n") == 1
     for tol in ("nan", "inf", "0", "-1e-10"):
         code, out, err = run(capsys, "verify", "weights", f"--tol={tol}")
         assert code == 2 and out == "" and err.count("\n") == 1, tol

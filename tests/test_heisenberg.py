@@ -93,6 +93,21 @@ def test_delta_number_space_float_path_tracks_exact():
             assert abs(approx.delta - float(exact.delta)) < 1e-14
 
 
+def test_delta_number_space_float_path_stays_in_range():
+    # C(1200, 400) overflows a float and y^401 underflows one at mu=50,
+    # nu=1/2; the term-ratio sum needs neither
+    exact = delta_number_space(HeisenbergTriple(mu=Fraction(2), nu=Fraction(1), Delta=400, r=1200))
+    approx = delta_number_space(HeisenbergTriple(mu=2.0, nu=1.0, Delta=400, r=1200))
+    assert float(exact.delta) == 0.49457340739976025
+    assert abs(approx.delta - float(exact.delta)) < 1e-12
+    tiny = delta_number_space(HeisenbergTriple(mu=50.0, nu=0.5, Delta=400, r=3000)).delta
+    assert 0 <= tiny <= 1
+    exact = delta_number_space(
+        HeisenbergTriple(mu=Fraction(50), nu=Fraction(1, 2), Delta=400, r=3000)
+    )
+    assert tiny == pytest.approx(float(exact.delta), rel=1e-10)
+
+
 def test_epsilon_heisenberg_piecewise():
     # aligned multiplicity-one case: linear bound, exact
     assert epsilon_heisenberg(HeisenbergTriple(mu=1, nu=1, Delta=0, r=0)) == 1

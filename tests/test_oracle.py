@@ -1,6 +1,7 @@
 """Dense numerical oracles: projectors, coupling tables, oscillators, Monte Carlo."""
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from definetti.oracle import (
     sym_basis_vector,
     trace_distance,
 )
-from definetti.su2_cg import TwoJ
+from definetti.su2_cg import TwoJ, _racah_parts
 from definetti.symmetric import SymTriple, dim_sym, epsilon
 from definetti.weights import Weight, exact_radius
 
@@ -60,6 +61,32 @@ def test_cg_oracle_matches_closed_form():
         cg_oracle(13, 0)
     with pytest.raises(ValueError):
         cg_oracle(-1, 0)
+
+
+def test_cg_oracle_stretched_states():
+    # the j = j1+j2 column is a binomial ratio, known apart from both the
+    # ladder and the Racah formula
+    for tj1 in range(13):
+        for tj2 in range(13):
+            tj = tj1 + tj2
+            table = cg_oracle(TwoJ(tj1), TwoJ(tj2))
+            for (tjk, tm, tm1), val in table.items():
+                if tjk != tj:
+                    continue
+                tm2 = tm - tm1
+                want = Fraction(
+                    comb(tj1, (tj1 + tm1) // 2) * comb(tj2, (tj2 + tm2) // 2),
+                    comb(tj, (tj + tm) // 2),
+                )
+                assert val.sign == 1 and val.square() == want, (tj1, tj2, tm, tm1)
+
+
+def test_cg_oracle_exact_at_guard_size():
+    table = cg_oracle(12, 12)
+    assert len(table) == 10425
+    for (tj, tm, tm1), val in table.items():
+        s, pre = _racah_parts(24, tm1, 24, tm - tm1, tj, tm)
+        assert (val.sign, val.square()) == ((s > 0) - (s < 0), s * s * pre), (tj, tm, tm1)
 
 
 def test_lambda_up_set():
