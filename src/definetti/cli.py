@@ -222,6 +222,9 @@ def figure_spec(figure_id: int, overrides: dict[str, str | None]) -> FigureSpec:
 
 
 def _validate_spec(spec: FigureSpec) -> None:
+    for label, j in (("j1", spec.j1), ("j2", spec.j2)):
+        if j.doubled < 0:
+            raise ValueError(f"{label} = {j} is negative")
     if spec.r_max < 0:
         raise ValueError(f"need r-max >= 0, got {spec.r_max}")
     tj1, tj2 = spec.j1.doubled, spec.j2.doubled

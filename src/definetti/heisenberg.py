@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, exp, log, sqrt
 
 from .report import DeltaReport
@@ -98,17 +99,38 @@ def _exact_pair(mu, nu) -> bool:
     return isinstance(mu, (int, Fraction)) and isinstance(nu, (int, Fraction))
 
 
+@lru_cache(maxsize=2)
+def _number_column(mu: Fraction, nu: Fraction, Delta: int) -> list:
+    """[count, total]: the sum of C(n+Delta, Delta) x^n over n < count for
+    one exact column, which delta_number_space updates in place."""
+    return [0, Fraction(0)]
+
+
 def delta_number_space(t: HeisenbergTriple) -> DeltaReport:
-    """Vacuum-reference overlap against the number window {0, ..., r}."""
+    """Vacuum-reference overlap against the number window {0, ..., r}.
+
+    For exact inputs and the last two columns (mu, nu, Delta) the running
+    sum at the radius of the column's last call is kept: a call at a
+    larger radius adds only the missing terms, so a sweep over r = 0..R
+    costs R - Delta + 1 terms, and one at a smaller radius sums afresh.
+    Only that one sum is kept: with x = p/q in lowest terms each sum is
+    about log2(q) bits longer than the one before, so keeping them all
+    would take memory quadratic in r.  The memo is module state and not
+    thread-safe, like the rest of the package.  Float inputs are summed
+    afresh on every call.
+    """
     label = f"vacuum |0> at offset Delta={t.Delta}"
     formula = "oscillator-number-window"
     if t.is_exact:
         mu, nu = Fraction(t.mu), Fraction(t.nu)
         x = mu / (mu + nu)
         y = nu / (mu + nu)
-        total = Fraction(0)
-        for n in range(t.r - t.Delta + 1):
+        count = max(t.r - t.Delta + 1, 0)
+        memo = _number_column(mu, nu, t.Delta)
+        start, total = memo if memo[0] <= count else (0, Fraction(0))
+        for n in range(start, count):
             total += comb(n + t.Delta, t.Delta) * x**n
+        memo[:] = count, total
         delta = y ** (t.Delta + 1) * total
         return DeltaReport.from_delta(delta, formula_id=formula, psi_label=label)
     mu, nu = float(t.mu), float(t.nu)

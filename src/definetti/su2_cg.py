@@ -143,6 +143,13 @@ def cg(j1, m1, j2, m2, j, m) -> ExactReal:
     return ExactReal.of(s) * ExactReal.sqrt(pre)
 
 
+@lru_cache(maxsize=2)
+def _window_column(tj1: int, tj2: int, tj: int, tm2: int, direction: str) -> list:
+    """[count, total]: the sum of S^2 R over the first `count` window
+    terms of one column, which delta_su2 updates in place."""
+    return [0, Fraction(0)]
+
+
 def delta_su2(j1, j2, j, m2, r: int, direction: str = "down") -> DeltaReport:
     """Overlap of the coupled block R_j against a height-r weight window.
 
@@ -150,6 +157,12 @@ def delta_su2(j1, j2, j, m2, r: int, direction: str = "down") -> DeltaReport:
     |<j (m1+m2) | j1 m1 j2 m2>|^2 over the r+1 extremal m1 values:
     m1 = j1, j1-1, ..., j1-r for direction="down", and m1 = -j1, ...,
     -j1+r for direction="up".  Out-of-range terms contribute zero.
+
+    For the last two columns (j1, j2, j, m2, direction) the window sum
+    at the radius of the column's last call is kept: a call at a larger
+    radius adds only the missing terms, so a sweep over r = 0..R costs
+    R + 1 terms, and one at a smaller radius sums afresh.  The memo is
+    module state and not thread-safe, like the rest of the package.
     """
     tj1 = as_twoj(j1).doubled
     tj2, tm2 = as_twoj(j2).doubled, as_twoj(m2).doubled
@@ -160,18 +173,18 @@ def delta_su2(j1, j2, j, m2, r: int, direction: str = "down") -> DeltaReport:
         raise ValueError(f"need an integer radius r >= 0, got {r!r}")
     if direction not in ("down", "up"):
         raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
-    total = Fraction(0)
-    for i in range(r + 1):
+    count = min(r, tj1) + 1  # beyond i = 2j1 the window has no more terms
+    memo = _window_column(tj1, tj2, tj, tm2, direction)
+    start, total = memo if memo[0] <= count else (0, Fraction(0))
+    for i in range(start, count):
         tm1 = tj1 - 2 * i if direction == "down" else -tj1 + 2 * i
-        if abs(tm1) > tj1:
-            continue
         tm = tm1 + tm2
-        if abs(tm) > tj:
-            continue
-        # |coefficient|^2 = S^2 * R stays rational; bypassing the radical
-        # split keeps large-j window sums cheap
-        s, pre = _racah_parts(tj1, tm1, tj2, tm2, tj, tm)
-        total += s * s * pre
+        if abs(tm) <= tj:
+            # |coefficient|^2 = S^2 * R stays rational; bypassing the
+            # radical split keeps large-j window sums cheap
+            s, pre = _racah_parts(tj1, tm1, tj2, tm2, tj, tm)
+            total += s * s * pre
+    memo[:] = count, total
     delta = Fraction(tj2 + 1, tj + 1) * total
     return DeltaReport.from_delta(
         delta,

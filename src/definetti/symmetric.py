@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, exp, factorial, perm
 from typing import NamedTuple, Sequence
 
@@ -57,13 +58,26 @@ def dim_sym(n: int, d: int) -> int:
     return comb(n + d - 1, n)
 
 
+@lru_cache(maxsize=2)
+def _tail_sums(n: int, k: int, d: int) -> tuple[Fraction, ...]:
+    """Entry r is sum_{i=r+1}^{k} C(k,i)/C(n,i) * C(i+d-2, i), for
+    r = 0..k, built in one downward pass."""
+    tails = [Fraction(0)] * (k + 1)
+    for i in range(k, 0, -1):
+        tails[i - 1] = tails[i] + Fraction(comb(k, i), comb(n, i)) * comb(i + d - 2, i)
+    return tuple(tails)
+
+
 def epsilon(t: SymTriple) -> Fraction:
-    """Exact error bound for the radius-r symmetric reconstruction."""
+    """Exact error bound for the radius-r symmetric reconstruction.
+
+    The tail sums of the last two (n, k, d) are kept, all k + 1 of them,
+    so the first call of a column costs what the r = 0 sum costs and
+    every other radius is a lookup.  The memo is module state and not
+    thread-safe, like the rest of the package.
+    """
     ratio = Fraction(dim_sym(t.n - t.k, t.d), dim_sym(t.n, t.d))
-    total = Fraction(0)
-    for i in range(t.r + 1, t.k + 1):
-        total += Fraction(comb(t.k, i), comb(t.n, i)) * comb(i + t.d - 2, i)
-    return 2 * ratio * total
+    return 2 * ratio * _tail_sums(t.n, t.k, t.d)[t.r]
 
 
 def term_overlap(w: Weight, n: int, k: int) -> Fraction:

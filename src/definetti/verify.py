@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, sqrt
+from math import comb
 
 import numpy as np
 
@@ -152,9 +152,9 @@ def _cg(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int):
 
 def cg_oracle_match(tj_max: int, exact_max: int) -> str:
     """Ladder-built tables for 2j1, 2j2 <= tj_max against the closed form:
-    entry for entry exactly where 2j1, 2j2 <= exact_max, elsewhere the
-    float value of the Racah parts to 1e-12."""
-    exact = approx = 0
+    entry for entry where 2j1, 2j2 <= exact_max, elsewhere as the exact
+    (sign, square) pair of the Racah parts S and R, coefficient S*sqrt(R)."""
+    exact = pairs = 0
     for tj1 in range(0, tj_max + 1):
         for tj2 in range(0, tj_max + 1):
             table = oracle.cg_oracle(TwoJ(tj1), TwoJ(tj2))
@@ -166,11 +166,12 @@ def cg_oracle_match(tj_max: int, exact_max: int) -> str:
                     exact += 1
                 else:
                     s, pre = su2_cg._racah_parts(tj1, tm1, tj2, tm - tm1, tj, tm)
-                    _approx(float(val), float(s) * sqrt(float(pre)), 1e-12, what)
-                    approx += 1
+                    _exact(val.sign, (s > 0) - (s < 0), f"{what} sign")
+                    _exact(val.square(), s * s * pre, f"{what} square")
+                    pairs += 1
     detail = f"{exact} exact matches for j1,j2 <= {TwoJ(exact_max)}"
-    if approx:
-        detail += f"; {approx} float matches for j1,j2 <= {TwoJ(tj_max)}"
+    if pairs:
+        detail += f"; {pairs} exact (sign, square) matches for j1,j2 <= {TwoJ(tj_max)}"
     return detail
 
 

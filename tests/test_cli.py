@@ -2,8 +2,8 @@
 
 import pytest
 
-from definetti import verify
-from definetti.cli import main
+from definetti import su2_cg, verify
+from definetti.cli import figure_spec, figure_values, main
 
 
 def run(capsys, *argv):
@@ -107,6 +107,30 @@ def test_figure_three_overlay_pairing(capsys):
     assert lines[4].split(",")[1] == "0.0625"
 
 
+def test_figure_cost_is_linear_in_r_max(monkeypatch):
+    calls = 0
+    racah = su2_cg._racah_parts
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return racah(*args)
+
+    monkeypatch.setattr(su2_cg, "_racah_parts", counted)
+    su2_cg._window_column.cache_clear()
+    figure_values(figure_spec(1, {}))
+    # one Racah sum per window term: 11 columns x 41 radii, less the 55
+    # terms with m1 + m2 > j (column j = 190 + c skips its first 10 - c)
+    assert calls == 11 * 41 - 55
+    calls = 0
+    su2_cg._window_column.cache_clear()
+    _, curves = figure_values(figure_spec(1, {"r_max": "2000"}))
+    # past r = 2j1 = 200 a column adds no terms
+    assert calls <= 11 * 201
+    assert len(curves) == 11 and {len(c) for c in curves} == {2001}
+    assert all(c[-1] == 0 for c in curves)  # the full window saturates
+
+
 def test_figure_out_roundtrip(tmp_path, capsys):
     target = tmp_path / "fig2.csv"
     code, out, err = run(capsys, "figure", "2", "--out", str(target))
@@ -127,6 +151,14 @@ def test_figure_usage_and_io_errors(capsys):
     assert code == 1 and err
     code, out, err = run(capsys, "figure", "3", "--mu", "1/0")
     assert code == 2 and out == "" and err.count("\n") == 1
+    for argv, name in (
+        (["1", "--j1", "-1"], "j1 = -1"),
+        (["3", "--j1", "-1", "--j2", "-1", "--delta-max", "0"], "j1 = -1"),
+        (["2", "--j2=-1/2"], "j2 = -1/2"),
+    ):
+        code, out, err = run(capsys, "figure", *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1, argv
+        assert f"{name} is negative" in err, argv
 
 
 def test_verify_weights_suite(capsys):

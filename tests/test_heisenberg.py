@@ -1,10 +1,11 @@
 """Oscillator-pair overlaps: number-space windows and coherent splitting."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from definetti import verify
+from definetti import heisenberg, verify
 from definetti.heisenberg import (
     HeisenbergTriple,
     alpha_coeff,
@@ -81,6 +82,20 @@ def test_delta_number_space_values():
         for r in range(D):
             rep = delta_number_space(HeisenbergTriple(mu=2, nu=3, Delta=D, r=r))
             assert rep.delta == 0
+
+
+def test_delta_number_space_memo_independent_of_call_order():
+    # three exact columns, one more than the memo holds, radii below and
+    # above each offset
+    columns = [(Fraction(2), Fraction(3), 0), (Fraction(2), Fraction(3), 4), (Fraction(1, 2), Fraction(5), 2)]
+    cells = [(col, r) for col in columns for r in range(12)]
+    random.Random(12).shuffle(cells)
+    got = {}
+    for (mu, nu, D), r in cells:
+        got[(mu, nu, D), r] = delta_number_space(HeisenbergTriple(mu, nu, D, r))
+    for ((mu, nu, D), r), rep in got.items():
+        heisenberg._number_column.cache_clear()
+        assert rep == delta_number_space(HeisenbergTriple(mu, nu, D, r)), ((mu, nu, D), r)
 
 
 def test_delta_number_space_float_path_tracks_exact():

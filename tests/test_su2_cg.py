@@ -1,9 +1,11 @@
 """Coupling coefficients and the extremal-window overlap for SU(2)."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from definetti import su2_cg
 from definetti.exact import ExactReal
 from definetti.su2_cg import TwoJ, as_twoj, cg, delta_su2
 
@@ -93,6 +95,23 @@ def test_delta_su2_directions_match_under_reflection():
     assert down.delta == up.delta
     assert down.formula_id.endswith("down")
     assert up.formula_id.endswith("up")
+
+
+def test_delta_su2_memo_independent_of_call_order():
+    # four columns, two per direction, one more than the memo holds; radii
+    # run past 2j1, where the window has no more terms
+    columns = [(6, 4, 6, 2, "down"), (6, 4, 8, 4, "down"), (6, 4, 4, -2, "up"), (5, 3, 4, 1, "up")]
+    cells = [(col, r) for col in columns for r in range(col[0] + 3)]
+    random.Random(11).shuffle(cells)
+    got = {}
+    for (tj1, tj2, tj, tm2, direction), r in cells:
+        got[(tj1, tj2, tj, tm2, direction), r] = delta_su2(
+            TwoJ(tj1), TwoJ(tj2), TwoJ(tj), TwoJ(tm2), r, direction
+        )
+    for ((tj1, tj2, tj, tm2, direction), r), rep in got.items():
+        su2_cg._window_column.cache_clear()
+        fresh = delta_su2(TwoJ(tj1), TwoJ(tj2), TwoJ(tj), TwoJ(tm2), r, direction)
+        assert rep == fresh, ((tj1, tj2, tj, tm2, direction), r)
 
 
 def test_delta_su2_validation():

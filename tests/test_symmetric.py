@@ -1,10 +1,12 @@
 """Symmetric-subspace error formulas: epsilon, profiles, and bounds."""
 
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from definetti import symmetric
 from definetti.symmetric import (
     SymTriple,
     bound_exponential,
@@ -57,6 +59,19 @@ def test_epsilon_strictly_decreasing_in_radius():
         values = [epsilon(SymTriple(n, k, d, r)) for r in range(k + 1)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] == 0
+
+
+def test_epsilon_memo_independent_of_call_order():
+    # three (n, k, d) columns, one more than the memo holds
+    columns = [(12, 6, 2), (12, 6, 3), (9, 7, 4)]
+    cells = [(col, r) for col in columns for r in range(col[1] + 1)]
+    random.Random(13).shuffle(cells)
+    got = {}
+    for (n, k, d), r in cells:
+        got[(n, k, d), r] = epsilon(SymTriple(n, k, d, r))
+    for ((n, k, d), r), value in got.items():
+        symmetric._tail_sums.cache_clear()
+        assert value == epsilon(SymTriple(n, k, d, r)), ((n, k, d), r)
 
 
 def test_closed_form_sum_matches_direct():
