@@ -38,8 +38,18 @@ def render_decimal(x) -> str:
     return str(d)
 
 
+def _printable_in_full(x: Fraction) -> bool:
+    """Whether str() can print both sides of x under the interpreter's
+    int-to-str digit limit, sys.get_int_max_str_digits() (0: no limit)."""
+    limit = sys.get_int_max_str_digits()
+    return not limit or max(abs(x.numerator), x.denominator) < 10**limit
+
+
 def render_scalar(x) -> str:
-    """`p/q = decimal` for non-integral rationals, bare integers, else decimal."""
+    """`p/q = decimal` for non-integral rationals, bare integers, else decimal.
+
+    A Fraction must be _printable_in_full.
+    """
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return str(x.numerator)
@@ -331,6 +341,14 @@ def cmd_compute(args) -> int:
     except (ValueError, TypeError) as exc:
         print(f"definetti compute {args.subcommand}: {exc}", file=sys.stderr)
         return 2
+    if isinstance(result, Fraction) and not _printable_in_full(result):
+        # render_decimal divides as Decimals and never converts to str
+        print(
+            f"definetti compute {args.subcommand}: the exact fraction has more than "
+            f"{sys.get_int_max_str_digits()} digits; printing its 12-digit decimal only",
+            file=sys.stderr,
+        )
+        result = render_decimal(result)
     print(result if isinstance(result, str) else render_scalar(result))
     return 0
 

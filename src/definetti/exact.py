@@ -3,6 +3,13 @@
 Coupling coefficients are square roots of rationals.  Keeping them as
 (sign, radicand) pairs instead of floats lets overlap sums come out as
 exact fractions, which the verification suites compare literally.
+
+Every constructor ends in one canonicalisation, `_canonical(sign, num,
+den)`: it reduces num/den by their gcd, splits each side once into a
+square times a squarefree part, and returns the canonical (sign, coeff,
+core).  Callers that hold integer parts, such as the closed-form and
+ladder coupling coefficients, pass them to `ExactReal.from_square`
+directly and never build the radicand as a Fraction.
 """
 
 from __future__ import annotations
@@ -10,13 +17,24 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, sqrt
 
+# split_square gives up once its trial divisor passes this bound while the
+# unfactored part is still at least its square: that part then has no
+# prime factor below 2**20 and is neither a prime below 2**40 nor a
+# square.  Factorial-smooth integers, all the package produces, have every
+# prime factor far below it (at most 2j + 1 for the coupling coefficients).
+TRIAL_DIVISOR_BOUND = 1 << 20
+
 
 def split_square(n: int) -> tuple[int, int]:
     """Factor n = a*a*f with f squarefree; returns (a, f).
 
-    Complete for every positive integer (trial division runs to sqrt of the
-    unfactored part), fast for the smooth integers produced by factorial
-    ratios.
+    Trial division, which stops as soon as the unfactored part is 1, a
+    prime or a square.  So it is fast for the smooth integers produced by
+    factorial ratios, and for any n whose unfactored part ends up a
+    square.  It raises ValueError once the trial divisor passes
+    TRIAL_DIVISOR_BOUND (2**20) with the unfactored part still at least
+    its square, rather than run for minutes on an integer with two large
+    prime factors.
     """
     if n <= 0:
         raise ValueError(f"split_square needs a positive integer, got {n}")
@@ -27,6 +45,11 @@ def split_square(n: int) -> tuple[int, int]:
     m = n
     p = 2
     while p * p <= m:
+        if p > TRIAL_DIVISOR_BOUND:
+            raise ValueError(
+                f"split_square: a {m.bit_length()}-bit part of a {n.bit_length()}-bit "
+                f"integer has no prime factor up to {TRIAL_DIVISOR_BOUND} and is not a square"
+            )
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -58,23 +81,25 @@ class ExactReal:
 
     def __init__(self, sign: int, radicand) -> None:
         radicand = Fraction(radicand)
-        if radicand < 0:
-            raise ValueError("radicand must be nonnegative")
-        if sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {sign!r}")
-        if (sign == 0) != (radicand == 0):
-            raise ValueError("sign is 0 exactly when the radicand is 0")
-        if sign == 0:
-            self._sign, self._coeff, self._core = 0, Fraction(0), 1
-            return
-        other = _canonical(Fraction(sign), radicand)
-        self._sign, self._coeff, self._core = other._sign, other._coeff, other._core
+        self._sign, self._coeff, self._core = _canonical(
+            sign, radicand.numerator, radicand.denominator
+        )
 
     @classmethod
     def _raw(cls, sign: int, coeff: Fraction, core: int) -> "ExactReal":
         self = cls.__new__(cls)
         self._sign, self._coeff, self._core = sign, coeff, core
         return self
+
+    @classmethod
+    def from_square(cls, sign: int, num: int, den: int) -> "ExactReal":
+        """sign * sqrt(num/den) for integers num >= 0 and den > 0.
+
+        The value with this sign whose square() is num/den; num and den
+        need not be coprime.  This is the integer constructor the coupling
+        kernels use: the radicand is never built as a Fraction.
+        """
+        return cls._raw(*_canonical(sign, num, den))
 
     @classmethod
     def zero(cls) -> "ExactReal":
@@ -94,9 +119,7 @@ class ExactReal:
         q = Fraction(q)
         if q < 0:
             raise ValueError("square root of a negative rational")
-        if q == 0:
-            return cls.zero()
-        return _canonical(Fraction(1), q)
+        return cls.from_square(1 if q else 0, q.numerator, q.denominator)
 
     @classmethod
     def coeff_sqrt(cls, coeff, radicand) -> "ExactReal":
@@ -107,7 +130,11 @@ class ExactReal:
             raise ValueError("square root of a negative rational")
         if coeff == 0 or radicand == 0:
             return cls.zero()
-        return _canonical(coeff, radicand)
+        # a positive rational factor keeps the canonical form canonical
+        sign, root, core = _canonical(
+            1 if coeff > 0 else -1, radicand.numerator, radicand.denominator
+        )
+        return cls._raw(sign, root * abs(coeff), core)
 
     @property
     def sign(self) -> int:
@@ -187,13 +214,25 @@ class ExactReal:
         return f"ExactReal({s}{self._coeff}*sqrt({self._core}))"
 
 
-def _canonical(coeff: Fraction, radicand: Fraction) -> ExactReal:
-    """Build coeff*sqrt(radicand) in canonical squarefree-core form."""
-    an, fn = split_square(radicand.numerator)
-    ad, fd = split_square(radicand.denominator)
-    # sqrt(p/q) = (an / (ad*fd)) * sqrt(fn*fd); fn, fd coprime so the core
-    # stays squarefree.
-    core = fn * fd
-    c = coeff * Fraction(an, ad * fd)
-    sign = 1 if c > 0 else -1
-    return ExactReal._raw(sign, abs(c), core)
+def _canonical(sign: int, num: int, den: int) -> tuple[int, Fraction, int]:
+    """The canonical (sign, coeff, core) of sign * sqrt(num/den).
+
+    num/den is reduced by its gcd and each side split once into a square
+    times a squarefree part; every ExactReal constructor ends here.
+    """
+    if num < 0 or den <= 0:
+        raise ValueError(f"radicand must be nonnegative, got {num}/{den}")
+    if sign not in (-1, 0, 1):
+        raise ValueError(f"sign must be -1, 0 or +1, got {sign!r}")
+    if (sign == 0) != (num == 0):
+        raise ValueError("sign is 0 exactly when the radicand is 0")
+    if sign == 0:
+        return 0, Fraction(0), 1
+    g = gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
+    an, fn = split_square(num)
+    ad, fd = split_square(den)
+    # sqrt(p/q) = (an / (ad*fd)) * sqrt(fn*fd); p and q are coprime, so
+    # fn and fd are too and the core stays squarefree
+    return sign, Fraction(an, ad * fd), fn * fd

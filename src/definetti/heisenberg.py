@@ -162,16 +162,16 @@ def epsilon_heisenberg(t: HeisenbergTriple):
     Returns an exact Fraction whenever the algebra allows (exact inputs
     with Delta = 0 and the exponent (r+1)/2 integral, or r = 0).
     """
-    rep = delta_number_space(t)
     if t.Delta == 0 and t.r == 0:
-        return rep.bound_linear
+        return delta_number_space(t).bound_linear
     if t.Delta == 0 and t.is_exact:
         # 1 - delta telescopes to x^(r+1), so the bound is 2 x^((r+1)/2)
+        # and the window sum is never needed
         x = Fraction(t.mu) / Fraction(t.mu + t.nu)
         if (t.r + 1) % 2 == 0:
             return 2 * x ** ((t.r + 1) // 2)
         return 2.0 * sqrt(float(x ** (t.r + 1)))
-    return rep.bound_sqrt
+    return delta_number_space(t).bound_sqrt
 
 
 def coherent_bound(n: int, k: int, r: int):

@@ -11,7 +11,6 @@ theorem itself gets a Monte Carlo end-to-end inequality check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm, sqrt
 
@@ -215,7 +214,7 @@ def _cg_oracle_exact(tj1: int, tj2: int) -> dict[tuple[int, int, int], ExactReal
             if w[im1]:
                 a = vec[im1]
                 sign = (a > 0) - (a < 0)
-                table[(tj, tm, tj1 - 2 * im1)] = ExactReal(sign, Fraction(a * a * w[im1], norm2))
+                table[(tj, tm, tj1 - 2 * im1)] = ExactReal.from_square(sign, a * a * w[im1], norm2)
     return table
 
 

@@ -4,6 +4,13 @@ Angular momenta are carried as doubled integers so half-integers stay
 exact.  Coefficients use the standard single-sum closed form in the
 Condon-Shortley phase convention: the rational sum S and the rational
 prefactor R combine into the exact value S * sqrt(R).
+
+The alternating Racah sum S is evaluated in integers by Horner's rule
+over its term ratios, with one Fraction built at the end.  R stays two
+Fraction products (triangle part, then the m-dependent factorials),
+which is cheaper at j1 = j2 = 100 than one Fraction over the whole
+product.  `cg` hands the integer parts of S^2 R and the sign of S to
+`ExactReal.from_square`; window sums use S^2 R directly.
 """
 
 from __future__ import annotations
@@ -90,36 +97,58 @@ def _check_triple(tj1: int, tj2: int, tj: int) -> None:
 
 
 def _racah_parts(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int):
-    """Rational sum S and rational prefactor R with coefficient = S*sqrt(R)."""
+    """Rational sum S and rational prefactor R with coefficient = S*sqrt(R).
+
+    S = sum_t (-1)^t / (t! (a-t)! (b-t)! (c-t)! (d+t)! (e+t)!) with
+    a = j1+j2-j, b = j1-m1, c = j2+m2, d = j-j2+m1 and e = j-j1-m2.  It is
+    summed in integers by Horner's rule over the term ratios
+
+        T(t+1)/T(t) = -(a-t)(b-t)(c-t) / ((t+1)(d+t+1)(e+t+1)),
+
+    from 1 at t_hi down to t_lo, so the running denominator is a product
+    of small integers; the six factorials of the t_lo term are multiplied
+    in once and a single Fraction is built at the end.  A common denominator
+    over all terms would instead carry every factorial of both ends and
+    costs twice as much on the one-term sums of the figures.
+
+    R stays in two steps, the triangle part and then the six m-dependent
+    factorials, as Fraction products: building it as one Fraction over the
+    whole product doubles its cost at j1 = j2 = 100, where the two partial
+    gcds are much cheaper than one over the full product.
+    """
+    a = (tj1 + tj2 - tj) // 2
+    b = (tj1 - tm1) // 2
+    c = (tj2 + tm2) // 2
+    d = (tj - tj2 + tm1) // 2
+    e = (tj - tj1 - tm2) // 2
     pre = Fraction(
-        (tj + 1)
-        * _fact((tj1 + tj2 - tj) // 2)
-        * _fact((tj1 - tj2 + tj) // 2)
-        * _fact((-tj1 + tj2 + tj) // 2),
+        (tj + 1) * _fact(a) * _fact((tj1 - tj2 + tj) // 2) * _fact((-tj1 + tj2 + tj) // 2),
         _fact((tj1 + tj2 + tj) // 2 + 1),
     )
     pre *= (
         _fact((tj1 + tm1) // 2)
-        * _fact((tj1 - tm1) // 2)
-        * _fact((tj2 + tm2) // 2)
+        * _fact(b)
         * _fact((tj2 - tm2) // 2)
+        * _fact(c)
         * _fact((tj + tm) // 2)
         * _fact((tj - tm) // 2)
     )
-    t_lo = max(0, (tj2 - tj - tm1) // 2, (tj1 + tm2 - tj) // 2)
-    t_hi = min((tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    s = Fraction(0)
-    for t in range(t_lo, t_hi + 1):
-        den = (
-            _fact(t)
-            * _fact((tj1 + tj2 - tj) // 2 - t)
-            * _fact((tj1 - tm1) // 2 - t)
-            * _fact((tj2 + tm2) // 2 - t)
-            * _fact((tj - tj2 + tm1) // 2 + t)
-            * _fact((tj - tj1 - tm2) // 2 + t)
-        )
-        s += Fraction(-1 if t % 2 else 1, den)
-    return s, pre
+    t_lo = max(0, -d, -e)
+    t_hi = min(a, b, c)
+    num = den = 1
+    for t in range(t_hi - 1, t_lo - 1, -1):
+        # value <- 1 + ratio(t) * value, ratio(t) = -p/q
+        q = (t + 1) * (d + t + 1) * (e + t + 1)
+        num, den = q * den - (a - t) * (b - t) * (c - t) * num, q * den
+    den *= (
+        _fact(t_lo)
+        * _fact(a - t_lo)
+        * _fact(b - t_lo)
+        * _fact(c - t_lo)
+        * _fact(d + t_lo)
+        * _fact(e + t_lo)
+    )
+    return Fraction(-num if t_lo % 2 else num, den), pre
 
 
 def cg(j1, m1, j2, m2, j, m) -> ExactReal:
@@ -140,7 +169,11 @@ def cg(j1, m1, j2, m2, j, m) -> ExactReal:
     if tm != tm1 + tm2 or abs(tm) > tj:
         return ExactReal.zero()
     s, pre = _racah_parts(tj1, tm1, tj2, tm2, tj, tm)
-    return ExactReal.of(s) * ExactReal.sqrt(pre)
+    # the coefficient is sign(S) sqrt(S^2 R), built from the integer parts
+    num, den = s.numerator, s.denominator
+    return ExactReal.from_square(
+        (num > 0) - (num < 0), num * num * pre.numerator, den * den * pre.denominator
+    )
 
 
 @lru_cache(maxsize=2)

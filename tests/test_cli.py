@@ -1,5 +1,7 @@
 """Command-line surface: compute output format, CSV figures, verify wiring."""
 
+from decimal import Context, Decimal
+
 import pytest
 
 from definetti import su2_cg, verify
@@ -44,6 +46,23 @@ def test_compute_remaining_subcommands(capsys):
     code, out, _ = run(capsys, "compute", "sym-bound", "n=60", "k=20", "r=4", "d=3")
     assert code == 0
     assert out == "intermediate = 0.167154449115\nheadline = 1345.21634659\n"
+
+
+def test_compute_prints_decimal_past_the_int_digit_limit(capsys):
+    # 1 - delta = (1/10)^5001: the exact denominator has 5,001 digits, past
+    # the interpreter's default int-to-str limit of 4,300
+    code, out, err = run(capsys, "compute", "heis-delta", "mu=1", "nu=9", "Delta=0", "r=5000")
+    assert (code, out) == (0, "1.00000000000\n")
+    assert len(err.splitlines()) == 1 and "decimal" in err
+    # delta = 2^-15001, a 4,516-digit denominator
+    code, out, err = run(capsys, "compute", "heis-delta", "mu=1", "nu=1", "Delta=15000", "r=15000")
+    want = Context(prec=12).divide(Decimal(1), Decimal(2**15001))
+    assert (code, out) == (0, f"{want}\n")
+    assert out.startswith("1.") and out.endswith("E-4516\n")
+    assert len(err.splitlines()) == 1
+    # below the limit the exact fraction is printed in full, with no note
+    code, out, err = run(capsys, "compute", "heis-delta", "mu=1", "nu=9", "Delta=0", "r=50")
+    assert (code, err) == (0, "") and out.startswith("9" * 51 + "/1" + "0" * 51 + " = ")
 
 
 def test_compute_usage_errors(capsys):

@@ -1,11 +1,12 @@
 """Exact radical arithmetic: square splitting, ExactReal, RadicalSum."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
-from definetti.exact import ExactReal, split_square
+from definetti.exact import TRIAL_DIVISOR_BOUND, ExactReal, split_square
 from definetti.radicals import RadicalSum, dot
 
 
@@ -40,6 +41,28 @@ def test_split_square_rejects_nonpositive():
         split_square(-4)
 
 
+def test_split_square_stops_at_the_trial_divisor_bound():
+    """Two ~40-bit prime factors: the unfactored part stays above the
+    square of every trial divisor up to 2**20.  Without the bound this
+    input runs for a long time (a ~10**33 one ran for 270 s); with it
+    split_square raises after ~2**19 trial divisions, well within a
+    second."""
+    assert TRIAL_DIVISOR_BOUND == 2**20
+    p, q = 2**40 - 87, 2**40 - 167
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="no prime factor up to 1048576"):
+        split_square(p * q)
+    with pytest.raises(ValueError, match="no prime factor up to 1048576"):
+        ExactReal.sqrt(Fraction(3, p * q))
+    assert time.perf_counter() - t0 < 1.0
+    # a prime below 2**40 ends the loop at its square root, and a prime
+    # factor just below the bound is still found
+    assert split_square(2**39 - 7) == (1, 2**39 - 7)
+    assert split_square((2**20 - 3) ** 2 * (2**39 - 7)) == (2**20 - 3, 2**39 - 7)
+    # a leftover square needs no trial division past its smallest prime
+    assert split_square(6 * p * p) == (p, 6)
+
+
 def test_exact_real_canonical_form():
     x = ExactReal.sqrt(8)
     assert (x.sign, x.coeff, x.core) == (1, Fraction(2), 2)
@@ -50,6 +73,26 @@ def test_exact_real_canonical_form():
     # 1/sqrt(2) = (1/2) * sqrt(2)
     assert (z.coeff, z.core) == (Fraction(1, 2), 2)
     assert z.radicand == Fraction(1, 2)
+
+
+def test_exact_real_from_square():
+    # zero
+    z = ExactReal.from_square(0, 0, 7)
+    assert (z.sign, z.coeff, z.core) == (0, Fraction(0), 1) and z == ExactReal.zero()
+    # a perfect square: -sqrt(36/25) = -6/5
+    x = ExactReal.from_square(-1, 36, 25)
+    assert (x.sign, x.coeff, x.core) == (-1, Fraction(6, 5), 1)
+    # non-reduced num/den: without the gcd step, splitting 8 = 2^2 * 2 and
+    # 2 apart would give the core 2 * 2 = 4, which is not squarefree
+    w = ExactReal.from_square(1, 8, 2)
+    assert (w.sign, w.coeff, w.core) == (1, Fraction(2), 1)
+    v = ExactReal.from_square(1, 2 * 3 * 50, 3 * 49 * 2)  # 50/49
+    assert (v.sign, v.coeff, v.core) == (1, Fraction(5, 7), 2)
+    assert v == ExactReal(1, Fraction(50, 49)) == ExactReal.sqrt(Fraction(50, 49))
+    assert ExactReal.from_square(1, 45, 1) == ExactReal.coeff_sqrt(3, 5)
+    for bad in ((1, -4, 1), (1, 4, 0), (1, 4, -1), (2, 4, 1), (0, 4, 1), (1, 0, 1)):
+        with pytest.raises(ValueError):
+            ExactReal.from_square(*bad)
 
 
 def test_exact_real_equality_and_hash():

@@ -138,6 +138,30 @@ def test_epsilon_heisenberg_piecewise():
     assert off == pytest.approx(2 * (1 - float(rep.delta)) ** 0.5)
 
 
+def test_epsilon_heisenberg_telescoped_branch_skips_window_sum(monkeypatch):
+    # exact inputs with Delta = 0 and r > 0 return the telescoped 2 x^((r+1)/2)
+    # without summing the window; the other branches still need the sum
+    expected = {
+        r: epsilon_heisenberg(HeisenbergTriple(mu=1, nu=3, Delta=0, r=r)) for r in (1, 2, 5, 40)
+    }
+
+    def fail(t):
+        raise AssertionError(f"window summed for {t}")
+
+    monkeypatch.setattr(heisenberg, "delta_number_space", fail)
+    for r, value in expected.items():
+        got = epsilon_heisenberg(HeisenbergTriple(mu=1, nu=3, Delta=0, r=r))
+        assert got == value and type(got) is type(value)
+    assert epsilon_heisenberg(HeisenbergTriple(mu=1, nu=3, Delta=0, r=5)) == Fraction(1, 32)
+    for t in (
+        HeisenbergTriple(mu=1, nu=3, Delta=0, r=0),
+        HeisenbergTriple(mu=1, nu=3, Delta=1, r=5),
+        HeisenbergTriple(mu=1.0, nu=3.0, Delta=0, r=5),
+    ):
+        with pytest.raises(AssertionError, match="window summed"):
+            epsilon_heisenberg(t)
+
+
 def test_coherent_bound():
     assert coherent_bound(100, 10, 0) == Fraction(1, 5)
     assert coherent_bound(100, 10, 3) == Fraction(1, 50)

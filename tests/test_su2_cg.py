@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from definetti import su2_cg
 from definetti.exact import ExactReal
+from definetti.oracle import cg_oracle
 from definetti.su2_cg import TwoJ, as_twoj, cg, delta_su2
 
 
@@ -70,6 +72,85 @@ def test_cg_malformed_inputs_raise():
         cg(1, 1, 1, 1, Fraction(3, 2), Fraction(3, 2))  # parity of j1+j2+j
     with pytest.raises(ValueError):
         cg(-1, 0, 1, 0, 1, 0)
+
+
+def _reference_parts(tj1, tm1, tj2, tm2, tj, tm):
+    """S and R of the single-sum formula, S added up one Fraction per term."""
+    f = factorial
+    a, b, c = (tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    d, e = (tj - tj2 + tm1) // 2, (tj - tj1 - tm2) // 2
+    pre = Fraction(
+        (tj + 1) * f(a) * f((tj1 - tj2 + tj) // 2) * f((tj2 - tj1 + tj) // 2),
+        f((tj1 + tj2 + tj) // 2 + 1),
+    )
+    for k in (tj1 + tm1, tj1 - tm1, tj2 + tm2, tj2 - tm2, tj + tm, tj - tm):
+        pre *= f(k // 2)
+    s = Fraction(0)
+    for t in range(max(0, -d, -e), min(a, b, c) + 1):
+        s += Fraction((-1) ** t, f(t) * f(a - t) * f(b - t) * f(c - t) * f(d + t) * f(e + t))
+    return s, pre
+
+
+def _entries(tj1s, tj2s, tjs=None, tm1s=None, tm2s=None):
+    """Every (2j1, 2m1, 2j2, 2m2, 2j, 2m) with m = m1 + m2 and |m| <= j."""
+    for tj1 in tj1s:
+        for tj2 in tj2s:
+            for tj in tjs or range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+                for tm1 in tm1s or range(-tj1, tj1 + 1, 2):
+                    for tm2 in tm2s or range(-tj2, tj2 + 1, 2):
+                        if abs(tm1 + tm2) <= tj:
+                            yield tj1, tm1, tj2, tm2, tj, tm1 + tm2
+
+
+def test_racah_parts_match_termwise_sum():
+    small = list(_entries(range(13), range(13)))
+    # figure cells at j1 = j2 = 100: the coupled j of figures 1 and 2 and
+    # lower ones, the first 41 window rows, and m2 below j2, where the sum
+    # has up to 101 terms
+    large = list(
+        _entries((200,), (200,), (0, 100, 200, 380, 390, 396, 400),
+                 range(200, 118, -4), (200, 198, 180, 100, 0, -100, -200))
+    )
+    assert len(small) == 45_045 and len(large) == 677
+    multi_term = 0
+    for args in small + large:
+        want = _reference_parts(*args)
+        assert su2_cg._racah_parts(*args) == want, args
+        tj1, tm1, tj2, tm2, tj, _ = args
+        multi_term += min(tj1 + tj2 - tj, tj1 - tm1, tj2 + tm2) - max(0, tj2 - tj - tm1, tj1 + tm2 - tj) > 0
+    assert multi_term > len(large)
+
+
+def _squarefree_over_small_primes(n):
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        if n % (p * p) == 0:
+            return False
+        if n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_cg_and_oracle_entries_are_canonical():
+    # both build sign(S) sqrt(S^2 R) from integer parts; each must equal
+    # the canonical ExactReal(sign, square): a positive coeff times a
+    # squarefree core, whatever the gcd of the parts they started from
+    entries = 0
+    for tj1 in range(11):
+        for tj2 in range(11):
+            table = cg_oracle(TwoJ(tj1), TwoJ(tj2))
+            for (tj, tm, tm1), entry in table.items():
+                tm2 = tm - tm1
+                s, pre = su2_cg._racah_parts(tj1, tm1, tj2, tm2, tj, tm)
+                sign, square = (s > 0) - (s < 0), s * s * pre
+                want = ExactReal(sign, square)
+                if sign:
+                    assert want.coeff > 0 and want.coeff**2 * want.core == square
+                    assert _squarefree_over_small_primes(want.core)
+                closed = cg(TwoJ(tj1), TwoJ(tm1), TwoJ(tj2), TwoJ(tm2), TwoJ(tj), TwoJ(tm))
+                for got in (closed, entry):
+                    assert (got.sign, got.coeff, got.core) == (want.sign, want.coeff, want.core)
+                entries += 1
+    assert entries == 20_240
 
 
 def test_delta_su2_aligned_corollary():
