@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, exp, log, sqrt
+from math import comb, exp, log
 
-from .report import DeltaReport
+from .report import DeltaReport, _sqrt_float
 
 __all__ = [
     "HeisenbergTriple",
@@ -160,7 +160,8 @@ def epsilon_heisenberg(t: HeisenbergTriple):
     multiplicity-one case Delta = r = 0, otherwise 2 sqrt(1-delta).
 
     Returns an exact Fraction whenever the algebra allows (exact inputs
-    with Delta = 0 and the exponent (r+1)/2 integral, or r = 0).
+    with Delta = 0 and the exponent (r+1)/2 integral, or r = 0).  A float
+    result is positive whenever the bound is a normal float (>= 2^-1022).
     """
     if t.Delta == 0 and t.r == 0:
         return delta_number_space(t).bound_linear
@@ -170,7 +171,7 @@ def epsilon_heisenberg(t: HeisenbergTriple):
         x = Fraction(t.mu) / Fraction(t.mu + t.nu)
         if (t.r + 1) % 2 == 0:
             return 2 * x ** ((t.r + 1) // 2)
-        return 2.0 * sqrt(float(x ** (t.r + 1)))
+        return 2.0 * _sqrt_float(x ** (t.r + 1))
     return delta_number_space(t).bound_sqrt
 
 

@@ -6,7 +6,12 @@ exponential bounds.  The central object is the approximation error
     epsilon = 2 * (dim S(n-k) / dim S(n)) * sum_{i=r+1}^{k} C(k,i)/C(n,i) * C(i+d-2, i)
 
 for reconstructing a k-site reduced state from the symmetric subspace,
-keeping weights within radius r of the top.
+keeping weights within radius r of the top.  Since
+
+    C(k,i)/C(n,i) = perm(n-i, n-k) / perm(n, n-k),
+
+every sum over i is a sum of integers over one common denominator, and
+epsilon and delta_psi_weights each build a single Fraction at the end.
 """
 
 from __future__ import annotations
@@ -59,25 +64,33 @@ def dim_sym(n: int, d: int) -> int:
 
 
 @lru_cache(maxsize=2)
-def _tail_sums(n: int, k: int, d: int) -> tuple[Fraction, ...]:
-    """Entry r is sum_{i=r+1}^{k} C(k,i)/C(n,i) * C(i+d-2, i), for
-    r = 0..k, built in one downward pass."""
-    tails = [Fraction(0)] * (k + 1)
+def _tail_sums(n: int, k: int, d: int) -> tuple[int, ...]:
+    """Entry r is the integer sum_{i=r+1}^{k} perm(n-i, n-k) * C(i+d-2, i),
+    for r = 0..k, built in one downward pass.  Divided by perm(n, n-k) it
+    is sum_{i=r+1}^{k} C(k,i)/C(n,i) * C(i+d-2, i), because
+    C(k,i)/C(n,i) = k!(n-i)! / (n!(k-i)!) = perm(n-i, n-k) / perm(n, n-k)."""
+    tails = [0] * (k + 1)
     for i in range(k, 0, -1):
-        tails[i - 1] = tails[i] + Fraction(comb(k, i), comb(n, i)) * comb(i + d - 2, i)
+        tails[i - 1] = tails[i] + perm(n - i, n - k) * comb(i + d - 2, i)
     return tuple(tails)
 
 
 def epsilon(t: SymTriple) -> Fraction:
     """Exact error bound for the radius-r symmetric reconstruction.
 
-    The tail sums of the last two (n, k, d) are kept, all k + 1 of them,
-    so the first call of a column costs what the r = 0 sum costs and
-    every other radius is a lookup.  The memo is module state and not
-    thread-safe, like the rest of the package.
+    By C(k,i)/C(n,i) = perm(n-i, n-k) / perm(n, n-k) the tail sum is an
+    integer T[r] over perm(n, n-k), so the value is the single Fraction
+    2 dim S(n-k) T[r] / (dim S(n) perm(n, n-k)).  The integer tail sums
+    of the last two (n, k, d) are kept, all k + 1 of them, so the first
+    call of a column costs what the r = 0 sum costs and every other
+    radius is a lookup.  The memo is module state and not thread-safe,
+    like the rest of the package.
     """
-    ratio = Fraction(dim_sym(t.n - t.k, t.d), dim_sym(t.n, t.d))
-    return 2 * ratio * _tail_sums(t.n, t.k, t.d)[t.r]
+    n, k, d = t.n, t.k, t.d
+    return Fraction(
+        2 * dim_sym(n - k, d) * _tail_sums(n, k, d)[t.r],
+        dim_sym(n, d) * perm(n, n - k),
+    )
 
 
 def term_overlap(w: Weight, n: int, k: int) -> Fraction:
@@ -110,7 +123,9 @@ def delta_psi_weights(n: int, k: int, d: int, f: Sequence[int]) -> Fraction:
 
     f[i] counts the selected weights of the k-site symmetric power whose
     leading coordinate is i; each count is capped by the number of such
-    weights, C(k-i+d-2, k-i).
+    weights, C(k-i+d-2, k-i).  The value is
+    (dim S(n-k) / dim S(n)) * (k!/n!) * sum_i perm(n-k+i, n-k) f[i], with
+    the sum taken in integers and one Fraction built at the end.
     """
     if d < 2:
         raise ValueError(f"need local dimension d >= 2, got {d}")
@@ -118,7 +133,7 @@ def delta_psi_weights(n: int, k: int, d: int, f: Sequence[int]) -> Fraction:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
     if len(f) != k + 1:
         raise ValueError(f"profile must have length k+1 = {k + 1}, got {len(f)}")
-    total = Fraction(0)
+    total = 0
     for i, count in enumerate(f):
         if count < 0:
             raise ValueError(f"profile counts must be nonnegative, got f[{i}]={count}")
@@ -129,9 +144,8 @@ def delta_psi_weights(n: int, k: int, d: int, f: Sequence[int]) -> Fraction:
                 f"{count} > {avail}"
             )
         if count:
-            total += Fraction(perm(n - k + i, n - k)) * count
-    ratio = Fraction(dim_sym(n - k, d), dim_sym(n, d))
-    return ratio * Fraction(factorial(k), factorial(n)) * total
+            total += perm(n - k + i, n - k) * count
+    return Fraction(dim_sym(n - k, d) * factorial(k) * total, dim_sym(n, d) * factorial(n))
 
 
 def closed_form_sum(n: int, k: int, r: int) -> Fraction:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 __all__ = [
@@ -30,12 +31,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Weight:
-    """An integer weight vector of dimension >= 2."""
+    """An integer weight vector of dimension >= 2.
+
+    Integral entries of another type (True, 2.0) become ints; any other
+    entry (1.5, "3") raises ValueError.
+    """
 
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(int(x) for x in self.entries)
+        given = tuple(self.entries)
+        try:
+            entries = tuple(int(x) for x in given)
+        except OverflowError:  # int(inf)
+            raise ValueError(f"weight entries must be finite, got {given!r}") from None
+        if entries != given:
+            raise ValueError(f"weight entries must be integers, got {given!r}")
         if len(entries) < 2:
             raise ValueError("a weight needs at least two coordinates")
         object.__setattr__(self, "entries", entries)
@@ -186,8 +197,16 @@ def sym_weights(n: int, d: int) -> list[Weight]:
 
     These are the nonnegative integer d-tuples summing to n, listed in
     descending lexicographic order so the highest weight (n,0,...,0)
-    comes first.
+    comes first.  The enumerations of the last two (n, d) are kept, so a
+    repeated call only copies the list; the caller owns the copy.  The
+    memo is module state and not thread-safe, like the rest of the
+    package.
     """
+    return list(_sym_weights(n, d))
+
+
+@lru_cache(maxsize=2)
+def _sym_weights(n: int, d: int) -> tuple[Weight, ...]:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if d < 2:
@@ -202,7 +221,7 @@ def sym_weights(n: int, d: int) -> list[Weight]:
             rec(prefix + [first], remaining - first, slots - 1)
 
     rec([], n, d)
-    return out
+    return tuple(out)
 
 
 def w_r_set(n: int, d: int, r: int, direction: str = "down") -> list[Weight]:
@@ -210,13 +229,17 @@ def w_r_set(n: int, d: int, r: int, direction: str = "down") -> list[Weight]:
 
     direction="down" keeps w with n - w_1 <= r (near the highest weight);
     direction="up" keeps w with n - w_d <= r (near the lowest weight).
+    The window filters the enumeration that sym_weights keeps for the
+    last two (n, d), so a sweep over r enumerates the weights once; like
+    that memo, this is not thread-safe.
     """
     if r < 0:
         raise ValueError(f"need radius r >= 0, got {r}")
+    ws = _sym_weights(n, d)
     if direction == "down":
-        return [w for w in sym_weights(n, d) if w[0] >= n - r]
+        return [w for w in ws if w[0] >= n - r]
     if direction == "up":
-        return [w for w in sym_weights(n, d) if w[-1] >= n - r]
+        return [w for w in ws if w[-1] >= n - r]
     raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
 
 

@@ -65,6 +65,13 @@ def test_compute_prints_decimal_past_the_int_digit_limit(capsys):
     assert (code, err) == (0, "") and out.startswith("9" * 51 + "/1" + "0" * 51 + " = ")
 
 
+def test_compute_heis_epsilon_prints_positive_past_float_underflow(capsys):
+    # the bound is 2 * 2^-537.5; the power 2^-1075 under the root is no float
+    code, out, _ = run(capsys, "compute", "heis-epsilon", "mu=1", "nu=1", "Delta=0", "r=1074")
+    assert code == 0
+    assert Decimal(out) > 0 and out.endswith("E-162\n")
+
+
 def test_compute_usage_errors(capsys):
     for argv in (
         ["compute", "nonsense", "n=4"],

@@ -1,6 +1,7 @@
 """Oscillator-pair overlaps: number-space windows and coherent splitting."""
 
 import random
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,24 @@ def test_epsilon_heisenberg_telescoped_branch_skips_window_sum(monkeypatch):
     ):
         with pytest.raises(AssertionError, match="window summed"):
             epsilon_heisenberg(t)
+
+
+def test_epsilon_heisenberg_below_float_range():
+    # at x = 1/2 and even r the bound is 2 sqrt(x^(r+1)); x^(r+1) itself
+    # leaves the float range (2^-1074) from r = 1074 on, the bound does not
+    ctx = Context(prec=40)
+    for r in (2, 1072, 1074, 1100, 2000):
+        got = epsilon_heisenberg(HeisenbergTriple(mu=1, nu=1, Delta=0, r=r))
+        want = 2 * ctx.sqrt(ctx.power(Decimal(2), -(r + 1)))
+        assert type(got) is float and got > 0, r
+        assert abs(Decimal(got) / want - 1) <= Decimal("1e-12"), r
+    # with Delta > 0 the bound is 2 sqrt(1 - delta) of the exact window sum
+    for r in (1100, 2000):
+        t = HeisenbergTriple(mu=1, nu=1, Delta=1, r=r)
+        gap = 1 - delta_number_space(t).delta
+        want = 2 * ctx.sqrt(ctx.divide(Decimal(gap.numerator), Decimal(gap.denominator)))
+        got = epsilon_heisenberg(t)
+        assert got > 0 and abs(Decimal(got) / want - 1) <= Decimal("1e-12"), r
 
 
 def test_coherent_bound():

@@ -2,11 +2,11 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, perm
 
 import pytest
 
-from definetti import symmetric
+from definetti import symmetric, weights
 from definetti.symmetric import (
     SymTriple,
     bound_exponential,
@@ -72,6 +72,41 @@ def test_epsilon_memo_independent_of_call_order():
     for ((n, k, d), r), value in got.items():
         symmetric._tail_sums.cache_clear()
         assert value == epsilon(SymTriple(n, k, d, r)), ((n, k, d), r)
+
+
+def _epsilon_column_termwise(n, k, d):
+    # epsilon at r = 0..k as a sum of one Fraction per term, downwards
+    ratio = Fraction(dim_sym(n - k, d), dim_sym(n, d))
+    tails = [Fraction(0)] * (k + 1)
+    for i in range(k, 0, -1):
+        tails[i - 1] = tails[i] + Fraction(comb(k, i), comb(n, i)) * comb(i + d - 2, i)
+    return [2 * ratio * tail for tail in tails]
+
+
+def _delta_psi_termwise(n, k, d, f):
+    total = Fraction(0)
+    for i, count in enumerate(f):
+        total += Fraction(perm(n - k + i, n - k)) * count
+    return Fraction(dim_sym(n - k, d), dim_sym(n, d)) * Fraction(factorial(k), factorial(n)) * total
+
+
+def test_integer_kernels_match_termwise_sum():
+    for n in range(1, 41):
+        for k in range(1, n + 1):
+            for d in range(2, 6):
+                want = _epsilon_column_termwise(n, k, d)
+                for r in range(k + 1):
+                    got = epsilon(SymTriple(n, k, d, r))
+                    assert got == want[r] and type(got) is Fraction, (n, k, d, r)
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            for d in (2, 3):
+                for r in range(k + 1):
+                    for direction in ("down", "up"):
+                        f = weight_profile(weights.w_r_set(k, d, r, direction), k)
+                        got = delta_psi_weights(n, k, d, f)
+                        want = _delta_psi_termwise(n, k, d, f)
+                        assert got == want and type(got) is Fraction, (n, k, d, r, direction)
 
 
 def test_closed_form_sum_matches_direct():

@@ -1,9 +1,11 @@
 """Weight-lattice combinatorics: dominance order, heights, windows, radius."""
 
+import random
 from math import comb
 
 import pytest
 
+from definetti import verify, weights
 from definetti.weights import (
     HeightDecomposition,
     Weight,
@@ -38,8 +40,14 @@ def test_weight_validation():
         Weight((3,))
     with pytest.raises(ValueError):
         Weight((1, 0)) + Weight((1, 0, 0))
-    # entries coerce to int
+    # integral entries coerce to int, others are refused
     assert Weight((True, 2.0)).entries == (1, 2)
+    with pytest.raises(ValueError):
+        Weight((1.5, 2))
+    with pytest.raises(ValueError):
+        Weight(("3", 0))
+    with pytest.raises(ValueError):
+        Weight((float("inf"), 0))
 
 
 def test_simple_root():
@@ -141,6 +149,34 @@ def test_w_r_set_windows():
         w_r_set(3, 2, -1)
     with pytest.raises(ValueError):
         w_r_set(3, 2, 1, "sideways")
+
+
+def test_weight_memo_is_safe_and_bounded():
+    ws = sym_weights(4, 3)
+    want = list(ws)
+    ws.append(Weight((9, 9, 9)))
+    ws[0] = Weight((0, 0, 4))
+    assert sym_weights(4, 3) == want
+    with pytest.raises(ValueError):
+        w_r_set(-1, 2, 0)
+    with pytest.raises(ValueError):
+        w_r_set(3, 1, 0)
+    # three (n, d) columns, one more than the memo holds
+    cells = [
+        ((n, d), r, direction)
+        for n, d in [(6, 2), (6, 3), (5, 4)]
+        for r in range(n + 1)
+        for direction in ("down", "up")
+    ]
+    random.Random(17).shuffle(cells)
+    got = {cell: w_r_set(cell[0][0], cell[0][1], cell[1], cell[2]) for cell in cells}
+    for ((n, d), r, direction), window in got.items():
+        weights._sym_weights.cache_clear()
+        assert window == w_r_set(n, d, r, direction), ((n, d), r, direction)
+    # one enumeration per (n, k, d) column of the profile check, not one per r
+    weights._sym_weights.cache_clear()
+    verify.profile_consistency(16, 3)
+    assert weights._sym_weights.cache_info().misses <= 272
 
 
 def test_w_r_set_matches_height():
