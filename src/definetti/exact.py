@@ -4,12 +4,16 @@ Coupling coefficients are square roots of rationals.  Keeping them as
 (sign, radicand) pairs instead of floats lets overlap sums come out as
 exact fractions, which the verification suites compare literally.
 
-Every constructor ends in one canonicalisation, `_canonical(sign, num,
-den)`: it reduces num/den by their gcd, splits each side once into a
-square times a squarefree part, and returns the canonical (sign, coeff,
-core).  Callers that hold integer parts, such as the closed-form and
-ladder coupling coefficients, pass them to `ExactReal.from_square`
-directly and never build the radicand as a Fraction.
+An ExactReal stores its sign and its radicand num/den in lowest terms.
+That triple is already a canonical form, so a constructor validates and
+reduces by at most one gcd (`_reduced(sign, num, den)`, or the lowest
+terms of a Fraction it was given), and equality, hashing, products and
+squares work on the triple without factoring anything.
+The split into coeff * sqrt(core), core squarefree, is made only when
+`coeff` or `core` is first read, by `_canonical`, and then kept.
+Callers that hold integer parts, such as the closed-form and ladder
+coupling coefficients, pass them to `ExactReal.from_square` directly and
+never build the radicand as a Fraction.
 """
 
 from __future__ import annotations
@@ -72,23 +76,25 @@ def split_square(n: int) -> tuple[int, int]:
 class ExactReal:
     """An exact real sign * sqrt(radicand), radicand a nonnegative rational.
 
-    Internally stored as coeff * sqrt(core) with core a squarefree positive
-    integer and coeff a positive rational, so multiplication and squaring
-    never need to refactor large integers.
+    Internally stored as (sign, num, den) with num/den the radicand in
+    lowest terms (0/1 for zero).  The canonical coeff * sqrt(core) form,
+    core a squarefree positive integer and coeff a positive rational, is
+    split from it on the first read of `coeff` or `core` and cached.
     """
 
-    __slots__ = ("_sign", "_coeff", "_core")
+    __slots__ = ("_sign", "_num", "_den", "_split")
 
     def __init__(self, sign: int, radicand) -> None:
         radicand = Fraction(radicand)
-        self._sign, self._coeff, self._core = _canonical(
+        self._sign, self._num, self._den = _reduced(
             sign, radicand.numerator, radicand.denominator
         )
+        self._split = None
 
     @classmethod
-    def _raw(cls, sign: int, coeff: Fraction, core: int) -> "ExactReal":
+    def _raw(cls, sign: int, num: int, den: int) -> "ExactReal":
         self = cls.__new__(cls)
-        self._sign, self._coeff, self._core = sign, coeff, core
+        self._sign, self._num, self._den, self._split = sign, num, den, None
         return self
 
     @classmethod
@@ -96,14 +102,15 @@ class ExactReal:
         """sign * sqrt(num/den) for integers num >= 0 and den > 0.
 
         The value with this sign whose square() is num/den; num and den
-        need not be coprime.  This is the integer constructor the coupling
-        kernels use: the radicand is never built as a Fraction.
+        need not be coprime, one gcd reduces them.  This is the integer
+        constructor the coupling kernels use: the radicand is never built
+        as a Fraction and nothing is factored.
         """
-        return cls._raw(*_canonical(sign, num, den))
+        return cls._raw(*_reduced(sign, num, den))
 
     @classmethod
     def zero(cls) -> "ExactReal":
-        return cls._raw(0, Fraction(0), 1)
+        return cls._raw(0, 0, 1)
 
     @classmethod
     def of(cls, q) -> "ExactReal":
@@ -111,7 +118,7 @@ class ExactReal:
         q = Fraction(q)
         if q == 0:
             return cls.zero()
-        return cls._raw(1 if q > 0 else -1, abs(q), 1)
+        return cls._raw(1 if q > 0 else -1, q.numerator**2, q.denominator**2)
 
     @classmethod
     def sqrt(cls, q) -> "ExactReal":
@@ -130,11 +137,13 @@ class ExactReal:
             raise ValueError("square root of a negative rational")
         if coeff == 0 or radicand == 0:
             return cls.zero()
-        # a positive rational factor keeps the canonical form canonical
-        sign, root, core = _canonical(
-            1 if coeff > 0 else -1, radicand.numerator, radicand.denominator
-        )
-        return cls._raw(sign, root * abs(coeff), core)
+        square = coeff * coeff * radicand
+        return cls._raw(1 if coeff > 0 else -1, square.numerator, square.denominator)
+
+    def _parts(self) -> tuple[Fraction, int]:
+        if self._split is None:
+            self._split = _canonical(self._num, self._den)
+        return self._split
 
     @property
     def sign(self) -> int:
@@ -143,28 +152,28 @@ class ExactReal:
     @property
     def radicand(self) -> Fraction:
         """The rational whose square root this is (in lowest terms)."""
-        return self._coeff * self._coeff * self._core
+        return Fraction(self._num, self._den)
 
     @property
     def coeff(self) -> Fraction:
         """Positive rational part of the canonical coeff*sqrt(core) form."""
-        return self._coeff
+        return self._parts()[0]
 
     @property
     def core(self) -> int:
         """Squarefree part of the canonical coeff*sqrt(core) form."""
-        return self._core
+        return self._parts()[1]
 
     def is_zero(self) -> bool:
         return self._sign == 0
 
     def square(self) -> Fraction:
-        return self._coeff * self._coeff * self._core
+        return Fraction(self._num, self._den)
 
     def value(self) -> float:
         if self._sign == 0:
             return 0.0
-        return self._sign * sqrt(float(self.radicand))
+        return self._sign * sqrt(self._num / self._den)
 
     def __float__(self) -> float:
         return self.value()
@@ -173,7 +182,9 @@ class ExactReal:
         return self._sign != 0
 
     def __neg__(self) -> "ExactReal":
-        return ExactReal._raw(-self._sign, self._coeff, self._core)
+        out = ExactReal._raw(-self._sign, self._num, self._den)
+        out._split = self._split
+        return out
 
     def __mul__(self, other) -> "ExactReal":
         if isinstance(other, (int, Fraction)):
@@ -182,10 +193,15 @@ class ExactReal:
             return NotImplemented
         if self._sign == 0 or other._sign == 0:
             return ExactReal.zero()
-        g = gcd(self._core, other._core)
-        core = (self._core // g) * (other._core // g)
-        coeff = self._coeff * other._coeff * g
-        return ExactReal._raw(self._sign * other._sign, coeff, core)
+        # both radicands are in lowest terms, so cross-cancelling keeps
+        # the product in lowest terms too
+        g1 = gcd(self._num, other._den)
+        g2 = gcd(other._num, self._den)
+        return ExactReal._raw(
+            self._sign * other._sign,
+            (self._num // g1) * (other._num // g2),
+            (self._den // g2) * (other._den // g1),
+        )
 
     __rmul__ = __mul__
 
@@ -196,30 +212,33 @@ class ExactReal:
             return NotImplemented
         return (
             self._sign == other._sign
-            and self._coeff == other._coeff
-            and self._core == other._core
+            and self._num == other._num
+            and self._den == other._den
         )
 
     def __hash__(self) -> int:
-        return hash((self._sign, self._coeff, self._core))
+        return hash((self._sign, self._num, self._den))
 
     def __repr__(self) -> str:
         if self._sign == 0:
             return "ExactReal(0)"
         s = "-" if self._sign < 0 else ""
-        if self._core == 1:
-            return f"ExactReal({s}{self._coeff})"
-        if self._coeff == 1:
-            return f"ExactReal({s}sqrt({self._core}))"
-        return f"ExactReal({s}{self._coeff}*sqrt({self._core}))"
+        try:
+            coeff, core = self._parts()
+        except ValueError:
+            # a radicand split_square gives up on is shown unsplit
+            radicand = self._num if self._den == 1 else f"{self._num}/{self._den}"
+            return f"ExactReal({s}sqrt({radicand}))"
+        if core == 1:
+            return f"ExactReal({s}{coeff})"
+        if coeff == 1:
+            return f"ExactReal({s}sqrt({core}))"
+        return f"ExactReal({s}{coeff}*sqrt({core}))"
 
 
-def _canonical(sign: int, num: int, den: int) -> tuple[int, Fraction, int]:
-    """The canonical (sign, coeff, core) of sign * sqrt(num/den).
-
-    num/den is reduced by its gcd and each side split once into a square
-    times a squarefree part; every ExactReal constructor ends here.
-    """
+def _reduced(sign: int, num: int, den: int) -> tuple[int, int, int]:
+    """The stored (sign, num, den) of sign * sqrt(num/den): validated, and
+    num/den reduced by its gcd (the constructor and `from_square`)."""
     if num < 0 or den <= 0:
         raise ValueError(f"radicand must be nonnegative, got {num}/{den}")
     if sign not in (-1, 0, 1):
@@ -227,12 +246,23 @@ def _canonical(sign: int, num: int, den: int) -> tuple[int, Fraction, int]:
     if (sign == 0) != (num == 0):
         raise ValueError("sign is 0 exactly when the radicand is 0")
     if sign == 0:
-        return 0, Fraction(0), 1
+        return 0, 0, 1
     g = gcd(num, den)
     if g != 1:
         num, den = num // g, den // g
+    return sign, num, den
+
+
+def _canonical(num: int, den: int) -> tuple[Fraction, int]:
+    """The canonical (coeff, core) of sqrt(num/den), num/den in lowest terms.
+
+    Each side is split once into a square times a squarefree part; this
+    is the only place an ExactReal factors anything.
+    """
+    if num == 0:
+        return Fraction(0), 1
     an, fn = split_square(num)
     ad, fd = split_square(den)
     # sqrt(p/q) = (an / (ad*fd)) * sqrt(fn*fd); p and q are coprime, so
     # fn and fd are too and the core stays squarefree
-    return sign, Fraction(an, ad * fd), fn * fd
+    return Fraction(an, ad * fd), fn * fd

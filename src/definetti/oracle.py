@@ -235,7 +235,9 @@ def cg_oracle(j1, j2) -> dict[tuple[int, int, int], ExactReal]:
     Gram-Schmidt becomes v <- <u,u>_W v - <v,u>_W u, and every state is
     kept divided by the gcd of its entries; positive scalings drop out
     because only directions and signs matter.  Each entry is formed once,
-    at the end, as sign(a) sqrt(a^2 W / sum a^2 W).
+    at the end, as sign(a) sqrt(a^2 W / sum a^2 W) by
+    `ExactReal.from_square`, which reduces the radicand by one gcd and
+    factors nothing; entries compare with `cg` as (sign, radicand).
 
     The synthesis is exact throughout: a floating version of the same
     ladder is numerically unstable, because any contamination of a low-j

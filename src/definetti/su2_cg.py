@@ -5,12 +5,12 @@ exact.  Coefficients use the standard single-sum closed form in the
 Condon-Shortley phase convention: the rational sum S and the rational
 prefactor R combine into the exact value S * sqrt(R).
 
-The alternating Racah sum S is evaluated in integers by Horner's rule
-over its term ratios, with one Fraction built at the end.  R stays two
-Fraction products (triangle part, then the m-dependent factorials),
-which is cheaper at j1 = j2 = 100 than one Fraction over the whole
-product.  `cg` hands the integer parts of S^2 R and the sign of S to
-`ExactReal.from_square`; window sums use S^2 R directly.
+`_racah_ints` evaluates S and R in integers: the alternating sum by
+Horner's rule over its term ratios, R as its triangle part and the
+product of its six m-dependent factorials.  `cg` hands the integer parts
+of S^2 R and the sign of S to `ExactReal.from_square`, which reduces them
+by one gcd and factors nothing.  Window sums use S^2 R as a rational,
+built by `_racah_parts` in two Fraction steps.
 """
 
 from __future__ import annotations
@@ -65,12 +65,11 @@ def as_twoj(x) -> TwoJ:
         raise TypeError("booleans are not angular momenta")
     if isinstance(x, int):
         return TwoJ(2 * x)
-    if isinstance(x, str):
-        x = Fraction(x)
-    if isinstance(x, (Fraction, float)):
+    if isinstance(x, (str, Fraction, float)):
         doubled = Fraction(x) * 2
         if doubled.denominator != 1:
-            raise ValueError(f"{x!r} is not a half-integer")
+            # the value as it was given, not its Fraction repr
+            raise ValueError(f"{x} is not a half-integer")
         return TwoJ(int(doubled))
     raise TypeError(f"cannot interpret {x!r} as an angular momentum")
 
@@ -96,8 +95,9 @@ def _check_triple(tj1: int, tj2: int, tj: int) -> None:
         )
 
 
-def _racah_parts(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int):
-    """Rational sum S and rational prefactor R with coefficient = S*sqrt(R).
+def _racah_ints(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int):
+    """Unreduced integers (s_num, s_den, t_num, t_den, m_fact) of the
+    Racah sum S = s_num/s_den and the prefactor R = (t_num/t_den) m_fact.
 
     S = sum_t (-1)^t / (t! (a-t)! (b-t)! (c-t)! (d+t)! (e+t)!) with
     a = j1+j2-j, b = j1-m1, c = j2+m2, d = j-j2+m1 and e = j-j1-m2.  It is
@@ -107,25 +107,22 @@ def _racah_parts(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int):
 
     from 1 at t_hi down to t_lo, so the running denominator is a product
     of small integers; the six factorials of the t_lo term are multiplied
-    in once and a single Fraction is built at the end.  A common denominator
-    over all terms would instead carry every factorial of both ends and
-    costs twice as much on the one-term sums of the figures.
+    in once at the end.  A common denominator over all terms would instead
+    carry every factorial of both ends and costs twice as much on the
+    one-term sums of the figures.  s_den > 0 carries no sign.
 
-    R stays in two steps, the triangle part and then the six m-dependent
-    factorials, as Fraction products: building it as one Fraction over the
-    whole product doubles its cost at j1 = j2 = 100, where the two partial
-    gcds are much cheaper than one over the full product.
+    t_num/t_den is the triangle part (2j+1) (j1+j2-j)! (j1-j2+j)!
+    (-j1+j2+j)! / (j1+j2+j+1)!, and m_fact the product of the six
+    m-dependent factorials.
     """
     a = (tj1 + tj2 - tj) // 2
     b = (tj1 - tm1) // 2
     c = (tj2 + tm2) // 2
     d = (tj - tj2 + tm1) // 2
     e = (tj - tj1 - tm2) // 2
-    pre = Fraction(
-        (tj + 1) * _fact(a) * _fact((tj1 - tj2 + tj) // 2) * _fact((-tj1 + tj2 + tj) // 2),
-        _fact((tj1 + tj2 + tj) // 2 + 1),
-    )
-    pre *= (
+    t_num = (tj + 1) * _fact(a) * _fact((tj1 - tj2 + tj) // 2) * _fact((-tj1 + tj2 + tj) // 2)
+    t_den = _fact((tj1 + tj2 + tj) // 2 + 1)
+    m_fact = (
         _fact((tj1 + tm1) // 2)
         * _fact(b)
         * _fact((tj2 - tm2) // 2)
@@ -148,7 +145,19 @@ def _racah_parts(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int):
         * _fact(d + t_lo)
         * _fact(e + t_lo)
     )
-    return Fraction(-num if t_lo % 2 else num, den), pre
+    return -num if t_lo % 2 else num, den, t_num, t_den, m_fact
+
+
+def _racah_parts(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int):
+    """Rational sum S and rational prefactor R with coefficient = S*sqrt(R).
+
+    The integers of `_racah_ints` as Fractions.  R is built in two steps,
+    the triangle part and then the m-dependent factorials: one Fraction
+    over the whole product doubles its cost at j1 = j2 = 100, where the
+    two partial gcds are much cheaper than one over the full product.
+    """
+    s_num, s_den, t_num, t_den, m_fact = _racah_ints(tj1, tm1, tj2, tm2, tj, tm)
+    return Fraction(s_num, s_den), Fraction(t_num, t_den) * m_fact
 
 
 def cg(j1, m1, j2, m2, j, m) -> ExactReal:
@@ -156,7 +165,9 @@ def cg(j1, m1, j2, m2, j, m) -> ExactReal:
 
     Raises on malformed inputs (negative j, parity mismatch, out-of-range
     m1/m2, triangle violation).  Returns exact zero when the selection
-    rules m = m1 + m2 and |m| <= j fail.
+    rules m = m1 + m2 and |m| <= j fail.  The value is built from the
+    integers of `_racah_ints` with one gcd; no Fraction is made and
+    nothing is factored.
     """
     tj1, tm1 = as_twoj(j1).doubled, as_twoj(m1).doubled
     tj2, tm2 = as_twoj(j2).doubled, as_twoj(m2).doubled
@@ -168,11 +179,10 @@ def cg(j1, m1, j2, m2, j, m) -> ExactReal:
         raise ValueError(f"(j, m): j={tj}/2 and m={tm}/2 differ by a non-integer")
     if tm != tm1 + tm2 or abs(tm) > tj:
         return ExactReal.zero()
-    s, pre = _racah_parts(tj1, tm1, tj2, tm2, tj, tm)
+    s_num, s_den, t_num, t_den, m_fact = _racah_ints(tj1, tm1, tj2, tm2, tj, tm)
     # the coefficient is sign(S) sqrt(S^2 R), built from the integer parts
-    num, den = s.numerator, s.denominator
     return ExactReal.from_square(
-        (num > 0) - (num < 0), num * num * pre.numerator, den * den * pre.denominator
+        (s_num > 0) - (s_num < 0), s_num * s_num * t_num * m_fact, s_den * s_den * t_den
     )
 
 

@@ -99,7 +99,7 @@ def test_criterion_07_dense_projector_oracle():
 
 def test_criterion_08_coupling_table_oracle():
     with criterion(8, "ladder-built coupling tables match the closed form"):
-        verify.cg_oracle_match(24, 8)
+        verify.cg_oracle_match(24)
         verify.cg_rows_orthonormal(range(0, 13))
         verify.cg_columns_complete(range(0, 13))
 

@@ -90,6 +90,18 @@ def test_compute_usage_errors(capsys):
     assert err  # diagnostics land on stderr
 
 
+def test_non_half_integer_is_named_as_typed(capsys):
+    for argv, typed in (
+        (["compute", "su2-delta", "j1=1/3", "j2=1/2", "j=1", "m2=1/2", "r=0"], "1/3"),
+        (["compute", "su2-delta", "j1=1/2", "j2=1/2", "j=1", "m2=0.25", "r=0"], "0.25"),
+        (["figure", "2", "--j1", "1/3"], "1/3"),
+        (["figure", "1", "--j-max", "7/4"], "7/4"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1, argv
+        assert err.endswith(f": {typed} is not a half-integer\n"), err
+
+
 def test_figure_one_anchor_and_determinism(capsys):
     code, out, err = run(capsys, "figure", "1")
     assert code == 0 and err == ""

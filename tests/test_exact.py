@@ -46,14 +46,15 @@ def test_split_square_stops_at_the_trial_divisor_bound():
     square of every trial divisor up to 2**20.  Without the bound this
     input runs for a long time (a ~10**33 one ran for 270 s); with it
     split_square raises after ~2**19 trial divisions, well within a
-    second."""
+    second.  An ExactReal factors its radicand only when its core is
+    read, so that is where the bound shows."""
     assert TRIAL_DIVISOR_BOUND == 2**20
     p, q = 2**40 - 87, 2**40 - 167
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="no prime factor up to 1048576"):
         split_square(p * q)
     with pytest.raises(ValueError, match="no prime factor up to 1048576"):
-        ExactReal.sqrt(Fraction(3, p * q))
+        ExactReal.sqrt(Fraction(3, p * q)).core
     assert time.perf_counter() - t0 < 1.0
     # a prime below 2**40 ends the loop at its square root, and a prime
     # factor just below the bound is still found
@@ -61,6 +62,24 @@ def test_split_square_stops_at_the_trial_divisor_bound():
     assert split_square((2**20 - 3) ** 2 * (2**39 - 7)) == (2**20 - 3, 2**39 - 7)
     # a leftover square needs no trial division past its smallest prime
     assert split_square(6 * p * p) == (p, 6)
+
+
+def test_exact_real_needs_no_split_until_core_is_read():
+    # two ~40-bit primes: split_square gives up on p * q, and nothing but
+    # reading coeff or core may ask it to
+    p, q = 2**40 - 87, 2**40 - 167
+    x = ExactReal.from_square(-1, 3 * 6, 2 * p * q)  # -sqrt(9 / (p q))
+    y = ExactReal.sqrt(Fraction(9, p * q))
+    assert x == -y and x != y and hash(-x) == hash(y)
+    assert x.square() == y.radicand == Fraction(9, p * q)
+    assert y * y == ExactReal.of(Fraction(9, p * q)) and (x * y).sign == -1
+    assert x * ExactReal.sqrt(p * q) == ExactReal.of(-3)
+    assert float(y) == pytest.approx(3 / math.sqrt(p * q), rel=1e-15)
+    assert repr(x) == f"ExactReal(-sqrt(9/{p * q}))"
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="no prime factor up to 1048576"):
+        y.core
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_exact_real_canonical_form():

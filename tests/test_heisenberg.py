@@ -181,6 +181,16 @@ def test_epsilon_heisenberg_below_float_range():
         assert got > 0 and abs(Decimal(got) / want - 1) <= Decimal("1e-12"), r
 
 
+def test_epsilon_heisenberg_float_path_past_float_delta():
+    # once 1 - delta is below the float spacing near 1 the float delta
+    # rounds to 1; the float bound sums 1 - delta as its own tail instead
+    for D in (0, 1, 3):
+        for r in (40, 55, 60, 100, 200):
+            got = epsilon_heisenberg(HeisenbergTriple(mu=0.5, nu=0.5, Delta=D, r=r))
+            want = float(epsilon_heisenberg(HeisenbergTriple(Fraction(1, 2), Fraction(1, 2), D, r)))
+            assert type(got) is float and got == pytest.approx(want, rel=1e-12, abs=0), (D, r)
+
+
 def test_coherent_bound():
     assert coherent_bound(100, 10, 0) == Fraction(1, 5)
     assert coherent_bound(100, 10, 3) == Fraction(1, 50)

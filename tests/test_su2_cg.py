@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from definetti import su2_cg
+from definetti import exact, su2_cg
 from definetti.exact import ExactReal
 from definetti.oracle import cg_oracle
 from definetti.su2_cg import TwoJ, as_twoj, cg, delta_su2
@@ -135,8 +135,8 @@ def test_cg_and_oracle_entries_are_canonical():
     # the canonical ExactReal(sign, square): a positive coeff times a
     # squarefree core, whatever the gcd of the parts they started from
     entries = 0
-    for tj1 in range(11):
-        for tj2 in range(11):
+    for tj1 in range(13):
+        for tj2 in range(13):
             table = cg_oracle(TwoJ(tj1), TwoJ(tj2))
             for (tj, tm, tm1), entry in table.items():
                 tm2 = tm - tm1
@@ -150,7 +150,25 @@ def test_cg_and_oracle_entries_are_canonical():
                 for got in (closed, entry):
                     assert (got.sign, got.coeff, got.core) == (want.sign, want.coeff, want.core)
                 entries += 1
+    assert entries == 45_045
+
+
+def test_cg_and_oracle_compare_without_splitting(monkeypatch):
+    # building, comparing and squaring entries factors nothing
+    def split_square(n):
+        raise AssertionError(f"split_square({n}) called")
+
+    monkeypatch.setattr(exact, "split_square", split_square)
+    entries = 0
+    for tj1 in range(11):
+        for tj2 in range(11):
+            for (tj, tm, tm1), entry in cg_oracle(TwoJ(tj1), TwoJ(tj2)).items():
+                closed = cg(TwoJ(tj1), TwoJ(tm1), TwoJ(tj2), TwoJ(tm - tm1), TwoJ(tj), TwoJ(tm))
+                assert closed == entry and closed.square() == entry.square()
+                entries += 1
     assert entries == 20_240
+    with pytest.raises(AssertionError, match="split_square"):
+        ExactReal.sqrt(2).core
 
 
 def test_delta_su2_aligned_corollary():
