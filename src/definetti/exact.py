@@ -80,6 +80,10 @@ class ExactReal:
     lowest terms (0/1 for zero).  The canonical coeff * sqrt(core) form,
     core a squarefree positive integer and coeff a positive rational, is
     split from it on the first read of `coeff` or `core` and cached.
+    That split factors the whole of num and den, squared rational
+    factors included, so it raises ValueError where split_square gives
+    up on either: ExactReal.of(p) * ExactReal.sqrt(q) for primes p, q
+    near 2**40 compares and multiplies, but its core raises.
     """
 
     __slots__ = ("_sign", "_num", "_den", "_split")

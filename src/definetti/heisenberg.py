@@ -8,9 +8,9 @@ the closed form
     delta = (nu/(mu+nu))^(D+1) * sum_{n=0}^{r-D} C(n+D, D) (mu/(mu+nu))^n
 
 which is exact rational whenever mu and nu are.  Float inputs fall back
-to compensated floating summation over the term ratios; where 1 - delta
-is too small for that, the error bound sums it directly as the upper
-tail of the same series.
+to compensated floating summation over the term ratios; the float error
+bound instead sums 1 - delta directly, as the Delta + 1 terms of the
+equivalent binomial tail.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, exp, log
+from math import comb, exp, fsum, log
 
 from .report import DeltaReport, _sqrt_float
 
@@ -34,8 +34,6 @@ __all__ = [
 
 _RESCALE = 2.0**512
 _LOG_RESCALE = 512 * log(2.0)
-# below this 1 - delta is summed as a tail rather than taken from delta
-_TAIL_BELOW = 2.0**-10
 
 
 @dataclass(frozen=True)
@@ -159,45 +157,25 @@ def delta_number_space(t: HeisenbergTriple) -> DeltaReport:
     return DeltaReport.from_delta(delta, formula_id=formula, psi_label=label)
 
 
-def _float_log_tail(t: HeisenbergTriple) -> float:
-    """log(1 - delta) for float inputs, summed directly as the upper tail
-    y^(Delta+1) sum_{n > r-Delta} C(n+Delta, Delta) x^n.
+def _float_epsilon(t: HeisenbergTriple) -> float:
+    """2 sqrt(1 - delta) for float inputs, from the finite binomial form
 
-    The terms come from the window's term ratios x (n+1+Delta)/(n+1),
-    with every factor _RESCALE taken out of the running term, either way,
-    carried in the logarithm, so no term overflows or underflows.  The
-    ratios fall with n, so once one is below 1 the rest of the tail is at
-    most the next term over one minus that ratio, and the sum stops when
-    that bound is below 2^-60 of it.
+        1 - delta = sum_{k=0}^{Delta} C(r+1, k) y^k x^(r+1-k),
+
+    the chance of at most Delta successes of probability y in r + 1
+    trials.  Its Delta + 1 positive terms are summed in logarithms, so
+    nothing cancels and nothing leaves the float range before the end.
     """
+    if t.r < t.Delta:
+        return 2.0  # the window is empty: delta = 0
     mu, nu = float(t.mu), float(t.nu)
-    x = mu / (mu + nu)
-    log_scale = (t.Delta + 1) * log(nu / (mu + nu))
-    first = max(t.r - t.Delta + 1, 0)
-    term = 1.0
-    for n in range(first):
-        term *= x * (n + 1 + t.Delta) / (n + 1)
-        if term > _RESCALE:
-            term /= _RESCALE
-            log_scale += _LOG_RESCALE
-        elif term < 1 / _RESCALE:
-            term *= _RESCALE
-            log_scale -= _LOG_RESCALE
-    n, tail, carry = first, 0.0, 0.0
-    while True:
-        # compensated summation
-        step = term - carry
-        acc = tail + step
-        carry = (acc - tail) - step
-        tail = acc
-        ratio = x * (n + 1 + t.Delta) / (n + 1)
-        term *= ratio
-        n += 1
-        if term > _RESCALE:
-            term, tail, carry = term / _RESCALE, tail / _RESCALE, carry / _RESCALE
-            log_scale += _LOG_RESCALE
-        if ratio < 1 and term <= tail * (1 - ratio) * 2.0**-60:
-            return log(tail) + log_scale
+    log_x = log(mu) - log(mu + nu)
+    log_y = log(nu) - log(mu + nu)
+    logs = [
+        log(comb(t.r + 1, k)) + k * log_y + (t.r + 1 - k) * log_x for k in range(t.Delta + 1)
+    ]
+    top = max(logs)
+    return 2.0 * exp(0.5 * (top + log(fsum(exp(v - top) for v in logs))))
 
 
 def epsilon_heisenberg(t: HeisenbergTriple):
@@ -206,9 +184,9 @@ def epsilon_heisenberg(t: HeisenbergTriple):
 
     Returns an exact Fraction whenever the algebra allows (exact inputs
     with Delta = 0 and the exponent (r+1)/2 integral, or r = 0).  A float
-    result is positive whenever the bound is a normal float (>= 2^-1022):
-    for float inputs with 1 - delta below 2^-10, where the float delta
-    keeps fewer than 43 bits of it, 1 - delta is summed as its own tail.
+    result is positive whenever the bound is a normal float (>= 2^-1022).
+    Float inputs other than Delta = r = 0 never form delta: 1 - delta is
+    summed directly as a finite binomial tail (see _float_epsilon).
     """
     if t.Delta == 0 and t.r == 0:
         return delta_number_space(t).bound_linear
@@ -219,10 +197,9 @@ def epsilon_heisenberg(t: HeisenbergTriple):
         if (t.r + 1) % 2 == 0:
             return 2 * x ** ((t.r + 1) // 2)
         return 2.0 * _sqrt_float(x ** (t.r + 1))
-    report = delta_number_space(t)
-    if t.is_exact or report.delta <= 1 - _TAIL_BELOW:
-        return report.bound_sqrt
-    return 2.0 * exp(0.5 * _float_log_tail(t))
+    if not t.is_exact:
+        return _float_epsilon(t)
+    return delta_number_space(t).bound_sqrt
 
 
 def coherent_bound(n: int, k: int, r: int):

@@ -80,6 +80,17 @@ def test_exact_real_needs_no_split_until_core_is_read():
     with pytest.raises(ValueError, match="no prime factor up to 1048576"):
         y.core
     assert time.perf_counter() - t0 < 1.0
+    # the split factors the whole radicand p^2 q: a rational factor is not
+    # kept apart, so this core raises although sqrt(q) alone splits
+    z = ExactReal.of(p) * ExactReal.sqrt(q)
+    assert z.square() == p * p * q and z == ExactReal.coeff_sqrt(p, q)
+    assert ExactReal.sqrt(q).core == q
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="no prime factor up to 1048576"):
+        z.core
+    with pytest.raises(ValueError, match="no prime factor up to 1048576"):
+        z.coeff
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_exact_real_canonical_form():

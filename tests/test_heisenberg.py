@@ -154,10 +154,13 @@ def test_epsilon_heisenberg_telescoped_branch_skips_window_sum(monkeypatch):
         got = epsilon_heisenberg(HeisenbergTriple(mu=1, nu=3, Delta=0, r=r))
         assert got == value and type(got) is type(value)
     assert epsilon_heisenberg(HeisenbergTriple(mu=1, nu=3, Delta=0, r=5)) == Fraction(1, 32)
+    # float inputs sum 1 - delta as a binomial tail, never the window
+    got = epsilon_heisenberg(HeisenbergTriple(mu=1.0, nu=3.0, Delta=0, r=5))
+    assert got == pytest.approx(1 / 32, rel=1e-14)
     for t in (
         HeisenbergTriple(mu=1, nu=3, Delta=0, r=0),
         HeisenbergTriple(mu=1, nu=3, Delta=1, r=5),
-        HeisenbergTriple(mu=1.0, nu=3.0, Delta=0, r=5),
+        HeisenbergTriple(mu=1.0, nu=3.0, Delta=0, r=0),
     ):
         with pytest.raises(AssertionError, match="window summed"):
             epsilon_heisenberg(t)
@@ -183,12 +186,20 @@ def test_epsilon_heisenberg_below_float_range():
 
 def test_epsilon_heisenberg_float_path_past_float_delta():
     # once 1 - delta is below the float spacing near 1 the float delta
-    # rounds to 1; the float bound sums 1 - delta as its own tail instead
+    # rounds to 1; the float bound never forms delta, it sums 1 - delta
     for D in (0, 1, 3):
         for r in (40, 55, 60, 100, 200):
             got = epsilon_heisenberg(HeisenbergTriple(mu=0.5, nu=0.5, Delta=D, r=r))
             want = float(epsilon_heisenberg(HeisenbergTriple(Fraction(1, 2), Fraction(1, 2), D, r)))
             assert type(got) is float and got == pytest.approx(want, rel=1e-12, abs=0), (D, r)
+    # away from x = 1/2, and with an empty window (r < Delta, so delta = 0)
+    for mu, nu, D, r in ((3, 7, 2, 5), (99, 1, 4, 30), (1, 99, 3, 30), (1, 1, 5, 2)):
+        got = epsilon_heisenberg(HeisenbergTriple(float(mu), float(nu), D, r))
+        want = float(epsilon_heisenberg(HeisenbergTriple(Fraction(mu), Fraction(nu), D, r)))
+        assert type(got) is float and got == pytest.approx(want, rel=1e-13, abs=0), (mu, nu, D, r)
+    # x = 1e-200: every term underflows and the bound, about 2e-4100, is 0.0
+    assert epsilon_heisenberg(HeisenbergTriple(1e-200, 1.0, 0, 40)) == 0.0
+    assert epsilon_heisenberg(HeisenbergTriple(1e-200, 1.0, 3, 40)) == 0.0
 
 
 def test_coherent_bound():
