@@ -212,10 +212,10 @@ def figure_spec(figure_id: int, overrides: dict[str, str | None]) -> FigureSpec:
     j2 = as_twoj(overrides.get("j2") or "100")
     tj_min = as_twoj(overrides["j_min"]).doubled if overrides.get("j_min") else base["tj_min"]
     tj_max = as_twoj(overrides["j_max"]).doubled if overrides.get("j_max") else base["tj_max"]
-    r_max = int(overrides["r_max"]) if overrides.get("r_max") else base["r_max"]
+    r_max = _int(overrides["r_max"], "r-max") if overrides.get("r_max") else base["r_max"]
     mu = _fraction(overrides.get("mu") or "50", "mu")
     nu = _fraction(overrides.get("nu") or "50", "nu")
-    delta_max = int(overrides["delta_max"]) if overrides.get("delta_max") else 10
+    delta_max = _int(overrides["delta_max"], "delta-max") if overrides.get("delta_max") else 10
     spec = FigureSpec(
         figure_id=figure_id,
         j1=j1,
@@ -331,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--tol", type=float, default=1e-10, help="oracle tolerance, finite and positive (default 1e-10)"
     )
-    p_verify.add_argument("--samples", type=int, default=10**4, help="Monte Carlo sample count (default 10^4)")
+    p_verify.add_argument(
+        "--samples", type=int, default=10**4, help="Monte Carlo sample count, 10^3 to 10^7 (default 10^4)"
+    )
     return parser
 
 
@@ -380,10 +382,17 @@ def cmd_figure(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import verify as verify_suites
+    from .oracle import MC_SAMPLES_GUARD
 
     names = list(verify_suites.SUITES) if args.suite == "all" else [args.suite]
     if args.samples < 10**3:
         print("definetti verify: --samples must be at least 10^3", file=sys.stderr)
+        return 2
+    if args.samples > MC_SAMPLES_GUARD:
+        print(
+            f"definetti verify: --samples must be at most {MC_SAMPLES_GUARD}, got {args.samples}",
+            file=sys.stderr,
+        )
         return 2
     if args.seed < 0:
         print(f"definetti verify: --seed must be nonnegative, got {args.seed}", file=sys.stderr)

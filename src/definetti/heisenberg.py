@@ -7,10 +7,13 @@ the closed form
 
     delta = (nu/(mu+nu))^(D+1) * sum_{n=0}^{r-D} C(n+D, D) (mu/(mu+nu))^n
 
-which is exact rational whenever mu and nu are.  Float inputs fall back
-to compensated floating summation over the term ratios; the float error
-bound instead sums 1 - delta directly, as the Delta + 1 terms of the
-equivalent binomial tail.
+which is exact rational whenever mu and nu are.  Exact inputs are
+evaluated in integers: with mu/nu = p/q in lowest terms and s = p + q,
+x = mu/(mu+nu) = p/s and y = q/s, so every exact closed form here is one
+integer numerator over a power of s and ends in one Fraction.  Float
+inputs fall back to compensated floating summation over the term ratios;
+the float error bound instead sums 1 - delta directly, as the Delta + 1
+terms of the equivalent binomial tail.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, exp, fsum, log
+from math import comb, exp, fsum, gcd, log
 
 from .report import DeltaReport, _sqrt_float
 
@@ -48,8 +51,7 @@ class HeisenbergTriple:
     def __post_init__(self) -> None:
         if isinstance(self.mu, bool) or isinstance(self.nu, bool):
             raise TypeError("mode weights must be numbers")
-        if not self.mu > 0 or not self.nu > 0:
-            raise ValueError(f"mode weights must be positive, got mu={self.mu}, nu={self.nu}")
+        _check_weights(self.mu, self.nu)
         if not isinstance(self.Delta, int) or self.Delta < 0:
             raise ValueError(f"need an integer offset Delta >= 0, got {self.Delta!r}")
         if not isinstance(self.r, int) or self.r < 0:
@@ -57,15 +59,17 @@ class HeisenbergTriple:
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.mu, (int, Fraction)) and isinstance(self.nu, (int, Fraction))
+        return _exact_pair(self.mu, self.nu)
 
 
 def alpha_coeff(D: int, ell: int, mu, nu):
     """Schmidt weight of |D-ell> x |ell> inside |psi_D>: C(D,ell) mu^ell nu^(D-ell) / (mu+nu)^D."""
     if not 0 <= ell <= D:
         raise ValueError(f"need 0 <= ell <= Delta, got ell={ell}, Delta={D}")
+    _check_weights(mu, nu)
     if _exact_pair(mu, nu):
-        mu, nu = Fraction(mu), Fraction(nu)
+        p, q = _coprime(mu, nu)
+        return Fraction(comb(D, ell) * p**ell * q ** (D - ell), (p + q) ** D)
     return comb(D, ell) * mu**ell * nu ** (D - ell) / (mu + nu) ** D
 
 
@@ -76,8 +80,10 @@ def alpha_weight(D: int, n: int, mu, nu):
     """
     if D < 0 or n < 0:
         raise ValueError(f"need Delta >= 0 and n >= 0, got {D}, {n}")
+    _check_weights(mu, nu)
     if _exact_pair(mu, nu):
-        mu, nu = Fraction(mu), Fraction(nu)
+        p, q = _coprime(mu, nu)
+        return Fraction(comb(n + D, D) * q**D * p**n, (p + q) ** (D + n))
     x = mu / (mu + nu)
     y = nu / (mu + nu)
     return y**D * comb(n + D, D) * x**n
@@ -97,43 +103,64 @@ def alpha_weight_tail_bound(D: int, start: int, mu, nu) -> float:
     return a / (1 - rho)
 
 
+def _check_weights(mu, nu) -> None:
+    if not mu > 0 or not nu > 0:
+        raise ValueError(f"mode weights must be positive, got mu={mu}, nu={nu}")
+
+
 def _exact_pair(mu, nu) -> bool:
     return isinstance(mu, (int, Fraction)) and isinstance(nu, (int, Fraction))
 
 
+def _coprime(mu, nu) -> tuple[int, int]:
+    """Coprime (p, q) with x = mu/(mu+nu) = p/(p+q) and y = q/(p+q), for
+    positive exact mu, nu: mu/nu = (a/b)/(c/d) = ad/(bc), over one gcd."""
+    p = mu.numerator * nu.denominator
+    q = nu.numerator * mu.denominator
+    g = gcd(p, q)
+    return p // g, q // g
+
+
 @lru_cache(maxsize=2)
-def _number_column(mu: Fraction, nu: Fraction, Delta: int) -> list:
-    """[count, total]: the sum of C(n+Delta, Delta) x^n over n < count for
-    one exact column, which delta_number_space updates in place."""
-    return [0, Fraction(0)]
+def _number_column(p: int, q: int, Delta: int) -> list:
+    """[c, A, p^c] for one exact column, which delta_number_space updates
+    in place: A = sum_{n<c} C(n+Delta, Delta) p^n s^(c-1-n), s = p + q."""
+    return [0, 0, 1]
 
 
 def delta_number_space(t: HeisenbergTriple) -> DeltaReport:
     """Vacuum-reference overlap against the number window {0, ..., r}.
 
-    For exact inputs and the last two columns (mu, nu, Delta) the running
-    sum at the radius of the column's last call is kept: a call at a
-    larger radius adds only the missing terms, so a sweep over r = 0..R
-    costs R - Delta + 1 terms, and one at a smaller radius sums afresh.
-    Only that one sum is kept: with x = p/q in lowest terms each sum is
-    about log2(q) bits longer than the one before, so keeping them all
-    would take memory quadratic in r.  The memo is module state and not
-    thread-safe, like the rest of the package.  Float inputs are summed
-    afresh on every call.
+    Exact inputs are summed in integers.  With (p, q) = _coprime(mu, nu),
+    s = p + q and c = r - Delta + 1 window terms,
+
+        delta = q^(Delta+1) A_c / s^(Delta+c),
+        A_c = sum_{n<c} C(n+Delta, Delta) p^n s^(c-1-n),
+
+    and A_{c+1} = A_c s + C(c+Delta, Delta) p^c, so each term costs one
+    integer multiply-add and the result is one Fraction.  For the last two
+    columns (p, q, Delta) the integers [c, A_c, p^c] of the column's last
+    call are kept: a call at a larger radius adds only the missing terms,
+    so a sweep over r = 0..R costs R - Delta + 1 terms, and one at a
+    smaller radius sums afresh.  Only that one sum is kept: A_c is about
+    log2(s) bits longer than A_(c-1), so keeping them all would take
+    memory quadratic in r.  The memo is module state and not thread-safe,
+    like the rest of the package.  Float inputs are summed afresh on every
+    call.
     """
     label = f"vacuum |0> at offset Delta={t.Delta}"
     formula = "oscillator-number-window"
     if t.is_exact:
-        mu, nu = Fraction(t.mu), Fraction(t.nu)
-        x = mu / (mu + nu)
-        y = nu / (mu + nu)
-        count = max(t.r - t.Delta + 1, 0)
-        memo = _number_column(mu, nu, t.Delta)
-        start, total = memo if memo[0] <= count else (0, Fraction(0))
-        for n in range(start, count):
-            total += comb(n + t.Delta, t.Delta) * x**n
-        memo[:] = count, total
-        delta = y ** (t.Delta + 1) * total
+        p, q = _coprime(t.mu, t.nu)
+        s, D = p + q, t.Delta
+        count = max(t.r - D + 1, 0)
+        memo = _number_column(p, q, D)
+        c, total, p_pow = memo if memo[0] <= count else (0, 0, 1)
+        for n in range(c, count):
+            total = total * s + comb(n + D, D) * p_pow
+            p_pow *= p
+        memo[:] = count, total, p_pow
+        delta = Fraction(q ** (D + 1) * total, s ** (D + count))
         return DeltaReport.from_delta(delta, formula_id=formula, psi_label=label)
     mu, nu = float(t.mu), float(t.nu)
     x = mu / (mu + nu)
@@ -188,15 +215,20 @@ def epsilon_heisenberg(t: HeisenbergTriple):
     Float inputs other than Delta = r = 0 never form delta: 1 - delta is
     summed directly as a finite binomial tail (see _float_epsilon).
     """
+    if t.Delta == 0 and t.is_exact:
+        # 1 - delta telescopes to x^(r+1) = p^(r+1) / s^(r+1), so the bound
+        # is 2 x at r = 0 and 2 x^((r+1)/2) otherwise, and the window sum
+        # is never needed
+        p, q = _coprime(t.mu, t.nu)
+        s = p + q
+        if t.r == 0:
+            return Fraction(2 * p, s)
+        if (t.r + 1) % 2 == 0:
+            e = (t.r + 1) // 2
+            return Fraction(2 * p**e, s**e)
+        return 2.0 * _sqrt_float(Fraction(p ** (t.r + 1), s ** (t.r + 1)))
     if t.Delta == 0 and t.r == 0:
         return delta_number_space(t).bound_linear
-    if t.Delta == 0 and t.is_exact:
-        # 1 - delta telescopes to x^(r+1), so the bound is 2 x^((r+1)/2)
-        # and the window sum is never needed
-        x = Fraction(t.mu) / Fraction(t.mu + t.nu)
-        if (t.r + 1) % 2 == 0:
-            return 2 * x ** ((t.r + 1) // 2)
-        return 2.0 * _sqrt_float(x ** (t.r + 1))
     if not t.is_exact:
         return _float_epsilon(t)
     return delta_number_space(t).bound_sqrt

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 _FLOAT_SLACK = 1e-12
@@ -35,17 +35,16 @@ def _sqrt_float(q: Fraction) -> float:
 class DeltaReport:
     """An overlap value in [0, 1] plus the error bounds it implies.
 
-    The bounds are derived from delta on construction.  delta and
-    bound_linear stay exact rationals whenever the computation was exact;
-    bound_sqrt is necessarily a float.  A float delta within roundoff of
-    [0, 1] is clamped into it.
+    Construction validates delta and clamps a float delta within roundoff
+    of [0, 1] into it; the bounds are derived from the stored delta each
+    time they are read, so a report whose bounds nobody reads costs no
+    square root.  delta and bound_linear stay exact rationals whenever the
+    computation was exact; bound_sqrt is necessarily a float.
     """
 
     delta: Fraction | float
     formula_id: str
     psi_label: str
-    bound_sqrt: float = field(init=False)
-    bound_linear: Fraction | float = field(init=False)
 
     def __post_init__(self) -> None:
         d = self.delta
@@ -59,9 +58,17 @@ class DeltaReport:
             if not (0 <= d <= 1):
                 raise ValueError(f"delta out of range: {d!r}")
         object.__setattr__(self, "delta", d)
-        object.__setattr__(self, "bound_linear", 2 * (1 - d))
-        root = math.sqrt(1 - d) if isinstance(d, float) else _sqrt_float(1 - d)
-        object.__setattr__(self, "bound_sqrt", 2.0 * root)
+
+    @property
+    def bound_linear(self) -> Fraction | float:
+        """2 (1 - delta), the bound when the target has multiplicity one."""
+        return 2 * (1 - self.delta)
+
+    @property
+    def bound_sqrt(self) -> float:
+        """2 sqrt(1 - delta), the general bound."""
+        d = self.delta
+        return 2.0 * (math.sqrt(1 - d) if isinstance(d, float) else _sqrt_float(1 - d))
 
     @classmethod
     def from_delta(cls, delta, formula_id: str, psi_label: str) -> "DeltaReport":

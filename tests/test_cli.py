@@ -189,6 +189,14 @@ def test_figure_usage_and_io_errors(capsys):
     assert code == 1 and err
     code, out, err = run(capsys, "figure", "3", "--mu", "1/0")
     assert code == 2 and out == "" and err.count("\n") == 1
+    for argv, message in (
+        (["3", "--r-max", "abc"], "r-max must be an integer, got 'abc'"),
+        (["1", "--r-max", "1.5"], "r-max must be an integer, got '1.5'"),
+        (["3", "--delta-max", "2.0"], "delta-max must be an integer, got '2.0'"),
+    ):
+        code, out, err = run(capsys, "figure", *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1, argv
+        assert message in err and "int()" not in err, argv
     for argv, name in (
         (["1", "--j1", "-1"], "j1 = -1"),
         (["3", "--j1", "-1", "--j2", "-1", "--delta-max", "0"], "j1 = -1"),
@@ -219,6 +227,22 @@ def test_verify_usage_errors(capsys):
     for tol in ("nan", "inf", "0", "-1e-10"):
         code, out, err = run(capsys, "verify", "weights", f"--tol={tol}")
         assert code == 2 and out == "" and err.count("\n") == 1, tol
+
+
+def test_verify_samples_over_the_guard_start_no_sampling(capsys, monkeypatch):
+    # --samples 10^21 used to be accepted and loop through ~2.4e17 batches
+    from definetti import oracle
+
+    def fail(*args):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(oracle, "haar_su2", fail)
+    for samples in (oracle.MC_SAMPLES_GUARD + 1, 10**21):
+        code, out, err = run(capsys, "verify", "mc", "--samples", str(samples))
+        assert code == 2 and out == "" and err.count("\n") == 1, samples
+        assert f"at most {oracle.MC_SAMPLES_GUARD}" in err
+        with pytest.raises(ValueError, match="size guard exceeded"):
+            oracle.mc_theorem1(4, 2, 1, samples, 0)
 
 
 def test_verify_comparison_sees_nan():

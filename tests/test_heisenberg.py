@@ -3,6 +3,7 @@
 import random
 from decimal import Context, Decimal
 from fractions import Fraction
+from math import comb, sqrt
 
 import pytest
 
@@ -63,6 +64,21 @@ def test_alpha_weight():
         alpha_weight(0, -1, 1, 1)
 
 
+def test_mode_weights_must_be_positive():
+    # alpha_weight(1, 2, -1, 3) used to return 9/8
+    for call in (
+        lambda: alpha_weight(1, 2, -1, 3),
+        lambda: alpha_weight(0, 0, 1, 0),
+        lambda: alpha_weight(2, 1, -1.0, 2.0),
+        lambda: alpha_coeff(2, 1, 0, 1),
+        lambda: alpha_coeff(2, 1, Fraction(1, 2), Fraction(-1, 3)),
+        lambda: alpha_weight_tail_bound(0, 0, -1, 3),
+        lambda: alpha_weight_tail_bound(1, 4, 2.0, float("nan")),
+    ):
+        with pytest.raises(ValueError, match="mode weights must be positive"):
+            call()
+
+
 def test_alpha_weight_tail_bound():
     for D, start, mu, nu in [(0, 0, 1, 9), (2, 5, 1, 3), (4, 12, 2, 3)]:
         cap = alpha_weight_tail_bound(D, start, mu, nu)
@@ -97,6 +113,46 @@ def test_delta_number_space_memo_independent_of_call_order():
     for ((mu, nu, D), r), rep in got.items():
         heisenberg._number_column.cache_clear()
         assert rep == delta_number_space(HeisenbergTriple(mu, nu, D, r)), ((mu, nu, D), r)
+
+
+def test_integer_kernels_match_termwise_sum():
+    # every exact closed form against its per-term Fraction sum, for value
+    # and type, with the calls shuffled so the window memo is extended,
+    # restarted and evicted in every order
+    weights = (1, 2, Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), 50)
+    r_max = 60
+    window = {}  # (mu, nu, D) -> [sum_{n<=m} C(n+D, D) x^n for m = 0..r_max]
+    for mu in weights:
+        for nu in weights:
+            x = Fraction(mu) / (mu + nu)
+            for D in range(6):
+                total, sums = Fraction(0), []
+                for n in range(r_max + 1):
+                    total += comb(n + D, D) * x**n
+                    sums.append(total)
+                window[mu, nu, D] = sums
+    cells = [(col, r) for col in window for r in range(r_max + 1)]
+    random.Random(8).shuffle(cells)
+    for (mu, nu, D), r in cells:
+        x, y = Fraction(mu) / (mu + nu), Fraction(nu) / (mu + nu)
+        delta = y ** (D + 1) * window[mu, nu, D][r - D] if r >= D else Fraction(0)
+        t = HeisenbergTriple(mu, nu, D, r)
+        rep = delta_number_space(t)
+        assert rep.delta == delta and type(rep.delta) is Fraction, (mu, nu, D, r)
+        eps = epsilon_heisenberg(t)
+        if D == 0 and r == 0:
+            assert eps == 2 * (1 - delta) and type(eps) is Fraction, (mu, nu, D, r)
+        elif D == 0 and r % 2:
+            assert eps == 2 * x ** ((r + 1) // 2) and type(eps) is Fraction, (mu, nu, D, r)
+            assert (eps / 2) ** 2 == 1 - delta
+        else:
+            assert eps == 2.0 * sqrt(float(1 - delta)) and type(eps) is float, (mu, nu, D, r)
+        weight = alpha_weight(D, r, mu, nu)
+        assert weight == y**D * comb(r + D, D) * x**r and type(weight) is Fraction, (mu, nu, D, r)
+        if r <= D:
+            coeff = alpha_coeff(D, r, mu, nu)
+            want = comb(D, r) * Fraction(mu) ** r * Fraction(nu) ** (D - r) / Fraction(mu + nu) ** D
+            assert coeff == want and type(coeff) is Fraction, (mu, nu, D, r)
 
 
 def test_delta_number_space_float_path_tracks_exact():
@@ -140,10 +196,11 @@ def test_epsilon_heisenberg_piecewise():
 
 
 def test_epsilon_heisenberg_telescoped_branch_skips_window_sum(monkeypatch):
-    # exact inputs with Delta = 0 and r > 0 return the telescoped 2 x^((r+1)/2)
-    # without summing the window; the other branches still need the sum
+    # exact inputs with Delta = 0 return the telescoped 2 x at r = 0 and
+    # 2 x^((r+1)/2) otherwise without summing the window; the other
+    # branches still need the sum
     expected = {
-        r: epsilon_heisenberg(HeisenbergTriple(mu=1, nu=3, Delta=0, r=r)) for r in (1, 2, 5, 40)
+        r: epsilon_heisenberg(HeisenbergTriple(mu=1, nu=3, Delta=0, r=r)) for r in (0, 1, 2, 5, 40)
     }
 
     def fail(t):
@@ -154,11 +211,12 @@ def test_epsilon_heisenberg_telescoped_branch_skips_window_sum(monkeypatch):
         got = epsilon_heisenberg(HeisenbergTriple(mu=1, nu=3, Delta=0, r=r))
         assert got == value and type(got) is type(value)
     assert epsilon_heisenberg(HeisenbergTriple(mu=1, nu=3, Delta=0, r=5)) == Fraction(1, 32)
+    got = epsilon_heisenberg(HeisenbergTriple(mu=1, nu=3, Delta=0, r=0))
+    assert got == Fraction(1, 2) and type(got) is Fraction
     # float inputs sum 1 - delta as a binomial tail, never the window
     got = epsilon_heisenberg(HeisenbergTriple(mu=1.0, nu=3.0, Delta=0, r=5))
     assert got == pytest.approx(1 / 32, rel=1e-14)
     for t in (
-        HeisenbergTriple(mu=1, nu=3, Delta=0, r=0),
         HeisenbergTriple(mu=1, nu=3, Delta=1, r=5),
         HeisenbergTriple(mu=1.0, nu=3.0, Delta=0, r=0),
     ):
