@@ -94,6 +94,15 @@ def _fraction(s: str, key: str) -> Fraction:
         raise ValueError(f"{key} must be a rational number, got {s!r}") from None
 
 
+def _twoj(s: str, key: str) -> TwoJ:
+    try:
+        Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{key} must be a half-integer, got {s!r}") from None
+    # a rational that is not a half-integer is named as typed by as_twoj
+    return as_twoj(s)
+
+
 def _weight(s: str, key: str) -> Weight:
     try:
         return Weight(tuple(int(x) for x in s.split(",")))
@@ -104,10 +113,10 @@ def _weight(s: str, key: str) -> Weight:
 def _compute_su2_delta(tokens: list[str]):
     p = _parse_params(tokens, ("j1", "j2", "j", "m2", "r"), ("direction",))
     rep = delta_su2(
-        as_twoj(p["j1"]),
-        as_twoj(p["j2"]),
-        as_twoj(p["j"]),
-        as_twoj(p["m2"]),
+        _twoj(p["j1"], "j1"),
+        _twoj(p["j2"], "j2"),
+        _twoj(p["j"], "j"),
+        _twoj(p["m2"], "m2"),
         _int(p["r"], "r"),
         p.get("direction", "down"),
     )
@@ -208,10 +217,10 @@ _FIGURE_DEFAULTS = {
 
 def figure_spec(figure_id: int, overrides: dict[str, str | None]) -> FigureSpec:
     base = _FIGURE_DEFAULTS[figure_id]
-    j1 = as_twoj(overrides.get("j1") or "100")
-    j2 = as_twoj(overrides.get("j2") or "100")
-    tj_min = as_twoj(overrides["j_min"]).doubled if overrides.get("j_min") else base["tj_min"]
-    tj_max = as_twoj(overrides["j_max"]).doubled if overrides.get("j_max") else base["tj_max"]
+    j1 = _twoj(overrides.get("j1") or "100", "j1")
+    j2 = _twoj(overrides.get("j2") or "100", "j2")
+    tj_min = _twoj(overrides["j_min"], "j-min").doubled if overrides.get("j_min") else base["tj_min"]
+    tj_max = _twoj(overrides["j_max"], "j-max").doubled if overrides.get("j_max") else base["tj_max"]
     r_max = _int(overrides["r_max"], "r-max") if overrides.get("r_max") else base["r_max"]
     mu = _fraction(overrides.get("mu") or "50", "mu")
     nu = _fraction(overrides.get("nu") or "50", "nu")

@@ -11,9 +11,10 @@ terms of a Fraction it was given), and equality, hashing, products and
 squares work on the triple without factoring anything.
 The split into coeff * sqrt(core), core squarefree, is made only when
 `coeff` or `core` is first read, by `_canonical`, and then kept.
-Callers that hold integer parts, such as the closed-form and ladder
-coupling coefficients, pass them to `ExactReal.from_square` directly and
-never build the radicand as a Fraction.
+Callers that hold integer parts pass them to `ExactReal.from_square` and
+never build the radicand as a Fraction.  The closed-form and ladder
+coupling coefficients, whose parts are valid by construction, reduce
+them by their one gcd themselves and store the triple with `_raw`.
 """
 
 from __future__ import annotations
@@ -97,6 +98,8 @@ class ExactReal:
 
     @classmethod
     def _raw(cls, sign: int, num: int, den: int) -> "ExactReal":
+        """The stored triple as given: the caller has reduced num/den to
+        lowest terms and matched the sign to it (0, 0, 1 for zero)."""
         self = cls.__new__(cls)
         self._sign, self._num, self._den, self._split = sign, num, den, None
         return self
@@ -106,9 +109,8 @@ class ExactReal:
         """sign * sqrt(num/den) for integers num >= 0 and den > 0.
 
         The value with this sign whose square() is num/den; num and den
-        need not be coprime, one gcd reduces them.  This is the integer
-        constructor the coupling kernels use: the radicand is never built
-        as a Fraction and nothing is factored.
+        need not be coprime, one gcd reduces them.  The radicand is never
+        built as a Fraction and nothing is factored.
         """
         return cls._raw(*_reduced(sign, num, den))
 
@@ -210,10 +212,11 @@ class ExactReal:
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = ExactReal.of(other)
-        if not isinstance(other, ExactReal):
-            return NotImplemented
+        if other.__class__ is not ExactReal:
+            if isinstance(other, (int, Fraction)):
+                other = ExactReal.of(other)
+            elif not isinstance(other, ExactReal):
+                return NotImplemented
         return (
             self._sign == other._sign
             and self._num == other._num

@@ -216,8 +216,15 @@ def _cg_oracle_exact(tj1: int, tj2: int) -> dict[tuple[int, int, int], ExactReal
         for im1 in range(nm1):
             if w[im1]:
                 a = vec[im1]
-                sign = (a > 0) - (a < 0)
-                table[(tj, tm, tj1 - 2 * im1)] = ExactReal.from_square(sign, a * a * w[im1], norm2)
+                if a:
+                    # sign(a) sqrt(a^2 W / norm2) in lowest terms, built
+                    # unvalidated: both parts are positive by construction
+                    num = a * a * w[im1]
+                    g = gcd(num, norm2)
+                    entry = ExactReal._raw(1 if a > 0 else -1, num // g, norm2 // g)
+                else:
+                    entry = ExactReal.zero()
+                table[(tj, tm, tj1 - 2 * im1)] = entry
     return table
 
 
@@ -238,9 +245,8 @@ def cg_oracle(j1, j2) -> dict[tuple[int, int, int], ExactReal]:
     Gram-Schmidt becomes v <- <u,u>_W v - <v,u>_W u, and every state is
     kept divided by the gcd of its entries; positive scalings drop out
     because only directions and signs matter.  Each entry is formed once,
-    at the end, as sign(a) sqrt(a^2 W / sum a^2 W) by
-    `ExactReal.from_square`, which reduces the radicand by one gcd and
-    factors nothing; entries compare with `cg` as (sign, radicand).
+    at the end, as sign(a) sqrt(a^2 W / sum a^2 W) reduced by one gcd,
+    with nothing factored; entries compare with `cg` as (sign, radicand).
 
     The synthesis is exact throughout: a floating version of the same
     ladder is numerically unstable, because any contamination of a low-j

@@ -2,8 +2,9 @@
 
 Products and sums of coupling coefficients are finite sums
 sum_f q_f * sqrt(f) over squarefree f.  This tiny ring is enough to add
-such products exactly (the row-orthogonality check in `verify`) and to
-certify when a sum collapses to a rational or to a single square root.
+such products exactly and to certify when a sum collapses to a rational
+or to a single square root.  No other module uses it: `verify` checks
+row orthogonality on rational multiples of one product instead.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ prefactor R combine into the exact value S * sqrt(R).
 
 `_racah_ints` evaluates S and R in integers: the alternating sum by
 Horner's rule over its term ratios, R as its triangle part and the
-product of its six m-dependent factorials.  `cg` hands the integer parts
-of S^2 R and the sign of S to `ExactReal.from_square`, which reduces them
-by one gcd and factors nothing.  Window sums use S^2 R as a rational,
-built by `_racah_parts` in two Fraction steps.
+product of its six m-dependent factorials.  `cg` reduces the integer
+parts of S^2 R by one gcd into an `ExactReal` with the sign of S, and
+factors nothing.  Window sums use S^2 R as a rational, built by
+`_racah_parts` in two Fraction steps.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 
 from .exact import ExactReal
 from .report import DeltaReport
@@ -28,24 +28,35 @@ __all__ = ["TwoJ", "as_twoj", "cg", "delta_su2"]
 _fact = lru_cache(maxsize=None)(factorial)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TwoJ:
-    """An angular momentum stored as twice its value."""
+    """An angular momentum stored as twice its value.
+
+    It equals, hashes and sorts as the tuple (doubled,) of its field and
+    never equals a plain number: TwoJ(3) != 3.
+    """
 
     doubled: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.doubled, int) or isinstance(self.doubled, bool):
-            raise TypeError(f"doubled value must be an integer, got {self.doubled!r}")
+        doubled = self.doubled
+        if doubled.__class__ is not int and (
+            not isinstance(doubled, int) or isinstance(doubled, bool)
+        ):
+            raise TypeError(f"doubled value must be an integer, got {doubled!r}")
 
     @property
     def value(self) -> Fraction:
         return Fraction(self.doubled, 2)
 
     def __add__(self, other: "TwoJ") -> "TwoJ":
+        if not isinstance(other, TwoJ):
+            return NotImplemented
         return TwoJ(self.doubled + other.doubled)
 
     def __sub__(self, other: "TwoJ") -> "TwoJ":
+        if not isinstance(other, TwoJ):
+            return NotImplemented
         return TwoJ(self.doubled - other.doubled)
 
     def __neg__(self) -> "TwoJ":
@@ -115,20 +126,21 @@ def _racah_ints(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int):
     (-j1+j2+j)! / (j1+j2+j+1)!, and m_fact the product of the six
     m-dependent factorials.
     """
+    fact = _fact
     a = (tj1 + tj2 - tj) // 2
     b = (tj1 - tm1) // 2
     c = (tj2 + tm2) // 2
     d = (tj - tj2 + tm1) // 2
     e = (tj - tj1 - tm2) // 2
-    t_num = (tj + 1) * _fact(a) * _fact((tj1 - tj2 + tj) // 2) * _fact((-tj1 + tj2 + tj) // 2)
-    t_den = _fact((tj1 + tj2 + tj) // 2 + 1)
+    t_num = (tj + 1) * fact(a) * fact((tj1 - tj2 + tj) // 2) * fact((-tj1 + tj2 + tj) // 2)
+    t_den = fact((tj1 + tj2 + tj) // 2 + 1)
     m_fact = (
-        _fact((tj1 + tm1) // 2)
-        * _fact(b)
-        * _fact((tj2 - tm2) // 2)
-        * _fact(c)
-        * _fact((tj + tm) // 2)
-        * _fact((tj - tm) // 2)
+        fact((tj1 + tm1) // 2)
+        * fact(b)
+        * fact((tj2 - tm2) // 2)
+        * fact(c)
+        * fact((tj + tm) // 2)
+        * fact((tj - tm) // 2)
     )
     t_lo = max(0, -d, -e)
     t_hi = min(a, b, c)
@@ -138,12 +150,12 @@ def _racah_ints(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int):
         q = (t + 1) * (d + t + 1) * (e + t + 1)
         num, den = q * den - (a - t) * (b - t) * (c - t) * num, q * den
     den *= (
-        _fact(t_lo)
-        * _fact(a - t_lo)
-        * _fact(b - t_lo)
-        * _fact(c - t_lo)
-        * _fact(d + t_lo)
-        * _fact(e + t_lo)
+        fact(t_lo)
+        * fact(a - t_lo)
+        * fact(b - t_lo)
+        * fact(c - t_lo)
+        * fact(d + t_lo)
+        * fact(e + t_lo)
     )
     return -num if t_lo % 2 else num, den, t_num, t_den, m_fact
 
@@ -169,21 +181,33 @@ def cg(j1, m1, j2, m2, j, m) -> ExactReal:
     integers of `_racah_ints` with one gcd; no Fraction is made and
     nothing is factored.
     """
-    tj1, tm1 = as_twoj(j1).doubled, as_twoj(m1).doubled
-    tj2, tm2 = as_twoj(j2).doubled, as_twoj(m2).doubled
-    tj, tm = as_twoj(j).doubled, as_twoj(m).doubled
-    _check_jm(tj1, tm1, "(j1, m1)")
-    _check_jm(tj2, tm2, "(j2, m2)")
-    _check_triple(tj1, tj2, tj)
-    if (tj - tm) % 2:
+    tj1 = j1.doubled if j1.__class__ is TwoJ else as_twoj(j1).doubled
+    tm1 = m1.doubled if m1.__class__ is TwoJ else as_twoj(m1).doubled
+    tj2 = j2.doubled if j2.__class__ is TwoJ else as_twoj(j2).doubled
+    tm2 = m2.doubled if m2.__class__ is TwoJ else as_twoj(m2).doubled
+    tj = j.doubled if j.__class__ is TwoJ else as_twoj(j).doubled
+    tm = m.doubled if m.__class__ is TwoJ else as_twoj(m).doubled
+    # every argument rule in one test: each j - m, and j1 + j2 + j, even
+    # (low bits of the xors), |m1| <= j1, |m2| <= j2 and the triangle
+    if (tj1 ^ tm1 | tj2 ^ tm2 | tj1 ^ tj2 ^ tj | tj ^ tm) & 1 or not (
+        -tj1 <= tm1 <= tj1 and -tj2 <= tm2 <= tj2 and abs(tj1 - tj2) <= tj <= tj1 + tj2
+    ):
+        # name the first rule broken, in the order of the checks; when
+        # they all pass, the parity of j - m is the one left
+        _check_jm(tj1, tm1, "(j1, m1)")
+        _check_jm(tj2, tm2, "(j2, m2)")
+        _check_triple(tj1, tj2, tj)
         raise ValueError(f"(j, m): j={tj}/2 and m={tm}/2 differ by a non-integer")
-    if tm != tm1 + tm2 or abs(tm) > tj:
+    if tm != tm1 + tm2 or not -tj <= tm <= tj:
         return ExactReal.zero()
     s_num, s_den, t_num, t_den, m_fact = _racah_ints(tj1, tm1, tj2, tm2, tj, tm)
-    # the coefficient is sign(S) sqrt(S^2 R), built from the integer parts
-    return ExactReal.from_square(
-        (s_num > 0) - (s_num < 0), s_num * s_num * t_num * m_fact, s_den * s_den * t_den
-    )
+    if not s_num:
+        return ExactReal.zero()
+    # the coefficient is sign(S) sqrt(S^2 R); the parts are valid by
+    # construction, so they are reduced here rather than by from_square
+    num, den = s_num * s_num * t_num * m_fact, s_den * s_den * t_den
+    g = gcd(num, den)
+    return ExactReal._raw(1 if s_num > 0 else -1, num // g, den // g)
 
 
 @lru_cache(maxsize=2)

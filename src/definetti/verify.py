@@ -15,12 +15,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
 from . import heisenberg, oracle, su2_cg, symmetric, weights
-from .radicals import RadicalSum
 from .su2_cg import TwoJ
 from .symmetric import SymTriple
 from .weights import Weight
@@ -164,27 +163,58 @@ def cg_oracle_match(tj_max: int) -> str:
     return f"{exact} exact matches for j1,j2 <= {TwoJ(tj_max)}"
 
 
+def _in_units_of_first(products, what: str) -> Fraction:
+    """The sum of the nonzero exact reals in `products`, in units of the
+    first of them.
+
+    Each one must be a rational multiple of the first: (p/p0)^2 = n/d is
+    then a rational square, so n*d is a perfect square and p/p0 =
+    sign * isqrt(n*d)/d.  A product that is not raises AssertionError.
+    """
+    total = Fraction(0)
+    first = None
+    for p in products:
+        if not p:
+            continue
+        if first is None:
+            first = p.square()
+            first_sign = p.sign
+            total += 1
+            continue
+        sq = p.square()
+        n, d = sq.numerator * first.denominator, sq.denominator * first.numerator
+        root = isqrt(n * d)
+        if root * root != n * d:
+            raise AssertionError(f"{what}: incommensurable products")
+        total += Fraction(p.sign * first_sign * root, d)
+    return total
+
+
 def cg_rows_orthonormal(tjs) -> str:
     """The coupled rows of every fixed-m block are exactly orthonormal,
-    for 2j1, 2j2 in tjs."""
+    for 2j1, 2j2 in tjs.
+
+    A row's squares sum to exactly 1.  The products of two rows are
+    rational multiples of each other for true coefficients, and their
+    rational sum in units of the first is exactly 0; nothing is split
+    into coeff * sqrt(core).
+    """
     count = 0
     for tj1 in tjs:
         for tj2 in tjs:
             for tm in range(-(tj1 + tj2), tj1 + tj2 + 1, 2):
                 tm1s = range(max(-tj1, tm - tj2), min(tj1, tm + tj2) + 1, 2)
                 row_tjs = range(max(abs(tj1 - tj2), abs(tm)), tj1 + tj2 + 1, 2)
-                rows = [
-                    [RadicalSum.from_exact(_cg(tj1, tm1, tj2, tm - tm1, tj, tm)) for tm1 in tm1s]
-                    for tj in row_tjs
-                ]
+                rows = [[_cg(tj1, tm1, tj2, tm - tm1, tj, tm) for tm1 in tm1s] for tj in row_tjs]
                 for a in range(len(rows)):
                     for b in range(a, len(rows)):
-                        acc = RadicalSum.zero()
-                        for x, y in zip(rows[a], rows[b]):
-                            acc = acc + x * y
-                        want = Fraction(1) if a == b else Fraction(0)
-                        where = (tj1, tj2, row_tjs[a], row_tjs[b], tm)
-                        _exact(acc.as_fraction(), want, f"row orthogonality {where}")
+                        what = f"row orthogonality {(tj1, tj2, row_tjs[a], row_tjs[b], tm)}"
+                        if a == b:
+                            got = sum((x.square() for x in rows[a]), Fraction(0))
+                            _exact(got, Fraction(1), what)
+                        else:
+                            products = [x * y for x, y in zip(rows[a], rows[b])]
+                            _exact(_in_units_of_first(products, what), Fraction(0), what)
                         count += 1
     return f"{count} exact row products"
 

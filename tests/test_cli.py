@@ -91,15 +91,29 @@ def test_compute_usage_errors(capsys):
 
 
 def test_non_half_integer_is_named_as_typed(capsys):
-    for argv, typed in (
-        (["compute", "su2-delta", "j1=1/3", "j2=1/2", "j=1", "m2=1/2", "r=0"], "1/3"),
-        (["compute", "su2-delta", "j1=1/2", "j2=1/2", "j=1", "m2=0.25", "r=0"], "0.25"),
-        (["figure", "2", "--j1", "1/3"], "1/3"),
-        (["figure", "1", "--j-max", "7/4"], "7/4"),
+    for argv, message in (
+        (["compute", "su2-delta", "j1=1/3", "j2=1/2", "j=1", "m2=1/2", "r=0"],
+         "1/3 is not a half-integer"),
+        (["compute", "su2-delta", "j1=1/2", "j2=1/2", "j=1", "m2=0.25", "r=0"],
+         "0.25 is not a half-integer"),
+        (["figure", "2", "--j1", "1/3"], "1/3 is not a half-integer"),
+        (["figure", "1", "--j-max", "7/4"], "7/4 is not a half-integer"),
+        # no number at all: the parameter is named
+        (["compute", "su2-delta", "j1=1/2", "j2=1/2", "j=1/0", "m2=1/2", "r=0"],
+         "j must be a half-integer, got '1/0'"),
+        (["compute", "su2-delta", "j1=abc", "j2=1/2", "j=1", "m2=1/2", "r=0"],
+         "j1 must be a half-integer, got 'abc'"),
+        (["compute", "su2-delta", "j1=1/2", "j2=1/2", "j=1", "m2=1/0", "r=0"],
+         "m2 must be a half-integer, got '1/0'"),
+        (["figure", "1", "--j1", "1/0"], "j1 must be a half-integer, got '1/0'"),
+        (["figure", "1", "--j1", "nan"], "j1 must be a half-integer, got 'nan'"),
+        (["figure", "2", "--j-max", "1/0"], "j-max must be a half-integer, got '1/0'"),
+        (["figure", "1", "--j-min", "abc"], "j-min must be a half-integer, got 'abc'"),
+        (["figure", "3", "--j2", "inf"], "j2 must be a half-integer, got 'inf'"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.count("\n") == 1, argv
-        assert err.endswith(f": {typed} is not a half-integer\n"), err
+        assert err.endswith(f": {message}\n"), err
 
 
 def test_figure_one_anchor_and_determinism(capsys):

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from definetti import exact, su2_cg
+from definetti import exact, su2_cg, verify
 from definetti.exact import ExactReal
 from definetti.oracle import cg_oracle
 from definetti.su2_cg import TwoJ, as_twoj, cg, delta_su2
@@ -23,6 +23,17 @@ def test_twoj_coercion():
     assert TwoJ(3).value == Fraction(3, 2)
     assert TwoJ(3) + TwoJ(1) == TwoJ(4)
     assert -TwoJ(3) == TwoJ(0) - TwoJ(3)
+    # a TwoJ is its field as a one-tuple, never a plain number
+    assert TwoJ(3) != 3 and TwoJ(3) != TwoJ(4)
+    assert hash(TwoJ(3)) == hash((3,))
+    assert sorted([TwoJ(3), TwoJ(-1), TwoJ(0)]) == [TwoJ(-1), TwoJ(0), TwoJ(3)]
+    assert TwoJ(1) < TwoJ(2) and max(TwoJ(5), TwoJ(2)) == TwoJ(5)
+    assert repr(TwoJ(3)) == "TwoJ(doubled=3)"
+    with pytest.raises(AttributeError):
+        TwoJ(3).doubled = 4
+    for bad in (lambda: TwoJ(3) + 1, lambda: TwoJ(3) - 1, lambda: 1 + TwoJ(3)):
+        with pytest.raises(TypeError):
+            bad()
     with pytest.raises(ValueError):
         as_twoj(0.3)
     with pytest.raises(TypeError):
@@ -62,16 +73,25 @@ def test_cg_selection_rules_return_zero():
 
 
 def test_cg_malformed_inputs_raise():
-    with pytest.raises(ValueError):
-        cg(1, 2, 1, 0, 2, 2)  # |m1| > j1
-    with pytest.raises(ValueError):
-        cg(1, Fraction(1, 2), 1, 0, 2, Fraction(1, 2))  # m1 not integral with j1
-    with pytest.raises(ValueError):
-        cg(1, 1, 1, 1, 5, 2)  # triangle violation
-    with pytest.raises(ValueError):
-        cg(1, 1, 1, 1, Fraction(3, 2), Fraction(3, 2))  # parity of j1+j2+j
-    with pytest.raises(ValueError):
-        cg(-1, 0, 1, 0, 1, 0)
+    half = Fraction(1, 2)
+    for args, message in (
+        ((-1, 0, 1, 0, 1, 0), "(j1, m1): negative angular momentum -2/2"),
+        ((1, 0, -1, 0, 1, 0), "(j2, m2): negative angular momentum -2/2"),
+        ((1, 0, 1, 0, -1, 0), "j: negative angular momentum -2/2"),
+        ((1, half, 1, 0, 2, half), "(j1, m1): j=2/2 and m=1/2 differ by a non-integer"),
+        ((1, 0, 1, half, 2, half), "(j2, m2): j=2/2 and m=1/2 differ by a non-integer"),
+        ((1, 0, 1, 0, 2, half), "(j, m): j=4/2 and m=1/2 differ by a non-integer"),
+        ((1, 2, 1, 0, 2, 2), "(j1, m1): |m|=4/2 exceeds j=2/2"),
+        ((1, 0, 1, -2, 2, -2), "(j2, m2): |m|=4/2 exceeds j=2/2"),
+        ((1, 1, 1, 1, Fraction(3, 2), Fraction(3, 2)), "j1+j2+j = 7/2 is not an integer"),
+        ((1, 1, 1, 1, 5, 2), "triangle violation: j=10/2 outside [0/2, 4/2]"),
+        ((2, 0, half, half, half, half), "triangle violation: j=1/2 outside [3/2, 5/2]"),
+        # the first rule broken is named: m1 parity before |m2| and the triangle
+        ((1, half, 1, 4, 9, 1), "(j1, m1): j=2/2 and m=1/2 differ by a non-integer"),
+    ):
+        with pytest.raises(ValueError) as info:
+            cg(*args)
+        assert str(info.value) == message, args
 
 
 def _reference_parts(tj1, tm1, tj2, tm2, tj, tm):
@@ -169,6 +189,38 @@ def test_cg_and_oracle_compare_without_splitting(monkeypatch):
     assert entries == 20_240
     with pytest.raises(AssertionError, match="split_square"):
         ExactReal.sqrt(2).core
+
+
+def test_row_check_needs_no_splitting(monkeypatch):
+    # the rows' squares and products are compared as rationals; a wrong
+    # sign in one coefficient breaks orthogonality
+    def split_square(n):
+        raise AssertionError(f"split_square({n}) called")
+
+    monkeypatch.setattr(exact, "split_square", split_square)
+    assert verify.cg_rows_orthonormal(range(0, 9, 2)) == "1563 exact row products"
+
+    singlet_middle = (TwoJ(2), TwoJ(0), TwoJ(2), TwoJ(0), TwoJ(0), TwoJ(0))
+
+    def flipped(*args):
+        value = cg(*args)
+        return -value if args == singlet_middle else value
+
+    monkeypatch.setattr(su2_cg, "cg", flipped)
+    # <1 0 1 0 | 1 0> = 0, so the first row pair the flip breaks is j = 0, 2
+    with pytest.raises(AssertionError, match=r"row orthogonality \(2, 2, 0, 4, 0\)"):
+        verify.cg_rows_orthonormal(range(0, 3))
+
+    # an entry off by sqrt(2) makes its product incommensurable with the others
+    quintet_low = (TwoJ(2), TwoJ(-2), TwoJ(2), TwoJ(2), TwoJ(4), TwoJ(0))
+
+    def stretched(*args):
+        value = cg(*args)
+        return value * ExactReal.sqrt(2) if args == quintet_low else value
+
+    monkeypatch.setattr(su2_cg, "cg", stretched)
+    with pytest.raises(AssertionError, match=r"\(2, 2, 0, 4, 0\): incommensurable products"):
+        verify.cg_rows_orthonormal(range(0, 3))
 
 
 def test_delta_su2_aligned_corollary():
