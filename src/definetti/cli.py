@@ -12,19 +12,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
-from .heisenberg import (
-    HeisenbergTriple,
-    coherent_bound,
-    delta_number_space,
-    epsilon_heisenberg,
-)
+# heisenberg, symmetric and weights are imported where they are used, so
+# a process that computes a coupling-window figure never loads them
 from .su2_cg import TwoJ, as_twoj, delta_su2
-from .symmetric import SymTriple, bound_exponential, closed_form_sum, epsilon
-from .weights import Weight, exact_radius
 
 _TWELVE_SIG = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
@@ -103,7 +97,9 @@ def _twoj(s: str, key: str) -> TwoJ:
     return as_twoj(s)
 
 
-def _weight(s: str, key: str) -> Weight:
+def _weight(s: str, key: str):
+    from .weights import Weight
+
     try:
         return Weight(tuple(int(x) for x in s.split(",")))
     except ValueError:
@@ -124,17 +120,23 @@ def _compute_su2_delta(tokens: list[str]):
 
 
 def _compute_sym_epsilon(tokens: list[str]):
+    from .symmetric import SymTriple, epsilon
+
     p = _parse_params(tokens, ("n", "k", "r", "d"))
     return epsilon(SymTriple(**{k: _int(v, k) for k, v in p.items()}))
 
 
 def _compute_sym_bound(tokens: list[str]):
+    from .symmetric import SymTriple, bound_exponential
+
     p = _parse_params(tokens, ("n", "k", "r", "d"))
     pair = bound_exponential(SymTriple(**{k: _int(v, k) for k, v in p.items()}))
     return f"intermediate = {render_decimal(pair.intermediate)}\nheadline = {render_decimal(pair.headline)}"
 
 
-def _heis_triple(tokens: list[str]) -> HeisenbergTriple:
+def _heis_triple(tokens: list[str]):
+    from .heisenberg import HeisenbergTriple
+
     p = _parse_params(tokens, ("mu", "nu", "Delta", "r"))
     return HeisenbergTriple(
         mu=_fraction(p["mu"], "mu"),
@@ -145,19 +147,27 @@ def _heis_triple(tokens: list[str]) -> HeisenbergTriple:
 
 
 def _compute_heis_delta(tokens: list[str]):
+    from .heisenberg import delta_number_space
+
     return delta_number_space(_heis_triple(tokens)).delta
 
 
 def _compute_heis_epsilon(tokens: list[str]):
+    from .heisenberg import epsilon_heisenberg
+
     return epsilon_heisenberg(_heis_triple(tokens))
 
 
 def _compute_coherent_bound(tokens: list[str]):
+    from .heisenberg import coherent_bound
+
     p = _parse_params(tokens, ("n", "k", "r"))
     return coherent_bound(_int(p["n"], "n"), _int(p["k"], "k"), _int(p["r"], "r"))
 
 
 def _compute_exact_radius(tokens: list[str]):
+    from .weights import Weight, exact_radius
+
     # either explicit weights, or the two-level shortcut d=2 n=.. k=.. l=..
     if any(tok.startswith(("lambda=", "mu=", "nu=")) for tok in tokens):
         p = _parse_params(tokens, ("lambda", "mu", "nu"))
@@ -172,6 +182,8 @@ def _compute_exact_radius(tokens: list[str]):
 
 
 def _compute_closed_form_sum(tokens: list[str]):
+    from .symmetric import closed_form_sum
+
     p = _parse_params(tokens, ("n", "k", "r"))
     return closed_form_sum(_int(p["n"], "n"), _int(p["k"], "k"), _int(p["r"], "r"))
 
@@ -192,20 +204,25 @@ COMPUTE_FNS = {
 # figure
 
 
-@dataclass(frozen=True)
-class FigureSpec:
-    """Resolved parameters of one figure grid."""
+FigureSpec = namedtuple(
+    "FigureSpec", ("figure_id", "j1", "j2", "tj_min", "tj_max", "r_max", "mu", "nu", "delta_max")
+)
+FigureSpec.__doc__ = """Resolved parameters of one figure grid: the figure id, j1 and j2
+as TwoJ, the coupled j columns tj_min..tj_max in doubled units, the
+largest radius r_max, and figure 3's mode weights mu, nu (Fractions) and
+largest offset delta_max."""
 
-    figure_id: int
-    j1: TwoJ
-    j2: TwoJ
-    tj_min: int
-    tj_max: int
-    r_max: int
-    mu: Fraction
-    nu: Fraction
-    delta_max: int
 
+# Upper limits of the figure options.  Measured alone on a 2-vCPU Xeon VM,
+# the others at their defaults: figure 3 --r-max 2000 takes 1.0 s (4.0 s
+# at --mu 1 --nu 99; its exact oscillator columns grow quadratically, to
+# 44 s at 5000); figure 1 --j1 1000 --j2 1000 --j-min 1990 --j-max 2000
+# takes 1.9 s (5.7 s at j = 2000, 151 s at 10,000); figure 3 --delta-max
+# 100 takes 0.3 s.  The costs multiply: figure 3 --r-max 2000
+# --delta-max 100 --mu 1 --nu 99 takes 39 s.
+FIGURE_R_MAX_GUARD = 2000
+FIGURE_J_GUARD = 1000  # for --j1 and --j2: the angular momentum, not its double
+FIGURE_DELTA_MAX_GUARD = 100
 
 _FIGURE_DEFAULTS = {
     # (j_min, j_max, r_max) in doubled units for the coupled j columns
@@ -244,8 +261,12 @@ def _validate_spec(spec: FigureSpec) -> None:
     for label, j in (("j1", spec.j1), ("j2", spec.j2)):
         if j.doubled < 0:
             raise ValueError(f"{label} = {j} is negative")
+        if j.doubled > 2 * FIGURE_J_GUARD:
+            raise ValueError(f"need {label} <= {FIGURE_J_GUARD}, got {j}")
     if spec.r_max < 0:
         raise ValueError(f"need r-max >= 0, got {spec.r_max}")
+    if spec.r_max > FIGURE_R_MAX_GUARD:
+        raise ValueError(f"need r-max <= {FIGURE_R_MAX_GUARD}, got {spec.r_max}")
     tj1, tj2 = spec.j1.doubled, spec.j2.doubled
     if spec.figure_id in (1, 2):
         if spec.tj_min > spec.tj_max:
@@ -263,6 +284,8 @@ def _validate_spec(spec: FigureSpec) -> None:
     else:
         if spec.delta_max < 0:
             raise ValueError(f"need delta-max >= 0, got {spec.delta_max}")
+        if spec.delta_max > FIGURE_DELTA_MAX_GUARD:
+            raise ValueError(f"need delta-max <= {FIGURE_DELTA_MAX_GUARD}, got {spec.delta_max}")
         if not (spec.mu > 0 and spec.nu > 0):
             raise ValueError(f"mode weights must be positive, got mu={spec.mu}, nu={spec.nu}")
         if tj1 + tj2 - 2 * spec.delta_max < abs(tj1 - tj2):
@@ -284,6 +307,8 @@ def figure_values(spec: FigureSpec) -> tuple[list[str], list[list[Fraction]]]:
                 [1 - delta_su2(spec.j1, spec.j2, TwoJ(tj), spec.j2, r, direction).delta for r in rs]
             )
         return header, curves
+    from .heisenberg import HeisenbergTriple, delta_number_space
+
     for D in range(spec.delta_max + 1):
         header.append(f"Delta={D}")
         curves.append(

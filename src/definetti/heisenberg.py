@@ -18,12 +18,11 @@ terms of the equivalent binomial tail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, exp, fsum, gcd, log
 
-from .report import DeltaReport, _sqrt_float
+from .report import DeltaReport, _Frozen, _sqrt_float
 
 __all__ = [
     "HeisenbergTriple",
@@ -39,23 +38,23 @@ _RESCALE = 2.0**512
 _LOG_RESCALE = 512 * log(2.0)
 
 
-@dataclass(frozen=True)
-class HeisenbergTriple:
+class HeisenbergTriple(_Frozen):
     """Parameters (mu, nu, Delta, r): mode weights, offset, window radius."""
 
-    mu: Fraction | float
-    nu: Fraction | float
-    Delta: int
-    r: int
+    __slots__ = ("mu", "nu", "Delta", "r")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.mu, bool) or isinstance(self.nu, bool):
+    def __init__(self, mu: Fraction | float, nu: Fraction | float, Delta: int, r: int) -> None:
+        if isinstance(mu, bool) or isinstance(nu, bool):
             raise TypeError("mode weights must be numbers")
-        _check_weights(self.mu, self.nu)
-        if not isinstance(self.Delta, int) or self.Delta < 0:
-            raise ValueError(f"need an integer offset Delta >= 0, got {self.Delta!r}")
-        if not isinstance(self.r, int) or self.r < 0:
-            raise ValueError(f"need an integer radius r >= 0, got {self.r!r}")
+        _check_weights(mu, nu)
+        if not isinstance(Delta, int) or Delta < 0:
+            raise ValueError(f"need an integer offset Delta >= 0, got {Delta!r}")
+        if not isinstance(r, int) or r < 0:
+            raise ValueError(f"need an integer radius r >= 0, got {r!r}")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "Delta", Delta)
+        object.__setattr__(self, "r", r)
 
     @property
     def is_exact(self) -> bool:

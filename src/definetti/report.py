@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 _FLOAT_SLACK = 1e-12
@@ -31,8 +30,46 @@ def _sqrt_float(q: Fraction) -> float:
     return math.ldexp(math.sqrt(float(q * 4**m)), -m)
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+class _Frozen:
+    """Base of the package's small immutable value types.
+
+    A subclass names its fields in __slots__ and sets them in __init__,
+    after validating them, with object.__setattr__.  Its instances then
+    repr, equal, hash and pickle by their fields in order, as a frozen
+    dataclass does, and never equal an instance of another class.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class DeltaReport(_Frozen):
     """An overlap value in [0, 1] plus the error bounds it implies.
 
     Construction validates delta and clamps a float delta within roundoff
@@ -42,22 +79,21 @@ class DeltaReport:
     computation was exact; bound_sqrt is necessarily a float.
     """
 
-    delta: Fraction | float
-    formula_id: str
-    psi_label: str
+    __slots__ = ("delta", "formula_id", "psi_label")
 
-    def __post_init__(self) -> None:
-        d = self.delta
-        if isinstance(d, float):
+    def __init__(self, delta: Fraction | float, formula_id: str, psi_label: str) -> None:
+        if isinstance(delta, float):
             # float path: forgive roundoff at the endpoints
-            if not (-_FLOAT_SLACK <= d <= 1 + _FLOAT_SLACK):
-                raise ValueError(f"delta out of range: {d!r}")
-            d = min(max(d, 0.0), 1.0)
+            if not (-_FLOAT_SLACK <= delta <= 1 + _FLOAT_SLACK):
+                raise ValueError(f"delta out of range: {delta!r}")
+            delta = min(max(delta, 0.0), 1.0)
         else:
-            d = Fraction(d)
-            if not (0 <= d <= 1):
-                raise ValueError(f"delta out of range: {d!r}")
-        object.__setattr__(self, "delta", d)
+            delta = Fraction(delta)
+            if not (0 <= delta <= 1):
+                raise ValueError(f"delta out of range: {delta!r}")
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "formula_id", formula_id)
+        object.__setattr__(self, "psi_label", psi_label)
 
     @property
     def bound_linear(self) -> Fraction | float:

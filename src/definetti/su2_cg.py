@@ -15,35 +15,53 @@ factors nothing.  Window sums use S^2 R as a rational, built by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, isfinite
 
 from .exact import ExactReal
-from .report import DeltaReport
+from .report import DeltaReport, _Frozen
 
 __all__ = ["TwoJ", "as_twoj", "cg", "delta_su2"]
 
 _fact = lru_cache(maxsize=None)(factorial)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class TwoJ:
+class TwoJ(_Frozen):
     """An angular momentum stored as twice its value.
 
     It equals, hashes and sorts as the tuple (doubled,) of its field and
     never equals a plain number: TwoJ(3) != 3.
     """
 
-    doubled: int
+    __slots__ = ("doubled",)
 
-    def __post_init__(self) -> None:
-        doubled = self.doubled
+    def __init__(self, doubled: int) -> None:
         if doubled.__class__ is not int and (
             not isinstance(doubled, int) or isinstance(doubled, bool)
         ):
             raise TypeError(f"doubled value must be an integer, got {doubled!r}")
+        _set_doubled(self, doubled)
+
+    def __lt__(self, other):
+        if other.__class__ is not TwoJ:
+            return NotImplemented
+        return self.doubled < other.doubled
+
+    def __le__(self, other):
+        if other.__class__ is not TwoJ:
+            return NotImplemented
+        return self.doubled <= other.doubled
+
+    def __gt__(self, other):
+        if other.__class__ is not TwoJ:
+            return NotImplemented
+        return self.doubled > other.doubled
+
+    def __ge__(self, other):
+        if other.__class__ is not TwoJ:
+            return NotImplemented
+        return self.doubled >= other.doubled
 
     @property
     def value(self) -> Fraction:
@@ -68,6 +86,10 @@ class TwoJ:
         return f"{self.doubled}/2"
 
 
+# the slot's own setter, which the frozen __setattr__ does not block
+_set_doubled = TwoJ.doubled.__set__
+
+
 def as_twoj(x) -> TwoJ:
     """Coerce an int, half-integral Fraction/float, or string to TwoJ."""
     if isinstance(x, TwoJ):
@@ -77,6 +99,9 @@ def as_twoj(x) -> TwoJ:
     if isinstance(x, int):
         return TwoJ(2 * x)
     if isinstance(x, (str, Fraction, float)):
+        if isinstance(x, float) and not isfinite(x):
+            # Fraction() would raise OverflowError for inf and name no value for nan
+            raise ValueError(f"{x} is not a half-integer")
         doubled = Fraction(x) * 2
         if doubled.denominator != 1:
             # the value as it was given, not its Fraction repr

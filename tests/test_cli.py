@@ -1,11 +1,15 @@
 """Command-line surface: compute output format, CSV figures, verify wiring."""
 
+import copy
+import pickle
 from decimal import Context, Decimal
+from fractions import Fraction
 
 import pytest
 
-from definetti import su2_cg, verify
-from definetti.cli import figure_spec, figure_values, main
+from definetti import cli, heisenberg, su2_cg, verify
+from definetti.cli import FigureSpec, figure_spec, figure_values, main
+from definetti.su2_cg import TwoJ
 
 
 def run(capsys, *argv):
@@ -181,6 +185,58 @@ def test_figure_cost_is_linear_in_r_max(monkeypatch):
     assert calls <= 11 * 201
     assert len(curves) == 11 and {len(c) for c in curves} == {2001}
     assert all(c[-1] == 0 for c in curves)  # the full window saturates
+
+
+def test_figure_spec_value_semantics():
+    spec = figure_spec(1, {})
+    assert repr(spec) == (
+        "FigureSpec(figure_id=1, j1=TwoJ(doubled=200), j2=TwoJ(doubled=200), tj_min=380, "
+        "tj_max=400, r_max=40, mu=Fraction(50, 1), nu=Fraction(50, 1), delta_max=10)"
+    )
+    fields = (1, TwoJ(200), TwoJ(200), 380, 400, 40, Fraction(50), Fraction(50), 10)
+    assert spec == FigureSpec(*fields) and spec != figure_spec(1, {"r_max": "41"})
+    assert hash(spec) == hash(fields)
+    with pytest.raises(AttributeError):
+        spec.r_max = 41
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    assert copy.deepcopy(spec) == spec
+
+
+def test_figure_limits_start_no_computation(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("the figure started computing")
+
+    monkeypatch.setattr(cli, "delta_su2", fail)
+    monkeypatch.setattr(heisenberg, "delta_number_space", fail)
+    r_over = str(cli.FIGURE_R_MAX_GUARD + 1)
+    j_over = str(cli.FIGURE_J_GUARD + 1)
+    j_max = str(cli.FIGURE_J_GUARD)
+    d_over = str(cli.FIGURE_DELTA_MAX_GUARD + 1)
+    for argv, message in (
+        (["1", "--r-max", r_over], f"need r-max <= {cli.FIGURE_R_MAX_GUARD}, got {r_over}"),
+        (["3", "--r-max", "1" + "0" * 30],
+         f"need r-max <= {cli.FIGURE_R_MAX_GUARD}, got {10**30}"),
+        (["1", "--j1", j_over, "--j2", j_over], f"need j1 <= {cli.FIGURE_J_GUARD}, got {j_over}"),
+        (["2", "--j2", f"{2 * cli.FIGURE_J_GUARD + 1}/2"],
+         f"need j2 <= {cli.FIGURE_J_GUARD}, got {2 * cli.FIGURE_J_GUARD + 1}/2"),
+        (["3", "--j1", j_over], f"need j1 <= {cli.FIGURE_J_GUARD}, got {j_over}"),
+        (["3", "--j1", j_max, "--j2", j_max, "--delta-max", d_over],
+         f"need delta-max <= {cli.FIGURE_DELTA_MAX_GUARD}, got {d_over}"),
+    ):
+        code, out, err = run(capsys, "figure", *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1, argv
+        assert err == f"definetti figure {argv[0]}: {message}\n", err
+
+
+def test_figure_limits_admit_the_documented_grids():
+    # each limit itself is a valid grid
+    for overrides in (
+        {"r_max": str(cli.FIGURE_R_MAX_GUARD)},
+        {"j1": str(cli.FIGURE_J_GUARD), "j2": str(cli.FIGURE_J_GUARD)},
+    ):
+        for figure_id in (1, 2, 3):
+            figure_spec(figure_id, overrides)
+    figure_spec(3, {"delta_max": str(cli.FIGURE_DELTA_MAX_GUARD)})
 
 
 def test_figure_out_roundtrip(tmp_path, capsys):

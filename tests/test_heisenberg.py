@@ -1,5 +1,7 @@
 """Oscillator-pair overlaps: number-space windows and coherent splitting."""
 
+import copy
+import pickle
 import random
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -24,18 +26,35 @@ def test_triple_validation():
     t = HeisenbergTriple(mu=Fraction(1, 2), nu=2, Delta=3, r=1)
     assert t.is_exact
     assert not HeisenbergTriple(mu=0.5, nu=2, Delta=0, r=0).is_exact
-    with pytest.raises(ValueError):
-        HeisenbergTriple(mu=0, nu=1, Delta=0, r=0)
-    with pytest.raises(ValueError):
-        HeisenbergTriple(mu=1, nu=-2, Delta=0, r=0)
+    for kwargs, error, message in (
+        ({"mu": 0, "nu": 1, "Delta": 0, "r": 0}, ValueError, "mode weights must be positive, got mu=0, nu=1"),
+        ({"mu": 1, "nu": -2, "Delta": 0, "r": 0}, ValueError, "mode weights must be positive, got mu=1, nu=-2"),
+        ({"mu": True, "nu": 1, "Delta": 0, "r": 0}, TypeError, "mode weights must be numbers"),
+        ({"mu": 1, "nu": 1, "Delta": -1, "r": 0}, ValueError, "need an integer offset Delta >= 0, got -1"),
+        ({"mu": 1, "nu": 1, "Delta": 0.5, "r": 0}, ValueError, "need an integer offset Delta >= 0, got 0.5"),
+        ({"mu": 1, "nu": 1, "Delta": 0, "r": -1}, ValueError, "need an integer radius r >= 0, got -1"),
+    ):
+        with pytest.raises(error) as info:
+            HeisenbergTriple(**kwargs)
+        assert str(info.value) == message, kwargs
     with pytest.raises(TypeError):
         HeisenbergTriple(mu="1", nu=1, Delta=0, r=0)
-    with pytest.raises(ValueError):
-        HeisenbergTriple(mu=1, nu=1, Delta=-1, r=0)
-    with pytest.raises(ValueError):
-        HeisenbergTriple(mu=1, nu=1, Delta=0.5, r=0)
-    with pytest.raises(ValueError):
-        HeisenbergTriple(mu=1, nu=1, Delta=0, r=-1)
+
+
+def test_triple_value_semantics():
+    t = HeisenbergTriple(mu=Fraction(1, 2), nu=2, Delta=3, r=1)
+    assert repr(t) == "HeisenbergTriple(mu=Fraction(1, 2), nu=2, Delta=3, r=1)"
+    assert t == HeisenbergTriple(Fraction(1, 2), 2, 3, 1)
+    assert t != HeisenbergTriple(Fraction(1, 2), 2, 3, 2)
+    assert t != (Fraction(1, 2), 2, 3, 1)
+    assert hash(t) == hash((Fraction(1, 2), 2, 3, 1))
+    with pytest.raises(AttributeError):
+        t.r = 2
+    with pytest.raises(AttributeError):
+        del t.mu
+    for u in (t, HeisenbergTriple(mu=0.5, nu=2.0, Delta=0, r=7)):
+        assert pickle.loads(pickle.dumps(u)) == u
+        assert copy.deepcopy(u) == u and copy.deepcopy(u).is_exact == u.is_exact
 
 
 def test_alpha_coeff():
@@ -275,10 +294,28 @@ def test_coherent_bound():
 
 
 def test_delta_report_range():
-    with pytest.raises(ValueError, match="delta out of range"):
+    with pytest.raises(ValueError, match=r"^delta out of range: Fraction\(3, 2\)$"):
         DeltaReport.from_delta(Fraction(3, 2), "f", "psi")
-    with pytest.raises(ValueError, match="delta out of range"):
+    with pytest.raises(ValueError, match=r"^delta out of range: 1.1$"):
         DeltaReport.from_delta(1.1, "f", "psi")
     rep = DeltaReport.from_delta(-1e-13, "f", "psi")  # roundoff below 0 is clamped
     assert rep.delta == 0.0 and isinstance(rep.delta, float)
     assert (rep.bound_linear, rep.bound_sqrt) == (2.0, 2.0)
+
+
+def test_delta_report_value_semantics():
+    rep = DeltaReport(delta=Fraction(2, 3), formula_id="f", psi_label="psi")
+    assert repr(rep) == "DeltaReport(delta=Fraction(2, 3), formula_id='f', psi_label='psi')"
+    # an exact delta is stored as a Fraction
+    assert DeltaReport(1, "f", "psi").delta.__class__ is Fraction
+    assert rep == DeltaReport.from_delta(Fraction(2, 3), "f", "psi")
+    assert rep != DeltaReport(Fraction(2, 3), "f", "other")
+    assert rep != (Fraction(2, 3), "f", "psi")
+    assert hash(rep) == hash((Fraction(2, 3), "f", "psi"))
+    with pytest.raises(AttributeError):
+        rep.delta = Fraction(1, 3)
+    with pytest.raises(AttributeError):
+        del rep.psi_label
+    for r in (rep, DeltaReport(0.25, "g", "phi")):
+        assert pickle.loads(pickle.dumps(r)) == r
+        assert copy.deepcopy(r) == r and copy.deepcopy(r).bound_sqrt == r.bound_sqrt

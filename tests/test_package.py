@@ -1,0 +1,108 @@
+"""The package surface: the lazy namespace, and what a command process loads."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import definetti
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# modules a `definetti figure` or `compute su2-delta` process never needs
+NOT_AT_START = (
+    "dataclasses",
+    "numpy",
+    "definetti.heisenberg",
+    "definetti.symmetric",
+    "definetti.weights",
+    "definetti.radicals",
+    "definetti.oracle",
+    "definetti.verify",
+)
+
+
+def test_namespace_resolves_every_public_name():
+    for name in definetti.__all__:
+        obj = getattr(definetti, name)
+        assert obj.__module__.startswith("definetti."), name
+        assert obj is getattr(importlib.import_module(obj.__module__), name), name
+    assert set(definetti.__all__) <= set(dir(definetti))
+    assert {"su2_cg", "heisenberg", "__version__"} <= set(dir(definetti))
+    assert definetti.heisenberg is sys.modules["definetti.heisenberg"]
+    namespace = {}
+    exec("from definetti import *", namespace)
+    assert set(definetti.__all__) <= set(namespace)
+    for name in definetti.__all__:
+        assert namespace[name] is getattr(definetti, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        definetti.no_such_name  # noqa: B018
+
+
+def test_namespace_follows_a_patched_submodule(monkeypatch):
+    # names are looked up on every access, never cached in the package
+    from definetti import su2_cg
+
+    def patched(*args):
+        return None
+
+    monkeypatch.setattr(su2_cg, "delta_su2", patched)
+    assert definetti.delta_su2 is patched
+    monkeypatch.undo()
+    assert definetti.delta_su2 is su2_cg.delta_su2 is not patched
+    assert "delta_su2" not in vars(definetti)
+
+
+_PROBE = """
+import sys
+import definetti.cli
+at_import = sorted(sys.modules)
+import io, json
+from contextlib import redirect_stdout
+argv = sys.argv[1:]
+with redirect_stdout(io.StringIO()):
+    codes = [definetti.cli.main(argv)] if argv else []
+print(json.dumps({"at_import": at_import, "after": sorted(sys.modules), "codes": codes}))
+"""
+
+
+def _modules(*argv):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    return json.loads(out)
+
+
+def test_cli_import_loads_only_the_coupling_path():
+    probe = _modules()
+    loaded = set(probe["at_import"])
+    assert not loaded & set(NOT_AT_START), loaded & set(NOT_AT_START)
+    assert {m for m in loaded if m.startswith("definetti")} == {
+        "definetti",
+        "definetti.cli",
+        "definetti.exact",
+        "definetti.report",
+        "definetti.su2_cg",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, added",
+    [
+        (["figure", "1", "--r-max", "2"], set()),
+        (["compute", "su2-delta", "j1=1/2", "j2=1/2", "j=1", "m2=1/2", "r=0"], set()),
+        (["figure", "3", "--r-max", "2", "--delta-max", "1"], {"definetti.heisenberg"}),
+    ],
+)
+def test_a_command_adds_only_what_it_computes_with(argv, added):
+    probe = _modules(*argv)
+    assert probe["codes"] == [0]
+    new = set(probe["after"]) - set(probe["at_import"])
+    assert {m for m in new if m.startswith("definetti")} == added
+    assert not set(probe["after"]) & (set(NOT_AT_START) - added)

@@ -1,5 +1,7 @@
 """Coupling coefficients and the extremal-window overlap for SU(2)."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import factorial
@@ -31,6 +33,12 @@ def test_twoj_coercion():
     assert repr(TwoJ(3)) == "TwoJ(doubled=3)"
     with pytest.raises(AttributeError):
         TwoJ(3).doubled = 4
+    with pytest.raises(AttributeError):
+        del TwoJ(3).doubled
+    assert TwoJ(doubled=3) == TwoJ(3)
+    for twoj in (TwoJ(3), TwoJ(-200)):
+        assert pickle.loads(pickle.dumps(twoj)) == twoj
+        assert copy.copy(twoj) == copy.deepcopy(twoj) == twoj
     for bad in (lambda: TwoJ(3) + 1, lambda: TwoJ(3) - 1, lambda: 1 + TwoJ(3)):
         with pytest.raises(TypeError):
             bad()
@@ -40,10 +48,26 @@ def test_twoj_coercion():
         as_twoj(True)
     with pytest.raises(TypeError):
         as_twoj(object())
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="doubled value must be an integer, got 1.5"):
         TwoJ(1.5)
     with pytest.raises(TypeError):
         TwoJ(True)
+
+
+def test_non_finite_angular_momentum_is_a_value_error():
+    # inf used to escape as OverflowError, and nan named no value
+    for x, name in ((float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan")):
+        message = f"^{name} is not a half-integer$"
+        with pytest.raises(ValueError, match=message):
+            as_twoj(x)
+        with pytest.raises(ValueError, match=message):
+            cg(x, 0, 1, 0, 1, 0)
+        with pytest.raises(ValueError, match=message):
+            cg(1, 0, 1, 0, 1, x)
+        with pytest.raises(ValueError, match=message):
+            delta_su2(x, 1, 1, 1, 0)
+        with pytest.raises(ValueError, match=message):
+            delta_su2(1, 1, 1, x, 0)
 
 
 def test_cg_classic_values():
