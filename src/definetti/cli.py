@@ -214,44 +214,48 @@ largest offset delta_max."""
 
 
 # Upper limits of the figure options.  Measured alone on a 2-vCPU Xeon VM,
-# the others at their defaults: figure 3 --r-max 2000 takes 1.0 s (4.0 s
-# at --mu 1 --nu 99; its exact oscillator columns grow quadratically, to
-# 44 s at 5000); figure 1 --j1 1000 --j2 1000 --j-min 1990 --j-max 2000
-# takes 1.9 s (5.7 s at j = 2000, 151 s at 10,000); figure 3 --delta-max
-# 100 takes 0.3 s.  The costs multiply: figure 3 --r-max 2000
-# --delta-max 100 --mu 1 --nu 99 takes 39 s.
+# the others at their defaults: figure 3 --r-max 2000 takes 1.3 s (4.6 s
+# at --mu 1 --nu 99; its exact oscillator columns grow quadratically);
+# figure 1 --j1 1000 --j2 1000 --j-min 1990 --j-max 2000 takes 1.4 s;
+# figure 3 --delta-max 100 takes 0.3 s.
 FIGURE_R_MAX_GUARD = 2000
 FIGURE_J_GUARD = 1000  # for --j1 and --j2: the angular momentum, not its double
 FIGURE_DELTA_MAX_GUARD = 100
 
+# The costs of the options multiply, so a grid's estimated work
+# (_figure_work) is bounded too.  A cell costs 2^12 + b^2 / 2^11 units,
+# b the bit length of its operands: J log2(J), J = j1 + j2 + j + 1, for an
+# SU(2) window term and (r + Delta + 1) log2(p + q) for an oscillator cell
+# at mu/nu = p/q.  A unit took 3.9 ns on the same VM, within a factor 1.5
+# on 25 timed grids, so the budget is about 4 s: figure 3 --r-max 2000
+# --mu 1 --nu 99 needs 9.0e8, and figure 1 --j1 1000 --j2 1000 --j-min
+# 1995 --j-max 2000 --r-max 400 (8.6 s) 2.7e9.
+FIGURE_WORK_GUARD = 10**9
+
+# the option values of every figure, and of each; figure 3 draws no j columns
+_SHARED_DEFAULTS = {"j1": "100", "j2": "100", "mu": "50", "nu": "50", "delta_max": "10"}
 _FIGURE_DEFAULTS = {
-    # (j_min, j_max, r_max) in doubled units for the coupled j columns
-    1: {"tj_min": 380, "tj_max": 400, "r_max": 40},
-    2: {"tj_min": 0, "tj_max": 60, "r_max": 30},
-    3: {"tj_min": 380, "tj_max": 400, "r_max": 40},
+    1: {"j_min": "190", "j_max": "200", "r_max": "40"},
+    2: {"j_min": "0", "j_max": "30", "r_max": "30"},
+    3: {"j_min": "190", "j_max": "200", "r_max": "40"},
 }
 
 
 def figure_spec(figure_id: int, overrides: dict[str, str | None]) -> FigureSpec:
-    base = _FIGURE_DEFAULTS[figure_id]
-    j1 = _twoj(overrides.get("j1") or "100", "j1")
-    j2 = _twoj(overrides.get("j2") or "100", "j2")
-    tj_min = _twoj(overrides["j_min"], "j-min").doubled if overrides.get("j_min") else base["tj_min"]
-    tj_max = _twoj(overrides["j_max"], "j-max").doubled if overrides.get("j_max") else base["tj_max"]
-    r_max = _int(overrides["r_max"], "r-max") if overrides.get("r_max") else base["r_max"]
-    mu = _fraction(overrides.get("mu") or "50", "mu")
-    nu = _fraction(overrides.get("nu") or "50", "nu")
-    delta_max = _int(overrides["delta_max"], "delta-max") if overrides.get("delta_max") else 10
+    # an override that is not None replaces the default, so an empty
+    # value is parsed and refused rather than read as absent
+    opts = {**_SHARED_DEFAULTS, **_FIGURE_DEFAULTS[figure_id]}
+    opts.update((key, value) for key, value in overrides.items() if value is not None)
     spec = FigureSpec(
         figure_id=figure_id,
-        j1=j1,
-        j2=j2,
-        tj_min=tj_min,
-        tj_max=tj_max,
-        r_max=r_max,
-        mu=mu,
-        nu=nu,
-        delta_max=delta_max,
+        j1=_twoj(opts["j1"], "j1"),
+        j2=_twoj(opts["j2"], "j2"),
+        tj_min=_twoj(opts["j_min"], "j-min").doubled,
+        tj_max=_twoj(opts["j_max"], "j-max").doubled,
+        r_max=_int(opts["r_max"], "r-max"),
+        mu=_fraction(opts["mu"], "mu"),
+        nu=_fraction(opts["nu"], "nu"),
+        delta_max=_int(opts["delta_max"], "delta-max"),
     )
     _validate_spec(spec)
     return spec
@@ -292,6 +296,33 @@ def _validate_spec(spec: FigureSpec) -> None:
             raise ValueError(
                 f"overlay needs j1+j2-Delta >= |j1-j2|: Delta = {spec.delta_max} is too large"
             )
+    work = _figure_work(spec)
+    if work > FIGURE_WORK_GUARD:
+        raise ValueError(
+            f"the grid needs about {work:.1e} units of work, over the budget of "
+            f"{FIGURE_WORK_GUARD:.0e}: lower --r-max, the number of columns or j1, j2"
+        )
+
+
+def _figure_work(spec: FigureSpec) -> int:
+    """Estimated work of a valid grid, in the units of FIGURE_WORK_GUARD."""
+    tj1, tj2, rows = spec.j1.doubled, spec.j2.doubled, spec.r_max + 1
+    su2_tjs = range(spec.tj_min, spec.tj_max + 1, 2)
+    work = 0
+    if spec.figure_id == 3:
+        ratio = spec.mu / spec.nu
+        bits = (ratio.numerator + ratio.denominator).bit_length()
+        for D in range(spec.delta_max + 1):
+            work += sum((1 << 12) + (((r + D + 1) * bits) ** 2 >> 11) for r in range(rows))
+        su2_tjs = [tj1 + tj2 - 2 * D for D in range(spec.delta_max + 1)]  # the overlay
+    # at m2 = j2, window term i is in the block when |base - 2i| <= j,
+    # base = j1 + j2 down (figures 1 and 3) and j1 - j2 up (figure 2)
+    base = tj1 - tj2 if spec.figure_id == 2 else tj1 + tj2
+    for tj in su2_tjs:
+        terms = max(0, min(spec.r_max, tj1, (base + tj) // 2) - max(0, (base - tj) // 2) + 1)
+        size = (tj1 + tj2 + tj) // 2 + 1
+        work += (rows << 12) + terms * ((size * size.bit_length()) ** 2 >> 11)
+    return work
 
 
 def figure_values(spec: FigureSpec) -> tuple[list[str], list[list[Fraction]]]:

@@ -17,7 +17,7 @@ from math import comb, factorial, gcd, lcm, sqrt
 import numpy as np
 
 from .exact import ExactReal
-from .su2_cg import as_twoj
+from .su2_cg import _check_triple, as_twoj
 from .symmetric import SymTriple, dim_sym, epsilon
 from .weights import Weight, sym_weights
 
@@ -272,12 +272,7 @@ def lambda_up_set(j1, j2, j) -> set[Weight]:
     with highest weight ((j1+j2+j), (j1+j2-j)) is enumerated directly.
     """
     tj1, tj2, tj = as_twoj(j1).doubled, as_twoj(j2).doubled, as_twoj(j).doubled
-    if (tj1 + tj2 + tj) % 2:
-        raise ValueError(f"j1+j2+j = {tj1 + tj2 + tj}/2 is not an integer")
-    if not abs(tj1 - tj2) <= tj <= tj1 + tj2:
-        raise ValueError(
-            f"triangle violation: j={tj}/2 outside [{abs(tj1 - tj2)}/2, {tj1 + tj2}/2]"
-        )
+    _check_triple(tj1, tj2, tj)
     nu = Weight((tj2, 0))
     lam_hi = (tj1 + tj2 + tj) // 2
     lam_lo = (tj1 + tj2 - tj) // 2

@@ -5,12 +5,14 @@ exact.  Coefficients use the standard single-sum closed form in the
 Condon-Shortley phase convention: the rational sum S and the rational
 prefactor R combine into the exact value S * sqrt(R).
 
-`_racah_ints` evaluates S and R in integers: the alternating sum by
-Horner's rule over its term ratios, R as its triangle part and the
-product of its six m-dependent factorials.  `cg` reduces the integer
-parts of S^2 R by one gcd into an `ExactReal` with the sign of S, and
-factors nothing.  Window sums use S^2 R as a rational, built by
-`_racah_parts` in two Fraction steps.
+`_racah_parts` is the one evaluation of S and R, in integers: the
+alternating sum by Horner's rule over its term ratios, and the product
+of R's six m-dependent factorials; `_triangle` gives the rest of R, its
+triangle part, which depends on (j1, j2, j) alone.  `cg` reduces the
+integer parts of S^2 R by one gcd into an `ExactReal` with the sign of
+S, and factors nothing.  A window sum adds S^2 times the m-dependent
+factorials over one (j1, j2, j) column and multiplies the triangle part
+in once.
 """
 
 from __future__ import annotations
@@ -131,9 +133,18 @@ def _check_triple(tj1: int, tj2: int, tj: int) -> None:
         )
 
 
-def _racah_ints(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int):
-    """Unreduced integers (s_num, s_den, t_num, t_den, m_fact) of the
-    Racah sum S = s_num/s_den and the prefactor R = (t_num/t_den) m_fact.
+def _triangle(tj1: int, tj2: int, tj: int):
+    """Integers (t_num, t_den) of the triangle part of the prefactor R,
+    (2j+1) (j1+j2-j)! (j1-j2+j)! (-j1+j2+j)! / (j1+j2+j+1)!."""
+    t_num = (tj + 1) * _fact((tj1 + tj2 - tj) // 2) * _fact((tj1 - tj2 + tj) // 2)
+    return t_num * _fact((-tj1 + tj2 + tj) // 2), _fact((tj1 + tj2 + tj) // 2 + 1)
+
+
+def _racah_parts(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int):
+    """Unreduced integers (s_num, s_den, m_fact) of one coupling
+    coefficient S sqrt(R): the Racah sum S = s_num/s_den, and m_fact, the
+    product of the six m-dependent factorials, with R = m_fact times the
+    triangle part of `_triangle`.
 
     S = sum_t (-1)^t / (t! (a-t)! (b-t)! (c-t)! (d+t)! (e+t)!) with
     a = j1+j2-j, b = j1-m1, c = j2+m2, d = j-j2+m1 and e = j-j1-m2.  It is
@@ -146,10 +157,6 @@ def _racah_ints(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int):
     in once at the end.  A common denominator over all terms would instead
     carry every factorial of both ends and costs twice as much on the
     one-term sums of the figures.  s_den > 0 carries no sign.
-
-    t_num/t_den is the triangle part (2j+1) (j1+j2-j)! (j1-j2+j)!
-    (-j1+j2+j)! / (j1+j2+j+1)!, and m_fact the product of the six
-    m-dependent factorials.
     """
     fact = _fact
     a = (tj1 + tj2 - tj) // 2
@@ -157,8 +164,6 @@ def _racah_ints(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int):
     c = (tj2 + tm2) // 2
     d = (tj - tj2 + tm1) // 2
     e = (tj - tj1 - tm2) // 2
-    t_num = (tj + 1) * fact(a) * fact((tj1 - tj2 + tj) // 2) * fact((-tj1 + tj2 + tj) // 2)
-    t_den = fact((tj1 + tj2 + tj) // 2 + 1)
     m_fact = (
         fact((tj1 + tm1) // 2)
         * fact(b)
@@ -182,19 +187,7 @@ def _racah_ints(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int):
         * fact(d + t_lo)
         * fact(e + t_lo)
     )
-    return -num if t_lo % 2 else num, den, t_num, t_den, m_fact
-
-
-def _racah_parts(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int):
-    """Rational sum S and rational prefactor R with coefficient = S*sqrt(R).
-
-    The integers of `_racah_ints` as Fractions.  R is built in two steps,
-    the triangle part and then the m-dependent factorials: one Fraction
-    over the whole product doubles its cost at j1 = j2 = 100, where the
-    two partial gcds are much cheaper than one over the full product.
-    """
-    s_num, s_den, t_num, t_den, m_fact = _racah_ints(tj1, tm1, tj2, tm2, tj, tm)
-    return Fraction(s_num, s_den), Fraction(t_num, t_den) * m_fact
+    return -num if t_lo % 2 else num, den, m_fact
 
 
 def cg(j1, m1, j2, m2, j, m) -> ExactReal:
@@ -203,8 +196,8 @@ def cg(j1, m1, j2, m2, j, m) -> ExactReal:
     Raises on malformed inputs (negative j, parity mismatch, out-of-range
     m1/m2, triangle violation).  Returns exact zero when the selection
     rules m = m1 + m2 and |m| <= j fail.  The value is built from the
-    integers of `_racah_ints` with one gcd; no Fraction is made and
-    nothing is factored.
+    integers of `_racah_parts` and `_triangle` with one gcd; no Fraction
+    is made and nothing is factored.
     """
     tj1 = j1.doubled if j1.__class__ is TwoJ else as_twoj(j1).doubled
     tm1 = m1.doubled if m1.__class__ is TwoJ else as_twoj(m1).doubled
@@ -225,9 +218,10 @@ def cg(j1, m1, j2, m2, j, m) -> ExactReal:
         raise ValueError(f"(j, m): j={tj}/2 and m={tm}/2 differ by a non-integer")
     if tm != tm1 + tm2 or not -tj <= tm <= tj:
         return ExactReal.zero()
-    s_num, s_den, t_num, t_den, m_fact = _racah_ints(tj1, tm1, tj2, tm2, tj, tm)
+    s_num, s_den, m_fact = _racah_parts(tj1, tm1, tj2, tm2, tj, tm)
     if not s_num:
         return ExactReal.zero()
+    t_num, t_den = _triangle(tj1, tj2, tj)
     # the coefficient is sign(S) sqrt(S^2 R); the parts are valid by
     # construction, so they are reduced here rather than by from_square
     num, den = s_num * s_num * t_num * m_fact, s_den * s_den * t_den
@@ -237,9 +231,12 @@ def cg(j1, m1, j2, m2, j, m) -> ExactReal:
 
 @lru_cache(maxsize=2)
 def _window_column(tj1: int, tj2: int, tj: int, tm2: int, direction: str) -> list:
-    """[count, total]: the sum of S^2 R over the first `count` window
-    terms of one column, which delta_su2 updates in place."""
-    return [0, Fraction(0)]
+    """[count, total, scale]: total sums S^2 m_fact over the first `count`
+    window terms of one column, updated in place by delta_su2.  The
+    triangle part of R is the same for the whole column, so it is taken
+    once, in scale = (2j2+1)/(2j+1) times it, and multiplied in per call."""
+    t_num, t_den = _triangle(tj1, tj2, tj)
+    return [0, Fraction(0), Fraction((tj2 + 1) * t_num, (tj + 1) * t_den)]
 
 
 def delta_su2(j1, j2, j, m2, r: int, direction: str = "down") -> DeltaReport:
@@ -267,17 +264,15 @@ def delta_su2(j1, j2, j, m2, r: int, direction: str = "down") -> DeltaReport:
         raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
     count = min(r, tj1) + 1  # beyond i = 2j1 the window has no more terms
     memo = _window_column(tj1, tj2, tj, tm2, direction)
-    start, total = memo if memo[0] <= count else (0, Fraction(0))
+    start, total, scale = memo if memo[0] <= count else (0, Fraction(0), memo[2])
     for i in range(start, count):
         tm1 = tj1 - 2 * i if direction == "down" else -tj1 + 2 * i
         tm = tm1 + tm2
         if abs(tm) <= tj:
-            # |coefficient|^2 = S^2 * R stays rational; bypassing the
-            # radical split keeps large-j window sums cheap
-            s, pre = _racah_parts(tj1, tm1, tj2, tm2, tj, tm)
-            total += s * s * pre
-    memo[:] = count, total
-    delta = Fraction(tj2 + 1, tj + 1) * total
+            s_num, s_den, m_fact = _racah_parts(tj1, tm1, tj2, tm2, tj, tm)
+            total += Fraction(s_num * s_num * m_fact, s_den * s_den)
+    memo[:] = count, total, scale
+    delta = scale * total
     return DeltaReport.from_delta(
         delta,
         formula_id=f"su2-cg-window/{direction}",

@@ -238,6 +238,25 @@ def cg_columns_complete(tjs) -> str:
     return f"{count} exact column sums"
 
 
+def up_window_covers_coupled_block(tjs) -> str:
+    """For 2j1, 2j2 in tjs and every coupled j, the j1 weights that the
+    coupled block reaches lie in the up window of the two-block radius
+    above the bottom weight, and reach both its ends."""
+    count = 0
+    for tj1 in tjs:
+        for tj2 in tjs:
+            for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+                what = f"coupled block 2(j1,j2,j)={(tj1, tj2, tj)}"
+                ws = oracle.lambda_up_set(TwoJ(tj1), TwoJ(tj2), TwoJ(tj))
+                lam = Weight(((tj1 + tj2 + tj) // 2, (tj1 + tj2 - tj) // 2))
+                rad = weights.exact_radius(lam, Weight((tj1, 0)), Weight((tj2, 0)))
+                if Weight((0, tj1)) not in ws or not ws <= set(weights.w_r_set(tj1, 2, rad, "up")):
+                    raise AssertionError(f"{what}: weights outside the radius-{rad} up window")
+                _exact(max(w[0] for w in ws), rad, f"{what}: height")
+                count += 1
+    return f"{count} coupled blocks inside their up windows"
+
+
 def aligned_block_overlap(tj_max: int) -> str:
     """The coupled block at j = j1+j2 meets the top window with weight
     exactly (2j2+1)/(2j+1), for 2j1, 2j2 <= tj_max."""

@@ -17,11 +17,10 @@ import pytest
 from definetti import su2_cg, symmetric, verify
 from definetti.cli import figure_spec, figure_values, main, render_csv
 from definetti.heisenberg import coherent_bound
-from definetti.oracle import lambda_up_set, mc_theorem1
+from definetti.oracle import mc_theorem1
 from definetti.report import DeltaReport
 from definetti.su2_cg import TwoJ, cg, delta_su2
 from definetti.symmetric import SymTriple, dim_sym
-from definetti.weights import Weight, exact_radius, w_r_set
 
 
 @contextmanager
@@ -131,14 +130,7 @@ def test_criterion_11_monte_carlo_inequality():
 
 def test_criterion_12_up_window_covers_coupled_block():
     with criterion(12, "coupled-block weights sit in the radius window above the bottom"):
-        for tj1 in range(0, 21):
-            for tj2 in range(0, 21):
-                for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                    ws = lambda_up_set(TwoJ(tj1), TwoJ(tj2), TwoJ(tj))
-                    assert Weight((0, tj1)) in ws
-                    lam = Weight(((tj1 + tj2 + tj) // 2, (tj1 + tj2 - tj) // 2))
-                    rad = exact_radius(lam, Weight((tj1, 0)), Weight((tj2, 0)))
-                    assert ws <= set(w_r_set(tj1, 2, rad, "up"))
+        verify.up_window_covers_coupled_block(range(0, 21))
 
 
 def _epsilon_sum_shifted(t: SymTriple) -> Fraction:

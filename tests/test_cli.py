@@ -222,9 +222,22 @@ def test_figure_limits_start_no_computation(capsys, monkeypatch):
         (["3", "--j1", j_over], f"need j1 <= {cli.FIGURE_J_GUARD}, got {j_over}"),
         (["3", "--j1", j_max, "--j2", j_max, "--delta-max", d_over],
          f"need delta-max <= {cli.FIGURE_DELTA_MAX_GUARD}, got {d_over}"),
+        # within every option's limit, but over the work budget together
+        (["1", "--j1", "1000", "--j2", "1000", "--j-min", "1995", "--j-max", "2000", "--r-max", "400"],
+         "the grid needs about 2.7e+09 units of work"),
+        (["1", "--j1", "1000", "--j2", "1000", "--j-min", "1900", "--j-max", "2000", "--r-max", "2000"],
+         "the grid needs about 2.2e+11 units of work"),
+        (["3", "--r-max", "2000", "--delta-max", "100", "--mu", "1", "--nu", "99"],
+         "the grid needs about 8.7e+09 units of work"),
+        (["3", "--nu", "1e999"], "the grid needs about 2.0e+09 units of work"),
     ):
         code, out, err = run(capsys, "figure", *argv)
         assert code == 2 and out == "" and err.count("\n") == 1, argv
+        if message.startswith("the grid"):
+            message += (
+                f", over the budget of {cli.FIGURE_WORK_GUARD:.0e}: "
+                "lower --r-max, the number of columns or j1, j2"
+            )
         assert err == f"definetti figure {argv[0]}: {message}\n", err
 
 
@@ -237,6 +250,9 @@ def test_figure_limits_admit_the_documented_grids():
         for figure_id in (1, 2, 3):
             figure_spec(figure_id, overrides)
     figure_spec(3, {"delta_max": str(cli.FIGURE_DELTA_MAX_GUARD)})
+    # the grids the limits' notes time, inside the work budget
+    figure_spec(3, {"r_max": "2000", "mu": "1", "nu": "99"})
+    figure_spec(1, {"j1": "1000", "j2": "1000", "j_min": "1990", "j_max": "2000"})
 
 
 def test_figure_out_roundtrip(tmp_path, capsys):
@@ -275,6 +291,24 @@ def test_figure_usage_and_io_errors(capsys):
         code, out, err = run(capsys, "figure", *argv)
         assert code == 2 and out == "" and err.count("\n") == 1, argv
         assert f"{name} is negative" in err, argv
+
+
+def test_figure_empty_option_is_refused(capsys):
+    # an empty value is given, not absent: it must not select the default
+    for option, message in (
+        ("--j1", "j1 must be a half-integer, got ''"),
+        ("--j2", "j2 must be a half-integer, got ''"),
+        ("--j-min", "j-min must be a half-integer, got ''"),
+        ("--j-max", "j-max must be a half-integer, got ''"),
+        ("--r-max", "r-max must be an integer, got ''"),
+        ("--mu", "mu must be a rational number, got ''"),
+        ("--nu", "nu must be a rational number, got ''"),
+        ("--delta-max", "delta-max must be an integer, got ''"),
+    ):
+        for figure_id in ("1", "3"):
+            code, out, err = run(capsys, "figure", figure_id, f"{option}=")
+            assert code == 2 and out == "", option
+            assert err == f"definetti figure {figure_id}: {message}\n", option
 
 
 def test_verify_weights_suite(capsys):

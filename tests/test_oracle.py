@@ -6,6 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from definetti import verify
 from definetti.exact import ExactReal
 from definetti.oracle import (
     brute_delta_symmetric,
@@ -22,9 +23,9 @@ from definetti.oracle import (
     sym_basis_vector,
     trace_distance,
 )
-from definetti.su2_cg import TwoJ, _racah_parts
+from definetti.su2_cg import TwoJ, _racah_parts, _triangle
 from definetti.symmetric import SymTriple, dim_sym, epsilon
-from definetti.weights import Weight, exact_radius
+from definetti.weights import Weight
 
 
 def test_trace_distance():
@@ -85,8 +86,10 @@ def test_cg_oracle_exact_at_guard_size():
     table = cg_oracle(12, 12)
     assert len(table) == 10425
     for (tj, tm, tm1), val in table.items():
-        s, pre = _racah_parts(24, tm1, 24, tm - tm1, tj, tm)
-        assert (val.sign, val.square()) == ((s > 0) - (s < 0), s * s * pre), (tj, tm, tm1)
+        s_num, s_den, m_fact = _racah_parts(24, tm1, 24, tm - tm1, tj, tm)
+        t_num, t_den = _triangle(24, 24, tj)
+        square = Fraction(s_num * s_num * t_num * m_fact, s_den * s_den * t_den)
+        assert (val.sign, val.square()) == ((s_num > 0) - (s_num < 0), square), (tj, tm, tm1)
 
 
 def test_lambda_up_set():
@@ -98,19 +101,15 @@ def test_lambda_up_set():
         lambda_up_set(1, 1, half)
     with pytest.raises(ValueError):
         lambda_up_set(1, 1, 3)
+    with pytest.raises(ValueError, match=r"^j1: negative angular momentum -2/2$"):
+        lambda_up_set(-1, 1, 0)
 
 
 def test_lambda_up_set_radius():
     # the set always reaches the bottom weight, and its height above the
     # bottom matches the two-block separation radius
-    for tj1 in range(1, 7):
-        for tj2 in range(1, 7):
-            for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                ws = lambda_up_set(TwoJ(tj1), TwoJ(tj2), TwoJ(tj))
-                assert Weight((0, tj1)) in ws
-                lam = Weight(((tj1 + tj2 + tj) // 2, (tj1 + tj2 - tj) // 2))
-                rad = exact_radius(lam, Weight((tj1, 0)), Weight((tj2, 0)))
-                assert max(w[0] for w in ws) == rad
+    detail = verify.up_window_covers_coupled_block(range(1, 7))
+    assert detail == "127 coupled blocks inside their up windows"
 
 
 def test_fock_operators():

@@ -159,8 +159,11 @@ def test_racah_parts_match_termwise_sum():
     multi_term = 0
     for args in small + large:
         want = _reference_parts(*args)
-        assert su2_cg._racah_parts(*args) == want, args
         tj1, tm1, tj2, tm2, tj, _ = args
+        s_num, s_den, m_fact = su2_cg._racah_parts(*args)
+        t_num, t_den = su2_cg._triangle(tj1, tj2, tj)
+        assert s_den > 0, args
+        assert (Fraction(s_num, s_den), Fraction(t_num * m_fact, t_den)) == want, args
         multi_term += min(tj1 + tj2 - tj, tj1 - tm1, tj2 + tm2) - max(0, tj2 - tj - tm1, tj1 + tm2 - tj) > 0
     assert multi_term > len(large)
 
@@ -184,8 +187,10 @@ def test_cg_and_oracle_entries_are_canonical():
             table = cg_oracle(TwoJ(tj1), TwoJ(tj2))
             for (tj, tm, tm1), entry in table.items():
                 tm2 = tm - tm1
-                s, pre = su2_cg._racah_parts(tj1, tm1, tj2, tm2, tj, tm)
-                sign, square = (s > 0) - (s < 0), s * s * pre
+                s_num, s_den, m_fact = su2_cg._racah_parts(tj1, tm1, tj2, tm2, tj, tm)
+                t_num, t_den = su2_cg._triangle(tj1, tj2, tj)
+                sign = (s_num > 0) - (s_num < 0)
+                square = Fraction(s_num * s_num * t_num * m_fact, s_den * s_den * t_den)
                 want = ExactReal(sign, square)
                 if sign:
                     assert want.coeff > 0 and want.coeff**2 * want.core == square
@@ -245,6 +250,35 @@ def test_row_check_needs_no_splitting(monkeypatch):
     monkeypatch.setattr(su2_cg, "cg", stretched)
     with pytest.raises(AssertionError, match=r"\(2, 2, 0, 4, 0\): incommensurable products"):
         verify.cg_rows_orthonormal(range(0, 3))
+
+
+def test_one_racah_evaluation_per_coefficient(monkeypatch):
+    # cg evaluates the Racah sum once per entry that passes the selection
+    # rules, and delta_su2 once per window term, with no second path
+    calls = 0
+    racah = su2_cg._racah_parts
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return racah(*args)
+
+    monkeypatch.setattr(su2_cg, "_racah_parts", counted)
+    entries = list(_entries(range(7), range(7)))
+    for tj1, tm1, tj2, tm2, tj, tm in entries:
+        # m = m1 + m2 -+ 1 breaks the selection rule and needs no sum
+        for tm_any in (tm - 2, tm, tm + 2):
+            cg(TwoJ(tj1), TwoJ(tm1), TwoJ(tj2), TwoJ(tm2), TwoJ(tj), TwoJ(tm_any))
+    assert calls == len(entries) == 2_408
+    calls = 0
+    terms = 0
+    for tj1, tj2, tj, tm2, direction in ((6, 4, 6, 2, "down"), (6, 4, 4, -2, "up"), (5, 3, 4, 1, "up")):
+        su2_cg._window_column.cache_clear()
+        delta_su2(TwoJ(tj1), TwoJ(tj2), TwoJ(tj), TwoJ(tm2), 2 * tj1, direction)
+        for i in range(tj1 + 1):
+            tm1 = tj1 - 2 * i if direction == "down" else -tj1 + 2 * i
+            terms += abs(tm1 + tm2) <= tj
+    assert calls == terms
 
 
 def test_delta_su2_aligned_corollary():
