@@ -214,10 +214,10 @@ largest offset delta_max."""
 
 
 # Upper limits of the figure options.  Measured alone on a 2-vCPU Xeon VM,
-# the others at their defaults: figure 3 --r-max 2000 takes 1.3 s (4.6 s
+# the others at their defaults: figure 3 --r-max 2000 takes 1.0 s (4.2 s
 # at --mu 1 --nu 99; its exact oscillator columns grow quadratically);
-# figure 1 --j1 1000 --j2 1000 --j-min 1990 --j-max 2000 takes 1.4 s;
-# figure 3 --delta-max 100 takes 0.3 s.
+# figure 1 --j1 1000 --j2 1000 --j-min 1990 --j-max 2000 takes 0.13 s;
+# figure 3 --delta-max 100 takes 0.25 s.
 FIGURE_R_MAX_GUARD = 2000
 FIGURE_J_GUARD = 1000  # for --j1 and --j2: the angular momentum, not its double
 FIGURE_DELTA_MAX_GUARD = 100
@@ -226,10 +226,12 @@ FIGURE_DELTA_MAX_GUARD = 100
 # (_figure_work) is bounded too.  A cell costs 2^12 + b^2 / 2^11 units,
 # b the bit length of its operands: J log2(J), J = j1 + j2 + j + 1, for an
 # SU(2) window term and (r + Delta + 1) log2(p + q) for an oscillator cell
-# at mu/nu = p/q.  A unit took 3.9 ns on the same VM, within a factor 1.5
-# on 25 timed grids, so the budget is about 4 s: figure 3 --r-max 2000
-# --mu 1 --nu 99 needs 9.0e8, and figure 1 --j1 1000 --j2 1000 --j-min
-# 1995 --j-max 2000 --r-max 400 (8.6 s) 2.7e9.
+# at mu/nu = p/q.  An oscillator unit takes 1.7-2.9 ns on the same VM
+# (figure_values alone), so the budget is about 3 s: figure 3 --r-max 2000
+# --mu 1 --nu 99 needs 9.0e8 (1.5 s).  The SU(2) b is that of the factorials
+# J!; the binomial Racah kernel's operands are far smaller, so an SU(2) unit
+# takes only 0.03-0.7 ns, and figure 1 --j1 1000 --j2 1000 --j-min 1995
+# --j-max 2000 --r-max 400, refused at 2.7e9, computes in 0.3 s.
 FIGURE_WORK_GUARD = 10**9
 
 # the option values of every figure, and of each; figure 3 draws no j columns

@@ -88,8 +88,10 @@ class DeltaReport(_Frozen):
                 raise ValueError(f"delta out of range: {delta!r}")
             delta = min(max(delta, 0.0), 1.0)
         else:
-            delta = Fraction(delta)
-            if not (0 <= delta <= 1):
+            if delta.__class__ is not Fraction:
+                delta = Fraction(delta)
+            # a Fraction's denominator is positive: 0 <= n/d <= 1 compares ints
+            if not (0 <= delta.numerator <= delta.denominator):
                 raise ValueError(f"delta out of range: {delta!r}")
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "formula_id", formula_id)

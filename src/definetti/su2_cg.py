@@ -5,27 +5,30 @@ exact.  Coefficients use the standard single-sum closed form in the
 Condon-Shortley phase convention: the rational sum S and the rational
 prefactor R combine into the exact value S * sqrt(R).
 
-`_racah_parts` is the one evaluation of S and R, in integers: the
-alternating sum by Horner's rule over its term ratios, and the product
-of R's six m-dependent factorials; `_triangle` gives the rest of R, its
+`_racah_parts` is the one evaluation of S and R, in the binomial form of
+the sum: regrouped by a! b1! b2! (a = j1+j2-j, b1 = j1-j2+j,
+b2 = -j1+j2+j) the alternating sum is an integer sum of products of
+three binomials, and R's six m-dependent factorials are the inverse of
+a product of three more, so no factorial is ever built and the operands
+stay near the size of the result.  `_triangle` gives the rest of R, its
 triangle part, which depends on (j1, j2, j) alone.  `cg` reduces the
 integer parts of S^2 R by one gcd into an `ExactReal` with the sign of
-S, and factors nothing.  A window sum adds S^2 times the m-dependent
-factorials over one (j1, j2, j) column and multiplies the triangle part
-in once.
+S, and factors nothing.  A window sum adds the m-dependent part over
+one (j1, j2, j) column and multiplies the triangle part in once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, isfinite
+from math import comb, factorial, gcd, isfinite
 
 from .exact import ExactReal
 from .report import DeltaReport, _Frozen
 
 __all__ = ["TwoJ", "as_twoj", "cg", "delta_su2"]
 
+# unused by the package; kept because perfbench/tracer.py reads its cache_info()
 _fact = lru_cache(maxsize=None)(factorial)
 
 
@@ -135,59 +138,43 @@ def _check_triple(tj1: int, tj2: int, tj: int) -> None:
 
 def _triangle(tj1: int, tj2: int, tj: int):
     """Integers (t_num, t_den) of the triangle part of the prefactor R,
-    (2j+1) (j1+j2-j)! (j1-j2+j)! (-j1+j2+j)! / (j1+j2+j+1)!."""
-    t_num = (tj + 1) * _fact((tj1 + tj2 - tj) // 2) * _fact((tj1 - tj2 + tj) // 2)
-    return t_num * _fact((-tj1 + tj2 + tj) // 2), _fact((tj1 + tj2 + tj) // 2 + 1)
+    C(2j1, a) C(2j2, a) / C(j1+j2+j+1, a) with a = j1+j2-j.  It is the
+    usual (2j+1) a! b1! b2! / (j1+j2+j+1)! (b1 = j1-j2+j, b2 = -j1+j2+j)
+    times (2j1)! (2j2)! (2j)! / (a! b1! b2!)^2, the factors that
+    `_racah_parts` takes out of the m-dependent part and of S."""
+    a = (tj1 + tj2 - tj) // 2
+    return comb(tj1, a) * comb(tj2, a), comb((tj1 + tj2 + tj) // 2 + 1, a)
 
 
 def _racah_parts(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int):
-    """Unreduced integers (s_num, s_den, m_fact) of one coupling
-    coefficient S sqrt(R): the Racah sum S = s_num/s_den, and m_fact, the
-    product of the six m-dependent factorials, with R = m_fact times the
-    triangle part of `_triangle`.
+    """Integers (s, m_den) of one coupling coefficient: its square is
+    s^2 t_num / (m_den t_den), with `_triangle`'s parts, and its sign that of s.
 
-    S = sum_t (-1)^t / (t! (a-t)! (b-t)! (c-t)! (d+t)! (e+t)!) with
-    a = j1+j2-j, b = j1-m1, c = j2+m2, d = j-j2+m1 and e = j-j1-m2.  It is
-    summed in integers by Horner's rule over the term ratios
+    S = sum_t (-1)^t / (t! (a-t)! (u-t)! (v-t)! (d+t)! (e+t)!) over
+    t = max(0, -d, -e) .. min(a, u, v), with a = j1+j2-j, u = j1-m1,
+    v = j2+m2, d = j-j2+m1 and e = j-j1-m2.  As u + d = b1 and v + e = b2
+    (b1, b2 as in `_triangle`), s = a! b1! b2! S is the binomial form
 
-        T(t+1)/T(t) = -(a-t)(b-t)(c-t) / ((t+1)(d+t+1)(e+t+1)),
+        s = sum_t (-1)^t C(a, t) C(b1, u-t) C(b2, v-t),
 
-    from 1 at t_hi down to t_lo, so the running denominator is a product
-    of small integers; the six factorials of the t_lo term are multiplied
-    in once at the end.  A common denominator over all terms would instead
-    carry every factorial of both ends and costs twice as much on the
-    one-term sums of the figures.  s_den > 0 carries no sign.
+    and the six m-dependent factorials of R are (2j1)! (2j2)! (2j)! / m_den,
+    m_den = C(2j1, j1-m1) C(2j2, j2-m2) C(2j, j-m).  The first term is three
+    binomials, and each next one the last times -(a-t)(u-t)(v-t) /
+    ((t+1)(d+t+1)(e+t+1)), an exact division.  No factorial is built:
+    the factorial form carries products of six factorials on both sides
+    of the fraction, which cancel only in the final gcd, while these
+    binomials stay near the size of the reduced result.
     """
-    fact = _fact
     a = (tj1 + tj2 - tj) // 2
-    b = (tj1 - tm1) // 2
-    c = (tj2 + tm2) // 2
-    d = (tj - tj2 + tm1) // 2
-    e = (tj - tj1 - tm2) // 2
-    m_fact = (
-        fact((tj1 + tm1) // 2)
-        * fact(b)
-        * fact((tj2 - tm2) // 2)
-        * fact(c)
-        * fact((tj + tm) // 2)
-        * fact((tj - tm) // 2)
-    )
-    t_lo = max(0, -d, -e)
-    t_hi = min(a, b, c)
-    num = den = 1
-    for t in range(t_hi - 1, t_lo - 1, -1):
-        # value <- 1 + ratio(t) * value, ratio(t) = -p/q
-        q = (t + 1) * (d + t + 1) * (e + t + 1)
-        num, den = q * den - (a - t) * (b - t) * (c - t) * num, q * den
-    den *= (
-        fact(t_lo)
-        * fact(a - t_lo)
-        * fact(b - t_lo)
-        * fact(c - t_lo)
-        * fact(d + t_lo)
-        * fact(e + t_lo)
-    )
-    return -num if t_lo % 2 else num, den, m_fact
+    u, v = (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    d, e = tj1 - a - u, tj2 - a - v
+    t = max(0, -d, -e)
+    term = comb(a, t) * comb(d + u, u - t) * comb(e + v, v - t)
+    s = term = -term if t % 2 else term
+    for t in range(t, min(a, u, v)):
+        term = -term * ((a - t) * (u - t) * (v - t)) // ((t + 1) * (d + t + 1) * (e + t + 1))
+        s += term
+    return s, comb(tj1, u) * comb(tj2, (tj2 - tm2) // 2) * comb(tj, (tj - tm) // 2)
 
 
 def cg(j1, m1, j2, m2, j, m) -> ExactReal:
@@ -218,25 +205,27 @@ def cg(j1, m1, j2, m2, j, m) -> ExactReal:
         raise ValueError(f"(j, m): j={tj}/2 and m={tm}/2 differ by a non-integer")
     if tm != tm1 + tm2 or not -tj <= tm <= tj:
         return ExactReal.zero()
-    s_num, s_den, m_fact = _racah_parts(tj1, tm1, tj2, tm2, tj, tm)
-    if not s_num:
+    s, m_den = _racah_parts(tj1, tm1, tj2, tm2, tj, tm)
+    if not s:
         return ExactReal.zero()
     t_num, t_den = _triangle(tj1, tj2, tj)
-    # the coefficient is sign(S) sqrt(S^2 R); the parts are valid by
-    # construction, so they are reduced here rather than by from_square
-    num, den = s_num * s_num * t_num * m_fact, s_den * s_den * t_den
+    # the coefficient is sign(s) sqrt(s^2 t_num / (m_den t_den)); the parts
+    # are valid by construction, so they are reduced here, not by from_square
+    num, den = s * s * t_num, m_den * t_den
     g = gcd(num, den)
-    return ExactReal._raw(1 if s_num > 0 else -1, num // g, den // g)
+    return ExactReal._raw(1 if s > 0 else -1, num // g, den // g)
 
 
 @lru_cache(maxsize=2)
 def _window_column(tj1: int, tj2: int, tj: int, tm2: int, direction: str) -> list:
-    """[count, total, scale]: total sums S^2 m_fact over the first `count`
-    window terms of one column, updated in place by delta_su2.  The
-    triangle part of R is the same for the whole column, so it is taken
-    once, in scale = (2j2+1)/(2j+1) times it, and multiplied in per call."""
+    """[count, total, scale, delta]: total sums s^2 / m_den of
+    `_racah_parts` over the first `count` window terms of one column, and
+    delta = scale * total is the overlap they give; delta_su2 updates both
+    in place.  The triangle part of R is the same for the whole column, so
+    it is taken once, in scale = (2j2+1)/(2j+1) times it, and a call that
+    adds no term reuses delta and multiplies nothing."""
     t_num, t_den = _triangle(tj1, tj2, tj)
-    return [0, Fraction(0), Fraction((tj2 + 1) * t_num, (tj + 1) * t_den)]
+    return [0, Fraction(0), Fraction((tj2 + 1) * t_num, (tj + 1) * t_den), Fraction(0)]
 
 
 def delta_su2(j1, j2, j, m2, r: int, direction: str = "down") -> DeltaReport:
@@ -264,15 +253,16 @@ def delta_su2(j1, j2, j, m2, r: int, direction: str = "down") -> DeltaReport:
         raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
     count = min(r, tj1) + 1  # beyond i = 2j1 the window has no more terms
     memo = _window_column(tj1, tj2, tj, tm2, direction)
-    start, total, scale = memo if memo[0] <= count else (0, Fraction(0), memo[2])
-    for i in range(start, count):
-        tm1 = tj1 - 2 * i if direction == "down" else -tj1 + 2 * i
-        tm = tm1 + tm2
-        if abs(tm) <= tj:
-            s_num, s_den, m_fact = _racah_parts(tj1, tm1, tj2, tm2, tj, tm)
-            total += Fraction(s_num * s_num * m_fact, s_den * s_den)
-    memo[:] = count, total, scale
-    delta = scale * total
+    start, total, scale, delta = memo if memo[0] <= count else (0, Fraction(0), memo[2], 0)
+    if start < count:
+        for i in range(start, count):
+            tm1 = tj1 - 2 * i if direction == "down" else -tj1 + 2 * i
+            tm = tm1 + tm2
+            if abs(tm) <= tj:
+                s, m_den = _racah_parts(tj1, tm1, tj2, tm2, tj, tm)
+                total += Fraction(s * s, m_den)
+        delta = scale * total
+        memo[:] = count, total, scale, delta
     return DeltaReport.from_delta(
         delta,
         formula_id=f"su2-cg-window/{direction}",

@@ -86,10 +86,10 @@ def test_cg_oracle_exact_at_guard_size():
     table = cg_oracle(12, 12)
     assert len(table) == 10425
     for (tj, tm, tm1), val in table.items():
-        s_num, s_den, m_fact = _racah_parts(24, tm1, 24, tm - tm1, tj, tm)
+        s, m_den = _racah_parts(24, tm1, 24, tm - tm1, tj, tm)
         t_num, t_den = _triangle(24, 24, tj)
-        square = Fraction(s_num * s_num * t_num * m_fact, s_den * s_den * t_den)
-        assert (val.sign, val.square()) == ((s_num > 0) - (s_num < 0), square), (tj, tm, tm1)
+        square = Fraction(s * s * t_num, m_den * t_den)
+        assert (val.sign, val.square()) == ((s > 0) - (s < 0), square), (tj, tm, tm1)
 
 
 def test_lambda_up_set():

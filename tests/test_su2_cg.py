@@ -4,7 +4,8 @@ import copy
 import pickle
 import random
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 
 import pytest
 
@@ -118,21 +119,50 @@ def test_cg_malformed_inputs_raise():
         assert str(info.value) == message, args
 
 
-def _reference_parts(tj1, tm1, tj2, tm2, tj, tm):
-    """S and R of the single-sum formula, S added up one Fraction per term."""
-    f = factorial
-    a, b, c = (tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
-    d, e = (tj - tj2 + tm1) // 2, (tj - tj1 - tm2) // 2
-    pre = Fraction(
-        (tj + 1) * f(a) * f((tj1 - tj2 + tj) // 2) * f((tj2 - tj1 + tj) // 2),
+# factorials and triangle parts are cached: at 2j = 4000 they would take
+# most of the reference's time
+_factorial = lru_cache(maxsize=None)(factorial)
+
+
+@lru_cache(maxsize=None)
+def _reference_triangle(tj1, tj2, tj):
+    f = _factorial
+    return Fraction(
+        (tj + 1) * f((tj1 + tj2 - tj) // 2) * f((tj1 - tj2 + tj) // 2) * f((tj2 - tj1 + tj) // 2),
         f((tj1 + tj2 + tj) // 2 + 1),
     )
+
+
+def _reference_parts(tj1, tm1, tj2, tm2, tj, tm):
+    """S and R of the single-sum formula, S added up one Fraction per term."""
+    f = _factorial
+    a, b, c = (tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    d, e = (tj - tj2 + tm1) // 2, (tj - tj1 - tm2) // 2
+    pre = _reference_triangle(tj1, tj2, tj)
     for k in (tj1 + tm1, tj1 - tm1, tj2 + tm2, tj2 - tm2, tj + tm, tj - tm):
         pre *= f(k // 2)
     s = Fraction(0)
     for t in range(max(0, -d, -e), min(a, b, c) + 1):
         s += Fraction((-1) ** t, f(t) * f(a - t) * f(b - t) * f(c - t) * f(d + t) * f(e + t))
     return s, pre
+
+
+def _matches_reference(tj1, tm1, tj2, tm2, tj, tm):
+    """sign(s) = sign(S) and s^2 t_num / (m_den t_den) = S^2 R: the
+    binomial kernel against the factorial reference, exactly."""
+    s, m_den = su2_cg._racah_parts(tj1, tm1, tj2, tm2, tj, tm)
+    t_num, t_den = su2_cg._triangle(tj1, tj2, tj)
+    big_s, pre = _reference_parts(tj1, tm1, tj2, tm2, tj, tm)
+    square = Fraction(s * s * t_num, m_den * t_den)
+    return (s > 0) - (s < 0) == (big_s > 0) - (big_s < 0) and square == big_s * big_s * pre
+
+
+def _racah_terms(tj1, tm1, tj2, tm2, tj, tm):
+    """The term count of a Racah sum as the tracer's su2_cg.racah_terms
+    counts it, restated: min(a, b, c) - max(0, -d, -e) + 1."""
+    t_lo = max(0, (tj2 - tj - tm1) // 2, (tj1 + tm2 - tj) // 2)
+    t_hi = min((tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
+    return max(0, t_hi - t_lo + 1)
 
 
 def _entries(tj1s, tj2s, tjs=None, tm1s=None, tm2s=None):
@@ -158,14 +188,48 @@ def test_racah_parts_match_termwise_sum():
     assert len(small) == 45_045 and len(large) == 677
     multi_term = 0
     for args in small + large:
-        want = _reference_parts(*args)
-        tj1, tm1, tj2, tm2, tj, _ = args
-        s_num, s_den, m_fact = su2_cg._racah_parts(*args)
-        t_num, t_den = su2_cg._triangle(tj1, tj2, tj)
-        assert s_den > 0, args
-        assert (Fraction(s_num, s_den), Fraction(t_num * m_fact, t_den)) == want, args
-        multi_term += min(tj1 + tj2 - tj, tj1 - tm1, tj2 + tm2) - max(0, tj2 - tj - tm1, tj1 + tm2 - tj) > 0
+        assert _matches_reference(*args), args
+        multi_term += _racah_terms(*args) > 1
     assert multi_term > len(large)
+
+
+def test_racah_parts_match_reference_at_ten_times_figure_scale():
+    # j1 = j2 = 1000: the top columns and the middle one, the first 21
+    # window rows and m2 = j2, j2 - 5, 0, -j2
+    entries = list(
+        _entries((2000,), (2000,), (3990, 3996, 4000, 2000),
+                 range(2000, 1958, -2), (2000, 1990, 0, -2000))
+    )
+    assert len(entries) == 287
+    for args in entries:
+        assert _matches_reference(*args), args
+    assert max(_racah_terms(*args) for args in entries) == 21
+
+
+def _binomial_terms(tj1, tm1, tj2, tm2, tj, tm):
+    """{t: (-1)^t C(a, t) C(b1, u-t) C(b2, v-t)} for every t with a
+    non-zero term, found without the kernel's summation bounds."""
+    a, u, v = (tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    b1, b2 = tj1 - a, tj2 - a
+    return {
+        t: (-1) ** t * comb(a, t) * comb(b1, u - t) * comb(b2, v - t)
+        for t in range(a + 1)
+        if 0 <= u - t <= b1 and 0 <= v - t <= b2
+    }
+
+
+def test_racah_terms_count_the_kernel_sum():
+    # the tracer's su2_cg.racah_terms must stay a true term count: the
+    # binomial sum has exactly that many non-zero terms, in one run of t,
+    # and they add up to the kernel's s
+    entries = 0
+    for args in _entries(range(13), range(13)):
+        terms = _binomial_terms(*args)
+        assert len(terms) == _racah_terms(*args) == max(terms) - min(terms) + 1, args
+        assert all(terms.values()), args
+        assert su2_cg._racah_parts(*args)[0] == sum(terms.values()), args
+        entries += 1
+    assert entries == 45_045
 
 
 def _squarefree_over_small_primes(n):
@@ -187,10 +251,10 @@ def test_cg_and_oracle_entries_are_canonical():
             table = cg_oracle(TwoJ(tj1), TwoJ(tj2))
             for (tj, tm, tm1), entry in table.items():
                 tm2 = tm - tm1
-                s_num, s_den, m_fact = su2_cg._racah_parts(tj1, tm1, tj2, tm2, tj, tm)
+                s, m_den = su2_cg._racah_parts(tj1, tm1, tj2, tm2, tj, tm)
                 t_num, t_den = su2_cg._triangle(tj1, tj2, tj)
-                sign = (s_num > 0) - (s_num < 0)
-                square = Fraction(s_num * s_num * t_num * m_fact, s_den * s_den * t_den)
+                sign = (s > 0) - (s < 0)
+                square = Fraction(s * s * t_num, m_den * t_den)
                 want = ExactReal(sign, square)
                 if sign:
                     assert want.coeff > 0 and want.coeff**2 * want.core == square
