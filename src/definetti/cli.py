@@ -306,54 +306,54 @@ def _validate_spec(spec: FigureSpec) -> None:
         )
 
 
+def _columns(spec: FigureSpec) -> list[tuple[str, int, str | None]]:
+    """(header, parameter, direction) of every curve, in CSV order: an SU(2)
+    window at m2 = j2 has the doubled j and its direction, an oscillator
+    column its offset Delta and None.  Figure 3 pairs Delta=i with the down
+    window at j = j1 + j2 - i."""
+    if spec.figure_id in (1, 2):
+        direction = "down" if spec.figure_id == 1 else "up"
+        return [(f"j={TwoJ(tj)}", tj, direction) for tj in range(spec.tj_min, spec.tj_max + 1, 2)]
+    offsets = range(spec.delta_max + 1)
+    top = spec.j1.doubled + spec.j2.doubled
+    return [(f"Delta={D}", D, None) for D in offsets] + [
+        (f"su2_j={TwoJ(top - 2 * D)}", top - 2 * D, "down") for D in offsets
+    ]
+
+
 def _figure_work(spec: FigureSpec) -> int:
     """Estimated work of a valid grid, in the units of FIGURE_WORK_GUARD."""
     tj1, tj2, rows = spec.j1.doubled, spec.j2.doubled, spec.r_max + 1
-    su2_tjs = range(spec.tj_min, spec.tj_max + 1, 2)
     work = 0
-    if spec.figure_id == 3:
-        ratio = spec.mu / spec.nu
-        bits = (ratio.numerator + ratio.denominator).bit_length()
-        for D in range(spec.delta_max + 1):
-            work += sum((1 << 12) + (((r + D + 1) * bits) ** 2 >> 11) for r in range(rows))
-        su2_tjs = [tj1 + tj2 - 2 * D for D in range(spec.delta_max + 1)]  # the overlay
-    # at m2 = j2, window term i is in the block when |base - 2i| <= j,
-    # base = j1 + j2 down (figures 1 and 3) and j1 - j2 up (figure 2)
-    base = tj1 - tj2 if spec.figure_id == 2 else tj1 + tj2
-    for tj in su2_tjs:
-        terms = max(0, min(spec.r_max, tj1, (base + tj) // 2) - max(0, (base - tj) // 2) + 1)
-        size = (tj1 + tj2 + tj) // 2 + 1
-        work += (rows << 12) + terms * ((size * size.bit_length()) ** 2 >> 11)
+    for _, param, direction in _columns(spec):
+        if direction is None:
+            ratio = spec.mu / spec.nu
+            bits = (ratio.numerator + ratio.denominator).bit_length()
+            work += sum((1 << 12) + (((r + param + 1) * bits) ** 2 >> 11) for r in range(rows))
+        else:
+            # at m2 = j2, window term i is in the block when |base - 2i| <= j,
+            # base = j1 + j2 down and j1 - j2 up
+            base = tj1 - tj2 if direction == "up" else tj1 + tj2
+            terms = max(0, min(spec.r_max, tj1, (base + param) // 2) - max(0, (base - param) // 2) + 1)
+            size = (tj1 + tj2 + param) // 2 + 1
+            work += (rows << 12) + terms * ((size * size.bit_length()) ** 2 >> 11)
     return work
 
 
 def figure_values(spec: FigureSpec) -> tuple[list[str], list[list[Fraction]]]:
     """Column headers and per-curve exact 1-delta columns for the grid."""
+    if spec.figure_id == 3:
+        from .heisenberg import HeisenbergTriple, delta_number_space
     header = ["r"]
     curves: list[list[Fraction]] = []
     rs = range(spec.r_max + 1)
-    if spec.figure_id in (1, 2):
-        direction = "down" if spec.figure_id == 1 else "up"
-        for tj in range(spec.tj_min, spec.tj_max + 1, 2):
-            header.append(f"j={TwoJ(tj)}")
-            curves.append(
-                [1 - delta_su2(spec.j1, spec.j2, TwoJ(tj), spec.j2, r, direction).delta for r in rs]
-            )
-        return header, curves
-    from .heisenberg import HeisenbergTriple, delta_number_space
-
-    for D in range(spec.delta_max + 1):
-        header.append(f"Delta={D}")
-        curves.append(
-            [1 - delta_number_space(HeisenbergTriple(spec.mu, spec.nu, D, r)).delta for r in rs]
-        )
-    # overlay curves, paired so Delta=i sits next to j=j1+j2-i
-    for D in range(spec.delta_max + 1):
-        tj = spec.j1.doubled + spec.j2.doubled - 2 * D
-        header.append(f"su2_j={TwoJ(tj)}")
-        curves.append(
-            [1 - delta_su2(spec.j1, spec.j2, TwoJ(tj), spec.j2, r, "down").delta for r in rs]
-        )
+    for head, param, direction in _columns(spec):
+        header.append(head)
+        if direction is None:
+            reports = (delta_number_space(HeisenbergTriple(spec.mu, spec.nu, param, r)) for r in rs)
+        else:
+            reports = (delta_su2(spec.j1, spec.j2, TwoJ(param), spec.j2, r, direction) for r in rs)
+        curves.append([1 - rep.delta for rep in reports])
     return header, curves
 
 
@@ -449,10 +449,10 @@ def cmd_figure(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import verify as verify_suites
-    from .oracle import MC_SAMPLES_GUARD
+    from .oracle import MC_SAMPLES_GUARD, MC_SAMPLES_MIN
 
     names = list(verify_suites.SUITES) if args.suite == "all" else [args.suite]
-    if args.samples < 10**3:
+    if args.samples < MC_SAMPLES_MIN:
         print("definetti verify: --samples must be at least 10^3", file=sys.stderr)
         return 2
     if args.samples > MC_SAMPLES_GUARD:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, exp, fsum, gcd, log
+from math import comb, exp, fsum, gcd, inf, log, log1p
 
 from .report import DeltaReport, _Frozen, _sqrt_float
 
@@ -69,7 +69,8 @@ def alpha_coeff(D: int, ell: int, mu, nu):
     if _exact_pair(mu, nu):
         p, q = _coprime(mu, nu)
         return Fraction(comb(D, ell) * p**ell * q ** (D - ell), (p + q) ** D)
-    return comb(D, ell) * mu**ell * nu ** (D - ell) / (mu + nu) ** D
+    _, log_x, log_y = _float_logs(mu, nu)
+    return exp(log(comb(D, ell)) + ell * log_x + (D - ell) * log_y)
 
 
 def alpha_weight(D: int, n: int, mu, nu):
@@ -83,9 +84,8 @@ def alpha_weight(D: int, n: int, mu, nu):
     if _exact_pair(mu, nu):
         p, q = _coprime(mu, nu)
         return Fraction(comb(n + D, D) * q**D * p**n, (p + q) ** (D + n))
-    x = mu / (mu + nu)
-    y = nu / (mu + nu)
-    return y**D * comb(n + D, D) * x**n
+    _, log_x, log_y = _float_logs(mu, nu)
+    return exp(log(comb(n + D, D)) + D * log_y + n * log_x)
 
 
 def alpha_weight_tail_bound(D: int, start: int, mu, nu) -> float:
@@ -95,7 +95,7 @@ def alpha_weight_tail_bound(D: int, start: int, mu, nu) -> float:
     is below 1 the tail is dominated by a geometric series.
     """
     a = float(alpha_weight(D, start, mu, nu))
-    x = float(mu) / float(mu + nu)
+    x = _float_logs(mu, nu)[0]
     rho = x * (1 + D / (start + 1))
     if rho >= 1:
         raise ValueError(f"tail not yet geometric at start={start} (ratio {rho:.3f} >= 1)")
@@ -105,6 +105,8 @@ def alpha_weight_tail_bound(D: int, start: int, mu, nu) -> float:
 def _check_weights(mu, nu) -> None:
     if not mu > 0 or not nu > 0:
         raise ValueError(f"mode weights must be positive, got mu={mu}, nu={nu}")
+    if not _exact_pair(mu, nu) and inf in (mu, nu):
+        raise ValueError(f"mode weights must be finite, got mu={mu}, nu={nu}")
 
 
 def _exact_pair(mu, nu) -> bool:
@@ -113,11 +115,26 @@ def _exact_pair(mu, nu) -> bool:
 
 def _coprime(mu, nu) -> tuple[int, int]:
     """Coprime (p, q) with x = mu/(mu+nu) = p/(p+q) and y = q/(p+q), for
-    positive exact mu, nu: mu/nu = (a/b)/(c/d) = ad/(bc), over one gcd."""
-    p = mu.numerator * nu.denominator
-    q = nu.numerator * mu.denominator
+    positive finite mu, nu, a float read as the exact value it stores:
+    mu/nu = (a/b)/(c/d) = ad/(bc), over one gcd."""
+    a, b = mu.as_integer_ratio()
+    c, d = nu.as_integer_ratio()
+    p, q = a * d, c * b
     g = gcd(p, q)
     return p // g, q // g
+
+
+def _float_logs(mu, nu) -> tuple[float, float, float]:
+    """x, log x = -log(1 + q/p) and log y = -log(1 + p/q) as floats, from
+    the integers of _coprime: no float sum mu + nu leaves the float range,
+    and log1p keeps full precision where x or y is near 1."""
+    p, q = _coprime(mu, nu)
+    return p / (p + q), -_log1p_ratio(q, p), -_log1p_ratio(p, q)
+
+
+def _log1p_ratio(a: int, b: int) -> float:
+    # a/b is a float below 2^1000; above it, log(1 + a/b) = log(a/b) in floats
+    return log1p(a / b) if a.bit_length() < b.bit_length() + 1000 else log(a) - log(b)
 
 
 @lru_cache(maxsize=2)
@@ -161,13 +178,12 @@ def delta_number_space(t: HeisenbergTriple) -> DeltaReport:
         memo[:] = count, total, p_pow
         delta = Fraction(q ** (D + 1) * total, s ** (D + count))
         return DeltaReport.from_delta(delta, formula_id=formula, psi_label=label)
-    mu, nu = float(t.mu), float(t.nu)
-    x = mu / (mu + nu)
+    x, _, log_y = _float_logs(t.mu, t.nu)
     # C(n+Delta, Delta) x^n by the term ratio x (n+1+Delta)/(n+1), from 1;
     # y^(Delta+1) and every factor _RESCALE taken out of the running term
     # are carried as a logarithm, so neither the binomial nor the power
     # of y leaves the float range
-    log_scale = (t.Delta + 1) * log(nu / (mu + nu))
+    log_scale = (t.Delta + 1) * log_y
     term, total, carry = 1.0, 0.0, 0.0
     for n in range(t.r - t.Delta + 1):
         # compensated summation
@@ -194,9 +210,7 @@ def _float_epsilon(t: HeisenbergTriple) -> float:
     """
     if t.r < t.Delta:
         return 2.0  # the window is empty: delta = 0
-    mu, nu = float(t.mu), float(t.nu)
-    log_x = log(mu) - log(mu + nu)
-    log_y = log(nu) - log(mu + nu)
+    _, log_x, log_y = _float_logs(t.mu, t.nu)
     logs = [
         log(comb(t.r + 1, k)) + k * log_y + (t.r + 1 - k) * log_x for k in range(t.Delta + 1)
     ]

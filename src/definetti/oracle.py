@@ -43,6 +43,7 @@ SYM_SIZE_GUARD = 10**6
 CG_TABLE_GUARD = 24  # doubled angular momentum
 # Monte Carlo samples per mc_theorem1 call; the mc suite makes four such
 # calls and took 4.8 s at 10^6 and 46 s at 10^7 samples on a 2-vCPU Xeon
+MC_SAMPLES_MIN = 10**3
 MC_SAMPLES_GUARD = 10**7
 
 
@@ -441,7 +442,7 @@ def mc_theorem1(
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
     if 2**n > 2**16:
         raise ValueError(f"size guard exceeded: 2^{n} > 2^16")
-    if n_samples < 10**3:
+    if n_samples < MC_SAMPLES_MIN:
         raise ValueError(f"need at least 10^3 samples, got {n_samples}")
     if n_samples > MC_SAMPLES_GUARD:
         raise ValueError(f"size guard exceeded: {n_samples} samples > {MC_SAMPLES_GUARD}")

@@ -2,11 +2,12 @@
 
 Each check is a module-level function that takes its ranges (and, where
 it samples, its seed and sample count), raises AssertionError at the
-first violation and otherwise returns a one-line detail.  The suites run
-every check at fixed ranges and report one line per check; the
-acceptance tests call the same functions at their own pinned ranges.
-Formula functions are looked up through their modules at call time, so
-an injected mutation in any module is caught here.
+first violation and otherwise returns a one-line detail.  The suites are
+one table of (check name, function, fixed ranges) rows, and run_suites
+reports one line per row; the acceptance tests call the same functions
+at their own pinned ranges.  Formula functions are looked up through
+their modules at call time, so an injected mutation in any module is
+caught here.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from . import heisenberg, oracle, su2_cg, symmetric, weights
 from .su2_cg import TwoJ
 from .symmetric import SymTriple
 from .weights import Weight
-
-SUITES = ("weights", "cg", "symmetric", "heisenberg", "mc")
 
 
 @dataclass
@@ -583,70 +582,64 @@ def mc_identity_recovery(seed: int, n_samples: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: (check name, check function, arguments) rows per suite, in run order
 
+# placeholders in a row's arguments, which run_suites fills in
+_SEED, _TOL, _SAMPLES = object(), object(), object()
 
-def suite_weights(seed: int, tol: float) -> list[Check]:
-    return [
-        _check("simple-root decomposition reconstructs weights", simple_root_decomposition, 4, 4),
-        _check("height duality under reversal", reversal_duality, 6, 3),
-        _check("dominance order implies height order", order_height_monotone, 6, 3),
-        _check("type classes partition the product basis", type_class_partition, 7, 4),
-        _check("radius window cardinalities", radius_window_counts, 8, 4),
-        _check("two-level exact radius", two_level_radius, 12),
-    ]
-
-
-def suite_cg(seed: int, tol: float) -> list[Check]:
-    return [
-        _check("ladder oracle equals closed form", cg_oracle_match, 8),
-        _check("coupled rows orthonormal", cg_rows_orthonormal, range(0, 9, 2)),
-        _check("coupled columns complete", cg_columns_complete, range(0, 9, 2)),
-        _check("aligned-block overlap (2j2+1)/(2j+1)", aligned_block_overlap, 16),
-        _check("window overlap monotone and saturating", window_saturation, 6),
-        _check("up/down window symmetry", window_reflection, 8, 3),
-    ]
-
-
-def suite_symmetric(seed: int, tol: float) -> list[Check]:
-    return [
-        _check("zero-radius identity", zero_radius_identity, 40, 4),
-        _check("tail-sum closed form", tail_sum_closed_form, 30),
-        _check("tail-sum descent recursion", tail_sum_recursion, 30),
-        _check("d=2 exact error formula", d2_exact_error, 40),
-        _check("exponential bound chain", bound_chain, 40, 4),
-        _check("window profile consistency", profile_consistency, 16, 3),
-        _check("full profile saturates at 1", full_profile_unity, 20, 3),
-        _check("dense projector oracle", dense_projector_oracle, ((2, 9), (3, 6)), tol),
-        _check("single-weight overlap oracle", single_weight_overlap, 7, 3),
-    ]
-
-
-def suite_heisenberg(seed: int, tol: float) -> list[Check]:
-    masses = ((Fraction(2), Fraction(7)), (Fraction(1), Fraction(1)))
-    return [
-        _check("truncated-fock oracle grid", fock_oracle, product((1, 2, 5), (1, 3)), 3, 6, tol),
-        _check(
+_SUITE_TABLE = {
+    "weights": (
+        ("simple-root decomposition reconstructs weights", simple_root_decomposition, (4, 4)),
+        ("height duality under reversal", reversal_duality, (6, 3)),
+        ("dominance order implies height order", order_height_monotone, (6, 3)),
+        ("type classes partition the product basis", type_class_partition, (7, 4)),
+        ("radius window cardinalities", radius_window_counts, (8, 4)),
+        ("two-level exact radius", two_level_radius, (12,)),
+    ),
+    "cg": (
+        ("ladder oracle equals closed form", cg_oracle_match, (8,)),
+        ("coupled rows orthonormal", cg_rows_orthonormal, (range(0, 9, 2),)),
+        ("coupled columns complete", cg_columns_complete, (range(0, 9, 2),)),
+        ("aligned-block overlap (2j2+1)/(2j+1)", aligned_block_overlap, (16,)),
+        ("window overlap monotone and saturating", window_saturation, (6,)),
+        ("up/down window symmetry", window_reflection, (8, 3)),
+    ),
+    "symmetric": (
+        ("zero-radius identity", zero_radius_identity, (40, 4)),
+        ("tail-sum closed form", tail_sum_closed_form, (30,)),
+        ("tail-sum descent recursion", tail_sum_recursion, (30,)),
+        ("d=2 exact error formula", d2_exact_error, (40,)),
+        ("exponential bound chain", bound_chain, (40, 4)),
+        ("window profile consistency", profile_consistency, (16, 3)),
+        ("full profile saturates at 1", full_profile_unity, (20, 3)),
+        ("dense projector oracle", dense_projector_oracle, (((2, 9), (3, 6)), _TOL)),
+        ("single-weight overlap oracle", single_weight_overlap, (7, 3)),
+    ),
+    "heisenberg": (
+        ("truncated-fock oracle grid", fock_oracle, (tuple(product((1, 2, 5), (1, 3))), 3, 6, _TOL)),
+        (
             "paired vacuum annihilation",
             vacuum_annihilation,
-            ((1.0, 1.0), (2.0, 3.0), (0.5, 1.25)),
-            6,
-            tol,
+            (((1.0, 1.0), (2.0, 3.0), (0.5, 1.25)), 6, _TOL),
         ),
-        _check("tower orthonormality", tower_orthonormal, ((1.0, 1.0), (2.0, 3.0)), 5, 5, 40, tol),
-        _check("offset-0 geometric closed form", geometric_closed_form, product((1, 2, 5), (1, 4)), 12),
-        _check("coherent-splitting consistency", coherent_consistency, 60, (0, 1, 2, 5)),
-        _check("schmidt and number-weight masses", mass_identities, masses, 8),
-        _check("overlap saturates toward 1", saturation_limit),
-    ]
+        ("tower orthonormality", tower_orthonormal, (((1.0, 1.0), (2.0, 3.0)), 5, 5, 40, _TOL)),
+        ("offset-0 geometric closed form", geometric_closed_form, (tuple(product((1, 2, 5), (1, 4))), 12)),
+        ("coherent-splitting consistency", coherent_consistency, (60, (0, 1, 2, 5))),
+        (
+            "schmidt and number-weight masses",
+            mass_identities,
+            (((Fraction(2), Fraction(7)), (Fraction(1), Fraction(1))), 8),
+        ),
+        ("overlap saturates toward 1", saturation_limit, ()),
+    ),
+    "mc": (
+        ("haar sampler schur average", haar_schur_average, (_SEED, 4000)),
+        ("projected mixture within bound", mc_inequality, (_SEED, _SAMPLES)),
+        ("unprojected mixture recovers reduced state", mc_identity_recovery, (_SEED, _SAMPLES)),
+    ),
+}
 
-
-def suite_mc(seed: int, tol: float, n_samples: int = 10**4) -> list[Check]:
-    return [
-        _check("haar sampler schur average", haar_schur_average, seed, 4000),
-        _check("projected mixture within bound", mc_inequality, seed, n_samples),
-        _check("unprojected mixture recovers reduced state", mc_identity_recovery, seed, n_samples),
-    ]
+SUITES = tuple(_SUITE_TABLE)
 
 
 def run_suites(
@@ -656,14 +649,11 @@ def run_suites(
     n_samples: int = 10**4,
 ) -> list[tuple[str, list[Check]]]:
     """Run the named suites in the order given."""
-    fns = {
-        "weights": lambda: suite_weights(seed, tol),
-        "cg": lambda: suite_cg(seed, tol),
-        "symmetric": lambda: suite_symmetric(seed, tol),
-        "heisenberg": lambda: suite_heisenberg(seed, tol),
-        "mc": lambda: suite_mc(seed, tol, n_samples),
-    }
-    unknown = [n for n in names if n not in fns]
+    unknown = [n for n in names if n not in _SUITE_TABLE]
     if unknown:
         raise KeyError(f"unknown suite(s): {', '.join(unknown)}")
-    return [(n, fns[n]()) for n in names]
+    fill = {_SEED: seed, _TOL: tol, _SAMPLES: n_samples}
+    return [
+        (n, [_check(name, fn, *(fill.get(a, a) for a in args)) for name, fn, args in _SUITE_TABLE[n]])
+        for n in names
+    ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial
 
 __all__ = [
@@ -148,14 +149,15 @@ def weight_leq(w: Weight, w2: Weight) -> bool:
     return True
 
 
-def _prefix_coefficients(diff: Weight) -> tuple[int, ...]:
+def _height(ref: Weight, w: Weight, diff) -> HeightDecomposition:
+    """Root decomposition of diff(ref, w), for ref and w of one dimension
+    and coordinate sum; height is the largest |coefficient|."""
+    _same_dim(ref, w)
+    if ref.total != w.total:
+        raise ValueError(f"no root decomposition: coordinate sums differ ({ref.total} vs {w.total})")
     # writing diff = sum_i c_i * alpha_i forces c_i = sum_{j<=i} diff_j
-    acc = 0
-    out = []
-    for x in diff.entries[:-1]:
-        acc += x
-        out.append(acc)
-    return tuple(out)
+    coeffs = tuple(accumulate(diff(ref, w).entries[:-1]))
+    return HeightDecomposition(coeffs, max(abs(c) for c in coeffs))
 
 
 def height_down(lam: Weight, w: Weight) -> HeightDecomposition:
@@ -163,13 +165,7 @@ def height_down(lam: Weight, w: Weight) -> HeightDecomposition:
 
     Requires matching coordinate sums, otherwise no decomposition exists.
     """
-    _same_dim(lam, w)
-    if lam.total != w.total:
-        raise ValueError(
-            f"no root decomposition: coordinate sums differ ({lam.total} vs {w.total})"
-        )
-    coeffs = _prefix_coefficients(lam - w)
-    return HeightDecomposition(coeffs, max(abs(c) for c in coeffs))
+    return _height(lam, w, lambda lam, w: lam - w)
 
 
 def height_up(mu: Weight, w: Weight) -> HeightDecomposition:
@@ -178,13 +174,7 @@ def height_up(mu: Weight, w: Weight) -> HeightDecomposition:
     The reversal of mu is the lowest weight of the irreducible with
     highest weight mu.  Requires matching coordinate sums.
     """
-    _same_dim(mu, w)
-    if mu.total != w.total:
-        raise ValueError(
-            f"no root decomposition: coordinate sums differ ({mu.total} vs {w.total})"
-        )
-    coeffs = _prefix_coefficients(w - lowest_weight(mu))
-    return HeightDecomposition(coeffs, max(abs(c) for c in coeffs))
+    return _height(mu, w, lambda mu, w: w - lowest_weight(mu))
 
 
 def lowest_weight(mu: Weight) -> Weight:

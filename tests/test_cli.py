@@ -349,6 +349,58 @@ def test_verify_samples_over_the_guard_start_no_sampling(capsys, monkeypatch):
             oracle.mc_theorem1(4, 2, 1, samples, 0)
 
 
+def test_verify_samples_under_the_minimum_start_no_sampling(capsys, monkeypatch):
+    from definetti import oracle
+
+    def fail(*args):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(oracle, "haar_su2", fail)
+    samples = oracle.MC_SAMPLES_MIN - 1
+    code, out, err = run(capsys, "verify", "mc", "--samples", str(samples))
+    assert (code, out, err) == (2, "", "definetti verify: --samples must be at least 10^3\n")
+    with pytest.raises(ValueError, match=r"^need at least 10\^3 samples, got 999$"):
+        oracle.mc_theorem1(4, 2, 1, samples, 0)
+
+
+def test_verify_parser_offers_every_suite():
+    # cli builds its parser without importing verify, which loads numpy,
+    # so it lists the suites itself
+    (subparsers,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    (suite,) = [a for a in subparsers.choices["verify"]._actions if a.dest == "suite"]
+    assert sorted(suite.choices) == sorted(("all", *verify.SUITES))
+
+
+def _suite_rows(monkeypatch, **kwargs):
+    # every check each suite runs, as (suite, name, args), without running it
+    def record(name, fn, *args):
+        args = tuple(list(a) if hasattr(a, "__next__") else a for a in args)
+        return verify.Check(name, True, repr(args), 0.0)
+
+    monkeypatch.setattr(verify, "_check", record)
+    results = verify.run_suites(list(verify.SUITES), **kwargs)
+    return [(suite, c.name, c.detail) for suite, checks in results for c in checks]
+
+
+def test_verify_suites_are_well_formed(monkeypatch):
+    with pytest.raises(KeyError, match="unknown suite\\(s\\): nope"):
+        verify.run_suites(["nope"])
+    with pytest.raises(KeyError, match="nope"):
+        verify.run_suites(["weights", "nope"])
+    rows = _suite_rows(monkeypatch, seed=7, tol=1e-9, n_samples=2000)
+    assert len(rows) == 31
+    assert list(verify.SUITES) == list(dict.fromkeys(s for s, _, _ in rows))
+    for suite in verify.SUITES:
+        names = [name for s, name, _ in rows if s == suite]
+        assert len(set(names)) == len(names), suite
+    args = {name: detail for _, name, detail in rows}
+    assert args["projected mixture within bound"] == repr((7, 2000))
+    assert args["haar sampler schur average"] == repr((7, 4000))
+    assert args["dense projector oracle"].endswith(", 1e-09)")
+    # a second run sees the same arguments: no row holds a spent iterator
+    assert _suite_rows(monkeypatch, seed=7, tol=1e-9, n_samples=2000) == rows
+
+
 def test_verify_comparison_sees_nan():
     verify._approx(0.5, 0.5 + 1e-12, 1e-10, "close values")
     for a, b, tol in ((float("nan"), 0.5, 1e-10), (0.5, 0.5, float("nan"))):

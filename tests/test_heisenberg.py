@@ -269,8 +269,12 @@ def test_epsilon_heisenberg_float_path_past_float_delta():
             got = epsilon_heisenberg(HeisenbergTriple(mu=0.5, nu=0.5, Delta=D, r=r))
             want = float(epsilon_heisenberg(HeisenbergTriple(Fraction(1, 2), Fraction(1, 2), D, r)))
             assert type(got) is float and got == pytest.approx(want, rel=1e-12, abs=0), (D, r)
-    # away from x = 1/2, and with an empty window (r < Delta, so delta = 0)
-    for mu, nu, D, r in ((3, 7, 2, 5), (99, 1, 4, 30), (1, 99, 3, 30), (1, 1, 5, 2)):
+    # away from x = 1/2, with an empty window (r < Delta, so delta = 0), and
+    # at weights whose coprime integers are near 2^55, far out in r
+    for mu, nu, D, r in (
+        (3, 7, 2, 5), (99, 1, 4, 30), (1, 99, 3, 30), (1, 1, 5, 2),
+        (0.3, 0.7, 2, 1000), (0.99, 0.01, 3, 2000), (123.456, 0.789, 5, 3000),
+    ):
         got = epsilon_heisenberg(HeisenbergTriple(float(mu), float(nu), D, r))
         want = float(epsilon_heisenberg(HeisenbergTriple(Fraction(mu), Fraction(nu), D, r)))
         assert type(got) is float and got == pytest.approx(want, rel=1e-13, abs=0), (mu, nu, D, r)
@@ -319,3 +323,75 @@ def test_delta_report_value_semantics():
     for r in (rep, DeltaReport(0.25, "g", "phi")):
         assert pickle.loads(pickle.dumps(r)) == r
         assert copy.deepcopy(r) == r and copy.deepcopy(r).bound_sqrt == r.bound_sqrt
+
+
+# float mode weights near the float range: each value is compared with the
+# float of the exact evaluation at the Fractions the floats store
+def _exact_float(fn, *args):
+    return float(fn(*(Fraction(a) if isinstance(a, float) else a for a in args)))
+
+
+def _assert_tracks_exact(got, want):
+    assert type(got) is float and got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def _triple_exact(mu, nu, D, r):
+    return HeisenbergTriple(Fraction(mu), Fraction(nu), D, r)
+
+
+def test_float_weights_whose_sum_overflows():
+    # mu + nu = inf used to make delta raise a math domain error and the
+    # bound nan
+    t = HeisenbergTriple(1e308, 1e308, 2, 3)
+    exact = _triple_exact(1e308, 1e308, 2, 3)
+    assert float(delta_number_space(exact).delta) == 0.3125
+    _assert_tracks_exact(delta_number_space(t).delta, 0.3125)
+    _assert_tracks_exact(epsilon_heisenberg(t), float(epsilon_heisenberg(exact)))
+    assert float(epsilon_heisenberg(exact)) == pytest.approx(1.6583123951777, rel=1e-12)
+
+
+def test_float_weights_whose_ratio_underflows():
+    # nu / (mu + nu) = 0.0 in floats used to raise a math domain error
+    exact = float(delta_number_space(_triple_exact(1e300, 1e-300, 3, 10)).delta)
+    assert exact == 0.0
+    got = delta_number_space(HeisenbergTriple(1e300, 1e-300, 3, 10)).delta
+    assert type(got) is float and got == 0.0
+
+
+def test_alpha_weight_at_float_range_weights():
+    # both used to return 0.0
+    want = _exact_float(alpha_weight, 3, 5, 1e308, 1e308)
+    assert want == 0.21875
+    _assert_tracks_exact(alpha_weight(3, 5, 1e308, 1e308), want)
+    _assert_tracks_exact(alpha_coeff(3, 1, 1e308, 1e308), _exact_float(alpha_coeff, 3, 1, 1e308, 1e308))
+    _assert_tracks_exact(
+        alpha_weight_tail_bound(3, 10, 1e308, 1e308),
+        alpha_weight_tail_bound(3, 10, Fraction(1e308), Fraction(1e308)),
+    )
+
+
+def test_alpha_weight_with_binomial_beyond_floats():
+    # C(1600, 400) is not a float; this used to raise OverflowError
+    want = _exact_float(alpha_weight, 400, 1200, 2.0, 1.0)
+    assert want == 9.009882496091974e-14
+    _assert_tracks_exact(alpha_weight(400, 1200, 2.0, 1.0), want)
+    _assert_tracks_exact(alpha_coeff(1600, 400, 2.0, 1.0), _exact_float(alpha_coeff, 1600, 400, 2.0, 1.0))
+    # the logarithms keep float precision where x is near 1
+    want = _exact_float(alpha_weight, 20, 3000, 0.99, 0.01)
+    _assert_tracks_exact(alpha_weight(20, 3000, 0.99, 0.01), want)
+
+
+def test_infinite_mode_weight_is_refused():
+    # HeisenbergTriple(inf, 1.0, 0, 1) used to be accepted with bound nan
+    inf = float("inf")
+    for call, message in (
+        (lambda: HeisenbergTriple(inf, 1.0, 0, 1), "mode weights must be finite, got mu=inf, nu=1.0"),
+        (lambda: HeisenbergTriple(Fraction(2), inf, 0, 1), "mode weights must be finite, got mu=2, nu=inf"),
+        (lambda: alpha_weight(1, 2, 1.0, inf), "mode weights must be finite, got mu=1.0, nu=inf"),
+        (lambda: alpha_coeff(2, 1, inf, inf), "mode weights must be finite, got mu=inf, nu=inf"),
+        (lambda: alpha_weight_tail_bound(0, 3, inf, 1), "mode weights must be finite, got mu=inf, nu=1"),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+

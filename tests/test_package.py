@@ -106,3 +106,12 @@ def test_a_command_adds_only_what_it_computes_with(argv, added):
     new = set(probe["after"]) - set(probe["at_import"])
     assert {m for m in new if m.startswith("definetti")} == added
     assert not set(probe["after"]) & (set(NOT_AT_START) - added)
+
+
+@pytest.mark.parametrize("module", ["weights", "su2_cg", "symmetric", "heisenberg"])
+def test_lazy_namespace_lists_each_module_all(module):
+    # the lazy namespace cannot import a module to read its __all__, so it
+    # keeps its own listing; the two must name the same public names
+    mod = importlib.import_module(f"definetti.{module}")
+    assert set(definetti._SOURCES[module]) == set(mod.__all__)
+    assert len(definetti._SOURCES[module]) == len(mod.__all__)
