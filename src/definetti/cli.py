@@ -225,13 +225,16 @@ FIGURE_DELTA_MAX_GUARD = 100
 # The costs of the options multiply, so a grid's estimated work
 # (_figure_work) is bounded too.  A cell costs 2^12 + b^2 / 2^11 units,
 # b the bit length of its operands: J log2(J), J = j1 + j2 + j + 1, for an
-# SU(2) window term and (r + Delta + 1) log2(p + q) for an oscillator cell
-# at mu/nu = p/q.  An oscillator unit takes 1.7-2.9 ns on the same VM
-# (figure_values alone), so the budget is about 3 s: figure 3 --r-max 2000
-# --mu 1 --nu 99 needs 9.0e8 (1.5 s).  The SU(2) b is that of the factorials
-# J!; the binomial Racah kernel's operands are far smaller, so an SU(2) unit
-# takes only 0.03-0.7 ns, and figure 1 --j1 1000 --j2 1000 --j-min 1995
-# --j-max 2000 --r-max 400, refused at 2.7e9, computes in 0.3 s.
+# SU(2) window term and (r + Delta + 1) log2(p + q) + (r + 1) log2(p) for an
+# oscillator cell at mu/nu = p/q, whose numerator carries the powers of p.
+# An oscillator unit takes 1.7-2.9 ns on the same VM (figure_values
+# alone), so the budget is about 3 s: figure 3 --r-max 2000 --mu 1 --nu 99
+# needs 9.0e8 (1.5 s), and at --mu 99 --nu 1 the same grid needs 3.0e9 and
+# is refused; --r-max 1000 --mu 99 --nu 1 needs 4.6e8.  The SU(2) b is that
+# of the factorials J!; the binomial Racah kernel's operands are far
+# smaller, so an SU(2) unit takes only 0.03-0.7 ns, and figure 1 --j1 1000
+# --j2 1000 --j-min 1995 --j-max 2000 --r-max 400, refused at 2.7e9,
+# computes in 0.3 s.
 FIGURE_WORK_GUARD = 10**9
 
 # the option values of every figure, and of each; figure 3 draws no j columns
@@ -277,11 +280,9 @@ def _validate_spec(spec: FigureSpec) -> None:
     if spec.figure_id in (1, 2):
         if spec.tj_min > spec.tj_max:
             raise ValueError("need j-min <= j-max")
-        if (tj1 + tj2 + spec.tj_min) % 2:
-            raise ValueError(
-                f"j1+j2+j = {(tj1 + tj2 + spec.tj_min)}/2 is not an integer at j-min"
-            )
-        for tj in (spec.tj_min, spec.tj_max):
+        for label, tj in (("j-min", spec.tj_min), ("j-max", spec.tj_max)):
+            if (tj1 + tj2 + tj) % 2:
+                raise ValueError(f"j1+j2+j = {tj1 + tj2 + tj}/2 is not an integer at {label}")
             if not abs(tj1 - tj2) <= tj <= tj1 + tj2:
                 raise ValueError(
                     f"j = {TwoJ(tj)} outside the triangle range "
@@ -329,7 +330,10 @@ def _figure_work(spec: FigureSpec) -> int:
         if direction is None:
             ratio = spec.mu / spec.nu
             bits = (ratio.numerator + ratio.denominator).bit_length()
-            work += sum((1 << 12) + (((r + param + 1) * bits) ** 2 >> 11) for r in range(rows))
+            p_bits = (ratio.numerator - 1).bit_length()
+            work += sum(
+                (1 << 12) + (((r + param + 1) * bits + (r + 1) * p_bits) ** 2 >> 11) for r in range(rows)
+            )
         else:
             # at m2 = j2, window term i is in the block when |base - 2i| <= j,
             # base = j1 + j2 down and j1 - j2 up

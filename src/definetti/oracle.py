@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm, sqrt
+from math import comb, gcd, sqrt
 
 import numpy as np
 
@@ -138,26 +138,15 @@ def brute_delta_symmetric(t: SymTriple) -> float:
 
 
 def _slice_weights(tj1: int, tj2: int, tm: int) -> list[int]:
-    """Integer inner-product weights M/F of the m-slice, 0 off the slice.
-
-    F = (j1+m1)! (j1-m1)! (j2+m2)! (j2-m2)! rescales each product state,
-    and M is the lcm of the slice's F values.
+    """Integer inner-product weights W = C(2j1, j1-m1) C(2j2, j2-m2) of the
+    m-slice, indexed by j1 - m1, and 0 off the slice.  W F = (2j1)! (2j2)!
+    for the rescaling F of a product state, so W is 1/F up to a constant.
     """
-    fs = []
+    out = []
     for im1 in range(tj1 + 1):
-        tm1 = tj1 - 2 * im1
-        tm2 = tm - tm1
-        if abs(tm2) > tj2:
-            fs.append(0)
-            continue
-        fs.append(
-            factorial((tj1 + tm1) // 2)
-            * factorial((tj1 - tm1) // 2)
-            * factorial((tj2 + tm2) // 2)
-            * factorial((tj2 - tm2) // 2)
-        )
-    top = lcm(*(f for f in fs if f))
-    return [top // f if f else 0 for f in fs]
+        tm2 = tm - tj1 + 2 * im1
+        out.append(comb(tj1, im1) * comb(tj2, (tj2 - tm2) // 2) if abs(tm2) <= tj2 else 0)
+    return out
 
 
 def _wdot(u: list[int], v: list[int], w: list[int]) -> int:
@@ -190,42 +179,34 @@ def _lower(v: list[int], tj1: int, tj2: int, tm: int) -> list[int]:
 
 
 def _cg_oracle_exact(tj1: int, tj2: int) -> dict[tuple[int, int, int], ExactReal]:
-    nm1 = tj1 + 1
     tj_top = tj1 + tj2
-    weights = {tm: _slice_weights(tj1, tj2, tm) for tm in range(-tj_top, tj_top + 1, 2)}
-    vectors: dict[tuple[int, int], list[int]] = {}
-    for tj in range(tj_top, abs(tj1 - tj2) - 2, -2):
-        w = weights[tj]
-        v = [0] * nm1
-        v[0] = 1  # seed at m1 = j1, m2 = j - j1
-        for tjp in range(tj + 2, tj_top + 2, 2):
-            u = vectors[(tjp, tj)]
-            vu = _wdot(v, u, w)
-            if vu:
-                uu = _wdot(u, u, w)
-                v = _reduced([uu * vi - vu * ui for vi, ui in zip(v, u)])
-        if v[0] <= 0:
-            raise AssertionError("phase convention broken: seed overlap not positive")
-        vectors[(tj, tj)] = v
-        for tm in range(tj, -tj, -2):
-            v = _lower(v, tj1, tj2, tm)
-            vectors[(tj, tm - 2)] = v
+    blocks: list[tuple[int, list[int]]] = []  # (2j, rescaled state) of each block at m
     table: dict[tuple[int, int, int], ExactReal] = {}
-    for (tj, tm), vec in vectors.items():
-        w = weights[tm]
-        norm2 = _wdot(vec, vec, w)
-        for im1 in range(nm1):
-            if w[im1]:
-                a = vec[im1]
-                if a:
-                    # sign(a) sqrt(a^2 W / norm2) in lowest terms, built
-                    # unvalidated: both parts are positive by construction
-                    num = a * a * w[im1]
+    for tm in range(tj_top, -tj_top - 2, -2):
+        w = _slice_weights(tj1, tj2, tm)
+        blocks = [(tj, _lower(v, tj1, tj2, tm + 2)) for tj, v in blocks if tj >= -tm]
+        norms = [_wdot(u, u, w) for _, u in blocks]
+        if tm >= abs(tj1 - tj2):
+            v = [0] * (tj1 + 1)
+            v[0] = 1  # seed at m1 = j1, m2 = m - j1
+            for (_, u), uu in zip(blocks, norms):
+                vu = _wdot(v, u, w)
+                if vu:
+                    v = _reduced([uu * vi - vu * ui for vi, ui in zip(v, u)])
+            if v[0] <= 0:
+                raise AssertionError("phase convention broken: seed overlap not positive")
+            blocks.append((tm, v))
+            norms.append(_wdot(v, v, w))
+        for (tj, v), norm2 in zip(blocks, norms):
+            for im1, (a, wi) in enumerate(zip(v, w)):
+                if wi:
+                    # sign(a) sqrt(a^2 W / norm2) in lowest terms, (0, 0, 1)
+                    # at a = 0; built unvalidated, as it is canonical by construction
+                    num = a * a * wi
                     g = gcd(num, norm2)
-                    entry = ExactReal._raw(1 if a > 0 else -1, num // g, norm2 // g)
-                else:
-                    entry = ExactReal.zero()
-                table[(tj, tm, tj1 - 2 * im1)] = entry
+                    table[(tj, tm, tj1 - 2 * im1)] = ExactReal._raw(
+                        (a > 0) - (a < 0), num // g, norm2 // g
+                    )
     return table
 
 
@@ -241,13 +222,14 @@ def cg_oracle(j1, j2) -> dict[tuple[int, int, int], ExactReal]:
     coefficients c is stored as the integers a = c sqrt(F), F = (j1+m1)!
     (j1-m1)! (j2+m2)! (j2-m2)!.  On these coordinates the lowering
     operator has the integer entries j1-m1+1 and j2-m2+1, and the inner
-    product of an m-slice has the integer weights W = M/F (M the lcm of
-    the slice's F values).
-    Gram-Schmidt becomes v <- <u,u>_W v - <v,u>_W u, and every state is
-    kept divided by the gcd of its entries; positive scalings drop out
-    because only directions and signs matter.  Each entry is formed once,
-    at the end, as sign(a) sqrt(a^2 W / sum a^2 W) reduced by one gcd,
-    with nothing factored; entries compare with `cg` as (sign, radicand).
+    product of an m-slice has the binomial weights W = C(2j1, j1-m1)
+    C(2j2, j2-m2) = (2j1)! (2j2)! / F.  Gram-Schmidt becomes
+    v <- <u,u>_W v - <v,u>_W u, and every state is kept divided by the
+    gcd of its entries; positive scalings drop out because only
+    directions and signs matter.  One walk down the m-slices lowers every
+    block, seeds the block j = m and forms the slice's entries as
+    sign(a) sqrt(a^2 W / sum a^2 W), reduced by one gcd, with nothing
+    factored; entries compare with `cg` as (sign, radicand).
 
     The synthesis is exact throughout: a floating version of the same
     ladder is numerically unstable, because any contamination of a low-j

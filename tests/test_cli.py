@@ -230,6 +230,9 @@ def test_figure_limits_start_no_computation(capsys, monkeypatch):
         (["3", "--r-max", "2000", "--delta-max", "100", "--mu", "1", "--nu", "99"],
          "the grid needs about 8.7e+09 units of work"),
         (["3", "--nu", "1e999"], "the grid needs about 2.0e+09 units of work"),
+        # the numerator of 1 - delta carries the powers of mu
+        (["3", "--r-max", "2000", "--mu", "99", "--nu", "1"],
+         "the grid needs about 3.0e+09 units of work"),
     ):
         code, out, err = run(capsys, "figure", *argv)
         assert code == 2 and out == "" and err.count("\n") == 1, argv
@@ -252,6 +255,7 @@ def test_figure_limits_admit_the_documented_grids():
     figure_spec(3, {"delta_max": str(cli.FIGURE_DELTA_MAX_GUARD)})
     # the grids the limits' notes time, inside the work budget
     figure_spec(3, {"r_max": "2000", "mu": "1", "nu": "99"})
+    figure_spec(3, {"r_max": "1000", "mu": "99", "nu": "1"})
     figure_spec(1, {"j1": "1000", "j2": "1000", "j_min": "1990", "j_max": "2000"})
 
 
@@ -279,6 +283,8 @@ def test_figure_usage_and_io_errors(capsys):
         (["3", "--r-max", "abc"], "r-max must be an integer, got 'abc'"),
         (["1", "--r-max", "1.5"], "r-max must be an integer, got '1.5'"),
         (["3", "--delta-max", "2.0"], "delta-max must be an integer, got '2.0'"),
+        (["1", "--j-min", "189.5"], "j1+j2+j = 779/2 is not an integer at j-min"),
+        (["1", "--j-max", "199.5"], "j1+j2+j = 799/2 is not an integer at j-max"),
     ):
         code, out, err = run(capsys, "figure", *argv)
         assert code == 2 and out == "" and err.count("\n") == 1, argv

@@ -1,12 +1,12 @@
 """Dense numerical oracles: projectors, coupling tables, oscillators, Monte Carlo."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
 
-from definetti import verify
+from definetti import oracle, verify
 from definetti.exact import ExactReal
 from definetti.oracle import (
     brute_delta_symmetric,
@@ -90,6 +90,38 @@ def test_cg_oracle_exact_at_guard_size():
         t_num, t_den = _triangle(24, 24, tj)
         square = Fraction(s * s * t_num, m_den * t_den)
         assert (val.sign, val.square()) == ((s > 0) - (s < 0), square), (tj, tm, tm1)
+
+
+def test_slice_weights_are_binomial():
+    # W F = (2j1)! (2j2)! on the slice, F = (j1+m1)! (j1-m1)! (j2+m2)! (j2-m2)!
+    for tj1 in range(13):
+        for tj2 in range(13):
+            top = factorial(tj1) * factorial(tj2)
+            for tm in range(-tj1 - tj2, tj1 + tj2 + 1, 2):
+                w = oracle._slice_weights(tj1, tj2, tm)
+                assert len(w) == tj1 + 1
+                for im1, wi in enumerate(w):
+                    tm1 = tj1 - 2 * im1
+                    tm2 = tm - tm1
+                    if abs(tm2) > tj2:
+                        assert wi == 0, (tj1, tj2, tm, tm1)
+                        continue
+                    f = (
+                        factorial((tj1 + tm1) // 2)
+                        * factorial((tj1 - tm1) // 2)
+                        * factorial((tj2 + tm2) // 2)
+                        * factorial((tj2 - tm2) // 2)
+                    )
+                    assert wi * f == top, (tj1, tj2, tm, tm1)
+
+
+def test_cg_oracle_match_sees_a_dropped_binomial(monkeypatch):
+    def one_binomial(tj1, tj2, tm):
+        return [comb(tj1, i) if abs(tm - tj1 + 2 * i) <= tj2 else 0 for i in range(tj1 + 1)]
+
+    monkeypatch.setattr(oracle, "_slice_weights", one_binomial)
+    with pytest.raises(AssertionError, match=r"^entry 2\(j1,j2,j,m,m1\)="):
+        verify.cg_oracle_match(4)
 
 
 def test_lambda_up_set():
