@@ -27,7 +27,6 @@ _SOURCES = {
         "weight_leq",
         "height_down",
         "height_up",
-        "lowest_weight",
         "sym_weights",
         "w_r_set",
         "type_class_size",

@@ -57,21 +57,25 @@ def render_scalar(x) -> str:
 # compute
 
 
-def _parse_params(tokens: list[str], required: tuple[str, ...], optional: tuple[str, ...] = ()):
+def _parse_params(tokens: list[str], parsers: dict, optional: tuple[str, ...] = ()) -> dict:
+    """The key=value tokens as a dict: the required keys, those of parsers,
+    each parsed by its parser in the declared order, then the optional
+    keys given, as typed."""
     params: dict[str, str] = {}
     for tok in tokens:
         key, sep, value = tok.partition("=")
         if not sep or not key or not value:
             raise ValueError(f"expected key=value, got {tok!r}")
-        if key not in required and key not in optional:
-            raise ValueError(f"unknown parameter {key!r} (expected {', '.join(required + optional)})")
+        if key not in parsers and key not in optional:
+            raise ValueError(f"unknown parameter {key!r} (expected {', '.join((*parsers, *optional))})")
         if key in params:
             raise ValueError(f"duplicate parameter {key!r}")
         params[key] = value
-    missing = [k for k in required if k not in params]
+    missing = [k for k in parsers if k not in params]
     if missing:
         raise ValueError(f"missing parameter(s): {', '.join(missing)}")
-    return params
+    parsed = {key: parse(params[key], key) for key, parse in parsers.items()}
+    return parsed | {key: params[key] for key in optional if key in params}
 
 
 def _int(s: str, key: str) -> int:
@@ -106,44 +110,33 @@ def _weight(s: str, key: str):
         raise ValueError(f"{key} must be a comma-separated integer tuple, got {s!r}") from None
 
 
+_NKR = {"n": _int, "k": _int, "r": _int}
+_NKRD = {**_NKR, "d": _int}
+
+
 def _compute_su2_delta(tokens: list[str]):
-    p = _parse_params(tokens, ("j1", "j2", "j", "m2", "r"), ("direction",))
-    rep = delta_su2(
-        _twoj(p["j1"], "j1"),
-        _twoj(p["j2"], "j2"),
-        _twoj(p["j"], "j"),
-        _twoj(p["m2"], "m2"),
-        _int(p["r"], "r"),
-        p.get("direction", "down"),
-    )
-    return rep.delta
+    parsers = {"j1": _twoj, "j2": _twoj, "j": _twoj, "m2": _twoj, "r": _int}
+    return delta_su2(**_parse_params(tokens, parsers, ("direction",))).delta
 
 
 def _compute_sym_epsilon(tokens: list[str]):
     from .symmetric import SymTriple, epsilon
 
-    p = _parse_params(tokens, ("n", "k", "r", "d"))
-    return epsilon(SymTriple(**{k: _int(v, k) for k, v in p.items()}))
+    return epsilon(SymTriple(**_parse_params(tokens, _NKRD)))
 
 
 def _compute_sym_bound(tokens: list[str]):
     from .symmetric import SymTriple, bound_exponential
 
-    p = _parse_params(tokens, ("n", "k", "r", "d"))
-    pair = bound_exponential(SymTriple(**{k: _int(v, k) for k, v in p.items()}))
+    pair = bound_exponential(SymTriple(**_parse_params(tokens, _NKRD)))
     return f"intermediate = {render_decimal(pair.intermediate)}\nheadline = {render_decimal(pair.headline)}"
 
 
 def _heis_triple(tokens: list[str]):
     from .heisenberg import HeisenbergTriple
 
-    p = _parse_params(tokens, ("mu", "nu", "Delta", "r"))
-    return HeisenbergTriple(
-        mu=_fraction(p["mu"], "mu"),
-        nu=_fraction(p["nu"], "nu"),
-        Delta=_int(p["Delta"], "Delta"),
-        r=_int(p["r"], "r"),
-    )
+    parsers = {"mu": _fraction, "nu": _fraction, "Delta": _int, "r": _int}
+    return HeisenbergTriple(**_parse_params(tokens, parsers))
 
 
 def _compute_heis_delta(tokens: list[str]):
@@ -161,8 +154,7 @@ def _compute_heis_epsilon(tokens: list[str]):
 def _compute_coherent_bound(tokens: list[str]):
     from .heisenberg import coherent_bound
 
-    p = _parse_params(tokens, ("n", "k", "r"))
-    return coherent_bound(_int(p["n"], "n"), _int(p["k"], "k"), _int(p["r"], "r"))
+    return coherent_bound(**_parse_params(tokens, _NKR))
 
 
 def _compute_exact_radius(tokens: list[str]):
@@ -170,10 +162,9 @@ def _compute_exact_radius(tokens: list[str]):
 
     # either explicit weights, or the two-level shortcut d=2 n=.. k=.. l=..
     if any(tok.startswith(("lambda=", "mu=", "nu=")) for tok in tokens):
-        p = _parse_params(tokens, ("lambda", "mu", "nu"))
-        return exact_radius(_weight(p["lambda"], "lambda"), _weight(p["mu"], "mu"), _weight(p["nu"], "nu"))
-    p = _parse_params(tokens, ("d", "n", "k", "l"))
-    d, n, k, ell = (_int(p[key], key) for key in ("d", "n", "k", "l"))
+        weights = _parse_params(tokens, {"lambda": _weight, "mu": _weight, "nu": _weight})
+        return exact_radius(*weights.values())
+    d, n, k, ell = _parse_params(tokens, {"d": _int, "n": _int, "k": _int, "l": _int}).values()
     if d != 2:
         raise ValueError(f"the n/k/l shortcut is two-level only (d=2), got d={d}")
     if not 0 <= ell <= min(k, n - k):
@@ -184,8 +175,7 @@ def _compute_exact_radius(tokens: list[str]):
 def _compute_closed_form_sum(tokens: list[str]):
     from .symmetric import closed_form_sum
 
-    p = _parse_params(tokens, ("n", "k", "r"))
-    return closed_form_sum(_int(p["n"], "n"), _int(p["k"], "k"), _int(p["r"], "r"))
+    return closed_form_sum(**_parse_params(tokens, _NKR))
 
 
 COMPUTE_FNS = {

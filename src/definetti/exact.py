@@ -156,11 +156,6 @@ class ExactReal:
         return self._sign
 
     @property
-    def radicand(self) -> Fraction:
-        """The rational whose square root this is (in lowest terms)."""
-        return Fraction(self._num, self._den)
-
-    @property
     def coeff(self) -> Fraction:
         """Positive rational part of the canonical coeff*sqrt(core) form."""
         return self._parts()[0]
@@ -174,6 +169,7 @@ class ExactReal:
         return self._sign == 0
 
     def square(self) -> Fraction:
+        """The rational whose square root this is, in lowest terms."""
         return Fraction(self._num, self._den)
 
     def value(self) -> float:

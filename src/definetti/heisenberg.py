@@ -11,9 +11,15 @@ which is exact rational whenever mu and nu are.  Exact inputs are
 evaluated in integers: with mu/nu = p/q in lowest terms and s = p + q,
 x = mu/(mu+nu) = p/s and y = q/s, so every exact closed form here is one
 integer numerator over a power of s and ends in one Fraction.  Float
-inputs fall back to compensated floating summation over the term ratios;
-the float error bound instead sums 1 - delta directly, as the Delta + 1
-terms of the equivalent binomial tail.
+inputs fall back to compensated floating summation over the term ratios.
+
+No error bound sums the window.  Every bound takes 1 - delta from the
+equivalent binomial tail of Delta + 1 terms,
+
+    1 - delta = sum_{k=0}^{min(Delta, r+1)} C(r+1, k) y^k x^(r+1-k),
+
+the chance of at most Delta successes of probability y in r + 1 trials:
+in integers over s^(r+1) for exact inputs, in logarithms for floats.
 """
 
 from __future__ import annotations
@@ -200,13 +206,10 @@ def delta_number_space(t: HeisenbergTriple) -> DeltaReport:
 
 
 def _float_epsilon(t: HeisenbergTriple) -> float:
-    """2 sqrt(1 - delta) for float inputs, from the finite binomial form
-
-        1 - delta = sum_{k=0}^{Delta} C(r+1, k) y^k x^(r+1-k),
-
-    the chance of at most Delta successes of probability y in r + 1
-    trials.  Its Delta + 1 positive terms are summed in logarithms, so
-    nothing cancels and nothing leaves the float range before the end.
+    """2 sqrt(1 - delta) for float inputs, from the binomial tail of the
+    module docstring.  Its Delta + 1 positive terms are summed in
+    logarithms, so nothing cancels and nothing leaves the float range
+    before the end.
     """
     if t.r < t.Delta:
         return 2.0  # the window is empty: delta = 0
@@ -222,29 +225,32 @@ def epsilon_heisenberg(t: HeisenbergTriple):
     """Error bound from the vacuum overlap: 2(1-delta) in the aligned
     multiplicity-one case Delta = r = 0, otherwise 2 sqrt(1-delta).
 
-    Returns an exact Fraction whenever the algebra allows (exact inputs
-    with Delta = 0 and the exponent (r+1)/2 integral, or r = 0).  A float
-    result is positive whenever the bound is a normal float (>= 2^-1022).
-    Float inputs other than Delta = r = 0 never form delta: 1 - delta is
-    summed directly as a finite binomial tail (see _float_epsilon).
+    Returns an exact Fraction whenever the algebra allows: exact inputs
+    with Delta = 0 and the exponent (r+1)/2 integral, or Delta = r = 0.
+    A float result is positive whenever the bound is a normal float
+    (>= 2^-1022).  No exact input sums the window: 1 - delta is the
+    binomial tail of the module docstring, T / s^(r+1) with
+    T = sum_{k<=min(Delta, r+1)} C(r+1, k) q^k p^(r+1-k) in integers, whose
+    one term at Delta = 0 is the telescoped x^(r+1).  Float inputs other
+    than Delta = r = 0 sum the same tail in logarithms (see _float_epsilon).
     """
-    if t.Delta == 0 and t.is_exact:
-        # 1 - delta telescopes to x^(r+1) = p^(r+1) / s^(r+1), so the bound
-        # is 2 x at r = 0 and 2 x^((r+1)/2) otherwise, and the window sum
-        # is never needed
+    if t.is_exact:
         p, q = _coprime(t.mu, t.nu)
-        s = p + q
-        if t.r == 0:
+        s, n = p + q, t.r + 1
+        if t.Delta == 0 and n == 1:
             return Fraction(2 * p, s)
-        if (t.r + 1) % 2 == 0:
-            e = (t.r + 1) // 2
-            return Fraction(2 * p**e, s**e)
-        return 2.0 * _sqrt_float(Fraction(p ** (t.r + 1), s ** (t.r + 1)))
+        if t.Delta == 0 and n % 2 == 0:
+            return Fraction(2 * p ** (n // 2), s ** (n // 2))
+        # the first term of T is p^n, n = r + 1, and each next one the last
+        # times (n-k) q / ((k+1) p), an exact division
+        term = total = p**n
+        for k in range(min(t.Delta, n)):
+            term = term * ((n - k) * q) // ((k + 1) * p)
+            total += term
+        return 2.0 * _sqrt_float(Fraction(total, s**n))
     if t.Delta == 0 and t.r == 0:
         return delta_number_space(t).bound_linear
-    if not t.is_exact:
-        return _float_epsilon(t)
-    return delta_number_space(t).bound_sqrt
+    return _float_epsilon(t)
 
 
 def coherent_bound(n: int, k: int, r: int):

@@ -403,19 +403,12 @@ def _matrix_power(gs: np.ndarray, p: int) -> np.ndarray:
 _MC_BATCH = 4096
 
 
-def mc_theorem1(
-    n: int,
-    k: int,
-    r: int,
-    n_samples: int,
-    seed: int,
-    state: np.ndarray | None = None,
-) -> McReport:
+def mc_theorem1(n: int, k: int, r: int, n_samples: int, seed: int) -> McReport:
     """Monte Carlo check that the projected rotated-product mixture
     reconstructs the reduced state within 2(1-delta).
 
-    Draws a Haar-random symmetric |Psi> (or takes a supplied one), samples
-    group elements uniformly, and accumulates both the unprojected mixture
+    Draws a Haar-random symmetric |Psi> from the seed, samples group
+    elements uniformly, and accumulates both the unprojected mixture
     (which must converge to the reduced state) and the mixture projected
     onto rotated radius-r weight windows (which must stay within the bound
     plus Monte Carlo noise, five standard errors by default).
@@ -435,22 +428,10 @@ def mc_theorem1(
     d_formal = dim_sym(n - k, d)
 
     ws_n, mat_n = _sym_basis_matrix(n, d)
-    if state is None:
-        rng_state = np.random.default_rng([seed, 0])
-        coeff = rng_state.standard_normal(len(ws_n)) + 1j * rng_state.standard_normal(len(ws_n))
-        coeff /= np.linalg.norm(coeff)
-        psi = mat_n @ coeff
-    else:
-        psi = np.asarray(state, dtype=np.complex128).reshape(-1)
-        if psi.shape[0] != d**n:
-            raise ValueError(f"state must have dimension {d**n}, got {psi.shape[0]}")
-        nrm = np.linalg.norm(psi)
-        if nrm == 0:
-            raise ValueError("state must be nonzero")
-        psi = psi / nrm
-        resid = np.linalg.norm(psi - mat_n @ (mat_n.T @ psi))
-        if resid > 1e-10:
-            raise ValueError(f"state is not symmetric (residual {resid:.2e})")
+    rng_state = np.random.default_rng([seed, 0])
+    coeff = rng_state.standard_normal(len(ws_n)) + 1j * rng_state.standard_normal(len(ws_n))
+    coeff /= np.linalg.norm(coeff)
+    psi = mat_n @ coeff
 
     big = psi.reshape(d**k, dim_b)
     rho_k = big @ big.conj().T

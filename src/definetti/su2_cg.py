@@ -35,8 +35,8 @@ _fact = lru_cache(maxsize=None)(factorial)
 class TwoJ(_Frozen):
     """An angular momentum stored as twice its value.
 
-    It equals, hashes and sorts as the tuple (doubled,) of its field and
-    never equals a plain number: TwoJ(3) != 3.
+    A validated tag with no arithmetic: it equals and hashes as the tuple
+    (doubled,) of its field and never equals a plain number: TwoJ(3) != 3.
     """
 
     __slots__ = ("doubled",)
@@ -47,43 +47,6 @@ class TwoJ(_Frozen):
         ):
             raise TypeError(f"doubled value must be an integer, got {doubled!r}")
         _set_doubled(self, doubled)
-
-    def __lt__(self, other):
-        if other.__class__ is not TwoJ:
-            return NotImplemented
-        return self.doubled < other.doubled
-
-    def __le__(self, other):
-        if other.__class__ is not TwoJ:
-            return NotImplemented
-        return self.doubled <= other.doubled
-
-    def __gt__(self, other):
-        if other.__class__ is not TwoJ:
-            return NotImplemented
-        return self.doubled > other.doubled
-
-    def __ge__(self, other):
-        if other.__class__ is not TwoJ:
-            return NotImplemented
-        return self.doubled >= other.doubled
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.doubled, 2)
-
-    def __add__(self, other: "TwoJ") -> "TwoJ":
-        if not isinstance(other, TwoJ):
-            return NotImplemented
-        return TwoJ(self.doubled + other.doubled)
-
-    def __sub__(self, other: "TwoJ") -> "TwoJ":
-        if not isinstance(other, TwoJ):
-            return NotImplemented
-        return TwoJ(self.doubled - other.doubled)
-
-    def __neg__(self) -> "TwoJ":
-        return TwoJ(-self.doubled)
 
     def __str__(self) -> str:
         if self.doubled % 2 == 0:

@@ -22,7 +22,6 @@ __all__ = [
     "weight_leq",
     "height_down",
     "height_up",
-    "lowest_weight",
     "sym_weights",
     "w_r_set",
     "type_class_size",
@@ -83,10 +82,6 @@ class Weight:
 
     def reversed(self) -> "Weight":
         return Weight(self.entries[::-1])
-
-    def normalized(self) -> "Weight":
-        """Shift so the last coordinate is zero (idempotent)."""
-        return self.shifted(-self.entries[-1])
 
     def __str__(self) -> str:
         return "(" + ",".join(str(x) for x in self.entries) + ")"
@@ -174,12 +169,7 @@ def height_up(mu: Weight, w: Weight) -> HeightDecomposition:
     The reversal of mu is the lowest weight of the irreducible with
     highest weight mu.  Requires matching coordinate sums.
     """
-    return _height(mu, w, lambda mu, w: w - lowest_weight(mu))
-
-
-def lowest_weight(mu: Weight) -> Weight:
-    """Lowest weight of the irreducible with highest weight mu (reversal)."""
-    return mu.reversed()
+    return _height(mu, w, lambda mu, w: w - mu.reversed())
 
 
 def sym_weights(n: int, d: int) -> list[Weight]:

@@ -71,7 +71,7 @@ def test_exact_real_needs_no_split_until_core_is_read():
     x = ExactReal.from_square(-1, 3 * 6, 2 * p * q)  # -sqrt(9 / (p q))
     y = ExactReal.sqrt(Fraction(9, p * q))
     assert x == -y and x != y and hash(-x) == hash(y)
-    assert x.square() == y.radicand == Fraction(9, p * q)
+    assert x.square() == y.square() == Fraction(9, p * q)
     assert y * y == ExactReal.of(Fraction(9, p * q)) and (x * y).sign == -1
     assert x * ExactReal.sqrt(p * q) == ExactReal.of(-3)
     assert float(y) == pytest.approx(3 / math.sqrt(p * q), rel=1e-15)
@@ -96,13 +96,13 @@ def test_exact_real_needs_no_split_until_core_is_read():
 def test_exact_real_canonical_form():
     x = ExactReal.sqrt(8)
     assert (x.sign, x.coeff, x.core) == (1, Fraction(2), 2)
-    assert x.radicand == 8
+    assert x.square() == 8
     y = ExactReal.sqrt(Fraction(4, 9))
     assert (y.sign, y.coeff, y.core) == (1, Fraction(2, 3), 1)
     z = ExactReal.sqrt(Fraction(1, 2))
     # 1/sqrt(2) = (1/2) * sqrt(2)
     assert (z.coeff, z.core) == (Fraction(1, 2), 2)
-    assert z.radicand == Fraction(1, 2)
+    assert z.square() == Fraction(1, 2)
 
 
 def test_exact_real_from_square():

@@ -19,7 +19,7 @@ from definetti.heisenberg import (
     delta_number_space,
     epsilon_heisenberg,
 )
-from definetti.report import DeltaReport
+from definetti.report import DeltaReport, _sqrt_float
 
 
 def test_triple_validation():
@@ -212,35 +212,60 @@ def test_epsilon_heisenberg_piecewise():
     off = epsilon_heisenberg(HeisenbergTriple(mu=1, nu=1, Delta=2, r=4))
     rep = delta_number_space(HeisenbergTriple(mu=1, nu=1, Delta=2, r=4))
     assert off == pytest.approx(2 * (1 - float(rep.delta)) ** 0.5)
+    # a gap that is a perfect square, 1 - delta = (1 + 8) / 2^8 = 9/256,
+    # still gives a float at Delta > 0
+    assert 1 - delta_number_space(HeisenbergTriple(1, 1, 1, 7)).delta == Fraction(9, 256)
+    square = epsilon_heisenberg(HeisenbergTriple(1, 1, 1, 7))
+    assert type(square) is float and square == 0.375
 
 
-def test_epsilon_heisenberg_telescoped_branch_skips_window_sum(monkeypatch):
-    # exact inputs with Delta = 0 return the telescoped 2 x at r = 0 and
-    # 2 x^((r+1)/2) otherwise without summing the window; the other
-    # branches still need the sum
-    expected = {
-        r: epsilon_heisenberg(HeisenbergTriple(mu=1, nu=3, Delta=0, r=r)) for r in (0, 1, 2, 5, 40)
-    }
+def test_epsilon_heisenberg_exact_inputs_skip_window_sum(monkeypatch):
+    # exact inputs take 1 - delta from the binomial tail of Delta + 1
+    # terms: the telescoped 2 x at Delta = r = 0, 2 x^((r+1)/2) at
+    # Delta = 0 and odd r, and a float of the tail otherwise; only the
+    # float Delta = r = 0 case still reads delta
+    exact = [
+        HeisenbergTriple(mu=1, nu=3, Delta=D, r=r) for D in (0, 1, 4) for r in (0, 1, 2, 5, 40)
+    ]
+    expected = [epsilon_heisenberg(t) for t in exact]
 
     def fail(t):
         raise AssertionError(f"window summed for {t}")
 
     monkeypatch.setattr(heisenberg, "delta_number_space", fail)
-    for r, value in expected.items():
-        got = epsilon_heisenberg(HeisenbergTriple(mu=1, nu=3, Delta=0, r=r))
-        assert got == value and type(got) is type(value)
+    for t, value in zip(exact, expected):
+        got = epsilon_heisenberg(t)
+        assert got == value and type(got) is type(value), t
     assert epsilon_heisenberg(HeisenbergTriple(mu=1, nu=3, Delta=0, r=5)) == Fraction(1, 32)
     got = epsilon_heisenberg(HeisenbergTriple(mu=1, nu=3, Delta=0, r=0))
     assert got == Fraction(1, 2) and type(got) is Fraction
     # float inputs sum 1 - delta as a binomial tail, never the window
     got = epsilon_heisenberg(HeisenbergTriple(mu=1.0, nu=3.0, Delta=0, r=5))
     assert got == pytest.approx(1 / 32, rel=1e-14)
-    for t in (
-        HeisenbergTriple(mu=1, nu=3, Delta=1, r=5),
-        HeisenbergTriple(mu=1.0, nu=3.0, Delta=0, r=0),
-    ):
-        with pytest.raises(AssertionError, match="window summed"):
-            epsilon_heisenberg(t)
+    with pytest.raises(AssertionError, match="window summed"):
+        epsilon_heisenberg(HeisenbergTriple(mu=1.0, nu=3.0, Delta=0, r=0))
+    # 40,001 window terms of ~265,000 bits, which the window sum takes
+    # about a second for: the Delta + 1 = 4 tail terms take a tenth of it
+    got = epsilon_heisenberg(HeisenbergTriple(99, 1, 3, 40000))
+    # 1 - delta = sum_{k<=3} C(40001, k) 0.99^(40001-k) 0.01^k
+    ctx = Context(prec=40)
+    gap = sum(
+        comb(40001, k) * ctx.power(Decimal("0.99"), 40001 - k) * ctx.power(Decimal("0.01"), k)
+        for k in range(4)
+    )
+    assert type(got) is float and abs(Decimal(got) / (2 * ctx.sqrt(gap)) - 1) <= Decimal("1e-14")
+
+
+def test_epsilon_heisenberg_tail_equals_window_sum():
+    # the tail is the reference's 2 sqrt(1 - delta) of the window sum, bit
+    # for bit, since both reduce to the same Fraction before the root
+    for mu, nu in ((1, 3), (99, 1), (Fraction(2, 3), Fraction(5, 7))):
+        for D in (1, 3, 10):
+            for r in (100, 1000, 5000):
+                t = HeisenbergTriple(mu, nu, D, r)
+                want = 2.0 * _sqrt_float(1 - delta_number_space(t).delta)
+                got = epsilon_heisenberg(t)
+                assert type(got) is float and got == want, (mu, nu, D, r)
 
 
 def test_epsilon_heisenberg_below_float_range():

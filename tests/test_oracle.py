@@ -193,20 +193,6 @@ def test_mc_theorem1_runs_and_is_deterministic():
     assert different.lhs_distance != rep.lhs_distance
 
 
-def test_mc_theorem1_supplied_state():
-    state = sym_basis_vector(Weight((2, 2)))
-    rep = mc_theorem1(4, 2, 2, 10**3, 1, state=state)
-    assert rep.passed
-    with pytest.raises(ValueError):
-        bad = np.zeros(16)
-        bad[1] = 1.0  # not symmetric
-        mc_theorem1(4, 2, 2, 10**3, 1, state=bad)
-    with pytest.raises(ValueError):
-        mc_theorem1(4, 2, 2, 10**3, 1, state=np.zeros(16))
-    with pytest.raises(ValueError):
-        mc_theorem1(4, 2, 2, 10**3, 1, state=np.ones(8))
-
-
 def test_mc_theorem1_guards():
     with pytest.raises(ValueError):
         mc_theorem1(4, 0, 0, 10**3, 0)

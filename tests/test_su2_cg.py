@@ -23,14 +23,9 @@ def test_twoj_coercion():
     assert as_twoj(TwoJ(7)) == TwoJ(7)
     assert str(TwoJ(3)) == "3/2"
     assert str(TwoJ(4)) == "2"
-    assert TwoJ(3).value == Fraction(3, 2)
-    assert TwoJ(3) + TwoJ(1) == TwoJ(4)
-    assert -TwoJ(3) == TwoJ(0) - TwoJ(3)
     # a TwoJ is its field as a one-tuple, never a plain number
     assert TwoJ(3) != 3 and TwoJ(3) != TwoJ(4)
     assert hash(TwoJ(3)) == hash((3,))
-    assert sorted([TwoJ(3), TwoJ(-1), TwoJ(0)]) == [TwoJ(-1), TwoJ(0), TwoJ(3)]
-    assert TwoJ(1) < TwoJ(2) and max(TwoJ(5), TwoJ(2)) == TwoJ(5)
     assert repr(TwoJ(3)) == "TwoJ(doubled=3)"
     with pytest.raises(AttributeError):
         TwoJ(3).doubled = 4
@@ -40,7 +35,15 @@ def test_twoj_coercion():
     for twoj in (TwoJ(3), TwoJ(-200)):
         assert pickle.loads(pickle.dumps(twoj)) == twoj
         assert copy.copy(twoj) == copy.deepcopy(twoj) == twoj
-    for bad in (lambda: TwoJ(3) + 1, lambda: TwoJ(3) - 1, lambda: 1 + TwoJ(3)):
+    # a tag with no arithmetic and no order
+    for bad in (
+        lambda: TwoJ(3) + 1,
+        lambda: TwoJ(3) - 1,
+        lambda: 1 + TwoJ(3),
+        lambda: TwoJ(3) + TwoJ(1),
+        lambda: -TwoJ(3),
+        lambda: TwoJ(1) < TwoJ(2),
+    ):
         with pytest.raises(TypeError):
             bad()
     with pytest.raises(ValueError):
