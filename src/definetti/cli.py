@@ -110,8 +110,30 @@ def _weight(s: str, key: str):
         raise ValueError(f"{key} must be a comma-separated integer tuple, got {s!r}") from None
 
 
+# Upper limits of compute sym-epsilon (n, d) and closed-form-sum (n); k <= n
+# and r <= k follow.  Measured on a 2-vCPU Xeon VM, the slowest cells at the
+# limits take 0.4-0.5 s in process (0.6-0.75 s as commands): sym-epsilon
+# n=100000 k=100000 d=1000 r=50000 and closed-form-sum n=100000 k=100000
+# r=99999.  At d = 10^4 the first takes 0.9 s; sym-epsilon n=10^6 k=5*10^5
+# d=4 r=2*10^5 takes 5.5 s.
+COMPUTE_N_GUARD = 10**5
+COMPUTE_D_GUARD = 1000
+
+
+def _int_at_most(limit: int):
+    def parse(s: str, key: str) -> int:
+        value = _int(s, key)
+        if value > limit:
+            raise ValueError(f"need {key} <= {limit}, got {value}")
+        return value
+
+    return parse
+
+
 _NKR = {"n": _int, "k": _int, "r": _int}
 _NKRD = {**_NKR, "d": _int}
+_NKR_GUARDED = {**_NKR, "n": _int_at_most(COMPUTE_N_GUARD)}
+_NKRD_GUARDED = {**_NKR_GUARDED, "d": _int_at_most(COMPUTE_D_GUARD)}
 
 
 def _compute_su2_delta(tokens: list[str]):
@@ -122,7 +144,7 @@ def _compute_su2_delta(tokens: list[str]):
 def _compute_sym_epsilon(tokens: list[str]):
     from .symmetric import SymTriple, epsilon
 
-    return epsilon(SymTriple(**_parse_params(tokens, _NKRD)))
+    return epsilon(SymTriple(**_parse_params(tokens, _NKRD_GUARDED)))
 
 
 def _compute_sym_bound(tokens: list[str]):
@@ -175,7 +197,7 @@ def _compute_exact_radius(tokens: list[str]):
 def _compute_closed_form_sum(tokens: list[str]):
     from .symmetric import closed_form_sum
 
-    return closed_form_sum(**_parse_params(tokens, _NKR))
+    return closed_form_sum(**_parse_params(tokens, _NKR_GUARDED))
 
 
 COMPUTE_FNS = {

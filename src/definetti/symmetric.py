@@ -6,19 +6,23 @@ exponential bounds.  The central object is the approximation error
     epsilon = 2 * (dim S(n-k) / dim S(n)) * sum_{i=r+1}^{k} C(k,i)/C(n,i) * C(i+d-2, i)
 
 for reconstructing a k-site reduced state from the symmetric subspace,
-keeping weights within radius r of the top.  Since
+keeping weights within radius r of the top.  The k-term sum is a
+hypergeometric tail of d - 1 terms: with e = r + d - 1,
 
-    C(k,i)/C(n,i) = perm(n-i, n-k) / perm(n, n-k),
+    epsilon = 2 * sum_{l=0}^{d-2} C(n-k+d-1, l) C(k, e-l) / C(n+d-1, e),
 
-every sum over i is a sum of integers over one common denominator, and
-epsilon and delta_psi_weights each build a single Fraction at the end.
+twice the chance that more than r of e balls drawn without replacement
+from an urn of k marked and n - k + d - 1 unmarked ones are marked (the
+urn of Diaconis & Freedman, "Finite exchangeable sequences", Ann.
+Probab. 8, 745, 1980).  `delta_psi_weights` keeps the weight-by-weight
+sum, in integers by C(k,i)/C(n,i) = perm(n-i, n-k) / perm(n, n-k), and
+each function builds a single Fraction at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, exp, factorial, perm
 from typing import NamedTuple, Sequence
 
@@ -63,34 +67,24 @@ def dim_sym(n: int, d: int) -> int:
     return comb(n + d - 1, n)
 
 
-@lru_cache(maxsize=2)
-def _tail_sums(n: int, k: int, d: int) -> tuple[int, ...]:
-    """Entry r is the integer sum_{i=r+1}^{k} perm(n-i, n-k) * C(i+d-2, i),
-    for r = 0..k, built in one downward pass.  Divided by perm(n, n-k) it
-    is sum_{i=r+1}^{k} C(k,i)/C(n,i) * C(i+d-2, i), because
-    C(k,i)/C(n,i) = k!(n-i)! / (n!(k-i)!) = perm(n-i, n-k) / perm(n, n-k)."""
-    tails = [0] * (k + 1)
-    for i in range(k, 0, -1):
-        tails[i - 1] = tails[i] + perm(n - i, n - k) * comb(i + d - 2, i)
-    return tuple(tails)
-
-
 def epsilon(t: SymTriple) -> Fraction:
     """Exact error bound for the radius-r symmetric reconstruction.
 
-    By C(k,i)/C(n,i) = perm(n-i, n-k) / perm(n, n-k) the tail sum is an
-    integer T[r] over perm(n, n-k), so the value is the single Fraction
-    2 dim S(n-k) T[r] / (dim S(n) perm(n, n-k)).  The integer tail sums
-    of the last two (n, k, d) are kept, all k + 1 of them, so the first
-    call of a column costs what the r = 0 sum costs and every other
-    radius is a lookup.  The memo is module state and not thread-safe,
-    like the rest of the package.
+    With e = r + d - 1 and m = n - k + d - 1 the value is the single
+    Fraction 2 sum_{l=0}^{d-2} C(m, l) C(k, e-l) / C(n+d-1, e), the urn
+    tail of the module docstring.  The sum starts from its top term
+    C(m, d-2) C(k, r+1), and each next term is the last times
+    l (k-e+l) / ((m-l+1)(e-l+1)), an exact division, so a cell costs three
+    binomials and d - 2 small-integer steps.  At r = k the top term
+    C(k, k+1) is 0, and so is every other, without a branch.
     """
-    n, k, d = t.n, t.k, t.d
-    return Fraction(
-        2 * dim_sym(n - k, d) * _tail_sums(n, k, d)[t.r],
-        dim_sym(n, d) * perm(n, n - k),
-    )
+    n, k, d, r = t.n, t.k, t.d, t.r
+    e, m = r + d - 1, n - k + d - 1
+    term = total = comb(m, d - 2) * comb(k, r + 1)
+    for l in range(d - 2, 0, -1):
+        term = term * (l * (k - e + l)) // ((m - l + 1) * (e - l + 1))
+        total += term
+    return Fraction(2 * total, comb(n + d - 1, e))
 
 
 def term_overlap(w: Weight, n: int, k: int) -> Fraction:
@@ -151,19 +145,15 @@ def delta_psi_weights(n: int, k: int, d: int, f: Sequence[int]) -> Fraction:
 def closed_form_sum(n: int, k: int, r: int) -> Fraction:
     """Closed form of sum_{i=r+1}^{k} C(k,i)/C(n,i).
 
-    Equals k! (n-r)! / ((n-k+1) n! (k-r-1)!) for 0 <= r < k <= n, and 0
-    at r = k (empty sum).
+    Equals k! (n-r)! / ((n-k+1) n! (k-r-1)!) = perm(k, r+1) / ((n-k+1)
+    perm(n, r)) for 0 <= r <= k <= n; at r = k, perm(k, k+1) = 0 gives
+    the empty sum.
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
     if not 0 <= r <= k:
         raise ValueError(f"need 0 <= r <= k, got r={r}")
-    if r == k:
-        return Fraction(0)
-    return Fraction(
-        factorial(k) * factorial(n - r),
-        (n - k + 1) * factorial(n) * factorial(k - r - 1),
-    )
+    return Fraction(perm(k, r + 1), (n - k + 1) * perm(n, r))
 
 
 class BoundPair(NamedTuple):
@@ -199,12 +189,11 @@ def bound_exponential(t: SymTriple) -> BoundPair:
 def exact_error_d2(n: int, k: int, r: int) -> Fraction:
     """Exact error for d = 2: 2 k! (n-r)! / ((k-r-1)! (n+1)!).
 
-    Empty at r = k, where the error is exactly 0.
+    That is 2 perm(k, r+1) / perm(n+1, r+1), exactly 0 at r = k, where
+    perm(k, k+1) = 0.
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
     if not 0 <= r <= k:
         raise ValueError(f"need 0 <= r <= k, got r={r}")
-    if r == k:
-        return Fraction(0)
     return Fraction(2 * perm(k, r + 1), perm(n + 1, r + 1))

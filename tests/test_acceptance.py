@@ -1,4 +1,4 @@
-"""Acceptance gate: thirteen numbered end-to-end checks at pinned tolerances.
+"""Acceptance gate: fourteen numbered end-to-end checks at pinned tolerances.
 
 Each check prints one [PASS]/[FAIL] line (run pytest -s to see them all)
 and enforces its runtime budget where one is pinned.  A criterion that
@@ -171,3 +171,26 @@ def test_criterion_13_mutation_sensitivity(capsys):
             assert main(["verify", "all"]) == 1
         assert main(["verify", "all"]) == 0  # pristine modules pass again
         capsys.readouterr()
+
+
+def _bridge_a(n: int, k: int, d: int, r: int) -> None:
+    # j1 = (k+d-2)/2, j2 = m2 = (n-k+d-2)/2 and j = n/2 give a = d - 2,
+    # J = n + d - 1, 2j2 + 1 = n - k + d - 1 and r + d - 1 window terms:
+    # epsilon's urn with the drawn and the marked balls swapped
+    tj2 = n - k + d - 2
+    window = delta_su2(TwoJ(k + d - 2), TwoJ(tj2), TwoJ(n), TwoJ(tj2), r + d - 2)
+    assert symmetric.epsilon(SymTriple(n, k, d, r)) == 2 * (1 - window.delta), (n, k, d, r)
+
+
+def test_criterion_14_symmetric_error_is_a_coupling_window():
+    with criterion(14, "epsilon(n, k, d, r) is 2(1 - delta_su2) of its coupling window"):
+        for n in range(1, 36):
+            for k in range(1, n + 1):
+                for d in range(2, 7):
+                    for r in range(k + 1):
+                        _bridge_a(n, k, d, r)
+        for r in range(201):  # figure 1's j = 200 column
+            _bridge_a(400, 200, 2, r)
+        t0 = time.perf_counter()
+        _bridge_a(20000, 10000, 4, 100)
+        assert time.perf_counter() - t0 < 1

@@ -4,6 +4,7 @@ import copy
 import pickle
 from decimal import Context, Decimal
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -74,6 +75,27 @@ def test_compute_heis_epsilon_prints_positive_past_float_underflow(capsys):
     code, out, _ = run(capsys, "compute", "heis-epsilon", "mu=1", "nu=1", "Delta=0", "r=1074")
     assert code == 0
     assert Decimal(out) > 0 and out.endswith("E-162\n")
+
+
+def test_compute_cost_limits(capsys):
+    n_max, d_max = cli.COMPUTE_N_GUARD, cli.COMPUTE_D_GUARD
+    for argv, message in (
+        (["sym-epsilon", f"n={n_max + 1}", "k=1", "r=0", "d=2"], f"need n <= {n_max}, got {n_max + 1}"),
+        (["sym-epsilon", "n=4", "k=2", "r=0", f"d={d_max + 1}"], f"need d <= {d_max}, got {d_max + 1}"),
+        (["closed-form-sum", f"n={n_max + 1}", "k=1", "r=0"], f"need n <= {n_max}, got {n_max + 1}"),
+    ):
+        code, out, err = run(capsys, "compute", *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1, argv
+        assert err.endswith(f": {message}\n"), err
+    # at the limits; at r = 0, epsilon is 2(1 - dim S(n-k) / dim S(n))
+    for argv, value in (
+        (["sym-epsilon", f"n={n_max}", "k=1", "r=0", "d=2"], Fraction(2, n_max + 1)),
+        (["sym-epsilon", "n=4", "k=2", "r=0", f"d={d_max}"],
+         2 * (1 - Fraction(comb(d_max + 1, 2), comb(d_max + 3, 4)))),
+        (["closed-form-sum", f"n={n_max}", "k=1", "r=0"], Fraction(1, n_max)),
+    ):
+        code, out, err = run(capsys, "compute", *argv)
+        assert (code, out, err) == (0, cli.render_scalar(value) + "\n", ""), argv
 
 
 def test_compute_usage_errors(capsys):

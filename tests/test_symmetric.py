@@ -6,7 +6,7 @@ from math import comb, factorial, perm
 
 import pytest
 
-from definetti import symmetric, weights
+from definetti import weights
 from definetti.symmetric import (
     SymTriple,
     bound_exponential,
@@ -61,19 +61,6 @@ def test_epsilon_strictly_decreasing_in_radius():
         assert values[-1] == 0
 
 
-def test_epsilon_memo_independent_of_call_order():
-    # three (n, k, d) columns, one more than the memo holds
-    columns = [(12, 6, 2), (12, 6, 3), (9, 7, 4)]
-    cells = [(col, r) for col in columns for r in range(col[1] + 1)]
-    random.Random(13).shuffle(cells)
-    got = {}
-    for (n, k, d), r in cells:
-        got[(n, k, d), r] = epsilon(SymTriple(n, k, d, r))
-    for ((n, k, d), r), value in got.items():
-        symmetric._tail_sums.cache_clear()
-        assert value == epsilon(SymTriple(n, k, d, r)), ((n, k, d), r)
-
-
 def _epsilon_column_termwise(n, k, d):
     # epsilon at r = 0..k as a sum of one Fraction per term, downwards
     ratio = Fraction(dim_sym(n - k, d), dim_sym(n, d))
@@ -109,9 +96,21 @@ def test_integer_kernels_match_termwise_sum():
                         assert got == want and type(got) is Fraction, (n, k, d, r, direction)
 
 
+def test_epsilon_matches_termwise_sum_on_seeded_sweep():
+    rng = random.Random(16)
+    for _ in range(200):
+        n = rng.randint(1, 400)
+        k = rng.randint(1, n)
+        d = rng.randint(2, 8)
+        r = rng.randint(0, k)
+        got = epsilon(SymTriple(n, k, d, r))
+        assert got == _epsilon_column_termwise(n, k, d)[r] and type(got) is Fraction, (n, k, d, r)
+
+
 def test_closed_form_sum_matches_direct():
     # C(2,1)/C(4,1) + C(2,2)/C(4,2); verify.tail_sum_closed_form sweeps the rest
     assert closed_form_sum(4, 2, 0) == Fraction(1, 2) + Fraction(1, 6)
+    assert closed_form_sum(4, 2, 2) == 0  # empty sum at r = k
 
 
 def test_closed_form_sum_validation():
@@ -176,6 +175,7 @@ def test_bound_exponential_needs_small_d():
 
 def test_exact_error_d2_closed_form():
     assert exact_error_d2(4, 2, 0) == Fraction(4, 5)
+    assert exact_error_d2(4, 2, 2) == 0
     with pytest.raises(ValueError):
         exact_error_d2(4, 0, 0)
     with pytest.raises(ValueError):
