@@ -110,14 +110,25 @@ def _weight(s: str, key: str):
         raise ValueError(f"{key} must be a comma-separated integer tuple, got {s!r}") from None
 
 
-# Upper limits of compute sym-epsilon (n, d) and closed-form-sum (n); k <= n
-# and r <= k follow.  Measured on a 2-vCPU Xeon VM, the slowest cells at the
-# limits take 0.4-0.5 s in process (0.6-0.75 s as commands): sym-epsilon
-# n=100000 k=100000 d=1000 r=50000 and closed-form-sum n=100000 k=100000
-# r=99999.  At d = 10^4 the first takes 0.9 s; sym-epsilon n=10^6 k=5*10^5
-# d=4 r=2*10^5 takes 5.5 s.
+# Upper limits of compute sym-epsilon (n, d), sym-bound (d) and
+# closed-form-sum (n); k <= n and r <= k follow.  Measured on a 2-vCPU Xeon
+# VM, the slowest cells at the limits take 0.4-0.5 s in process (0.6-0.75 s
+# as commands): sym-epsilon n=100000 k=100000 d=1000 r=50000 and
+# closed-form-sum n=100000 k=100000 r=99999.  At d = 10^4 the first takes
+# 0.9 s; sym-epsilon n=10^6 k=5*10^5 d=4 r=2*10^5 takes 5.5 s.
 COMPUTE_N_GUARD = 10**5
 COMPUTE_D_GUARD = 1000
+
+# Upper limit of (r + 1) * bitlen(p + q) in compute heis-delta, heis-epsilon
+# and coherent-bound, mu/nu = p/q in lowest terms (k/(n-k) for
+# coherent-bound): the bit length of the power of p + q under every exact
+# value, whose gcd, powers and tail terms are the cost.  The slowest cell
+# at a given size is mu = nu = 1 with Delta = r/2, whose binomial tail has
+# (r + 1)/2 terms of r bits each.  Measured on a 2-vCPU Xeon VM, in
+# process: 0.35 s at 10^5 bits, 0.8 s at the limit (heis-delta mu=1 nu=1
+# Delta=37499 r=74999; 0.9 s as a command) and 1.3 s at 2*10^5 bits;
+# heis-delta mu=99 nu=1 Delta=3 r=21427, at the limit too, takes 0.05 s.
+COMPUTE_BITS_GUARD = 150_000
 
 
 def _int_at_most(limit: int):
@@ -130,10 +141,20 @@ def _int_at_most(limit: int):
     return parse
 
 
+def _check_oscillator_bits(mu, nu, r: int) -> None:
+    ratio = Fraction(mu) / Fraction(nu)
+    bits = (r + 1) * (ratio.numerator + ratio.denominator).bit_length()
+    if bits > COMPUTE_BITS_GUARD:
+        raise ValueError(
+            f"the exact value needs about {bits} bits, over the limit of {COMPUTE_BITS_GUARD}: "
+            "lower r or the digits of the mode weights"
+        )
+
+
 _NKR = {"n": _int, "k": _int, "r": _int}
-_NKRD = {**_NKR, "d": _int}
+_NKRD = {**_NKR, "d": _int_at_most(COMPUTE_D_GUARD)}
 _NKR_GUARDED = {**_NKR, "n": _int_at_most(COMPUTE_N_GUARD)}
-_NKRD_GUARDED = {**_NKR_GUARDED, "d": _int_at_most(COMPUTE_D_GUARD)}
+_NKRD_GUARDED = {**_NKRD, "n": _int_at_most(COMPUTE_N_GUARD)}
 
 
 def _compute_su2_delta(tokens: list[str]):
@@ -158,7 +179,9 @@ def _heis_triple(tokens: list[str]):
     from .heisenberg import HeisenbergTriple
 
     parsers = {"mu": _fraction, "nu": _fraction, "Delta": _int, "r": _int}
-    return HeisenbergTriple(**_parse_params(tokens, parsers))
+    t = HeisenbergTriple(**_parse_params(tokens, parsers))
+    _check_oscillator_bits(t.mu, t.nu, t.r)
+    return t
 
 
 def _compute_heis_delta(tokens: list[str]):
@@ -176,7 +199,10 @@ def _compute_heis_epsilon(tokens: list[str]):
 def _compute_coherent_bound(tokens: list[str]):
     from .heisenberg import coherent_bound
 
-    return coherent_bound(**_parse_params(tokens, _NKR))
+    n, k, r = _parse_params(tokens, _NKR).values()
+    if 0 < k < n:
+        _check_oscillator_bits(k, n - k, r)
+    return coherent_bound(n, k, r)
 
 
 def _compute_exact_radius(tokens: list[str]):
@@ -226,10 +252,11 @@ largest offset delta_max."""
 
 
 # Upper limits of the figure options.  Measured alone on a 2-vCPU Xeon VM,
-# the others at their defaults: figure 3 --r-max 2000 takes 1.0 s (4.2 s
-# at --mu 1 --nu 99; its exact oscillator columns grow quadratically);
-# figure 1 --j1 1000 --j2 1000 --j-min 1990 --j-max 2000 takes 0.13 s;
-# figure 3 --delta-max 100 takes 0.25 s.
+# the others at their defaults: figure 3 --r-max 2000 takes 0.8-1.0 s
+# (4.1 s at --mu 1 --nu 99, most of it printing the exact oscillator
+# columns, whose denominators grow with r); figure 1 --j1 1000 --j2 1000
+# --j-min 1990 --j-max 2000 takes 0.13 s; figure 3 --delta-max 100 takes
+# 0.2 s.
 FIGURE_R_MAX_GUARD = 2000
 FIGURE_J_GUARD = 1000  # for --j1 and --j2: the angular momentum, not its double
 FIGURE_DELTA_MAX_GUARD = 100
@@ -239,10 +266,13 @@ FIGURE_DELTA_MAX_GUARD = 100
 # b the bit length of its operands: J log2(J), J = j1 + j2 + j + 1, for an
 # SU(2) window term and (r + Delta + 1) log2(p + q) + (r + 1) log2(p) for an
 # oscillator cell at mu/nu = p/q, whose numerator carries the powers of p.
-# An oscillator unit takes 1.7-2.9 ns on the same VM (figure_values
-# alone), so the budget is about 3 s: figure 3 --r-max 2000 --mu 1 --nu 99
-# needs 9.0e8 (1.5 s), and at --mu 99 --nu 1 the same grid needs 3.0e9 and
-# is refused; --r-max 1000 --mu 99 --nu 1 needs 4.6e8.  The SU(2) b is that
+# An oscillator unit takes 1.6-3.0 ns on the same VM (figure_values alone)
+# at --delta-max 10, where figure 3 --r-max 2000 --mu 1 --nu 99 needs 9.0e8
+# (1.5 s), and at --mu 99 --nu 1 the same grid needs 3.0e9 and is refused;
+# --r-max 1000 --mu 99 --nu 1 needs 4.6e8 (1.2 s).  At --delta-max 100 a
+# cell sums up to 101 binomial tail terms and a unit takes 3.8-4.8 ns, so
+# the budget is about 4-5 s there: --r-max 1017, at the budget, takes
+# 4.2-4.8 s and --r-max 510 --mu 99 --nu 1 3.8-4.1 s.  The SU(2) b is that
 # of the factorials J!; the binomial Racah kernel's operands are far
 # smaller, so an SU(2) unit takes only 0.03-0.7 ns, and figure 1 --j1 1000
 # --j2 1000 --j-min 1995 --j-max 2000 --r-max 400, refused at 2.7e9,

@@ -10,22 +10,23 @@ the closed form
 which is exact rational whenever mu and nu are.  Exact inputs are
 evaluated in integers: with mu/nu = p/q in lowest terms and s = p + q,
 x = mu/(mu+nu) = p/s and y = q/s, so every exact closed form here is one
-integer numerator over a power of s and ends in one Fraction.  Float
-inputs fall back to compensated floating summation over the term ratios.
+integer numerator over a power of s and ends in one Fraction.
 
-No error bound sums the window.  Every bound takes 1 - delta from the
-equivalent binomial tail of Delta + 1 terms,
+No exact closed form sums the window.  Both take 1 - delta from the
+equivalent binomial tail
 
     1 - delta = sum_{k=0}^{min(Delta, r+1)} C(r+1, k) y^k x^(r+1-k),
 
-the chance of at most Delta successes of probability y in r + 1 trials:
-in integers over s^(r+1) for exact inputs, in logarithms for floats.
+the chance of at most Delta successes of probability y in r + 1 trials
+(Diaconis & Freedman's urn, drawn with replacement): one integer over
+s^(r+1), _tail, summed on the side of Delta with fewer terms.  Float
+inputs sum the window in compensated floats for delta and the tail in
+logarithms for the bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, exp, fsum, gcd, inf, log, log1p
 
 from .report import DeltaReport, _Frozen, _sqrt_float
@@ -143,46 +144,43 @@ def _log1p_ratio(a: int, b: int) -> float:
     return log1p(a / b) if a.bit_length() < b.bit_length() + 1000 else log(a) - log(b)
 
 
-@lru_cache(maxsize=2)
-def _number_column(p: int, q: int, Delta: int) -> list:
-    """[c, A, p^c] for one exact column, which delta_number_space updates
-    in place: A = sum_{n<c} C(n+Delta, Delta) p^n s^(c-1-n), s = p + q."""
-    return [0, 0, 1]
+def _tail(p: int, q: int, Delta: int, n: int) -> int:
+    """T = sum_{k<=min(Delta, n)} C(n, k) q^k p^(n-k), s^n P(Bin(n, q/s) <= Delta)
+    with s = p + q, summed on the side of Delta with fewer terms.  Below:
+    p^(n-Delta) sum_{k<=Delta} C(n, k) q^k p^(Delta-k), from the term
+    p^Delta, each next one the last times (n-k) q / ((k+1) p), an exact
+    division.  Above: s^n less the swapped tail of the n - Delta terms
+    k > Delta.  A call costs min(Delta + 1, n - Delta) steps, and none
+    when Delta >= n - 1.
+    """
+    if Delta < 0:
+        return 0
+    if 2 * Delta >= n:
+        return (p + q) ** n - _tail(q, p, n - Delta - 1, n)
+    term = total = p**Delta
+    for k in range(Delta):
+        term = term * ((n - k) * q) // ((k + 1) * p)
+        total += term
+    return total * p ** (n - Delta)
 
 
 def delta_number_space(t: HeisenbergTriple) -> DeltaReport:
     """Vacuum-reference overlap against the number window {0, ..., r}.
 
-    Exact inputs are summed in integers.  With (p, q) = _coprime(mu, nu),
-    s = p + q and c = r - Delta + 1 window terms,
-
-        delta = q^(Delta+1) A_c / s^(Delta+c),
-        A_c = sum_{n<c} C(n+Delta, Delta) p^n s^(c-1-n),
-
-    and A_{c+1} = A_c s + C(c+Delta, Delta) p^c, so each term costs one
-    integer multiply-add and the result is one Fraction.  For the last two
-    columns (p, q, Delta) the integers [c, A_c, p^c] of the column's last
-    call are kept: a call at a larger radius adds only the missing terms,
-    so a sweep over r = 0..R costs R - Delta + 1 terms, and one at a
-    smaller radius sums afresh.  Only that one sum is kept: A_c is about
-    log2(s) bits longer than A_(c-1), so keeping them all would take
-    memory quadratic in r.  The memo is module state and not thread-safe,
-    like the rest of the package.  Float inputs are summed afresh on every
-    call.
+    Exact inputs are one Fraction: with (p, q) = _coprime(mu, nu),
+    s = p + q and n = r + 1, delta = (s^n - T) / s^n, T = _tail(p, q,
+    Delta, n) the binomial tail of the module docstring, so a cell costs
+    min(Delta + 1, r - Delta + 1) integer steps and none once r <= Delta
+    (r < Delta: the window misses the support and delta = 0).  Nothing is
+    kept between calls.  Float inputs sum the window in compensated floats:
+    1 - tail would cancel where delta is tiny.
     """
     label = f"vacuum |0> at offset Delta={t.Delta}"
     formula = "oscillator-number-window"
     if t.is_exact:
         p, q = _coprime(t.mu, t.nu)
-        s, D = p + q, t.Delta
-        count = max(t.r - D + 1, 0)
-        memo = _number_column(p, q, D)
-        c, total, p_pow = memo if memo[0] <= count else (0, 0, 1)
-        for n in range(c, count):
-            total = total * s + comb(n + D, D) * p_pow
-            p_pow *= p
-        memo[:] = count, total, p_pow
-        delta = Fraction(q ** (D + 1) * total, s ** (D + count))
+        whole = (p + q) ** (t.r + 1)
+        delta = Fraction(whole - _tail(p, q, t.Delta, t.r + 1), whole)
         return DeltaReport.from_delta(delta, formula_id=formula, psi_label=label)
     x, _, log_y = _float_logs(t.mu, t.nu)
     # C(n+Delta, Delta) x^n by the term ratio x (n+1+Delta)/(n+1), from 1;
@@ -228,11 +226,10 @@ def epsilon_heisenberg(t: HeisenbergTriple):
     Returns an exact Fraction whenever the algebra allows: exact inputs
     with Delta = 0 and the exponent (r+1)/2 integral, or Delta = r = 0.
     A float result is positive whenever the bound is a normal float
-    (>= 2^-1022).  No exact input sums the window: 1 - delta is the
-    binomial tail of the module docstring, T / s^(r+1) with
-    T = sum_{k<=min(Delta, r+1)} C(r+1, k) q^k p^(r+1-k) in integers, whose
-    one term at Delta = 0 is the telescoped x^(r+1).  Float inputs other
-    than Delta = r = 0 sum the same tail in logarithms (see _float_epsilon).
+    (>= 2^-1022).  Exact inputs take 1 - delta = T / s^(r+1) with
+    T = _tail(p, q, Delta, r + 1), as delta_number_space does, whose one
+    term at Delta = 0 is the telescoped x^(r+1).  Float inputs other than
+    Delta = r = 0 sum the same tail in logarithms (see _float_epsilon).
     """
     if t.is_exact:
         p, q = _coprime(t.mu, t.nu)
@@ -241,13 +238,7 @@ def epsilon_heisenberg(t: HeisenbergTriple):
             return Fraction(2 * p, s)
         if t.Delta == 0 and n % 2 == 0:
             return Fraction(2 * p ** (n // 2), s ** (n // 2))
-        # the first term of T is p^n, n = r + 1, and each next one the last
-        # times (n-k) q / ((k+1) p), an exact division
-        term = total = p**n
-        for k in range(min(t.Delta, n)):
-            term = term * ((n - k) * q) // ((k + 1) * p)
-            total += term
-        return 2.0 * _sqrt_float(Fraction(total, s**n))
+        return 2.0 * _sqrt_float(Fraction(_tail(p, q, t.Delta, n), s**n))
     if t.Delta == 0 and t.r == 0:
         return delta_number_space(t).bound_linear
     return _float_epsilon(t)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, factorial, perm
+from math import comb, exp, factorial, inf, isfinite, perm
 from typing import NamedTuple, Sequence
 
 from .weights import Weight
@@ -171,18 +171,26 @@ def bound_exponential(t: SymTriple) -> BoundPair:
         intermediate = (k/(n-r))^(d-1+r) (n-k)^(d-2)
                        exp((d-1)r/k + (d-1)^2/k + (d-1)^2/(n-k)) / (d-2)!
         headline     = 2 e^(3d) / (d-2)! * (k/(n-r))^(r+1) * (k(n-k)/(n-r))^(d-2)
+
+    A bound, or a factor of one, that leaves the float range is a
+    ValueError naming the parameters.
     """
     n, k, d, r = t.n, t.k, t.d, t.r
     if d > min(k, n - k):
         raise ValueError(f"bounds need d <= min(k, n-k), got d={d}, k={k}, n-k={n - k}")
     base = k / (n - r)
-    inter = (
-        base ** (d - 1 + r)
-        * (n - k) ** (d - 2)
-        * exp((d - 1) * r / k + (d - 1) ** 2 / k + (d - 1) ** 2 / (n - k))
-        / factorial(d - 2)
-    )
-    head = 2.0 * exp(3 * d) / factorial(d - 2) * base ** (r + 1) * (k * (n - k) / (n - r)) ** (d - 2)
+    try:
+        inter = (
+            base ** (d - 1 + r)
+            * (n - k) ** (d - 2)
+            * exp((d - 1) * r / k + (d - 1) ** 2 / k + (d - 1) ** 2 / (n - k))
+            / factorial(d - 2)
+        )
+        head = 2.0 * exp(3 * d) / factorial(d - 2) * base ** (r + 1) * (k * (n - k) / (n - r)) ** (d - 2)
+    except OverflowError:
+        inter = head = inf
+    if not (isfinite(inter) and isfinite(head)):
+        raise ValueError(f"the bounds leave the float range at n={n}, k={k}, d={d}, r={r}")
     return BoundPair(intermediate=inter, headline=head)
 
 

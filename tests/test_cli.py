@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from definetti import cli, heisenberg, su2_cg, verify
+from definetti import cli, heisenberg, su2_cg, symmetric, verify
 from definetti.cli import FigureSpec, figure_spec, figure_values, main
 from definetti.su2_cg import TwoJ
 
@@ -96,6 +96,56 @@ def test_compute_cost_limits(capsys):
     ):
         code, out, err = run(capsys, "compute", *argv)
         assert (code, out, err) == (0, cli.render_scalar(value) + "\n", ""), argv
+
+
+def test_compute_sym_bound_past_the_float_range(capsys, monkeypatch):
+    code, out, err = run(capsys, "compute", "sym-bound", "n=1000", "k=500", "r=0", "d=116")
+    assert (code, out, err) == (0, "intermediate = 4.29405046887E+109\nheadline = 1.24222066531E+238\n", "")
+    # (n-k)^(d-2) = 500^115 used to end in an OverflowError traceback, exit 1
+    code, out, err = run(capsys, "compute", "sym-bound", "n=1000", "k=500", "r=0", "d=117")
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.endswith(": the bounds leave the float range at n=1000, k=500, d=117, r=0\n"), err
+
+    def fail(t):
+        raise AssertionError("the bounds were computed")
+
+    monkeypatch.setattr(symmetric, "bound_exponential", fail)
+    d_over = cli.COMPUTE_D_GUARD + 1
+    code, out, err = run(capsys, "compute", "sym-bound", "n=1000", "k=500", "r=0", f"d={d_over}")
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.endswith(f": need d <= {cli.COMPUTE_D_GUARD}, got {d_over}\n"), err
+
+
+def test_compute_oscillator_bits_limit(capsys, monkeypatch):
+    # (r + 1) * bitlen(p + q) at the limit: p + q = 2 or 3 has two bits
+    limit = cli.COMPUTE_BITS_GUARD
+    r_max = limit // 2 - 1
+    assert 2 * (r_max + 1) == limit
+    code, out, err = run(capsys, "compute", "heis-epsilon", "mu=1", "nu=1", "Delta=0", f"r={r_max}")
+    assert code == 0 and Decimal(out) > 0
+    code, out, err = run(capsys, "compute", "heis-delta", "mu=1", "nu=1", "Delta=0", f"r={r_max}")
+    assert (code, out) == (0, "1.00000000000\n") and "decimal" in err
+    code, out, err = run(capsys, "compute", "coherent-bound", "n=3", "k=1", f"r={r_max}")
+    assert code == 0 and Decimal(out) > 0
+
+    def fail(*args):
+        raise AssertionError("the oscillator value was computed")
+
+    for name in ("delta_number_space", "epsilon_heisenberg", "coherent_bound"):
+        monkeypatch.setattr(heisenberg, name, fail)
+    message = f"the exact value needs about {limit + 2} bits, over the limit of {limit}"
+    for argv in (
+        ["heis-delta", "mu=1", "nu=1", "Delta=0", f"r={r_max + 1}"],
+        ["heis-epsilon", "mu=2", "nu=2", "Delta=5", f"r={r_max + 1}"],
+        ["coherent-bound", "n=3", "k=1", f"r={r_max + 1}"],
+    ):
+        code, out, err = run(capsys, "compute", *argv)
+        assert (code, out) == (2, "") and err.count("\n") == 1, argv
+        assert f": {message}: " in err, err
+    # the weights' digits count too: this cell ran past 120 s
+    argv = ["heis-delta", "mu=12345678901234567890", "nu=1", "Delta=10", "r=100000"]
+    code, out, err = run(capsys, "compute", *argv)
+    assert (code, out) == (2, "") and "over the limit" in err
 
 
 def test_compute_usage_errors(capsys):

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import time
 from decimal import Context, Decimal
 from fractions import Fraction
 from math import comb, sqrt
@@ -20,6 +21,20 @@ from definetti.heisenberg import (
     epsilon_heisenberg,
 )
 from definetti.report import DeltaReport, _sqrt_float
+
+
+def _window_delta(mu, nu, D, r):
+    """Reference delta by the window sum: with mu/nu = p/q in lowest terms
+    and s = p + q, A_{c+1} = A_c s + C(c+D, D) p^c over the c = r - D + 1
+    window terms, and delta = q^(D+1) A_c / s^(D+c)."""
+    ratio = Fraction(mu) / Fraction(nu)
+    p, q = ratio.numerator, ratio.denominator
+    s, count = p + q, max(r - D + 1, 0)
+    total, p_pow = 0, 1
+    for c in range(count):
+        total = total * s + comb(c + D, D) * p_pow
+        p_pow *= p
+    return Fraction(q ** (D + 1) * total, s ** (D + count))
 
 
 def test_triple_validation():
@@ -120,24 +135,10 @@ def test_delta_number_space_values():
             assert rep.delta == 0
 
 
-def test_delta_number_space_memo_independent_of_call_order():
-    # three exact columns, one more than the memo holds, radii below and
-    # above each offset
-    columns = [(Fraction(2), Fraction(3), 0), (Fraction(2), Fraction(3), 4), (Fraction(1, 2), Fraction(5), 2)]
-    cells = [(col, r) for col in columns for r in range(12)]
-    random.Random(12).shuffle(cells)
-    got = {}
-    for (mu, nu, D), r in cells:
-        got[(mu, nu, D), r] = delta_number_space(HeisenbergTriple(mu, nu, D, r))
-    for ((mu, nu, D), r), rep in got.items():
-        heisenberg._number_column.cache_clear()
-        assert rep == delta_number_space(HeisenbergTriple(mu, nu, D, r)), ((mu, nu, D), r)
-
-
 def test_integer_kernels_match_termwise_sum():
     # every exact closed form against its per-term Fraction sum, for value
-    # and type, with the calls shuffled so the window memo is extended,
-    # restarted and evicted in every order
+    # and type, with the calls shuffled so that no value can depend on the
+    # order of the calls
     weights = (1, 2, Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), 50)
     r_max = 60
     window = {}  # (mu, nu, D) -> [sum_{n<=m} C(n+D, D) x^n for m = 0..r_max]
@@ -257,15 +258,63 @@ def test_epsilon_heisenberg_exact_inputs_skip_window_sum(monkeypatch):
 
 
 def test_epsilon_heisenberg_tail_equals_window_sum():
-    # the tail is the reference's 2 sqrt(1 - delta) of the window sum, bit
-    # for bit, since both reduce to the same Fraction before the root
+    # the tail is 2 sqrt(1 - delta) of the reference window sum, bit for
+    # bit, since both reduce to the same Fraction before the root
     for mu, nu in ((1, 3), (99, 1), (Fraction(2, 3), Fraction(5, 7))):
         for D in (1, 3, 10):
             for r in (100, 1000, 5000):
                 t = HeisenbergTriple(mu, nu, D, r)
-                want = 2.0 * _sqrt_float(1 - delta_number_space(t).delta)
+                window = _window_delta(mu, nu, D, r)
                 got = epsilon_heisenberg(t)
-                assert type(got) is float and got == want, (mu, nu, D, r)
+                assert type(got) is float and got == 2.0 * _sqrt_float(1 - window), (mu, nu, D, r)
+                assert delta_number_space(t).delta == window, (mu, nu, D, r)
+
+
+def test_delta_number_space_cold_cell_in_under_a_second():
+    # 40,001 window terms of ~265,000 bits took the window sum 1.4-1.7 s;
+    # the tail has Delta + 1 = 4 terms
+    t = HeisenbergTriple(99, 1, 3, 40000)
+    start = time.perf_counter()
+    delta = delta_number_space(t).delta
+    assert time.perf_counter() - start < 1.0
+    n = 40001
+    tail = sum(comb(n, k) * 99 ** (n - k) for k in range(4))
+    assert type(delta) is Fraction and delta == 1 - Fraction(tail, 100**n)
+
+
+def test_delta_number_space_equals_window_sum_at_large_radius():
+    t = HeisenbergTriple(99, 1, 3, 10**4)
+    assert delta_number_space(t).delta == _window_delta(99, 1, 3, 10**4)
+
+
+def test_tail_either_side_of_the_shorter_side_choice():
+    # T sums the Delta + 1 terms below Delta while 2 Delta + 1 <= n, and
+    # s^n less the n - Delta terms above it past that: both sides, and the
+    # tie 2 Delta + 1 = n, against the termwise tail and the window sum
+    for mu, nu in ((1, 1), (1, 3), (99, 1), (Fraction(2, 3), Fraction(5, 7))):
+        ratio = Fraction(mu) / Fraction(nu)
+        p, q = ratio.numerator, ratio.denominator
+        for D in (0, 1, 2, 7, 40):
+            for n in (2 * D, 2 * D + 1, 2 * D + 2):
+                if n == 0:
+                    continue
+                termwise = sum(comb(n, k) * q**k * p ** (n - k) for k in range(min(D, n) + 1))
+                assert heisenberg._tail(p, q, D, n) == termwise, (p, q, D, n)
+                t = HeisenbergTriple(mu, nu, D, n - 1)
+                assert delta_number_space(t).delta == _window_delta(mu, nu, D, n - 1), (mu, nu, D, n)
+                want = 2.0 * _sqrt_float(Fraction(termwise, (p + q) ** n))
+                if D:
+                    assert epsilon_heisenberg(t) == want, (mu, nu, D, n)
+
+
+def test_delta_number_space_at_offset_equal_to_radius_takes_no_step():
+    # at Delta = r the window is one term, delta = y^(r+1); the tail's
+    # upper side has none to sum, where its lower side would step 10^5 times
+    r = 10**5
+    start = time.perf_counter()
+    delta = delta_number_space(HeisenbergTriple(1, 1, r, r)).delta
+    assert time.perf_counter() - start < 0.2
+    assert delta == Fraction(1, 2 ** (r + 1))
 
 
 def test_epsilon_heisenberg_below_float_range():
@@ -277,10 +326,10 @@ def test_epsilon_heisenberg_below_float_range():
         want = 2 * ctx.sqrt(ctx.power(Decimal(2), -(r + 1)))
         assert type(got) is float and got > 0, r
         assert abs(Decimal(got) / want - 1) <= Decimal("1e-12"), r
-    # with Delta > 0 the bound is 2 sqrt(1 - delta) of the exact window sum
+    # with Delta > 0 the bound is 2 sqrt(1 - delta) of the reference window sum
     for r in (1100, 2000):
         t = HeisenbergTriple(mu=1, nu=1, Delta=1, r=r)
-        gap = 1 - delta_number_space(t).delta
+        gap = 1 - _window_delta(1, 1, 1, r)
         want = 2 * ctx.sqrt(ctx.divide(Decimal(gap.numerator), Decimal(gap.denominator)))
         got = epsilon_heisenberg(t)
         assert got > 0 and abs(Decimal(got) / want - 1) <= Decimal("1e-12"), r

@@ -1,5 +1,6 @@
 """The package surface: the lazy namespace, and what a command process loads."""
 
+import ast
 import importlib
 import json
 import os
@@ -115,3 +116,18 @@ def test_lazy_namespace_lists_each_module_all(module):
     mod = importlib.import_module(f"definetti.{module}")
     assert set(definetti._SOURCES[module]) == set(mod.__all__)
     assert len(definetti._SOURCES[module]) == len(mod.__all__)
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "definetti").glob("*.py")), ids=lambda p: p.stem)
+def test_every_module_level_import_is_used(path):
+    # a name a module imports at its top level and never reads again is a
+    # leftover of deleted code
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in imported.items() if name not in used}
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
