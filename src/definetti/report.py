@@ -16,18 +16,19 @@ _FLOAT_SLACK = 1e-12
 _MIN_NORMAL = sys.float_info.min  # 2^-1022
 
 
-def _sqrt_float(q: Fraction) -> float:
-    """sqrt(q) as a float for a rational q >= 0, rounded only at the end.
+def _sqrt_float(num: int, den: int) -> float:
+    """sqrt(num/den) as a float for integers num >= 0 and den > 0, rounded
+    only at the end, with no gcd.
 
-    float(q) loses precision below 2^-1022 and is 0 below 2^-1074,
-    although sqrt(q) may still be a normal float, so there the root is
-    taken of q 4^m, which lies near 1, and 2^-m is put back.
+    num/den loses precision below 2^-1022 and is 0 below 2^-1074,
+    although its root may still be a normal float, so there the root is
+    taken of num 4^m / den, which lies near 1, and 2^-m is put back.
     """
-    f = float(q)
-    if f >= _MIN_NORMAL or not q:
+    f = num / den
+    if f >= _MIN_NORMAL or not num:
         return math.sqrt(f)
-    m = (q.denominator.bit_length() - q.numerator.bit_length()) // 2
-    return math.ldexp(math.sqrt(float(q * 4**m)), -m)
+    m = (den.bit_length() - num.bit_length()) // 2
+    return math.ldexp(math.sqrt((num << 2 * m) / den), -m)
 
 
 class _Frozen:
@@ -106,7 +107,9 @@ class DeltaReport(_Frozen):
     def bound_sqrt(self) -> float:
         """2 sqrt(1 - delta), the general bound."""
         d = self.delta
-        return 2.0 * (math.sqrt(1 - d) if isinstance(d, float) else _sqrt_float(1 - d))
+        if isinstance(d, float):
+            return 2.0 * math.sqrt(1 - d)
+        return 2.0 * _sqrt_float(d.denominator - d.numerator, d.denominator)
 
     @classmethod
     def from_delta(cls, delta, formula_id: str, psi_label: str) -> "DeltaReport":

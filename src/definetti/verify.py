@@ -531,7 +531,7 @@ def mass_identities(pairs, delta_max: int) -> str:
 
 def saturation_limit() -> str:
     """The overlap deficit falls below 1e-8 at a finite radius."""
-    # two exact cases plus one float case through the compensated sum
+    # two exact cases plus one float case, the same integer tail rounded once
     for mu, nu in ((Fraction(1, 2), Fraction(2)), (Fraction(5), Fraction(1, 2)), (50.0, 0.5)):
         for Delta in (0, 3):
             r = Delta + 1

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import time
 from decimal import Context, Decimal
 from fractions import Fraction
 from math import comb
@@ -190,6 +191,75 @@ def test_non_half_integer_is_named_as_typed(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.count("\n") == 1, argv
         assert err.endswith(f": {message}\n"), err
+
+
+def test_decimal_exponent_is_bounded_before_the_number_is_built(capsys):
+    # Fraction expands exponent notation into a power of ten first: each of
+    # these took 10-24 s before it was refused, or ran on past any limit
+    limit = cli.COMPUTE_BITS_GUARD
+    over = f"need the decimal exponent of {{}} at most {limit} in size, got {{}}"
+    for argv, message in (
+        (["compute", "heis-delta", "mu=1e10000000", "nu=1", "Delta=0", "r=0"],
+         over.format("mu", "1e10000000")),
+        (["compute", "heis-epsilon", "mu=1", "nu= -1E+10_000_000 ", "Delta=0", "r=0"],
+         over.format("nu", "-1E+10_000_000")),
+        (["compute", "heis-delta", "mu=1e-10000000", "nu=1", "Delta=0", "r=0"],
+         over.format("mu", "1e-10000000")),
+        (["compute", "heis-delta", "mu=0.e99999999", "nu=1", "Delta=0", "r=0"],
+         over.format("mu", "0.e99999999")),
+        # once refused only for its equal weights' sake, since p + q = 2
+        (["compute", "heis-delta", "mu=1e200000", "nu=1e200000", "Delta=0", "r=0"],
+         over.format("mu", "1e200000")),
+        (["figure", "3", "--mu", "1e10000000"], over.format("mu", "1e10000000")),
+        (["figure", "3", "--nu", "." + "9" * 30 + "e" + "9" * 5000],
+         over.format("nu", "." + "9" * 30 + "e" + "9" * 5000)),
+        (["figure", "1", "--j1", "1e10000000"], over.format("j1", "1e10000000")),
+        (["compute", "su2-delta", "j1=1e10000000", "j2=1", "j=1", "m2=0", "r=0"],
+         over.format("j1", "1e10000000")),
+        (["compute", "su2-delta", "j1=1", "j2=1", "j=1", "m2=1e-10000000", "r=0"],
+         over.format("m2", "1e-10000000")),
+        # within the exponent limit, an over-limit value is named as typed,
+        # never as Python's int-to-str digit limit
+        (["figure", "1", "--j1", "1e5000"], f"need j1 <= {cli.FIGURE_J_GUARD}, got 1e5000"),
+        (["compute", "su2-delta", "j1=1", "j2=1e5000", "j=1", "m2=0", "r=0"],
+         f"need j2 <= {cli.FIGURE_J_GUARD}, got 1e5000"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "" and err.count("\n") == 1, argv
+        assert err.endswith(f": {message}\n"), err
+    # at the limit the number is built, underscores, spaces and all
+    assert cli._fraction(f" 1_0e{limit - 1} ", "mu") == 10**limit
+    assert cli._fraction(f"-2.5E-{limit}", "nu") == Fraction(-25, 10 ** (limit + 1))
+    assert cli._twoj(f"5e{limit}", "j").doubled == 10 ** (limit + 1)
+    # text that Fraction refuses is named as no number, not as too large
+    for text in ("e" + "9" * 10, "1e5e" + "9" * 10, "1_e" + "9" * 10, "1e9__9" + "9" * 10):
+        with pytest.raises(ValueError, match=f"^mu must be a rational number, got '{text}'$"):
+            cli._fraction(text, "mu")
+
+
+def test_compute_su2_delta_angular_momenta_are_bounded(capsys, monkeypatch):
+    # j1 = j2 = j = 2000, r = 4000 took 17.5 s a cell, j1 = j2 = 10^5 ran on
+    j_max = cli.FIGURE_J_GUARD
+
+    def fail(*args):
+        raise AssertionError("the overlap was computed")
+
+    monkeypatch.setattr(cli, "delta_su2", fail)
+    for argv, message in (
+        ([f"j1={j_max + 1}", "j2=1", f"j={j_max}", "m2=0", "r=0"], f"need j1 <= {j_max}, got {j_max + 1}"),
+        (["j1=1", f"j2={2 * j_max + 1}/2", f"j={j_max}", "m2=1/2", "r=0"],
+         f"need j2 <= {j_max}, got {2 * j_max + 1}/2"),
+        (["j1=100000", "j2=100000", "j=100000", "m2=0", "r=200000"], f"need j1 <= {j_max}, got 100000"),
+    ):
+        code, out, err = run(capsys, "compute", "su2-delta", *argv)
+        assert (code, out) == (2, "") and err == f"definetti compute su2-delta: {message}\n", err
+    monkeypatch.undo()
+    # the limit itself is admitted, and r is not limited
+    argv = [f"j1={j_max}", f"j2={j_max}", "j=0", "m2=0", "r=10000000"]
+    code, out, err = run(capsys, "compute", "su2-delta", *argv)
+    assert code == 0 and err == "", err
 
 
 def test_figure_one_anchor_and_determinism(capsys):

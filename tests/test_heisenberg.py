@@ -187,7 +187,7 @@ def test_delta_number_space_float_path_tracks_exact():
 
 def test_delta_number_space_float_path_stays_in_range():
     # C(1200, 400) overflows a float and y^401 underflows one at mu=50,
-    # nu=1/2; the term-ratio sum needs neither
+    # nu=1/2; the integer tail needs neither
     exact = delta_number_space(HeisenbergTriple(mu=Fraction(2), nu=Fraction(1), Delta=400, r=1200))
     approx = delta_number_space(HeisenbergTriple(mu=2.0, nu=1.0, Delta=400, r=1200))
     assert float(exact.delta) == 0.49457340739976025
@@ -223,8 +223,7 @@ def test_epsilon_heisenberg_piecewise():
 def test_epsilon_heisenberg_exact_inputs_skip_window_sum(monkeypatch):
     # exact inputs take 1 - delta from the binomial tail of Delta + 1
     # terms: the telescoped 2 x at Delta = r = 0, 2 x^((r+1)/2) at
-    # Delta = 0 and odd r, and a float of the tail otherwise; only the
-    # float Delta = r = 0 case still reads delta
+    # Delta = 0 and odd r, and a float of the tail otherwise
     exact = [
         HeisenbergTriple(mu=1, nu=3, Delta=D, r=r) for D in (0, 1, 4) for r in (0, 1, 2, 5, 40)
     ]
@@ -240,11 +239,11 @@ def test_epsilon_heisenberg_exact_inputs_skip_window_sum(monkeypatch):
     assert epsilon_heisenberg(HeisenbergTriple(mu=1, nu=3, Delta=0, r=5)) == Fraction(1, 32)
     got = epsilon_heisenberg(HeisenbergTriple(mu=1, nu=3, Delta=0, r=0))
     assert got == Fraction(1, 2) and type(got) is Fraction
-    # float inputs sum 1 - delta as a binomial tail, never the window
-    got = epsilon_heisenberg(HeisenbergTriple(mu=1.0, nu=3.0, Delta=0, r=5))
-    assert got == pytest.approx(1 / 32, rel=1e-14)
-    with pytest.raises(AssertionError, match="window summed"):
-        epsilon_heisenberg(HeisenbergTriple(mu=1.0, nu=3.0, Delta=0, r=0))
+    # float inputs take the same integers, Delta = r = 0 included, and
+    # never read delta either: each is the float of the exact bound
+    for t, value in zip(exact, expected):
+        got = epsilon_heisenberg(HeisenbergTriple(float(t.mu), float(t.nu), t.Delta, t.r))
+        assert got == float(value) and type(got) is float, t
     # 40,001 window terms of ~265,000 bits, which the window sum takes
     # about a second for: the Delta + 1 = 4 tail terms take a tenth of it
     got = epsilon_heisenberg(HeisenbergTriple(99, 1, 3, 40000))
@@ -266,7 +265,9 @@ def test_epsilon_heisenberg_tail_equals_window_sum():
                 t = HeisenbergTriple(mu, nu, D, r)
                 window = _window_delta(mu, nu, D, r)
                 got = epsilon_heisenberg(t)
-                assert type(got) is float and got == 2.0 * _sqrt_float(1 - window), (mu, nu, D, r)
+                gap = 1 - window
+                want = 2.0 * _sqrt_float(gap.numerator, gap.denominator)
+                assert type(got) is float and got == want, (mu, nu, D, r)
                 assert delta_number_space(t).delta == window, (mu, nu, D, r)
 
 
@@ -302,7 +303,7 @@ def test_tail_either_side_of_the_shorter_side_choice():
                 assert heisenberg._tail(p, q, D, n) == termwise, (p, q, D, n)
                 t = HeisenbergTriple(mu, nu, D, n - 1)
                 assert delta_number_space(t).delta == _window_delta(mu, nu, D, n - 1), (mu, nu, D, n)
-                want = 2.0 * _sqrt_float(Fraction(termwise, (p + q) ** n))
+                want = 2.0 * _sqrt_float(termwise, (p + q) ** n)
                 if D:
                     assert epsilon_heisenberg(t) == want, (mu, nu, D, n)
 
@@ -450,7 +451,7 @@ def test_alpha_weight_with_binomial_beyond_floats():
     assert want == 9.009882496091974e-14
     _assert_tracks_exact(alpha_weight(400, 1200, 2.0, 1.0), want)
     _assert_tracks_exact(alpha_coeff(1600, 400, 2.0, 1.0), _exact_float(alpha_coeff, 1600, 400, 2.0, 1.0))
-    # the logarithms keep float precision where x is near 1
+    # one rounding keeps float precision where x is near 1
     want = _exact_float(alpha_weight, 20, 3000, 0.99, 0.01)
     _assert_tracks_exact(alpha_weight(20, 3000, 0.99, 0.01), want)
 
@@ -469,3 +470,63 @@ def test_infinite_mode_weight_is_refused():
             call()
         assert str(info.value) == message
 
+
+_FLOAT_WEIGHTS = (0.3, 0.7, 0.99, 0.01, 123.456, 0.789, 1.0, 2.0, 1e300, 1e-300, 1e-200)
+
+
+def test_float_weights_give_the_exact_value_rounded_once():
+    # every float result is float() of the same call at the Fractions the
+    # floats store, bit for bit; r is drawn log-uniformly below 400 so that
+    # the exact references at 1e300 against 1e-300 stay cheap
+    rng = random.Random(18)
+    for _ in range(160):
+        mu, nu = rng.choice(_FLOAT_WEIGHTS), rng.choice(_FLOAT_WEIGHTS)
+        D, r = rng.randrange(13), int(400 ** rng.random())
+        t, exact = HeisenbergTriple(mu, nu, D, r), _triple_exact(mu, nu, D, r)
+        cell = (mu, nu, D, r)
+        pairs = [
+            (delta_number_space(t).delta, delta_number_space(exact).delta),
+            (epsilon_heisenberg(t), epsilon_heisenberg(exact)),
+            (alpha_weight(D, r, mu, nu), alpha_weight(D, r, Fraction(mu), Fraction(nu))),
+        ] + [
+            (alpha_coeff(D, ell, mu, nu), alpha_coeff(D, ell, Fraction(mu), Fraction(nu)))
+            for ell in range(D + 1)
+        ]
+        for got, want in pairs:
+            assert type(got) is float and got == float(want), cell
+
+
+def test_float_weights_run_the_exact_tail(monkeypatch):
+    # a float triple makes the _tail calls of its exact twin, argument for
+    # argument, so no second float algorithm can come back unnoticed
+    calls = []
+    tail = heisenberg._tail
+
+    def counted(p, q, Delta, n):
+        calls.append((p, q, Delta, n))
+        return tail(p, q, Delta, n)
+
+    monkeypatch.setattr(heisenberg, "_tail", counted)
+    total = 0
+    for mu, nu in ((0.5, 2.0), (0.3, 0.7), (1e300, 1e-300)):
+        for D in (0, 1, 3):
+            for r in (0, 1, 2, 3, 8):
+                seen = []
+                for u in (HeisenbergTriple(mu, nu, D, r), _triple_exact(mu, nu, D, r)):
+                    calls.clear()
+                    delta_number_space(u)
+                    epsilon_heisenberg(u)
+                    seen.append(list(calls))
+                assert seen[0] == seen[1], (mu, nu, D, r)
+                total += len(seen[0])
+    assert total > 0
+
+
+def test_sqrt_float_ignores_a_common_factor():
+    # the bound passes unreduced parts; a shared factor moves the scale
+    # 2^-m below the float range by one step, never the rounded root
+    for num, den in ((1, 1), (9, 256), (1, 2**2001), (3, 2**3000 + 1), (7, 5**2000)):
+        want = _sqrt_float(num, den)
+        assert want == sqrt(num / den) or num / den < 2**-1022
+        for k in (2, 3, 2**40 + 15, 10**30):
+            assert _sqrt_float(k * num, k * den) == want, (num, den, k)
