@@ -16,6 +16,7 @@ import sys
 from collections import namedtuple
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
+from functools import partial
 
 # heisenberg, symmetric and weights are imported where they are used, so
 # a process that computes a coupling-window figure never loads them
@@ -66,11 +67,12 @@ def _parse_params(tokens: list[str], parsers: dict, optional: tuple[str, ...] = 
     for tok in tokens:
         key, sep, value = tok.partition("=")
         if not sep or not key or not value:
-            raise ValueError(f"expected key=value, got {tok!r}")
+            raise ValueError(f"expected key=value, got {_shown(tok)}")
         if key not in parsers and key not in optional:
-            raise ValueError(f"unknown parameter {key!r} (expected {', '.join((*parsers, *optional))})")
+            expected = ", ".join((*parsers, *optional))
+            raise ValueError(f"unknown parameter {_shown(key)} (expected {expected})")
         if key in params:
-            raise ValueError(f"duplicate parameter {key!r}")
+            raise ValueError(f"duplicate parameter {_shown(key)}")
         params[key] = value
     missing = [k for k in parsers if k not in params]
     if missing:
@@ -79,11 +81,47 @@ def _parse_params(tokens: list[str], parsers: dict, optional: tuple[str, ...] = 
     return parsed | {key: params[key] for key in optional if key in params}
 
 
-def _int(s: str, key: str) -> int:
+# a diagnostic echoes at most 40 characters of a token, so that it stays
+# one short line: a longer token is cut to its first 32
+def _shown(token: str) -> str:
+    """repr(token), cut when it is long."""
+    if len(token) <= 40:
+        return repr(token)
+    return f"{token[:32]!r}... ({len(token)} characters)"
+
+
+def _typed(s: str) -> str:
+    """s as typed, without surrounding space, cut when it is long."""
+    s = s.strip()
+    return s if len(s) <= 40 else f"{s[:32]}... ({len(s)} characters)"
+
+
+# the text int() reads as a base-10 integer
+_INTEGER = re.compile(r"\s*[-+]?\d+(_\d+)*\s*")
+
+
+def _int(s: str, key: str, limit: int | None = None) -> int:
+    """s as an int, at most limit if one is given.
+
+    An integer of more digits than the interpreter converts
+    (sys.get_int_max_str_digits()) is named by its digit count, against
+    the limit where one applies, and never echoed.
+    """
     try:
-        return int(s)
+        value = int(s)
     except ValueError:
-        raise ValueError(f"{key} must be an integer, got {s!r}") from None
+        if not _INTEGER.fullmatch(s):
+            raise ValueError(f"{key} must be an integer, got {_shown(s)}") from None
+        digits = sum(c.isdigit() for c in s)
+        if limit is not None and not s.lstrip().startswith("-"):
+            raise ValueError(f"need {key} <= {limit}, got a {digits}-digit integer") from None
+        raise ValueError(
+            f"{key} has {digits} digits, more than the interpreter converts "
+            f"({sys.get_int_max_str_digits()})"
+        ) from None
+    if limit is not None and value > limit:
+        raise ValueError(f"need {key} <= {limit}, got {value}")
+    return value
 
 
 # a decimal with an exponent as Fraction reads it: sign, digits with single
@@ -112,7 +150,16 @@ def _fraction(s: str, key: str) -> Fraction:
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{key} must be a rational number, got {s!r}") from None
+        raise ValueError(f"{key} must be a rational number, got {_shown(s)}") from None
+
+
+def _mode_weight(s: str, key: str) -> Fraction:
+    """mu or nu: a positive rational, refused as typed, before any
+    message formats the number it builds."""
+    value = _fraction(s, key)
+    if value <= 0:
+        raise ValueError(f"need {key} > 0, got {_typed(s)}")
+    return value
 
 
 def _twoj(s: str, key: str) -> TwoJ:
@@ -120,16 +167,28 @@ def _twoj(s: str, key: str) -> TwoJ:
     try:
         Fraction(s)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{key} must be a half-integer, got {s!r}") from None
+        raise ValueError(f"{key} must be a half-integer, got {_shown(s)}") from None
     # a rational that is not a half-integer is named as typed by as_twoj
     return as_twoj(s)
 
 
 def _twoj_bounded(s: str, key: str) -> TwoJ:
-    """j1 or j2, at most FIGURE_J_GUARD."""
+    """j1 or j2, in 0..FIGURE_J_GUARD."""
     value = _twoj(s, key)
     if value.doubled > 2 * FIGURE_J_GUARD:
-        raise ValueError(f"need {key} <= {FIGURE_J_GUARD}, got {s.strip()}")
+        raise ValueError(f"need {key} <= {FIGURE_J_GUARD}, got {_typed(s)}")
+    if value.doubled < 0:
+        raise ValueError(f"{key} = {_typed(s)} is negative")
+    return value
+
+
+def _twoj_coupled(s: str, key: str) -> TwoJ:
+    """j, m2, j-min or j-max: at most 2 FIGURE_J_GUARD in size, as every
+    valid value is (|m2| <= j2 and j <= j1 + j2), so that no message
+    formats a number past the interpreter's int-to-str limit."""
+    value = _twoj(s, key)
+    if abs(value.doubled) > 4 * FIGURE_J_GUARD:
+        raise ValueError(f"need |{key}| <= {2 * FIGURE_J_GUARD}, got {_typed(s)}")
     return value
 
 
@@ -139,7 +198,7 @@ def _weight(s: str, key: str):
     try:
         return Weight(tuple(int(x) for x in s.split(",")))
     except ValueError:
-        raise ValueError(f"{key} must be a comma-separated integer tuple, got {s!r}") from None
+        raise ValueError(f"{key} must be a comma-separated integer tuple, got {_shown(s)}") from None
 
 
 # Upper limits of compute sym-epsilon (n, d), sym-bound (d) and
@@ -163,16 +222,6 @@ COMPUTE_D_GUARD = 1000
 COMPUTE_BITS_GUARD = 150_000
 
 
-def _int_at_most(limit: int):
-    def parse(s: str, key: str) -> int:
-        value = _int(s, key)
-        if value > limit:
-            raise ValueError(f"need {key} <= {limit}, got {value}")
-        return value
-
-    return parse
-
-
 def _check_oscillator_bits(mu, nu, r: int) -> None:
     ratio = Fraction(mu) / Fraction(nu)
     bits = (r + 1) * (ratio.numerator + ratio.denominator).bit_length()
@@ -184,13 +233,15 @@ def _check_oscillator_bits(mu, nu, r: int) -> None:
 
 
 _NKR = {"n": _int, "k": _int, "r": _int}
-_NKRD = {**_NKR, "d": _int_at_most(COMPUTE_D_GUARD)}
-_NKR_GUARDED = {**_NKR, "n": _int_at_most(COMPUTE_N_GUARD)}
-_NKRD_GUARDED = {**_NKRD, "n": _int_at_most(COMPUTE_N_GUARD)}
+_NKRD = {**_NKR, "d": partial(_int, limit=COMPUTE_D_GUARD)}
+_NKR_GUARDED = {**_NKR, "n": partial(_int, limit=COMPUTE_N_GUARD)}
+_NKRD_GUARDED = {**_NKRD, "n": partial(_int, limit=COMPUTE_N_GUARD)}
 
 
 def _compute_su2_delta(tokens: list[str]):
-    parsers = {"j1": _twoj_bounded, "j2": _twoj_bounded, "j": _twoj, "m2": _twoj, "r": _int}
+    parsers = {
+        "j1": _twoj_bounded, "j2": _twoj_bounded, "j": _twoj_coupled, "m2": _twoj_coupled, "r": _int
+    }
     return delta_su2(**_parse_params(tokens, parsers, ("direction",))).delta
 
 
@@ -210,7 +261,7 @@ def _compute_sym_bound(tokens: list[str]):
 def _heis_triple(tokens: list[str]):
     from .heisenberg import HeisenbergTriple
 
-    parsers = {"mu": _fraction, "nu": _fraction, "Delta": _int, "r": _int}
+    parsers = {"mu": _mode_weight, "nu": _mode_weight, "Delta": _int, "r": _int}
     t = HeisenbergTriple(**_parse_params(tokens, parsers))
     _check_oscillator_bits(t.mu, t.nu, t.r)
     return t
@@ -335,11 +386,11 @@ def figure_spec(figure_id: int, overrides: dict[str, str | None]) -> FigureSpec:
         figure_id=figure_id,
         j1=_twoj_bounded(opts["j1"], "j1"),
         j2=_twoj_bounded(opts["j2"], "j2"),
-        tj_min=_twoj(opts["j_min"], "j-min").doubled,
-        tj_max=_twoj(opts["j_max"], "j-max").doubled,
-        r_max=_int(opts["r_max"], "r-max"),
-        mu=_fraction(opts["mu"], "mu"),
-        nu=_fraction(opts["nu"], "nu"),
+        tj_min=_twoj_coupled(opts["j_min"], "j-min").doubled,
+        tj_max=_twoj_coupled(opts["j_max"], "j-max").doubled,
+        r_max=_int(opts["r_max"], "r-max", FIGURE_R_MAX_GUARD),
+        mu=_mode_weight(opts["mu"], "mu"),
+        nu=_mode_weight(opts["nu"], "nu"),
         delta_max=_int(opts["delta_max"], "delta-max"),
     )
     _validate_spec(spec)
@@ -347,13 +398,10 @@ def figure_spec(figure_id: int, overrides: dict[str, str | None]) -> FigureSpec:
 
 
 def _validate_spec(spec: FigureSpec) -> None:
-    for label, j in (("j1", spec.j1), ("j2", spec.j2)):
-        if j.doubled < 0:
-            raise ValueError(f"{label} = {j} is negative")
+    # the parsers refused negative j1, j2, nonpositive mu, nu and
+    # r-max over its limit
     if spec.r_max < 0:
         raise ValueError(f"need r-max >= 0, got {spec.r_max}")
-    if spec.r_max > FIGURE_R_MAX_GUARD:
-        raise ValueError(f"need r-max <= {FIGURE_R_MAX_GUARD}, got {spec.r_max}")
     tj1, tj2 = spec.j1.doubled, spec.j2.doubled
     if spec.figure_id in (1, 2):
         if spec.tj_min > spec.tj_max:
@@ -371,8 +419,6 @@ def _validate_spec(spec: FigureSpec) -> None:
             raise ValueError(f"need delta-max >= 0, got {spec.delta_max}")
         if spec.delta_max > FIGURE_DELTA_MAX_GUARD:
             raise ValueError(f"need delta-max <= {FIGURE_DELTA_MAX_GUARD}, got {spec.delta_max}")
-        if not (spec.mu > 0 and spec.nu > 0):
-            raise ValueError(f"mode weights must be positive, got mu={spec.mu}, nu={spec.nu}")
         if tj1 + tj2 - 2 * spec.delta_max < abs(tj1 - tj2):
             raise ValueError(
                 f"overlay needs j1+j2-Delta >= |j1-j2|: Delta = {spec.delta_max} is too large"

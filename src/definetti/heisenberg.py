@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd, inf
 
-from .report import DeltaReport, _Frozen, _sqrt_float
+from .report import DeltaReport, _Frozen, _slot_setters, _sqrt_float
 
 __all__ = [
     "HeisenbergTriple",
@@ -55,14 +55,17 @@ class HeisenbergTriple(_Frozen):
             raise ValueError(f"need an integer offset Delta >= 0, got {Delta!r}")
         if not isinstance(r, int) or r < 0:
             raise ValueError(f"need an integer radius r >= 0, got {r!r}")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "Delta", Delta)
-        object.__setattr__(self, "r", r)
+        _set_mu(self, mu)
+        _set_nu(self, nu)
+        _set_Delta(self, Delta)
+        _set_r(self, r)
 
     @property
     def is_exact(self) -> bool:
         return _exact_pair(self.mu, self.nu)
+
+
+_set_mu, _set_nu, _set_Delta, _set_r = _slot_setters(HeisenbergTriple)
 
 
 def alpha_coeff(D: int, ell: int, mu, nu):
@@ -101,7 +104,19 @@ def alpha_weight_tail_bound(D: int, start: int, mu, nu) -> float:
     return a / (1 - rho)
 
 
+_EXACT_TYPES = (int, Fraction)
+
+
 def _check_weights(mu, nu) -> None:
+    # an int or Fraction is positive when its numerator is; this reads it
+    # without the numbers-ABC check that comparing a Fraction makes
+    if (
+        mu.__class__ in _EXACT_TYPES
+        and nu.__class__ in _EXACT_TYPES
+        and mu.numerator > 0
+        and nu.numerator > 0
+    ):
+        return
     if not mu > 0 or not nu > 0:
         raise ValueError(f"mode weights must be positive, got mu={mu}, nu={nu}")
     if not _exact_pair(mu, nu) and inf in (mu, nu):
@@ -109,7 +124,7 @@ def _check_weights(mu, nu) -> None:
 
 
 def _exact_pair(mu, nu) -> bool:
-    return isinstance(mu, (int, Fraction)) and isinstance(nu, (int, Fraction))
+    return isinstance(mu, _EXACT_TYPES) and isinstance(nu, _EXACT_TYPES)
 
 
 def _coprime(mu, nu) -> tuple[int, int]:
@@ -196,4 +211,8 @@ def coherent_bound(n: int, k: int, r: int):
     """
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
-    return epsilon_heisenberg(HeisenbergTriple(mu=Fraction(k), nu=Fraction(n - k), Delta=0, r=r))
+    if k.__class__ is n.__class__ is int:
+        mu, nu = k, n - k  # exact weights as they stand
+    else:
+        mu, nu = Fraction(k), Fraction(n - k)
+    return epsilon_heisenberg(HeisenbergTriple(mu=mu, nu=nu, Delta=0, r=r))

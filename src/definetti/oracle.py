@@ -453,7 +453,7 @@ def mc_theorem1(n: int, k: int, r: int, n_samples: int, seed: int) -> McReport:
         ref = _vector_power(g[:, :, 0], n - k)  # g|0> tensored over the traced sites
         phi = np.einsum("ab,nb->na", big, ref.conj())
         weights = d_formal * np.linalg.norm(phi, axis=1) ** 2
-        x_sum += d_formal * np.einsum("na,nb->ab", phi, phi.conj())
+        x_sum += d_formal * (phi.T @ phi.conj())
 
         g_k = _matrix_power(g, k)
         back = np.einsum("nba,nb->na", g_k.conj(), phi)  # rotate into the window frame
@@ -463,9 +463,9 @@ def mc_theorem1(n: int, k: int, r: int, n_samples: int, seed: int) -> McReport:
         chi_hat = np.einsum("nij,nj->ni", g_k, proj / safe[:, None])
         chi_hat[nrm <= 1e-150] = 0.0
 
-        y_sum += np.einsum("n,na,nb->ab", weights, chi_hat, chi_hat.conj())
+        y_sum += (chi_hat * weights[:, None]).T @ chi_hat.conj()
         abs2 = np.abs(chi_hat) ** 2
-        y_sq_sum += np.einsum("n,na,nb->ab", weights**2, abs2, abs2)
+        y_sq_sum += (abs2 * (weights**2)[:, None]).T @ abs2
         done += batch
 
     x_bar = x_sum / n_samples

@@ -35,9 +35,11 @@ class _Frozen:
     """Base of the package's small immutable value types.
 
     A subclass names its fields in __slots__ and sets them in __init__,
-    after validating them, with object.__setattr__.  Its instances then
-    repr, equal, hash and pickle by their fields in order, as a frozen
-    dataclass does, and never equal an instance of another class.
+    after validating them, through the slots' own setters, which
+    _slot_setters returns and the frozen __setattr__ does not block.  Its
+    instances then repr, equal, hash, pickle and copy by their fields in
+    order, as a frozen dataclass does, and never equal an instance of
+    another class.
     """
 
     __slots__ = ()
@@ -70,6 +72,11 @@ class _Frozen:
         return hash(self._key())
 
 
+def _slot_setters(cls: type[_Frozen]) -> tuple:
+    """The __set__ of each slot of cls, in field order."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
 class DeltaReport(_Frozen):
     """An overlap value in [0, 1] plus the error bounds it implies.
 
@@ -94,9 +101,9 @@ class DeltaReport(_Frozen):
             # a Fraction's denominator is positive: 0 <= n/d <= 1 compares ints
             if not (0 <= delta.numerator <= delta.denominator):
                 raise ValueError(f"delta out of range: {delta!r}")
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "formula_id", formula_id)
-        object.__setattr__(self, "psi_label", psi_label)
+        _set_delta(self, delta)
+        _set_formula_id(self, formula_id)
+        _set_psi_label(self, psi_label)
 
     @property
     def bound_linear(self) -> Fraction | float:
@@ -114,3 +121,6 @@ class DeltaReport(_Frozen):
     @classmethod
     def from_delta(cls, delta, formula_id: str, psi_label: str) -> "DeltaReport":
         return cls(delta, formula_id, psi_label)
+
+
+_set_delta, _set_formula_id, _set_psi_label = _slot_setters(DeltaReport)

@@ -21,11 +21,11 @@ each function builds a single Fraction at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, factorial, inf, isfinite, perm
 from typing import NamedTuple, Sequence
 
+from .report import _Frozen, _slot_setters
 from .weights import Weight
 
 __all__ = [
@@ -42,22 +42,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SymTriple:
+class SymTriple(_Frozen):
     """Parameters (n, k, d, r): n sites in dimension d, k kept, radius r."""
 
-    n: int
-    k: int
-    d: int
-    r: int
+    __slots__ = ("n", "k", "d", "r")
 
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"need local dimension d >= 2, got {self.d}")
-        if not 0 < self.k <= self.n:
-            raise ValueError(f"need 0 < k <= n, got k={self.k}, n={self.n}")
-        if not 0 <= self.r <= self.k:
-            raise ValueError(f"need 0 <= r <= k, got r={self.r}, k={self.k}")
+    def __init__(self, n: int, k: int, d: int, r: int) -> None:
+        if d < 2:
+            raise ValueError(f"need local dimension d >= 2, got {d}")
+        if not 0 < k <= n:
+            raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
+        if not 0 <= r <= k:
+            raise ValueError(f"need 0 <= r <= k, got r={r}, k={k}")
+        _set_n(self, n)
+        _set_k(self, k)
+        _set_d(self, d)
+        _set_r(self, r)
+
+
+_set_n, _set_k, _set_d, _set_r = _slot_setters(SymTriple)
 
 
 def dim_sym(n: int, d: int) -> int:

@@ -51,7 +51,13 @@ def _approx(a: float, b: float, tol: float, what: str) -> None:
 
 
 def _exact(a, b, what: str) -> None:
-    if a != b:
+    if a.__class__ is b.__class__ is Fraction:
+        # both in lowest terms, so equal exactly when their parts are, and
+        # compared without Fraction.__eq__'s type dispatch
+        differ = a.numerator != b.numerator or a.denominator != b.denominator
+    else:
+        differ = a != b
+    if differ:
         raise AssertionError(f"{what}: {a!r} != {b!r}")
 
 

@@ -15,6 +15,8 @@ from functools import lru_cache
 from itertools import accumulate
 from math import factorial
 
+from .report import _Frozen, _slot_setters
+
 __all__ = [
     "Weight",
     "HeightDecomposition",
@@ -29,27 +31,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Frozen):
     """An integer weight vector of dimension >= 2.
 
     Integral entries of another type (True, 2.0) become ints; any other
     entry (1.5, "3") raises ValueError.
     """
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        given = tuple(self.entries)
-        try:
-            entries = tuple(int(x) for x in given)
-        except OverflowError:  # int(inf)
-            raise ValueError(f"weight entries must be finite, got {given!r}") from None
-        if entries != given:
-            raise ValueError(f"weight entries must be integers, got {given!r}")
-        if len(entries) < 2:
-            raise ValueError("a weight needs at least two coordinates")
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        # a tuple of two or more plain ints is stored as it stands
+        if not (
+            entries.__class__ is tuple
+            and len(entries) > 1
+            and all(x.__class__ is int for x in entries)
+        ):
+            entries = _int_entries(entries)
+        _set_entries(self, entries)
 
     @property
     def dim(self) -> int:
@@ -85,6 +84,24 @@ class Weight:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(x) for x in self.entries) + ")"
+
+
+(_set_entries,) = _slot_setters(Weight)
+
+
+def _int_entries(given) -> tuple[int, ...]:
+    """The entries of any iterable as a tuple of ints, refused unless each
+    is integral and there are at least two."""
+    given = tuple(given)
+    try:
+        entries = tuple(int(x) for x in given)
+    except OverflowError:  # int(inf)
+        raise ValueError(f"weight entries must be finite, got {given!r}") from None
+    if entries != given:
+        raise ValueError(f"weight entries must be integers, got {given!r}")
+    if len(entries) < 2:
+        raise ValueError("a weight needs at least two coordinates")
+    return entries
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@
 
 import copy
 import pickle
+import re
 import time
 from decimal import Context, Decimal
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -237,6 +239,74 @@ def test_decimal_exponent_is_bounded_before_the_number_is_built(capsys):
     for text in ("e" + "9" * 10, "1e5e" + "9" * 10, "1_e" + "9" * 10, "1e9__9" + "9" * 10):
         with pytest.raises(ValueError, match=f"^mu must be a rational number, got '{text}'$"):
             cli._fraction(text, "mu")
+
+
+def test_over_long_values_are_named_at_parse_time(capsys):
+    # each used to exit through Python's int-to-str limit: "Exceeds the
+    # limit (4300 digits) for integer string conversion"
+    for argv, message in (
+        (["compute", "heis-delta", "mu=-1e5000", "nu=1", "Delta=0", "r=0"], "need mu > 0, got -1e5000"),
+        (["compute", "heis-delta", "mu=1", "nu=-1e5000", "Delta=0", "r=0"], "need nu > 0, got -1e5000"),
+        (["figure", "3", "--mu", "0"], "need mu > 0, got 0"),
+        (["figure", "1", "--j1=-1e5000"], "j1 = -1e5000 is negative"),
+        (["compute", "su2-delta", "j1=-1e5000", "j2=1", "j=1", "m2=0", "r=0"], "j1 = -1e5000 is negative"),
+        (["figure", "1", "--j-max", "1e5000"], "need |j-max| <= 2000, got 1e5000"),
+        (["figure", "2", "--j-min=-1e5000"], "need |j-min| <= 2000, got -1e5000"),
+        (["compute", "su2-delta", "j1=1", "j2=1", "j=1e5000", "m2=0", "r=0"], "need |j| <= 2000, got 1e5000"),
+        (["compute", "su2-delta", "j1=1", "j2=1", "j=1", "m2=-1e5000", "r=0"],
+         "need |m2| <= 2000, got -1e5000"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "" and err.count("\n") == 1, argv
+        assert err.endswith(f": {message}\n") and "Exceeds the limit" not in err, err
+    # the bound on j refuses no valid value: j1 + j2 <= 2 FIGURE_J_GUARD
+    j_max = cli.FIGURE_J_GUARD
+    argv = [f"j1={j_max}", f"j2={j_max}", f"j={2 * j_max}", f"m2=-{j_max}", "r=0"]
+    assert run(capsys, "compute", "su2-delta", *argv)[0] == 0
+
+
+def test_over_long_integers_are_named_by_their_digit_count(capsys):
+    digits = "1" + "0" * 4400
+    for argv, message in (
+        (["compute", "sym-epsilon", f"n={digits}", "k=1", "r=0", "d=2"],
+         f"need n <= {cli.COMPUTE_N_GUARD}, got a 4401-digit integer"),
+        (["figure", "3", "--r-max", digits],
+         f"need r-max <= {cli.FIGURE_R_MAX_GUARD}, got a 4401-digit integer"),
+        (["compute", "sym-epsilon", f"n=-{digits}", "k=1", "r=0", "d=2"],
+         "n has 4401 digits, more than the interpreter converts (4300)"),
+        (["compute", "sym-epsilon", "n=4", f"k={digits}", "r=0", "d=2"],
+         "k has 4401 digits, more than the interpreter converts (4300)"),
+        (["figure", "3", "--delta-max", f"+{digits[:2000]}_{digits[2000:]}"],
+         "delta-max has 4401 digits, more than the interpreter converts (4300)"),
+        (["compute", "sym-epsilon", "n=4", f"k={digits}.5", "r=0", "d=2"],
+         f"k must be an integer, got {digits[:32]!r}... (4403 characters)"),
+        (["compute", "exact-radius", f"lambda={digits},1", "mu=1,0", "nu=1,0"],
+         f"lambda must be a comma-separated integer tuple, got {digits[:32]!r}... (4403 characters)"),
+        # a convertible value past its limit is cut as typed
+        (["figure", "1", "--j1", digits[:4000]], f"need j1 <= 1000, got {digits[:32]}... (4000 characters)"),
+        (["compute", "su2-delta", "j1=1", "j2=1", f"j= {digits[:4000]}", "m2=0", "r=0"],
+         f"need |j| <= 2000, got {digits[:32]}... (4000 characters)"),
+        (["compute", "heis-epsilon", f"mu=-{digits[:4000]}", "nu=1", "Delta=0", "r=0"],
+         f"need mu > 0, got -{digits[:31]}... (4001 characters)"),
+        (["figure", "2", f"--j2=-{digits[:4000]}"], f"j2 = -{digits[:31]}... (4001 characters) is negative"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1, argv
+        assert len(err) < 200 and err.endswith(f": {message}\n"), err
+
+
+GOLDEN = Path(__file__).with_name("verify_all_seed0.txt")
+
+
+def test_verify_all_transcript_matches_the_golden(capsys):
+    # every detail and Monte Carlo digit of verify all --seed 0; the golden
+    # moves only with a change to a check
+    code, out, err = run(capsys, "verify", "all", "--seed", "0")
+    assert (code, err) == (0, "")
+    lines = [re.sub(r" \(\d+\.\d\ds\)", "", line) for line in out.splitlines()]
+    assert lines == GOLDEN.read_text().splitlines()
 
 
 def test_compute_su2_delta_angular_momenta_are_bounded(capsys, monkeypatch):

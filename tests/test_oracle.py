@@ -193,6 +193,56 @@ def test_mc_theorem1_runs_and_is_deterministic():
     assert different.lhs_distance != rep.lhs_distance
 
 
+def _mc_einsum_reference(n, k, r, n_samples, seed):
+    """mc_theorem1's report fields with its three sums accumulated by
+    einsum, in the sample order that the matmuls reorder."""
+    d, dim_b, d_formal = 2, 2 ** (n - k), dim_sym(n - k, 2)
+    ws_n, mat_n = oracle._sym_basis_matrix(n, d)
+    rng_state = np.random.default_rng([seed, 0])
+    coeff = rng_state.standard_normal(len(ws_n)) + 1j * rng_state.standard_normal(len(ws_n))
+    coeff /= np.linalg.norm(coeff)
+    big = (mat_n @ coeff).reshape(d**k, dim_b)
+    rho_k = big @ big.conj().T
+    ws_k, mat_k = oracle._sym_basis_matrix(k, d)
+    v_mat = mat_k[:, [i for i, w in enumerate(ws_k) if w[0] >= k - r]]
+    x_sum = np.zeros((d**k, d**k), dtype=np.complex128)
+    y_sum = np.zeros((d**k, d**k), dtype=np.complex128)
+    y_sq_sum = np.zeros((d**k, d**k))
+    rng = np.random.default_rng([seed, 1])
+    for start in range(0, n_samples, oracle._MC_BATCH):
+        g = haar_su2(rng, min(oracle._MC_BATCH, n_samples - start))
+        phi = np.einsum("ab,nb->na", big, oracle._vector_power(g[:, :, 0], n - k).conj())
+        weights = d_formal * np.linalg.norm(phi, axis=1) ** 2
+        x_sum += d_formal * np.einsum("na,nb->ab", phi, phi.conj())
+        g_k = oracle._matrix_power(g, k)
+        proj = (np.einsum("nba,nb->na", g_k.conj(), phi) @ v_mat.conj()) @ v_mat.T
+        nrm = np.linalg.norm(proj, axis=1)
+        chi_hat = np.einsum("nij,nj->ni", g_k, proj / np.where(nrm > 1e-150, nrm, 1.0)[:, None])
+        chi_hat[nrm <= 1e-150] = 0.0
+        y_sum += np.einsum("n,na,nb->ab", weights, chi_hat, chi_hat.conj())
+        abs2 = np.abs(chi_hat) ** 2
+        y_sq_sum += np.einsum("n,na,nb->ab", weights**2, abs2, abs2)
+    x_bar, y_bar = x_sum / n_samples, y_sum / n_samples
+    x_bar, y_bar = (x_bar + x_bar.conj().T) / 2, (y_bar + y_bar.conj().T) / 2
+    var = np.maximum(y_sq_sum / n_samples - np.abs(y_bar) ** 2, 0.0)
+    return {
+        "n": n, "k": k, "r": r, "n_samples": n_samples, "seed": seed,
+        "lhs_distance": trace_distance(rho_k, y_bar),
+        "bound": float(epsilon(SymTriple(n, k, 2, r))),
+        "identity_residual": trace_distance(rho_k, x_bar),
+        "mc_tolerance": 5.0 * 0.5 * np.sqrt((k + 1) * float(var.sum()) / n_samples),
+    }
+
+
+def test_mc_theorem1_matches_its_einsum_reference():
+    # the matmul sums differ from einsum's only in summation order
+    for r in range(3):
+        for seed in range(3):
+            rep = mc_theorem1(4, 2, r, 10**4, seed)
+            for name, want in _mc_einsum_reference(4, 2, r, 10**4, seed).items():
+                assert getattr(rep, name) == pytest.approx(want, rel=0, abs=1e-12), (r, seed, name)
+
+
 def test_mc_theorem1_guards():
     with pytest.raises(ValueError):
         mc_theorem1(4, 0, 0, 10**3, 0)

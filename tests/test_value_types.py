@@ -1,0 +1,213 @@
+"""The package's small value types: one frozen contract on the slotted base,
+and validation whose fast paths give the verdicts of the slow ones."""
+
+import copy
+import pickle
+from fractions import Fraction
+from math import inf, nan
+
+import pytest
+
+from definetti import verify
+from definetti.exact import ExactReal
+from definetti.heisenberg import HeisenbergTriple, coherent_bound, epsilon_heisenberg
+from definetti.report import DeltaReport, _Frozen
+from definetti.su2_cg import TwoJ
+from definetti.symmetric import SymTriple
+from definetti.weights import Weight
+
+# (instance, its fields in order, its repr)
+VALUES = (
+    (TwoJ(3), (3,), "TwoJ(doubled=3)"),
+    (DeltaReport(Fraction(2, 3), "f", "psi"), (Fraction(2, 3), "f", "psi"),
+     "DeltaReport(delta=Fraction(2, 3), formula_id='f', psi_label='psi')"),
+    (HeisenbergTriple(Fraction(1, 2), 2, 3, 1), (Fraction(1, 2), 2, 3, 1),
+     "HeisenbergTriple(mu=Fraction(1, 2), nu=2, Delta=3, r=1)"),
+    (SymTriple(6, 3, 2, 1), (6, 3, 2, 1), "SymTriple(n=6, k=3, d=2, r=1)"),
+    (Weight((4, 0, 1)), ((4, 0, 1),), "Weight(entries=(4, 0, 1))"),
+)
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES, ids=[type(v[0]).__name__ for v in VALUES])
+def test_value_types_share_the_frozen_contract(value, fields, text):
+    cls = type(value)
+    assert isinstance(value, _Frozen) and not hasattr(value, "__dict__")
+    assert repr(value) == text
+    assert cls.__match_args__ == cls.__slots__ and len(cls.__slots__) == len(fields)
+    assert tuple(getattr(value, name) for name in cls.__match_args__) == fields
+    # keyword construction, and equality and hash by the field tuple
+    assert cls(**dict(zip(cls.__match_args__, fields))) == cls(*fields) == value
+    assert hash(value) == hash(fields)
+    assert value != fields and fields != value
+    for other, *_ in VALUES:
+        if type(other) is not cls:
+            assert value != other
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, fields[0])
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is cls and twin == value and hash(twin) == hash(value)
+
+
+def test_positional_patterns_follow_the_fields():
+    match SymTriple(6, 3, 2, 1):
+        case SymTriple(n, k, d, r):
+            assert (n, k, d, r) == (6, 3, 2, 1)
+        case _:
+            raise AssertionError("no match")
+    match Weight((4, 0)):
+        case Weight((first, _)):
+            assert first == 4
+        case _:
+            raise AssertionError("no match")
+
+
+def test_same_fields_of_another_type_are_unequal():
+    # four fields each, equal as tuples
+    assert SymTriple(4, 2, 2, 1) != HeisenbergTriple(4, 2, 2, 1)
+    assert hash(SymTriple(4, 2, 2, 1)) == hash(HeisenbergTriple(4, 2, 2, 1))
+
+
+def test_sym_triple_refusals():
+    for args, message in (
+        ((4, 2, 1, 0), "need local dimension d >= 2, got 1"),
+        ((4, 0, 2, 0), "need 0 < k <= n, got k=0, n=4"),
+        ((4, 5, 2, 0), "need 0 < k <= n, got k=5, n=4"),
+        ((4, 2, 2, 3), "need 0 <= r <= k, got r=3, k=2"),
+        ((4, 2, 2, -1), "need 0 <= r <= k, got r=-1, k=2"),
+        # d is checked first, then k, then r
+        ((0, 0, 0, 9), "need local dimension d >= 2, got 0"),
+        ((0, 0, 2, 9), "need 0 < k <= n, got k=0, n=0"),
+    ):
+        with pytest.raises(ValueError) as info:
+            SymTriple(*args)
+        assert str(info.value) == message, args
+    # the fields are stored as given
+    t = SymTriple(n=4.0, k=2, d=2, r=True)
+    assert (t.n, t.r) == (4.0, True) and type(t.n) is float and type(t.r) is bool
+
+
+def test_weight_refusals_and_coercions():
+    for given, message in (
+        ((3,), "a weight needs at least two coordinates"),
+        ((), "a weight needs at least two coordinates"),
+        ([3], "a weight needs at least two coordinates"),
+        ((1.5, 2), "weight entries must be integers, got (1.5, 2)"),
+        (("3", 0), "weight entries must be integers, got ('3', 0)"),
+        ((inf, 0), "weight entries must be finite, got (inf, 0)"),
+        ((0, -inf), "weight entries must be finite, got (0, -inf)"),
+        ((nan, 0), "cannot convert float NaN to integer"),
+        ((Fraction(1, 2), 1), "weight entries must be integers, got (Fraction(1, 2), 1)"),
+    ):
+        with pytest.raises(ValueError) as info:
+            Weight(given)
+        assert str(info.value) == message, given
+    with pytest.raises(TypeError):
+        Weight((object(), 1))
+    with pytest.raises(TypeError):
+        Weight(3)
+    # integral entries of other types become plain ints
+    for given in ((True, 2.0), [1, 2], (x for x in (1, 2)), (Fraction(1), 2), (1, 2.0)):
+        w = Weight(given)
+        assert w.entries == (1, 2) and w == Weight((1, 2)), given
+        assert type(w.entries) is tuple and all(type(x) is int for x in w.entries), given
+    # a tuple of plain ints is stored as it stands
+    entries = (3, 0, 1)
+    assert Weight(entries).entries is entries
+
+
+# the outcome of HeisenbergTriple(mu, nu, Delta, r): None where it is
+# accepted, else the exception and its message
+_POSITIVE = "mode weights must be positive, got mu={}, nu={}"
+_FINITE = "mode weights must be finite, got mu={}, nu={}"
+_NUMBERS = (TypeError, "mode weights must be numbers")
+_WEIGHT_OUTCOMES = (
+    (Fraction(0), (ValueError, _POSITIVE)),
+    (Fraction(-1, 2), (ValueError, _POSITIVE)),
+    (0, (ValueError, _POSITIVE)),
+    (-3, (ValueError, _POSITIVE)),
+    (-0.0, (ValueError, _POSITIVE)),
+    (-inf, (ValueError, _POSITIVE)),
+    (nan, (ValueError, _POSITIVE)),
+    (inf, (ValueError, _FINITE)),
+    (True, _NUMBERS),
+    (False, _NUMBERS),
+    (Fraction(1, 3), None),
+    (4, None),
+    (2.5, None),
+)
+
+
+def _outcome(*args):
+    try:
+        HeisenbergTriple(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_heisenberg_triple_fast_path_keeps_every_verdict():
+    for bad, want in _WEIGHT_OUTCOMES:
+        for good in (1, Fraction(2, 5), 0.75):
+            for mu, nu in ((bad, good), (good, bad)):
+                expected = want and (want[0], want[1].format(mu, nu))
+                assert _outcome(mu, nu, 0, 0) == expected, (mu, nu)
+    delta = "need an integer offset Delta >= 0, got {!r}"
+    radius = "need an integer radius r >= 0, got {!r}"
+    for value, refused in ((-1, True), (-0.5, True), (2.0, True), (Fraction(1), True),
+                           (True, False), (False, False), (0, False), (7, False)):
+        for mu, nu in ((Fraction(1, 2), 2), (1.0, 2.0)):
+            got = (_outcome(mu, nu, value, 9), _outcome(mu, nu, 0, value))
+            want = (ValueError, delta.format(value)), (ValueError, radius.format(value))
+            assert got == (want if refused else (None, None)), (mu, nu, value)
+    # a bool offset or radius is accepted and stored as given
+    assert HeisenbergTriple(1, 1, True, False).Delta is True
+
+
+def test_exact_comparison_gives_the_verdict_of_not_equal():
+    halves = ExactReal.of(Fraction(1, 2))
+    pairs = [
+        (Fraction(1, 3), Fraction(1, 3)),
+        (Fraction(1, 3), Fraction(2, 6)),
+        (Fraction(1, 3), Fraction(1, 4)),
+        (Fraction(2, 3), Fraction(2, 5)),
+        (Fraction(-1, 3), Fraction(1, 3)),
+        (Fraction(0), Fraction(0, 7)),
+        (Fraction(10**40 + 1, 3), Fraction(10**40 + 1, 3)),
+        (Fraction(2), 2),
+        (2, Fraction(2)),
+        (Fraction(1, 2), 1),
+        (Fraction(1, 2), 0.5),
+        (Fraction(1, 3), 1 / 3),
+        (halves, ExactReal.of(Fraction(2, 4))),
+        (halves, ExactReal.of(Fraction(1, 3))),
+        (ExactReal.sqrt(Fraction(1, 2)), ExactReal.sqrt(Fraction(2, 4))),
+        (ExactReal.sqrt(2), ExactReal.sqrt(3)),
+        (ExactReal.sqrt(Fraction(1, 4)), halves),
+        (halves, Fraction(1, 2)),
+        (halves, Fraction(1, 3)),
+        (3, 3),
+        (3, 4),
+        (nan, nan),
+    ]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            try:
+                verify._exact(x, y, "what")
+                passed = True
+            except AssertionError as exc:
+                passed = False
+                assert str(exc) == f"what: {x!r} != {y!r}"
+            assert passed == (not x != y), (x, y)
+
+
+def test_coherent_bound_keeps_the_values_and_types_of_fraction_weights():
+    # ints go in as they stand; any other k or n is still read as a Fraction
+    for n, k, r in ((2, 1, 0), (7, 3, 0), (7, 3, 1), (7, 3, 2), (12, 5, 5), (9, True, 3), (8, 3.0, 1)):
+        got = coherent_bound(n, k, r)
+        want = epsilon_heisenberg(HeisenbergTriple(Fraction(k), Fraction(n - k), 0, r))
+        assert got == want and type(got) is type(want), (n, k, r)
