@@ -142,7 +142,7 @@ def _bounded_exponent(s: str, key: str) -> None:
     digits = match["exp"].lstrip("+-").replace("_", "").lstrip("0")
     if len(digits) > len(str(COMPUTE_BITS_GUARD)) or int(digits or 0) > COMPUTE_BITS_GUARD:
         limit = COMPUTE_BITS_GUARD
-        raise ValueError(f"need the decimal exponent of {key} at most {limit} in size, got {s.strip()}")
+        raise ValueError(f"need the decimal exponent of {key} at most {limit} in size, got {_typed(s)}")
 
 
 def _fraction(s: str, key: str) -> Fraction:

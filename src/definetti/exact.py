@@ -7,20 +7,21 @@ exact fractions, which the verification suites compare literally.
 An ExactReal stores its sign and its radicand num/den in lowest terms.
 That triple is already a canonical form, so a constructor validates and
 reduces by at most one gcd (`_reduced(sign, num, den)`, or the lowest
-terms of a Fraction it was given), and equality, hashing, products and
-squares work on the triple without factoring anything.
-The split into coeff * sqrt(core), core squarefree, is made only when
-`coeff` or `core` is first read, by `_canonical`, and then kept.
-Callers that hold integer parts pass them to `ExactReal.from_square` and
-never build the radicand as a Fraction.  The closed-form and ladder
-coupling coefficients, whose parts are valid by construction, reduce
-them by their one gcd themselves and store the triple with `_raw`.
+terms of a Fraction it was given), and equality, hashing, products,
+squares and repr work on the triple without factoring anything.  The
+closed-form and ladder coupling coefficients, whose integer parts are
+valid by construction, reduce them by their one gcd themselves and store
+the triple with `_raw`; `from_square` does the same for parts that still
+need validating.  `split_square` serves `radicals.RadicalSum`, which keys
+its terms by squarefree core.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, sqrt
+
+from .report import _number
 
 # split_square gives up once its trial divisor passes this bound while the
 # unfactored part is still at least its square: that part then has no
@@ -77,31 +78,26 @@ def split_square(n: int) -> tuple[int, int]:
 class ExactReal:
     """An exact real sign * sqrt(radicand), radicand a nonnegative rational.
 
-    Internally stored as (sign, num, den) with num/den the radicand in
-    lowest terms (0/1 for zero).  The canonical coeff * sqrt(core) form,
-    core a squarefree positive integer and coeff a positive rational, is
-    split from it on the first read of `coeff` or `core` and cached.
-    That split factors the whole of num and den, squared rational
-    factors included, so it raises ValueError where split_square gives
-    up on either: ExactReal.of(p) * ExactReal.sqrt(q) for primes p, q
-    near 2**40 compares and multiplies, but its core raises.
+    Stored as (sign, num, den) with num/den the radicand in lowest terms
+    (0, 0, 1 for zero); nothing about it is ever factored.  repr shows
+    sign * sqrt(num/den), /den left out when den is 1, and names a side of
+    more than 40 digits by its digit count.
     """
 
-    __slots__ = ("_sign", "_num", "_den", "_split")
+    __slots__ = ("_sign", "_num", "_den")
 
     def __init__(self, sign: int, radicand) -> None:
         radicand = Fraction(radicand)
         self._sign, self._num, self._den = _reduced(
             sign, radicand.numerator, radicand.denominator
         )
-        self._split = None
 
     @classmethod
     def _raw(cls, sign: int, num: int, den: int) -> "ExactReal":
         """The stored triple as given: the caller has reduced num/den to
         lowest terms and matched the sign to it (0, 0, 1 for zero)."""
         self = cls.__new__(cls)
-        self._sign, self._num, self._den, self._split = sign, num, den, None
+        self._sign, self._num, self._den = sign, num, den
         return self
 
     @classmethod
@@ -134,39 +130,9 @@ class ExactReal:
             raise ValueError("square root of a negative rational")
         return cls.from_square(1 if q else 0, q.numerator, q.denominator)
 
-    @classmethod
-    def coeff_sqrt(cls, coeff, radicand) -> "ExactReal":
-        """coeff * sqrt(radicand), both exact rationals."""
-        coeff = Fraction(coeff)
-        radicand = Fraction(radicand)
-        if radicand < 0:
-            raise ValueError("square root of a negative rational")
-        if coeff == 0 or radicand == 0:
-            return cls.zero()
-        square = coeff * coeff * radicand
-        return cls._raw(1 if coeff > 0 else -1, square.numerator, square.denominator)
-
-    def _parts(self) -> tuple[Fraction, int]:
-        if self._split is None:
-            self._split = _canonical(self._num, self._den)
-        return self._split
-
     @property
     def sign(self) -> int:
         return self._sign
-
-    @property
-    def coeff(self) -> Fraction:
-        """Positive rational part of the canonical coeff*sqrt(core) form."""
-        return self._parts()[0]
-
-    @property
-    def core(self) -> int:
-        """Squarefree part of the canonical coeff*sqrt(core) form."""
-        return self._parts()[1]
-
-    def is_zero(self) -> bool:
-        return self._sign == 0
 
     def square(self) -> Fraction:
         """The rational whose square root this is, in lowest terms."""
@@ -184,9 +150,7 @@ class ExactReal:
         return self._sign != 0
 
     def __neg__(self) -> "ExactReal":
-        out = ExactReal._raw(-self._sign, self._num, self._den)
-        out._split = self._split
-        return out
+        return ExactReal._raw(-self._sign, self._num, self._den)
 
     def __mul__(self, other) -> "ExactReal":
         if isinstance(other, (int, Fraction)):
@@ -226,17 +190,7 @@ class ExactReal:
         if self._sign == 0:
             return "ExactReal(0)"
         s = "-" if self._sign < 0 else ""
-        try:
-            coeff, core = self._parts()
-        except ValueError:
-            # a radicand split_square gives up on is shown unsplit
-            radicand = self._num if self._den == 1 else f"{self._num}/{self._den}"
-            return f"ExactReal({s}sqrt({radicand}))"
-        if core == 1:
-            return f"ExactReal({s}{coeff})"
-        if coeff == 1:
-            return f"ExactReal({s}sqrt({core}))"
-        return f"ExactReal({s}{coeff}*sqrt({core}))"
+        return f"ExactReal({s}sqrt({_number(self.square())}))"
 
 
 def _reduced(sign: int, num: int, den: int) -> tuple[int, int, int]:
@@ -254,18 +208,3 @@ def _reduced(sign: int, num: int, den: int) -> tuple[int, int, int]:
     if g != 1:
         num, den = num // g, den // g
     return sign, num, den
-
-
-def _canonical(num: int, den: int) -> tuple[Fraction, int]:
-    """The canonical (coeff, core) of sqrt(num/den), num/den in lowest terms.
-
-    Each side is split once into a square times a squarefree part; this
-    is the only place an ExactReal factors anything.
-    """
-    if num == 0:
-        return Fraction(0), 1
-    an, fn = split_square(num)
-    ad, fd = split_square(den)
-    # sqrt(p/q) = (an / (ad*fd)) * sqrt(fn*fd); p and q are coprime, so
-    # fn and fd are too and the core stays squarefree
-    return Fraction(an, ad * fd), fn * fd

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd, inf
 
-from .report import DeltaReport, _Frozen, _slot_setters, _sqrt_float
+from .report import DeltaReport, _Frozen, _number, _slot_setters, _sqrt_float
 
 __all__ = [
     "HeisenbergTriple",
@@ -52,9 +52,9 @@ class HeisenbergTriple(_Frozen):
             raise TypeError("mode weights must be numbers")
         _check_weights(mu, nu)
         if not isinstance(Delta, int) or Delta < 0:
-            raise ValueError(f"need an integer offset Delta >= 0, got {Delta!r}")
+            raise ValueError(f"need an integer offset Delta >= 0, got {_number(Delta, repr)}")
         if not isinstance(r, int) or r < 0:
-            raise ValueError(f"need an integer radius r >= 0, got {r!r}")
+            raise ValueError(f"need an integer radius r >= 0, got {_number(r, repr)}")
         _set_mu(self, mu)
         _set_nu(self, nu)
         _set_Delta(self, Delta)
@@ -118,9 +118,9 @@ def _check_weights(mu, nu) -> None:
     ):
         return
     if not mu > 0 or not nu > 0:
-        raise ValueError(f"mode weights must be positive, got mu={mu}, nu={nu}")
+        raise ValueError(f"mode weights must be positive, got mu={_number(mu)}, nu={_number(nu)}")
     if not _exact_pair(mu, nu) and inf in (mu, nu):
-        raise ValueError(f"mode weights must be finite, got mu={mu}, nu={nu}")
+        raise ValueError(f"mode weights must be finite, got mu={_number(mu)}, nu={_number(nu)}")
 
 
 def _exact_pair(mu, nu) -> bool:

@@ -3,8 +3,11 @@
 Products and sums of coupling coefficients are finite sums
 sum_f q_f * sqrt(f) over squarefree f.  This tiny ring is enough to add
 such products exactly and to certify when a sum collapses to a rational
-or to a single square root.  No other module uses it: `verify` checks
-row orthogonality on rational multiples of one product instead.
+or to a single square root.  It is the one reader of `split_square`: an
+ExactReal keeps only its sign and rational square, and `from_exact`
+splits that square into coeff * sqrt(core).  No other module uses it:
+`verify` checks row orthogonality on rational multiples of one product
+instead.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, sqrt
 
-from .exact import ExactReal
+from .exact import ExactReal, split_square
 
 
 class RadicalSum:
@@ -37,13 +40,23 @@ class RadicalSum:
 
     @classmethod
     def coeff_sqrt(cls, coeff, radicand) -> "RadicalSum":
-        return cls.from_exact(ExactReal.coeff_sqrt(coeff, radicand))
+        return cls.sqrt(radicand) * Fraction(coeff)
 
     @classmethod
     def from_exact(cls, x: ExactReal) -> "RadicalSum":
-        if x.is_zero():
+        """x as sign * coeff * sqrt(core), core squarefree and coeff > 0.
+
+        Raises ValueError where split_square gives up on a side of x's
+        square: it factors the whole square, rational factors included.
+        """
+        if not x:
             return cls.zero()
-        return cls({x.core: x.sign * x.coeff})
+        square = x.square()
+        an, fn = split_square(square.numerator)
+        ad, fd = split_square(square.denominator)
+        # sqrt(p/q) = (an / (ad*fd)) * sqrt(fn*fd); p and q are coprime, so
+        # fn and fd are too and the core stays squarefree
+        return cls({fn * fd: x.sign * Fraction(an, ad * fd)})
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -65,7 +78,7 @@ class RadicalSum:
         if len(self._terms) > 1:
             raise ValueError(f"sum does not collapse to one radical: {self!r}")
         ((f, q),) = self._terms.items()
-        return ExactReal.coeff_sqrt(q, f)
+        return ExactReal.from_square(1 if q > 0 else -1, q.numerator**2 * f, q.denominator**2)
 
     def value(self) -> float:
         return sum(float(q) * sqrt(f) for f, q in self._terms.items())

@@ -16,6 +16,30 @@ _FLOAT_SLACK = 1e-12
 _MIN_NORMAL = sys.float_info.min  # 2^-1022
 
 
+# the most digits a message shows of an integer before it gives their count
+_SHOWN_DIGITS = 40
+_SHOWN_LIMIT = 10**_SHOWN_DIGITS
+
+
+def _number(x, show=str) -> str:
+    """show(x) for a message, unless x is an integer, or a Fraction with a
+    side, of more than _SHOWN_DIGITS digits: such a number is named by its
+    digit count, as str() of one past sys.get_int_max_str_digits() raises.
+    """
+    if isinstance(x, Fraction):
+        if abs(x.numerator) < _SHOWN_LIMIT and x.denominator < _SHOWN_LIMIT:
+            return show(x)
+        return f"{_number(x.numerator)}/{_number(x.denominator)}"
+    if not isinstance(x, int) or -_SHOWN_LIMIT < x < _SHOWN_LIMIT:
+        return show(x)
+    n = abs(x)
+    # n has bit_length() * log10(2) digits, or one more
+    digits = int(n.bit_length() * 0.30102999566398120)
+    if n >= 10**digits:
+        digits += 1
+    return f"a {'negative ' if x < 0 else ''}{digits}-digit integer"
+
+
 def _sqrt_float(num: int, den: int) -> float:
     """sqrt(num/den) as a float for integers num >= 0 and den > 0, rounded
     only at the end, with no gcd.

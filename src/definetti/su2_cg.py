@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd, isfinite
 
 from .exact import ExactReal
-from .report import DeltaReport, _Frozen
+from .report import DeltaReport, _Frozen, _number
 
 __all__ = ["TwoJ", "as_twoj", "cg", "delta_su2"]
 
@@ -80,22 +80,23 @@ def as_twoj(x) -> TwoJ:
 
 def _check_jm(tj: int, tm: int, label: str) -> None:
     if tj < 0:
-        raise ValueError(f"{label}: negative angular momentum {tj}/2")
+        raise ValueError(f"{label}: negative angular momentum {_number(tj)}/2")
     if (tj - tm) % 2:
-        raise ValueError(f"{label}: j={tj}/2 and m={tm}/2 differ by a non-integer")
+        raise ValueError(f"{label}: j={_number(tj)}/2 and m={_number(tm)}/2 differ by a non-integer")
     if abs(tm) > tj:
-        raise ValueError(f"{label}: |m|={abs(tm)}/2 exceeds j={tj}/2")
+        raise ValueError(f"{label}: |m|={_number(abs(tm))}/2 exceeds j={_number(tj)}/2")
 
 
 def _check_triple(tj1: int, tj2: int, tj: int) -> None:
     for t, label in ((tj1, "j1"), (tj2, "j2"), (tj, "j")):
         if t < 0:
-            raise ValueError(f"{label}: negative angular momentum {t}/2")
+            raise ValueError(f"{label}: negative angular momentum {_number(t)}/2")
     if (tj1 + tj2 + tj) % 2:
-        raise ValueError(f"j1+j2+j = {tj1 + tj2 + tj}/2 is not an integer")
+        raise ValueError(f"j1+j2+j = {_number(tj1 + tj2 + tj)}/2 is not an integer")
     if not abs(tj1 - tj2) <= tj <= tj1 + tj2:
         raise ValueError(
-            f"triangle violation: j={tj}/2 outside [{abs(tj1 - tj2)}/2, {(tj1 + tj2)}/2]"
+            f"triangle violation: j={_number(tj)}/2 outside "
+            f"[{_number(abs(tj1 - tj2))}/2, {_number(tj1 + tj2)}/2]"
         )
 
 
@@ -165,7 +166,7 @@ def cg(j1, m1, j2, m2, j, m) -> ExactReal:
         _check_jm(tj1, tm1, "(j1, m1)")
         _check_jm(tj2, tm2, "(j2, m2)")
         _check_triple(tj1, tj2, tj)
-        raise ValueError(f"(j, m): j={tj}/2 and m={tm}/2 differ by a non-integer")
+        raise ValueError(f"(j, m): j={_number(tj)}/2 and m={_number(tm)}/2 differ by a non-integer")
     if tm != tm1 + tm2 or not -tj <= tm <= tj:
         return ExactReal.zero()
     s, m_den = _racah_parts(tj1, tm1, tj2, tm2, tj, tm)
@@ -211,7 +212,7 @@ def delta_su2(j1, j2, j, m2, r: int, direction: str = "down") -> DeltaReport:
     _check_jm(tj2, tm2, "(j2, m2)")
     _check_triple(tj1, tj2, tj)
     if not isinstance(r, int) or r < 0:
-        raise ValueError(f"need an integer radius r >= 0, got {r!r}")
+        raise ValueError(f"need an integer radius r >= 0, got {_number(r, repr)}")
     if direction not in ("down", "up"):
         raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
     count = min(r, tj1) + 1  # beyond i = 2j1 the window has no more terms

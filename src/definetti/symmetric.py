@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb, exp, factorial, inf, isfinite, perm
 from typing import NamedTuple, Sequence
 
-from .report import _Frozen, _slot_setters
+from .report import _Frozen, _number, _slot_setters
 from .weights import Weight
 
 __all__ = [
@@ -49,11 +49,11 @@ class SymTriple(_Frozen):
 
     def __init__(self, n: int, k: int, d: int, r: int) -> None:
         if d < 2:
-            raise ValueError(f"need local dimension d >= 2, got {d}")
+            raise ValueError(f"need local dimension d >= 2, got {_number(d)}")
         if not 0 < k <= n:
-            raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
+            raise ValueError(f"need 0 < k <= n, got k={_number(k)}, n={_number(n)}")
         if not 0 <= r <= k:
-            raise ValueError(f"need 0 <= r <= k, got r={r}, k={k}")
+            raise ValueError(f"need 0 <= r <= k, got r={_number(r)}, k={_number(k)}")
         _set_n(self, n)
         _set_k(self, k)
         _set_d(self, d)

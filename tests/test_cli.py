@@ -214,7 +214,7 @@ def test_decimal_exponent_is_bounded_before_the_number_is_built(capsys):
          over.format("mu", "1e200000")),
         (["figure", "3", "--mu", "1e10000000"], over.format("mu", "1e10000000")),
         (["figure", "3", "--nu", "." + "9" * 30 + "e" + "9" * 5000],
-         over.format("nu", "." + "9" * 30 + "e" + "9" * 5000)),
+         over.format("nu", "." + "9" * 30 + "e... (5032 characters)")),
         (["figure", "1", "--j1", "1e10000000"], over.format("j1", "1e10000000")),
         (["compute", "su2-delta", "j1=1e10000000", "j2=1", "j=1", "m2=0", "r=0"],
          over.format("j1", "1e10000000")),

@@ -41,20 +41,29 @@ def test_split_square_rejects_nonpositive():
         split_square(-4)
 
 
+def _split(x):
+    """(sign, coeff, core) of x as RadicalSum.from_exact splits it."""
+    s = RadicalSum.from_exact(x)
+    if not s:
+        return 0, Fraction(0), 1
+    ((core, q),) = s._terms.items()
+    return s.sign(), abs(q), core
+
+
 def test_split_square_stops_at_the_trial_divisor_bound():
     """Two ~40-bit prime factors: the unfactored part stays above the
     square of every trial divisor up to 2**20.  Without the bound this
     input runs for a long time (a ~10**33 one ran for 270 s); with it
     split_square raises after ~2**19 trial divisions, well within a
-    second.  An ExactReal factors its radicand only when its core is
-    read, so that is where the bound shows."""
+    second.  An ExactReal never factors its radicand; RadicalSum splits
+    it, so that is where the bound shows."""
     assert TRIAL_DIVISOR_BOUND == 2**20
     p, q = 2**40 - 87, 2**40 - 167
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="no prime factor up to 1048576"):
         split_square(p * q)
     with pytest.raises(ValueError, match="no prime factor up to 1048576"):
-        ExactReal.sqrt(Fraction(3, p * q)).core
+        RadicalSum.sqrt(Fraction(3, p * q))
     assert time.perf_counter() - t0 < 1.0
     # a prime below 2**40 ends the loop at its square root, and a prime
     # factor just below the bound is still found
@@ -66,7 +75,7 @@ def test_split_square_stops_at_the_trial_divisor_bound():
 
 def test_exact_real_needs_no_split_until_core_is_read():
     # two ~40-bit primes: split_square gives up on p * q, and nothing but
-    # reading coeff or core may ask it to
+    # RadicalSum, which reads the squarefree core, may ask it to
     p, q = 2**40 - 87, 2**40 - 167
     x = ExactReal.from_square(-1, 3 * 6, 2 * p * q)  # -sqrt(9 / (p q))
     y = ExactReal.sqrt(Fraction(9, p * q))
@@ -78,58 +87,66 @@ def test_exact_real_needs_no_split_until_core_is_read():
     assert repr(x) == f"ExactReal(-sqrt(9/{p * q}))"
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="no prime factor up to 1048576"):
-        y.core
+        RadicalSum.from_exact(y)
     assert time.perf_counter() - t0 < 1.0
-    # the split factors the whole radicand p^2 q: a rational factor is not
-    # kept apart, so this core raises although sqrt(q) alone splits
+    # the split factors the whole square p^2 q: a rational factor is not
+    # kept apart, so this split raises although sqrt(q) alone splits
     z = ExactReal.of(p) * ExactReal.sqrt(q)
-    assert z.square() == p * p * q and z == ExactReal.coeff_sqrt(p, q)
-    assert ExactReal.sqrt(q).core == q
+    assert z.square() == p * p * q and z == ExactReal.from_square(1, p * p * q, 1)
+    assert repr(z) == f"ExactReal(sqrt({p * p * q}))"
+    assert _split(ExactReal.sqrt(q)) == (1, 1, q)
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="no prime factor up to 1048576"):
-        z.core
-    with pytest.raises(ValueError, match="no prime factor up to 1048576"):
-        z.coeff
-    assert time.perf_counter() - t0 < 2.0
+        RadicalSum.from_exact(z)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_exact_real_canonical_form():
+    # an ExactReal is its sign and its square in lowest terms; RadicalSum
+    # splits that square into coeff * sqrt(core), core squarefree
     x = ExactReal.sqrt(8)
-    assert (x.sign, x.coeff, x.core) == (1, Fraction(2), 2)
-    assert x.square() == 8
+    assert _split(x) == (1, Fraction(2), 2)
+    assert x.square() == 8 and repr(x) == "ExactReal(sqrt(8))"
     y = ExactReal.sqrt(Fraction(4, 9))
-    assert (y.sign, y.coeff, y.core) == (1, Fraction(2, 3), 1)
+    assert _split(y) == (1, Fraction(2, 3), 1)
+    assert repr(-y) == "ExactReal(-sqrt(4/9))"
     z = ExactReal.sqrt(Fraction(1, 2))
     # 1/sqrt(2) = (1/2) * sqrt(2)
-    assert (z.coeff, z.core) == (Fraction(1, 2), 2)
+    assert _split(z) == (1, Fraction(1, 2), 2)
     assert z.square() == Fraction(1, 2)
+    assert repr(ExactReal.zero()) == "ExactReal(0)"
+    # repr factors nothing, and names a side too long to print by its
+    # digit count
+    assert repr(ExactReal.of(Fraction(-(10**2200), 3))) == "ExactReal(-sqrt(a 4401-digit integer/9))"
 
 
 def test_exact_real_from_square():
     # zero
     z = ExactReal.from_square(0, 0, 7)
-    assert (z.sign, z.coeff, z.core) == (0, Fraction(0), 1) and z == ExactReal.zero()
+    assert (z.sign, z.square()) == (0, 0) and _split(z) == (0, Fraction(0), 1)
+    assert z == ExactReal.zero()
     # a perfect square: -sqrt(36/25) = -6/5
     x = ExactReal.from_square(-1, 36, 25)
-    assert (x.sign, x.coeff, x.core) == (-1, Fraction(6, 5), 1)
+    assert _split(x) == (-1, Fraction(6, 5), 1)
     # non-reduced num/den: without the gcd step, splitting 8 = 2^2 * 2 and
     # 2 apart would give the core 2 * 2 = 4, which is not squarefree
     w = ExactReal.from_square(1, 8, 2)
-    assert (w.sign, w.coeff, w.core) == (1, Fraction(2), 1)
+    assert w.square() == 4 and _split(w) == (1, Fraction(2), 1)
     v = ExactReal.from_square(1, 2 * 3 * 50, 3 * 49 * 2)  # 50/49
-    assert (v.sign, v.coeff, v.core) == (1, Fraction(5, 7), 2)
+    assert v.square() == Fraction(50, 49) and _split(v) == (1, Fraction(5, 7), 2)
     assert v == ExactReal(1, Fraction(50, 49)) == ExactReal.sqrt(Fraction(50, 49))
-    assert ExactReal.from_square(1, 45, 1) == ExactReal.coeff_sqrt(3, 5)
+    assert ExactReal.from_square(1, 45, 1) == ExactReal.of(3) * ExactReal.sqrt(5)
     for bad in ((1, -4, 1), (1, 4, 0), (1, 4, -1), (2, 4, 1), (0, 4, 1), (1, 0, 1)):
         with pytest.raises(ValueError):
             ExactReal.from_square(*bad)
 
 
 def test_exact_real_equality_and_hash():
-    assert ExactReal.sqrt(8) == ExactReal.coeff_sqrt(2, 2)
+    two_r2 = ExactReal.of(2) * ExactReal.sqrt(2)
+    assert ExactReal.sqrt(8) == two_r2
     assert ExactReal.of(Fraction(2, 3)) == ExactReal.sqrt(Fraction(4, 9))
     assert ExactReal.sqrt(2) != ExactReal.sqrt(3)
-    assert hash(ExactReal.sqrt(8)) == hash(ExactReal.coeff_sqrt(2, 2))
+    assert hash(ExactReal.sqrt(8)) == hash(two_r2)
     assert ExactReal.of(5) == Fraction(5)
     assert ExactReal.zero() == 0
 
@@ -141,12 +158,12 @@ def test_exact_real_multiplication():
     assert r2 * ExactReal.sqrt(8) == ExactReal.of(4)
     assert (-r2) * r3 == -ExactReal.sqrt(6)
     assert r2 * 0 == ExactReal.zero()
-    assert 3 * r2 == ExactReal.coeff_sqrt(3, 2)
+    assert 3 * r2 == ExactReal.sqrt(18)
     assert Fraction(1, 2) * r2 == ExactReal.sqrt(Fraction(1, 2))
 
 
 def test_exact_real_square_and_value():
-    x = ExactReal.coeff_sqrt(Fraction(-3, 4), 5)
+    x = ExactReal.of(Fraction(-3, 4)) * ExactReal.sqrt(5)
     assert x.sign == -1
     assert x.square() == Fraction(45, 16)
     assert x.value() == pytest.approx(-0.75 * math.sqrt(5))
@@ -170,7 +187,12 @@ def test_exact_real_validation():
 
 
 def test_exact_real_float_consistency():
-    vals = [ExactReal.coeff_sqrt(Fraction(p, q), f) for p in (1, -2, 3) for q in (1, 4) for f in (1, 2, 15)]
+    vals = [
+        ExactReal.of(Fraction(p, q)) * ExactReal.sqrt(f)
+        for p in (1, -2, 3)
+        for q in (1, 4)
+        for f in (1, 2, 15)
+    ]
     for a in vals:
         for b in vals:
             assert float(a * b) == pytest.approx(float(a) * float(b), rel=1e-12)
@@ -205,7 +227,8 @@ def test_radical_sum_collapse_and_errors():
     with pytest.raises(ValueError):
         mixed.sign()
     single = RadicalSum.coeff_sqrt(Fraction(-1, 2), 6)
-    assert single.as_exact() == ExactReal.coeff_sqrt(Fraction(-1, 2), 6)
+    assert single.as_exact() == ExactReal.of(Fraction(-1, 2)) * ExactReal.sqrt(6)
+    assert single.as_exact() == ExactReal.from_square(-1, 6, 4)
     assert single.sign() == -1
     assert RadicalSum.zero().sign() == 0
     assert RadicalSum.zero().as_exact() == ExactReal.zero()

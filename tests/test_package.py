@@ -118,7 +118,11 @@ def test_lazy_namespace_lists_each_module_all(module):
     assert len(definetti._SOURCES[module]) == len(mod.__all__)
 
 
-@pytest.mark.parametrize("path", sorted((SRC / "definetti").glob("*.py")), ids=lambda p: p.stem)
+@pytest.mark.parametrize(
+    "path",
+    sorted((SRC / "definetti").glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")),
+    ids=lambda p: p.stem,
+)
 def test_every_module_level_import_is_used(path):
     # a name a module imports at its top level and never reads again is a
     # leftover of deleted code

@@ -9,9 +9,10 @@ from math import comb, factorial
 
 import pytest
 
-from definetti import exact, su2_cg, verify
+from definetti import exact, radicals, su2_cg, verify
 from definetti.exact import ExactReal
 from definetti.oracle import cg_oracle
+from definetti.radicals import RadicalSum
 from definetti.su2_cg import TwoJ, as_twoj, cg, delta_su2
 
 
@@ -246,8 +247,9 @@ def _squarefree_over_small_primes(n):
 
 def test_cg_and_oracle_entries_are_canonical():
     # both build sign(S) sqrt(S^2 R) from integer parts; each must equal
-    # the canonical ExactReal(sign, square): a positive coeff times a
-    # squarefree core, whatever the gcd of the parts they started from
+    # the canonical ExactReal(sign, square), whatever the gcd of the parts
+    # they started from, and RadicalSum must split it into a positive
+    # coeff times a squarefree core
     entries = 0
     for tj1 in range(13):
         for tj2 in range(13):
@@ -259,41 +261,53 @@ def test_cg_and_oracle_entries_are_canonical():
                 sign = (s > 0) - (s < 0)
                 square = Fraction(s * s * t_num, m_den * t_den)
                 want = ExactReal(sign, square)
-                if sign:
-                    assert want.coeff > 0 and want.coeff**2 * want.core == square
-                    assert _squarefree_over_small_primes(want.core)
                 closed = cg(TwoJ(tj1), TwoJ(tm1), TwoJ(tj2), TwoJ(tm2), TwoJ(tj), TwoJ(tm))
                 for got in (closed, entry):
-                    assert (got.sign, got.coeff, got.core) == (want.sign, want.coeff, want.core)
+                    assert (got.sign, got.square()) == (sign, square)
+                    assert got == want and hash(got) == hash(want)
+                split = RadicalSum.from_exact(want)
+                if sign:
+                    ((core, q),) = split._terms.items()
+                    assert split.sign() == sign and q * q * core == square
+                    assert _squarefree_over_small_primes(core)
+                else:
+                    assert not split
                 entries += 1
     assert entries == 45_045
 
 
-def test_cg_and_oracle_compare_without_splitting(monkeypatch):
-    # building, comparing and squaring entries factors nothing
+@pytest.fixture
+def no_splitting(monkeypatch):
+    # split_square, patched in the module that defines it and in the one
+    # that calls it
     def split_square(n):
         raise AssertionError(f"split_square({n}) called")
 
-    monkeypatch.setattr(exact, "split_square", split_square)
+    for module in (exact, radicals):
+        monkeypatch.setattr(module, "split_square", split_square)
+
+
+def test_cg_and_oracle_compare_without_splitting(no_splitting):
+    # building, comparing, squaring and printing entries factors nothing
     entries = 0
     for tj1 in range(11):
         for tj2 in range(11):
             for (tj, tm, tm1), entry in cg_oracle(TwoJ(tj1), TwoJ(tj2)).items():
                 closed = cg(TwoJ(tj1), TwoJ(tm1), TwoJ(tj2), TwoJ(tm - tm1), TwoJ(tj), TwoJ(tm))
                 assert closed == entry and closed.square() == entry.square()
+                assert repr(closed) == repr(entry)
                 entries += 1
     assert entries == 20_240
+    # a radicand split_square gives up on (two ~40-bit primes) prints too
+    p, q = 2**40 - 87, 2**40 - 167
+    assert repr(ExactReal.sqrt(Fraction(3, p * q))) == f"ExactReal(sqrt(3/{p * q}))"
     with pytest.raises(AssertionError, match="split_square"):
-        ExactReal.sqrt(2).core
+        RadicalSum.sqrt(2)
 
 
-def test_row_check_needs_no_splitting(monkeypatch):
+def test_row_check_needs_no_splitting(no_splitting, monkeypatch):
     # the rows' squares and products are compared as rationals; a wrong
     # sign in one coefficient breaks orthogonality
-    def split_square(n):
-        raise AssertionError(f"split_square({n}) called")
-
-    monkeypatch.setattr(exact, "split_square", split_square)
     assert verify.cg_rows_orthonormal(range(0, 9, 2)) == "1563 exact row products"
 
     singlet_middle = (TwoJ(2), TwoJ(0), TwoJ(2), TwoJ(0), TwoJ(0), TwoJ(0))

@@ -8,7 +8,7 @@ from math import inf, nan
 
 import pytest
 
-from definetti import verify
+from definetti import su2_cg, verify
 from definetti.exact import ExactReal
 from definetti.heisenberg import HeisenbergTriple, coherent_bound, epsilon_heisenberg
 from definetti.report import DeltaReport, _Frozen
@@ -89,6 +89,30 @@ def test_sym_triple_refusals():
     # the fields are stored as given
     t = SymTriple(n=4.0, k=2, d=2, r=True)
     assert (t.n, t.r) == (4.0, True) and type(t.n) is float and type(t.r) is bool
+
+
+BIG = 10**5000  # past the interpreter's 4300-digit int-to-str limit
+
+
+@pytest.mark.parametrize(
+    "call, args, names",
+    [
+        pytest.param(su2_cg.delta_su2, (1, 1, BIG, 0, 0), "j=", id="delta_su2-j"),
+        pytest.param(su2_cg.delta_su2, (1, 1, 1, 0, -BIG), "radius r", id="delta_su2-r"),
+        pytest.param(su2_cg.cg, (1, 0, 1, 0, BIG, 0), "j=", id="cg-j"),
+        pytest.param(su2_cg.cg, (1, BIG, 1, 0, 1, 0), "(j1, m1): |m|=", id="cg-m1"),
+        pytest.param(HeisenbergTriple, (-BIG, 1, 0, 0), "mu=", id="HeisenbergTriple-mu"),
+        pytest.param(HeisenbergTriple, (1, 1, -BIG, 0), "offset Delta", id="HeisenbergTriple-Delta"),
+        pytest.param(SymTriple, (-BIG, 1, 2, 0), "n=", id="SymTriple-n"),
+        pytest.param(SymTriple, (4, 2, -BIG, 0), "dimension d", id="SymTriple-d"),
+    ],
+)
+def test_a_refusal_names_an_over_long_number_by_its_digit_count(call, args, names):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    message = str(info.value)
+    assert "\n" not in message and len(message) < 200, message
+    assert names in message and "5001-digit integer" in message, message
 
 
 def test_weight_refusals_and_coercions():
