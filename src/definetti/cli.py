@@ -18,6 +18,8 @@ from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import partial
 
+from .report import _number
+
 # heisenberg, symmetric and weights are imported where they are used, so
 # a process that computes a coupling-window figure never loads them
 from .su2_cg import TwoJ, as_twoj, delta_su2
@@ -120,7 +122,7 @@ def _int(s: str, key: str, limit: int | None = None) -> int:
             f"({sys.get_int_max_str_digits()})"
         ) from None
     if limit is not None and value > limit:
-        raise ValueError(f"need {key} <= {limit}, got {value}")
+        raise ValueError(f"need {key} <= {limit}, got {_number(value)}")
     return value
 
 

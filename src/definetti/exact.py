@@ -75,6 +75,9 @@ def split_square(n: int) -> tuple[int, int]:
     return a, f * m
 
 
+_new = object.__new__
+
+
 class ExactReal:
     """An exact real sign * sqrt(radicand), radicand a nonnegative rational.
 
@@ -92,12 +95,16 @@ class ExactReal:
             sign, radicand.numerator, radicand.denominator
         )
 
-    @classmethod
-    def _raw(cls, sign: int, num: int, den: int) -> "ExactReal":
+    @staticmethod
+    def _raw(sign: int, num: int, den: int) -> "ExactReal":
         """The stored triple as given: the caller has reduced num/den to
-        lowest terms and matched the sign to it (0, 0, 1 for zero)."""
-        self = cls.__new__(cls)
-        self._sign, self._num, self._den = sign, num, den
+        lowest terms and matched the sign to it (0, 0, 1 for zero).  A
+        static method, because a classmethod binds a method object on each
+        call, and the coupling coefficients make one per entry."""
+        self = _new(ExactReal)
+        self._sign = sign
+        self._num = num
+        self._den = den
         return self
 
     @classmethod
@@ -197,9 +204,9 @@ def _reduced(sign: int, num: int, den: int) -> tuple[int, int, int]:
     """The stored (sign, num, den) of sign * sqrt(num/den): validated, and
     num/den reduced by its gcd (the constructor and `from_square`)."""
     if num < 0 or den <= 0:
-        raise ValueError(f"radicand must be nonnegative, got {num}/{den}")
+        raise ValueError(f"radicand must be nonnegative, got {_number(num)}/{_number(den)}")
     if sign not in (-1, 0, 1):
-        raise ValueError(f"sign must be -1, 0 or +1, got {sign!r}")
+        raise ValueError(f"sign must be -1, 0 or +1, got {_number(sign, repr)}")
     if (sign == 0) != (num == 0):
         raise ValueError("sign is 0 exactly when the radicand is 0")
     if sign == 0:

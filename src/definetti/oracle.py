@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd, sqrt
+from operator import mul
 
 import numpy as np
 
@@ -137,20 +138,26 @@ def brute_delta_symmetric(t: SymTriple) -> float:
 # coupling coefficients by ladder synthesis
 
 
+def _span(tj1: int, tj2: int, tm: int) -> range:
+    """The indices j1 - m1 of the m-slice, those with |m - m1| <= j2."""
+    k = (tj1 + tj2 - tm) // 2  # j2 - m2 at index 0
+    return range(max(0, k - tj2), min(tj1, k) + 1)
+
+
 def _slice_weights(tj1: int, tj2: int, tm: int) -> list[int]:
     """Integer inner-product weights W = C(2j1, j1-m1) C(2j2, j2-m2) of the
     m-slice, indexed by j1 - m1, and 0 off the slice.  W F = (2j1)! (2j2)!
     for the rescaling F of a product state, so W is 1/F up to a constant.
     """
-    out = []
-    for im1 in range(tj1 + 1):
-        tm2 = tm - tj1 + 2 * im1
-        out.append(comb(tj1, im1) * comb(tj2, (tj2 - tm2) // 2) if abs(tm2) <= tj2 else 0)
+    k = (tj1 + tj2 - tm) // 2
+    span = _span(tj1, tj2, tm)
+    out = [0] * (tj1 + 1)
+    out[span.start : span.stop] = [comb(tj1, i) * comb(tj2, k - i) for i in span]
     return out
 
 
 def _wdot(u: list[int], v: list[int], w: list[int]) -> int:
-    return sum(a * b * c for a, b, c in zip(u, v, w))
+    return sum(map(mul, map(mul, u, v), w))
 
 
 def _reduced(v: list[int]) -> list[int]:
@@ -164,17 +171,13 @@ def _lower(v: list[int], tj1: int, tj2: int, tm: int) -> list[int]:
 
     On the coordinates a = c sqrt(F), J- takes (m1, m2) to (m1-1, m2)
     with coefficient j1-m1+1 and to (m1, m2-1) with coefficient j2-m2+1.
+    At index i = j1 - m1 of the slice m-1 these are i and k - i, with
+    k = j1 + j2 - m + 1; the first is 0 at i = 0, where v[i - 1] wraps.
     """
+    k = (tj1 + tj2 - tm) // 2 + 1
+    span = _span(tj1, tj2, tm - 2)
     out = [0] * (tj1 + 1)
-    for im1 in range(tj1 + 1):
-        tm1 = tj1 - 2 * im1
-        tm2 = (tm - 2) - tm1
-        if abs(tm2) > tj2:
-            continue
-        acc = v[im1] * ((tj2 - tm2) // 2)
-        if im1:
-            acc += v[im1 - 1] * ((tj1 - tm1) // 2)
-        out[im1] = acc
+    out[span.start : span.stop] = [v[i] * (k - i) + v[i - 1] * i for i in span]
     return _reduced(out)
 
 
@@ -182,6 +185,7 @@ def _cg_oracle_exact(tj1: int, tj2: int) -> dict[tuple[int, int, int], ExactReal
     tj_top = tj1 + tj2
     blocks: list[tuple[int, list[int]]] = []  # (2j, rescaled state) of each block at m
     table: dict[tuple[int, int, int], ExactReal] = {}
+    raw = ExactReal._raw
     for tm in range(tj_top, -tj_top - 2, -2):
         w = _slice_weights(tj1, tj2, tm)
         blocks = [(tj, _lower(v, tj1, tj2, tm + 2)) for tj, v in blocks if tj >= -tm]
@@ -197,16 +201,15 @@ def _cg_oracle_exact(tj1: int, tj2: int) -> dict[tuple[int, int, int], ExactReal
                 raise AssertionError("phase convention broken: seed overlap not positive")
             blocks.append((tm, v))
             norms.append(_wdot(v, v, w))
+        # each entry is sign(a) sqrt(a^2 W / norm2) in lowest terms, (0, 0, 1)
+        # at a = 0; built unvalidated, as it is canonical by construction
+        span = _span(tj1, tj2, tm)
+        entries = [(tj1 - 2 * i, w[i]) for i in span]
         for (tj, v), norm2 in zip(blocks, norms):
-            for im1, (a, wi) in enumerate(zip(v, w)):
-                if wi:
-                    # sign(a) sqrt(a^2 W / norm2) in lowest terms, (0, 0, 1)
-                    # at a = 0; built unvalidated, as it is canonical by construction
-                    num = a * a * wi
-                    g = gcd(num, norm2)
-                    table[(tj, tm, tj1 - 2 * im1)] = ExactReal._raw(
-                        (a > 0) - (a < 0), num // g, norm2 // g
-                    )
+            for (tm1, wi), a in zip(entries, v[span.start : span.stop]):
+                num = a * a * wi
+                g = gcd(num, norm2)
+                table[tj, tm, tm1] = raw((a > 0) - (a < 0), num // g, norm2 // g)
     return table
 
 

@@ -58,9 +58,10 @@ def _sqrt_float(num: int, den: int) -> float:
 class _Frozen:
     """Base of the package's small immutable value types.
 
-    A subclass names its fields in __slots__ and sets them in __init__,
-    after validating them, through the slots' own setters, which
-    _slot_setters returns and the frozen __setattr__ does not block.  Its
+    A subclass names its fields in __slots__ and sets them in __init__
+    (the interned TwoJ in __new__), after validating them, through the
+    slots' own setters, which _slot_setters returns and the frozen
+    __setattr__ does not block.  Its
     instances then repr, equal, hash, pickle and copy by their fields in
     order, as a frozen dataclass does, and never equal an instance of
     another class.

@@ -32,21 +32,40 @@ __all__ = ["TwoJ", "as_twoj", "cg", "delta_su2"]
 _fact = lru_cache(maxsize=None)(factorial)
 
 
+# TwoJ(d) for a plain int |d| <= TWOJ_INTERN_BOUND is one shared instance,
+# made on first use, so importing builds none.  The bound is past every 2j
+# and 2m the coupling tables and the command-line guards admit (at most
+# 4000); values beyond it are built fresh and not kept.
+TWOJ_INTERN_BOUND = 4096
+_interned: dict[int, "TwoJ"] = {}
+
+
 class TwoJ(_Frozen):
     """An angular momentum stored as twice its value.
 
     A validated tag with no arithmetic: it equals and hashes as the tuple
     (doubled,) of its field and never equals a plain number: TwoJ(3) != 3.
+    Instances of plain ints within TWOJ_INTERN_BOUND are interned, so
+    TwoJ(3) is TwoJ(3); int subclasses and larger values are not.
     """
 
     __slots__ = ("doubled",)
 
-    def __init__(self, doubled: int) -> None:
-        if doubled.__class__ is not int and (
-            not isinstance(doubled, int) or isinstance(doubled, bool)
-        ):
+    def __new__(cls, doubled: int) -> "TwoJ":
+        # only a plain int can find or enter the table: True == 1 and
+        # 2.0 == 2 would find TwoJ(1) and TwoJ(2)
+        plain = doubled.__class__ is int and cls is TwoJ
+        if plain:
+            self = _interned.get(doubled)
+            if self is not None:
+                return self
+        elif not isinstance(doubled, int) or isinstance(doubled, bool):
             raise TypeError(f"doubled value must be an integer, got {doubled!r}")
+        self = object.__new__(cls)
         _set_doubled(self, doubled)
+        if plain and -TWOJ_INTERN_BOUND <= doubled <= TWOJ_INTERN_BOUND:
+            _interned[doubled] = self
+        return self
 
     def __str__(self) -> str:
         if self.doubled % 2 == 0:
@@ -73,7 +92,7 @@ def as_twoj(x) -> TwoJ:
         doubled = Fraction(x) * 2
         if doubled.denominator != 1:
             # the value as it was given, not its Fraction repr
-            raise ValueError(f"{x} is not a half-integer")
+            raise ValueError(f"{_number(x)} is not a half-integer")
         return TwoJ(int(doubled))
     raise TypeError(f"cannot interpret {x!r} as an angular momentum")
 
@@ -100,6 +119,9 @@ def _check_triple(tj1: int, tj2: int, tj: int) -> None:
         )
 
 
+# a coupling table's entries cycle through all its j values, at most
+# CG_TABLE_GUARD + 1 = 25 in oracle, for every m
+@lru_cache(maxsize=32)
 def _triangle(tj1: int, tj2: int, tj: int):
     """Integers (t_num, t_den) of the triangle part of the prefactor R,
     C(2j1, a) C(2j2, a) / C(j1+j2+j+1, a) with a = j1+j2-j.  It is the
@@ -132,10 +154,17 @@ def _racah_parts(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int):
     a = (tj1 + tj2 - tj) // 2
     u, v = (tj1 - tm1) // 2, (tj2 + tm2) // 2
     d, e = tj1 - a - u, tj2 - a - v
-    t = max(0, -d, -e)
+    # t runs over max(0, -d, -e) .. min(a, u, v), bounds taken by compares:
+    # the max() and min() calls cost a quarter of a small coefficient
+    t = -d if d < e else -e
+    if t < 0:
+        t = 0
+    hi = a if a < u else u
+    if v < hi:
+        hi = v
     term = comb(a, t) * comb(d + u, u - t) * comb(e + v, v - t)
     s = term = -term if t % 2 else term
-    for t in range(t, min(a, u, v)):
+    for t in range(t, hi):
         term = -term * ((a - t) * (u - t) * (v - t)) // ((t + 1) * (d + t + 1) * (e + t + 1))
         s += term
     return s, comb(tj1, u) * comb(tj2, (tj2 - tm2) // 2) * comb(tj, (tj - tm) // 2)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import comb, isqrt
 
@@ -151,13 +150,8 @@ def two_level_radius(n_max: int) -> str:
 # SU(2) coupling coefficients (angular momenta doubled throughout)
 
 
-# TwoJ is immutable, so one instance per doubled value serves every entry
-_interned = lru_cache(maxsize=None)(TwoJ)
-
-
 def _cg(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int):
-    t = _interned
-    return su2_cg.cg(t(tj1), t(tm1), t(tj2), t(tm2), t(tj), t(tm))
+    return su2_cg.cg(TwoJ(tj1), TwoJ(tm1), TwoJ(tj2), TwoJ(tm2), TwoJ(tj), TwoJ(tm))
 
 
 def cg_oracle_match(tj_max: int) -> str:

@@ -297,6 +297,18 @@ def test_over_long_integers_are_named_by_their_digit_count(capsys):
         assert len(err) < 200 and err.endswith(f": {message}\n"), err
 
 
+def test_int_names_an_over_limit_value_by_its_digit_count(capsys):
+    # a convertible integer past its limit was echoed whole, 4,022 characters
+    with pytest.raises(ValueError, match=r"^need n <= 100000, got a 4000-digit integer$"):
+        cli._int("9" * 4000, "n", 100000)
+    code, out, err = run(capsys, "figure", "3", "--r-max", "9" * 4000)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.endswith(f": need r-max <= {cli.FIGURE_R_MAX_GUARD}, got a 4000-digit integer\n"), err
+    assert cli._int("100001", "n", 10**6) == 100001
+    with pytest.raises(ValueError, match=r"^need n <= 100000, got 100001$"):
+        cli._int("100001", "n", 100000)
+
+
 GOLDEN = Path(__file__).with_name("verify_all_seed0.txt")
 
 

@@ -186,6 +186,14 @@ def test_exact_real_validation():
     assert ExactReal(-1, Fraction(9, 4)) == ExactReal.of(Fraction(-3, 2))
 
 
+def test_over_long_radicand_and_sign_are_named_by_their_digit_count():
+    # formatting them whole raised the interpreter's int-to-str error
+    with pytest.raises(ValueError, match=r"^radicand must be nonnegative, got a negative 5001-digit integer/1$"):
+        ExactReal.from_square(1, -(10**5000), 1)
+    with pytest.raises(ValueError, match=r"^sign must be -1, 0 or \+1, got a 5001-digit integer$"):
+        ExactReal.from_square(10**5000, 1, 1)
+
+
 def test_exact_real_float_consistency():
     vals = [
         ExactReal.of(Fraction(p, q)) * ExactReal.sqrt(f)

@@ -1,5 +1,6 @@
 """Dense numerical oracles: projectors, coupling tables, oscillators, Monte Carlo."""
 
+import hashlib
 from fractions import Fraction
 from math import comb, factorial
 
@@ -90,6 +91,21 @@ def test_cg_oracle_exact_at_guard_size():
         t_num, t_den = _triangle(24, 24, tj)
         square = Fraction(s * s * t_num, m_den * t_den)
         assert (val.sign, val.square()) == ((s > 0) - (s < 0), square), (tj, tm, tm1)
+
+
+# sha256 of the ladder tables for 2j1, 2j2 <= 10, recorded before the
+# ladder's inner loops were rewritten over each slice's span
+LADDER_TABLES_SHA256 = "1dd4a77041f9636e9ae936b0e19532a0cdd074f2a4ee3479c6b6a0df05a34327"
+
+
+def test_cg_oracle_tables_keep_their_values_and_order():
+    h = hashlib.sha256()
+    for tj1 in range(11):
+        for tj2 in range(11):
+            for key, val in cg_oracle(TwoJ(tj1), TwoJ(tj2)).items():
+                sq = val.square()
+                h.update(repr((tj1, tj2, key, val.sign, sq.numerator, sq.denominator)).encode())
+    assert h.hexdigest() == LADDER_TABLES_SHA256
 
 
 def test_slice_weights_are_binomial():

@@ -93,6 +93,15 @@ def test_cli_import_loads_only_the_coupling_path():
     }
 
 
+def test_import_interns_no_twoj():
+    # TwoJ's intern table fills on first use, so importing costs nothing
+    probe = "import definetti.cli, definetti.verify, definetti.su2_cg as m; print(len(m._interned))"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "0\n"
+
+
 @pytest.mark.parametrize(
     "argv, added",
     [

@@ -33,9 +33,30 @@ def test_twoj_coercion():
     with pytest.raises(AttributeError):
         del TwoJ(3).doubled
     assert TwoJ(doubled=3) == TwoJ(3)
-    for twoj in (TwoJ(3), TwoJ(-200)):
+    for twoj in (TwoJ(3), TwoJ(-200), TwoJ(10**100)):
         assert pickle.loads(pickle.dumps(twoj)) == twoj
         assert copy.copy(twoj) == copy.deepcopy(twoj) == twoj
+    # plain ints within the bound share one instance, made on first use
+    assert TwoJ(3) is TwoJ(3) and as_twoj(Fraction(3, 2)) is TwoJ(3)
+    assert TwoJ(doubled=-200) is TwoJ(-200) is pickle.loads(pickle.dumps(TwoJ(-200)))
+    assert copy.copy(TwoJ(3)) is copy.deepcopy(TwoJ(3)) is TwoJ(3)
+    bound = su2_cg.TWOJ_INTERN_BOUND
+    assert TwoJ(bound) is TwoJ(bound) and TwoJ(-bound) is TwoJ(-bound)
+    for big in (bound + 1, -bound - 1, 10**6, -(10**6), 10**100):
+        assert TwoJ(big) is not TwoJ(big) and TwoJ(big) == TwoJ(big)
+    assert all(k.__class__ is int and abs(k) <= bound for k in su2_cg._interned)
+
+    # an int subclass is built fresh and never stored
+    class Doubled(int):
+        pass
+
+    assert TwoJ(Doubled(5)) == TwoJ(5) and TwoJ(Doubled(5)) is not TwoJ(5)
+    assert TwoJ(5).doubled.__class__ is int
+    table = [(k.__class__, k, id(v)) for k, v in su2_cg._interned.items()]
+    for bad in (True, 2.0, "3"):
+        with pytest.raises(TypeError):
+            TwoJ(bad)
+    assert [(k.__class__, k, id(v)) for k, v in su2_cg._interned.items()] == table
     # a tag with no arithmetic and no order
     for bad in (
         lambda: TwoJ(3) + 1,
@@ -57,6 +78,12 @@ def test_twoj_coercion():
         TwoJ(1.5)
     with pytest.raises(TypeError):
         TwoJ(True)
+
+
+def test_over_long_half_integer_is_named_by_its_digit_count():
+    # formatting the Fraction itself raised the interpreter's int-to-str error
+    with pytest.raises(ValueError, match=r"^a 5001-digit integer/3 is not a half-integer$"):
+        as_twoj(Fraction(10**5000 + 1, 3))
 
 
 def test_non_finite_angular_momentum_is_a_value_error():
