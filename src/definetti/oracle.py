@@ -24,7 +24,6 @@ from .weights import Weight, sym_weights
 
 __all__ = [
     "McReport",
-    "sym_basis",
     "sym_basis_vector",
     "brute_delta_symmetric",
     "trace_distance",
@@ -42,8 +41,8 @@ __all__ = [
 
 SYM_SIZE_GUARD = 10**6
 CG_TABLE_GUARD = 24  # doubled angular momentum
-# Monte Carlo samples per mc_theorem1 call; the mc suite makes four such
-# calls and took 4.8 s at 10^6 and 46 s at 10^7 samples on a 2-vCPU Xeon
+# Monte Carlo samples per mc_theorem1 call; the mc suite makes two such
+# calls and took 1.7 s at 10^6 and 18 s at 10^7 samples on a 2-vCPU VM
 MC_SAMPLES_MIN = 10**3
 MC_SAMPLES_GUARD = 10**7
 
@@ -93,24 +92,14 @@ def sym_basis_vector(w: Weight) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _sym_basis_matrix(n: int, d: int) -> tuple[tuple[Weight, ...], np.ndarray]:
+    """The weights of Sym^n(C^d) in descending lexicographic order, and a
+    read-only matrix whose columns are their orthonormal vectors."""
     ws = tuple(sym_weights(n, d))
     mat = np.zeros((d**n, len(ws)))
     for col, w in enumerate(ws):
         mat[:, col] = sym_basis_vector(w)
     mat.setflags(write=False)
     return ws, mat
-
-
-def sym_basis(n: int, d: int) -> list[tuple[Weight, np.ndarray]]:
-    """Orthonormal weight basis of the n-fold symmetric power of C^d.
-
-    Returns (weight, vector) pairs in descending lexicographic weight
-    order; vectors are read-only views from a shared cache.
-    """
-    if d**n > SYM_SIZE_GUARD:
-        raise ValueError(f"size guard exceeded: {d}^{n} > {SYM_SIZE_GUARD}")
-    ws, mat = _sym_basis_matrix(n, d)
-    return [(w, mat[:, i]) for i, w in enumerate(ws)]
 
 
 def brute_delta_symmetric(t: SymTriple) -> float:
@@ -316,31 +305,36 @@ def pair_tower(mu: float, nu: float, Delta: int, n_max: int, cutoff: int) -> lis
     return states
 
 
-def heis_oracle(mu, nu, Delta: int, r: int, cutoff: int) -> float:
-    """Truncated-Fock evaluation of the vacuum-window overlap.
+def heis_oracle(mu, nu, Delta: int, r_max: int, cutoff: int) -> list[float]:
+    """Truncated-Fock evaluations of the vacuum-window overlap at r = 0..r_max.
 
-    Sums (nu/(mu+nu)) * sum_n sum_{n' <= r} |<n', 0 | psi_n>|^2 over the
-    offset-Delta tower; the cutoff guard keeps every tower state exactly
-    representable, so the only numerical error is double-precision roundoff.
+    The value at r sums (nu/(mu+nu)) * sum_n sum_{n' <= r} |<n', 0 | psi_n>|^2
+    over the first max(r - Delta, 0) + 11 states of one offset-Delta tower;
+    the cutoff guard keeps every state exactly representable, so the only
+    numerical error is double-precision roundoff.
     """
     if not (float(mu) > 0 and float(nu) > 0):
         raise ValueError(f"mode weights must be positive, got mu={mu}, nu={nu}")
-    if r < 0 or Delta < 0:
-        raise ValueError(f"need r >= 0 and Delta >= 0, got r={r}, Delta={Delta}")
-    if cutoff < r + Delta + 40:
+    if r_max < 0 or Delta < 0:
+        raise ValueError(f"need r_max >= 0 and Delta >= 0, got r_max={r_max}, Delta={Delta}")
+    if cutoff < r_max + Delta + 40:
         raise ValueError(
-            f"cutoff guard: need cutoff >= r + Delta + 40 = {r + Delta + 40}, got {cutoff}"
+            f"cutoff guard: need cutoff >= r_max + Delta + 40 = {r_max + Delta + 40}, got {cutoff}"
         )
     mu, nu = float(mu), float(nu)
-    n_max = max(r - Delta, 0) + 10
-    states = pair_tower(mu, nu, Delta, n_max, cutoff)
-    total = 0.0
-    for state in states:
+    columns = []  # squared n2 = 0 columns, all that the window reads
+    for state in pair_tower(mu, nu, Delta, max(r_max - Delta, 0) + 10, cutoff):
         nrm = np.linalg.norm(state)
         if abs(nrm - 1.0) > 1e-9:
             raise RuntimeError(f"tower state leaked through the truncation: norm {nrm}")
-        total += float((state[: r + 1, 0] ** 2).sum())
-    return nu / (mu + nu) * total
+        columns.append(state[:, 0] ** 2)
+    out = []
+    for r in range(r_max + 1):
+        total = 0.0
+        for col in columns[: max(r - Delta, 0) + 11]:
+            total += float(col[: r + 1].sum())
+        out.append(nu / (mu + nu) * total)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +355,6 @@ class McReport:
     identity_residual: float
     mc_tolerance: float
 
-    def __post_init__(self) -> None:
-        if self.lhs_distance < 0:
-            raise ValueError("trace distances are nonnegative")
-
     @property
     def passed(self) -> bool:
         return self.lhs_distance <= self.bound + self.mc_tolerance
@@ -383,9 +373,8 @@ def haar_su2(rng: np.random.Generator, size: int) -> np.ndarray:
     return g
 
 
+# p-th tensor power of each sample, p >= 1
 def _vector_power(vs: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
-        return np.ones((vs.shape[0], 1), dtype=vs.dtype)
     out = vs
     for _ in range(p - 1):
         out = np.einsum("ni,nj->nij", out, vs).reshape(vs.shape[0], -1)
@@ -393,8 +382,6 @@ def _vector_power(vs: np.ndarray, p: int) -> np.ndarray:
 
 
 def _matrix_power(gs: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
-        return np.ones((gs.shape[0], 1, 1), dtype=gs.dtype)
     out = gs
     dim = gs.shape[1]
     for _ in range(p - 1):
@@ -406,15 +393,16 @@ def _matrix_power(gs: np.ndarray, p: int) -> np.ndarray:
 _MC_BATCH = 4096
 
 
-def mc_theorem1(n: int, k: int, r: int, n_samples: int, seed: int) -> McReport:
+def mc_theorem1(n: int, k: int, rs: tuple[int, ...], n_samples: int, seed: int) -> list[McReport]:
     """Monte Carlo check that the projected rotated-product mixture
-    reconstructs the reduced state within 2(1-delta).
+    reconstructs the reduced state within 2(1-delta), one report per r in rs.
 
     Draws a Haar-random symmetric |Psi> from the seed, samples group
     elements uniformly, and accumulates both the unprojected mixture
-    (which must converge to the reduced state) and the mixture projected
-    onto rotated radius-r weight windows (which must stay within the bound
-    plus Monte Carlo noise, five standard errors by default).
+    (which must converge to the reduced state) and, per r, the mixture
+    projected onto rotated radius-r weight windows (which must stay within
+    the bound plus Monte Carlo noise, five standard errors by default).
+    All radii share the state and the samples.
     """
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
@@ -424,8 +412,9 @@ def mc_theorem1(n: int, k: int, r: int, n_samples: int, seed: int) -> McReport:
         raise ValueError(f"need at least 10^3 samples, got {n_samples}")
     if n_samples > MC_SAMPLES_GUARD:
         raise ValueError(f"size guard exceeded: {n_samples} samples > {MC_SAMPLES_GUARD}")
-    if not 0 <= r <= k:
-        raise ValueError(f"need 0 <= r <= k, got r={r}")
+    for r in rs:
+        if not 0 <= r <= k:
+            raise ValueError(f"need 0 <= r <= k, got r={r}")
     d = 2
     dim_b = d ** (n - k)
     d_formal = dim_sym(n - k, d)
@@ -440,13 +429,12 @@ def mc_theorem1(n: int, k: int, r: int, n_samples: int, seed: int) -> McReport:
     rho_k = big @ big.conj().T
 
     ws_k, mat_k = _sym_basis_matrix(k, d)
-    keep = [i for i, w in enumerate(ws_k) if w[0] >= k - r]
-    v_mat = mat_k[:, keep]
+    v_mats = [mat_k[:, [i for i, w in enumerate(ws_k) if w[0] >= k - r]] for r in rs]
 
     dim_a = d**k
     x_sum = np.zeros((dim_a, dim_a), dtype=np.complex128)
-    y_sum = np.zeros((dim_a, dim_a), dtype=np.complex128)
-    y_sq_sum = np.zeros((dim_a, dim_a))
+    y_sums = [np.zeros((dim_a, dim_a), dtype=np.complex128) for _ in rs]
+    y_sq_sums = [np.zeros((dim_a, dim_a)) for _ in rs]
 
     rng = np.random.default_rng([seed, 1])
     done = 0
@@ -460,34 +448,28 @@ def mc_theorem1(n: int, k: int, r: int, n_samples: int, seed: int) -> McReport:
 
         g_k = _matrix_power(g, k)
         back = np.einsum("nba,nb->na", g_k.conj(), phi)  # rotate into the window frame
-        proj = (back @ v_mat.conj()) @ v_mat.T
-        nrm = np.linalg.norm(proj, axis=1)
-        safe = np.where(nrm > 1e-150, nrm, 1.0)
-        chi_hat = np.einsum("nij,nj->ni", g_k, proj / safe[:, None])
-        chi_hat[nrm <= 1e-150] = 0.0
+        for v_mat, y_sum, y_sq_sum in zip(v_mats, y_sums, y_sq_sums):
+            proj = (back @ v_mat.conj()) @ v_mat.T
+            nrm = np.linalg.norm(proj, axis=1)
+            safe = np.where(nrm > 1e-150, nrm, 1.0)
+            chi_hat = np.einsum("nij,nj->ni", g_k, proj / safe[:, None])
+            chi_hat[nrm <= 1e-150] = 0.0
 
-        y_sum += (chi_hat * weights[:, None]).T @ chi_hat.conj()
-        abs2 = np.abs(chi_hat) ** 2
-        y_sq_sum += (abs2 * (weights**2)[:, None]).T @ abs2
+            y_sum += (chi_hat * weights[:, None]).T @ chi_hat.conj()
+            abs2 = np.abs(chi_hat) ** 2
+            y_sq_sum += (abs2 * (weights**2)[:, None]).T @ abs2
         done += batch
 
     x_bar = x_sum / n_samples
-    y_bar = y_sum / n_samples
     x_bar = (x_bar + x_bar.conj().T) / 2
-    y_bar = (y_bar + y_bar.conj().T) / 2
+    identity_residual = trace_distance(rho_k, x_bar)
 
-    var = np.maximum(y_sq_sum / n_samples - np.abs(y_bar) ** 2, 0.0)
-    se = 0.5 * sqrt((k + 1) * float(var.sum()) / n_samples)
-
-    bound = float(epsilon(SymTriple(n=n, k=k, d=2, r=r)))
-    return McReport(
-        n=n,
-        k=k,
-        r=r,
-        n_samples=n_samples,
-        seed=seed,
-        lhs_distance=trace_distance(rho_k, y_bar),
-        bound=bound,
-        identity_residual=trace_distance(rho_k, x_bar),
-        mc_tolerance=5.0 * se,
-    )
+    reports = []
+    for r, y_sum, y_sq_sum in zip(rs, y_sums, y_sq_sums):
+        y_bar = y_sum / n_samples
+        y_bar = (y_bar + y_bar.conj().T) / 2
+        var = np.maximum(y_sq_sum / n_samples - np.abs(y_bar) ** 2, 0.0)
+        se = 0.5 * sqrt((k + 1) * float(var.sum()) / n_samples)
+        lhs, bound = trace_distance(rho_k, y_bar), float(epsilon(SymTriple(n, k, 2, r)))
+        reports.append(McReport(n, k, r, n_samples, seed, lhs, bound, identity_residual, 5.0 * se))
+    return reports

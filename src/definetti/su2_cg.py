@@ -11,10 +11,11 @@ b2 = -j1+j2+j) the alternating sum is an integer sum of products of
 three binomials, and R's six m-dependent factorials are the inverse of
 a product of three more, so no factorial is ever built and the operands
 stay near the size of the result.  `_triangle` gives the rest of R, its
-triangle part, which depends on (j1, j2, j) alone.  `cg` reduces the
-integer parts of S^2 R by one gcd into an `ExactReal` with the sign of
-S, and factors nothing.  A window sum adds the m-dependent part over
-one (j1, j2, j) column and multiplies the triangle part in once.
+triangle part, which depends on (j1, j2, j) alone.  `_cg_doubled`, `cg`
+after its argument checks, reduces the integer parts of S^2 R by one gcd
+into an `ExactReal` with the sign of S, and factors nothing.  A window
+sum adds the m-dependent part over one (j1, j2, j) column and multiplies
+the triangle part in once.
 """
 
 from __future__ import annotations
@@ -175,9 +176,7 @@ def cg(j1, m1, j2, m2, j, m) -> ExactReal:
 
     Raises on malformed inputs (negative j, parity mismatch, out-of-range
     m1/m2, triangle violation).  Returns exact zero when the selection
-    rules m = m1 + m2 and |m| <= j fail.  The value is built from the
-    integers of `_racah_parts` and `_triangle` with one gcd; no Fraction
-    is made and nothing is factored.
+    rules m = m1 + m2 and |m| <= j fail.
     """
     tj1 = j1.doubled if j1.__class__ is TwoJ else as_twoj(j1).doubled
     tm1 = m1.doubled if m1.__class__ is TwoJ else as_twoj(m1).doubled
@@ -196,6 +195,11 @@ def cg(j1, m1, j2, m2, j, m) -> ExactReal:
         _check_jm(tj2, tm2, "(j2, m2)")
         _check_triple(tj1, tj2, tj)
         raise ValueError(f"(j, m): j={_number(tj)}/2 and m={_number(tm)}/2 differ by a non-integer")
+    return _cg_doubled(tj1, tm1, tj2, tm2, tj, tm)
+
+
+def _cg_doubled(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> ExactReal:
+    """`cg` on doubled ints that pass its checks, unchecked."""
     if tm != tm1 + tm2 or not -tj <= tm <= tj:
         return ExactReal.zero()
     s, m_den = _racah_parts(tj1, tm1, tj2, tm2, tj, tm)

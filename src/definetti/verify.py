@@ -150,10 +150,6 @@ def two_level_radius(n_max: int) -> str:
 # SU(2) coupling coefficients (angular momenta doubled throughout)
 
 
-def _cg(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int):
-    return su2_cg.cg(TwoJ(tj1), TwoJ(tm1), TwoJ(tj2), TwoJ(tm2), TwoJ(tj), TwoJ(tm))
-
-
 def cg_oracle_match(tj_max: int) -> str:
     """Ladder-built tables for 2j1, 2j2 <= tj_max equal the closed form,
     entry for entry as exact reals."""
@@ -162,7 +158,7 @@ def cg_oracle_match(tj_max: int) -> str:
         for tj2 in range(0, tj_max + 1):
             table = oracle.cg_oracle(TwoJ(tj1), TwoJ(tj2))
             for (tj, tm, tm1), val in table.items():
-                closed = _cg(tj1, tm1, tj2, tm - tm1, tj, tm)
+                closed = su2_cg._cg_doubled(tj1, tm1, tj2, tm - tm1, tj, tm)
                 if closed != val:  # a label for every entry would cost a tenth of the check
                     _exact(closed, val, f"entry 2(j1,j2,j,m,m1)={(tj1, tj2, tj, tm, tm1)}")
                 exact += 1
@@ -211,7 +207,8 @@ def cg_rows_orthonormal(tjs) -> str:
             for tm in range(-(tj1 + tj2), tj1 + tj2 + 1, 2):
                 tm1s = range(max(-tj1, tm - tj2), min(tj1, tm + tj2) + 1, 2)
                 row_tjs = range(max(abs(tj1 - tj2), abs(tm)), tj1 + tj2 + 1, 2)
-                rows = [[_cg(tj1, tm1, tj2, tm - tm1, tj, tm) for tm1 in tm1s] for tj in row_tjs]
+                rows = [[su2_cg._cg_doubled(tj1, tm1, tj2, tm - tm1, tj, tm) for tm1 in tm1s]
+                        for tj in row_tjs]
                 for a in range(len(rows)):
                     for b in range(a, len(rows)):
                         what = f"row orthogonality {(tj1, tj2, row_tjs[a], row_tjs[b], tm)}"
@@ -238,7 +235,7 @@ def cg_columns_complete(tjs) -> str:
                     for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
                         if abs(tm) > tj:
                             continue
-                        total += _cg(tj1, tm1, tj2, tm2, tj, tm).square()
+                        total += su2_cg._cg_doubled(tj1, tm1, tj2, tm2, tj, tm).square()
                     _exact(total, Fraction(1), f"completeness {(tj1, tj2, tm1, tm2)}")
                     count += 1
     return f"{count} exact column sums"
@@ -423,13 +420,13 @@ def single_weight_overlap(n_max: int, d_max: int) -> str:
     for d in range(2, d_max + 1):
         for n in range(1, n_max + 1):
             for k in range(1, n + 1):
-                ref = oracle.sym_basis(n, d)
+                _, basis = oracle._sym_basis_matrix(n, d)
                 for w in weights.sym_weights(k, d):
                     vec = oracle.sym_basis_vector(w)
                     psi = np.zeros(d ** (n - k))
                     psi[0] = 1.0
                     full = np.kron(vec, psi)
-                    got = sum(float(np.dot(b, full)) ** 2 for _, b in ref)
+                    got = float(((full @ basis) ** 2).sum())
                     _approx(got, float(symmetric.term_overlap(w, n, k)), 1e-12, f"overlap {(w, n, k)}")
                     count += 1
     return f"{count} projector traces match term_overlap"
@@ -444,8 +441,7 @@ def fock_oracle(pairs, delta_max: int, r_max: int, tol: float) -> str:
     count = 0
     for mu, nu in pairs:
         for Delta in range(0, delta_max + 1):
-            for r in range(0, r_max + 1):
-                got = oracle.heis_oracle(mu, nu, Delta, r, r + Delta + 40)
+            for r, got in enumerate(oracle.heis_oracle(mu, nu, Delta, r_max, r_max + Delta + 40)):
                 want = float(
                     heisenberg.delta_number_space(
                         heisenberg.HeisenbergTriple(Fraction(mu), Fraction(nu), Delta, r)
@@ -568,20 +564,19 @@ def haar_schur_average(seed: int, n_samples: int) -> str:
 def mc_inequality(seed: int, n_samples: int) -> str:
     """The projected mixture stays within the bound at n=4, k=2, r=0,1,2."""
     lines = []
-    for r in (0, 1, 2):
-        rep = oracle.mc_theorem1(4, 2, r, n_samples, seed)
+    for rep in oracle.mc_theorem1(4, 2, (0, 1, 2), n_samples, seed):
         if not rep.passed:
             raise AssertionError(
-                f"r={r}: lhs {rep.lhs_distance:.4f} > bound {rep.bound:.4f} + tol {rep.mc_tolerance:.4f}"
+                f"r={rep.r}: lhs {rep.lhs_distance:.4f} > bound {rep.bound:.4f} + tol {rep.mc_tolerance:.4f}"
             )
-        lines.append(f"r={r}: lhs={rep.lhs_distance:.4f} <= bound={rep.bound:.4f}+{rep.mc_tolerance:.4f}")
+        lines.append(f"r={rep.r}: lhs={rep.lhs_distance:.4f} <= bound={rep.bound:.4f}+{rep.mc_tolerance:.4f}")
     return "; ".join(lines)
 
 
 def mc_identity_recovery(seed: int, n_samples: int) -> str:
     """The unprojected mixture recovers the reduced state to within
     0.02 * sqrt(10^5 / n_samples) in trace distance."""
-    rep = oracle.mc_theorem1(4, 2, 2, n_samples, seed)
+    (rep,) = oracle.mc_theorem1(4, 2, (2,), n_samples, seed)
     cap = 0.02 * np.sqrt(10**5 / n_samples)
     if not rep.identity_residual <= cap:
         raise AssertionError(f"identity residual {rep.identity_residual:.4f} > {cap:.4f}")

@@ -124,7 +124,7 @@ def test_criterion_11_monte_carlo_inequality():
         t0 = time.perf_counter()
         verify.mc_inequality(1, 10**5)  # tolerance is 5 SE
         verify.mc_identity_recovery(1, 10**5)  # residual <= 0.02 at 10^5 samples
-        assert mc_theorem1(4, 2, 2, 10**5, 1).lhs_distance < 0.02  # window covers everything
+        assert mc_theorem1(4, 2, (2,), 10**5, 1)[0].lhs_distance < 0.02  # window covers everything
         assert time.perf_counter() - t0 < 120
 
 

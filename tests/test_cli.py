@@ -576,7 +576,7 @@ def test_verify_samples_over_the_guard_start_no_sampling(capsys, monkeypatch):
         assert code == 2 and out == "" and err.count("\n") == 1, samples
         assert f"at most {oracle.MC_SAMPLES_GUARD}" in err
         with pytest.raises(ValueError, match="size guard exceeded"):
-            oracle.mc_theorem1(4, 2, 1, samples, 0)
+            oracle.mc_theorem1(4, 2, (1,), samples, 0)
 
 
 def test_verify_samples_under_the_minimum_start_no_sampling(capsys, monkeypatch):
@@ -590,7 +590,7 @@ def test_verify_samples_under_the_minimum_start_no_sampling(capsys, monkeypatch)
     code, out, err = run(capsys, "verify", "mc", "--samples", str(samples))
     assert (code, out, err) == (2, "", "definetti verify: --samples must be at least 10^3\n")
     with pytest.raises(ValueError, match=r"^need at least 10\^3 samples, got 999$"):
-        oracle.mc_theorem1(4, 2, 1, samples, 0)
+        oracle.mc_theorem1(4, 2, (1,), samples, 0)
 
 
 def test_verify_parser_offers_every_suite():

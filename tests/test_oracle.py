@@ -2,7 +2,8 @@
 
 import hashlib
 from fractions import Fraction
-from math import comb, factorial
+from itertools import product
+from math import comb, factorial, sqrt
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from definetti.oracle import (
     pair_annihilate,
     pair_tower,
     pair_vacuum,
-    sym_basis,
     sym_basis_vector,
     trace_distance,
 )
@@ -40,11 +40,10 @@ def test_trace_distance():
 
 def test_sym_basis_orthonormal():
     for n, d in [(3, 2), (2, 3), (4, 2)]:
-        basis = sym_basis(n, d)
-        assert len(basis) == dim_sym(n, d)
-        mat = np.stack([vec for _, vec in basis])
-        assert np.abs(mat @ mat.T - np.eye(len(basis))).max() < 1e-12
-        for w, vec in basis:
+        ws, mat = oracle._sym_basis_matrix(n, d)
+        assert len(ws) == mat.shape[1] == dim_sym(n, d)
+        assert np.abs(mat.T @ mat - np.eye(len(ws))).max() < 1e-12
+        for w, vec in zip(ws, mat.T):
             assert w.total == n and w.dim == d
             assert np.array_equal(vec, sym_basis_vector(w))
 
@@ -182,9 +181,47 @@ def test_pair_vacuum_and_tower():
 
 
 def test_heis_oracle_matches_formula():
-    assert heis_oracle(1, 1, 0, 0, 40) == pytest.approx(0.5, abs=1e-12)
+    assert heis_oracle(1, 1, 0, 0, 40)[0] == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
-        heis_oracle(1, 1, 0, 5, 40)  # cutoff below r + Delta + 40
+        heis_oracle(1, 1, 0, 5, 40)  # cutoff below r_max + Delta + 40
+
+
+def _heis_single_radius_reference(mu, nu, Delta, r, cutoff):
+    """heis_oracle at one radius, as it was computed before one tower
+    served every radius: a tower of max(r - Delta, 0) + 10 states."""
+    mu, nu = float(mu), float(nu)
+    total = 0.0
+    for state in pair_tower(mu, nu, Delta, max(r - Delta, 0) + 10, cutoff):
+        nrm = np.linalg.norm(state)
+        if abs(nrm - 1.0) > 1e-9:
+            raise RuntimeError(f"tower state leaked through the truncation: norm {nrm}")
+        total += float((state[: r + 1, 0] ** 2).sum())
+    return nu / (mu + nu) * total
+
+
+def test_heis_oracle_equals_its_single_radius_reference():
+    # criterion 9's grid, bit for bit: the shared tower's first states are
+    # the short tower's, and each window sums them in the same order
+    for mu, nu in product(range(1, 11), repeat=2):
+        for Delta in range(6):
+            got = heis_oracle(mu, nu, Delta, 10, 10 + Delta + 40)
+            want = [_heis_single_radius_reference(mu, nu, Delta, r, r + Delta + 40) for r in range(11)]
+            assert got == want, (mu, nu, Delta)
+
+
+def test_fock_oracle_builds_one_tower_per_offset(monkeypatch):
+    calls = 0
+    tower = oracle.pair_tower
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return tower(*args)
+
+    monkeypatch.setattr(oracle, "pair_tower", counted)
+    pairs = tuple(product((1, 2, 5), (1, 3)))
+    assert verify.fock_oracle(pairs, 3, 6, 1e-10) == "168 truncated-fock cross-checks"
+    assert calls == 6 * 4  # one per (mu, nu, Delta), not one per radius
 
 
 def test_haar_su2():
@@ -199,19 +236,29 @@ def test_haar_su2():
 
 
 def test_mc_theorem1_runs_and_is_deterministic():
-    rep = mc_theorem1(4, 2, 1, 10**3, 7)
-    rep2 = mc_theorem1(4, 2, 1, 10**3, 7)
+    (rep,) = mc_theorem1(4, 2, (1,), 10**3, 7)
+    (rep2,) = mc_theorem1(4, 2, (1,), 10**3, 7)
     assert rep.lhs_distance == rep2.lhs_distance
     assert rep.identity_residual == rep2.identity_residual
     assert rep.passed
     assert rep.bound == pytest.approx(float(epsilon(SymTriple(4, 2, 2, 1))))
-    different = mc_theorem1(4, 2, 1, 10**3, 8)
+    (different,) = mc_theorem1(4, 2, (1,), 10**3, 8)
     assert different.lhs_distance != rep.lhs_distance
 
 
-def _mc_einsum_reference(n, k, r, n_samples, seed):
-    """mc_theorem1's report fields with its three sums accumulated by
-    einsum, in the sample order that the matmuls reorder."""
+def _matmul_outer(w, a, b):
+    return (a * w[:, None]).T @ b
+
+
+def _einsum_outer(w, a, b):
+    return np.einsum("n,na,nb->ab", w, a, b)
+
+
+def _mc_reference(n, k, r, n_samples, seed, outer=_matmul_outer):
+    """mc_theorem1's report at one radius, as it was computed before one
+    sampling pass served every radius; outer(w, a, b) = sum_n w_n a_n b_n^T
+    forms its three sample sums, by matmul as mc_theorem1 does or by einsum
+    in the sample order that the matmuls reorder."""
     d, dim_b, d_formal = 2, 2 ** (n - k), dim_sym(n - k, 2)
     ws_n, mat_n = oracle._sym_basis_matrix(n, d)
     rng_state = np.random.default_rng([seed, 0])
@@ -229,44 +276,79 @@ def _mc_einsum_reference(n, k, r, n_samples, seed):
         g = haar_su2(rng, min(oracle._MC_BATCH, n_samples - start))
         phi = np.einsum("ab,nb->na", big, oracle._vector_power(g[:, :, 0], n - k).conj())
         weights = d_formal * np.linalg.norm(phi, axis=1) ** 2
-        x_sum += d_formal * np.einsum("na,nb->ab", phi, phi.conj())
+        x_sum += d_formal * outer(np.ones(len(phi)), phi, phi.conj())
         g_k = oracle._matrix_power(g, k)
         proj = (np.einsum("nba,nb->na", g_k.conj(), phi) @ v_mat.conj()) @ v_mat.T
         nrm = np.linalg.norm(proj, axis=1)
         chi_hat = np.einsum("nij,nj->ni", g_k, proj / np.where(nrm > 1e-150, nrm, 1.0)[:, None])
         chi_hat[nrm <= 1e-150] = 0.0
-        y_sum += np.einsum("n,na,nb->ab", weights, chi_hat, chi_hat.conj())
+        y_sum += outer(weights, chi_hat, chi_hat.conj())
         abs2 = np.abs(chi_hat) ** 2
-        y_sq_sum += np.einsum("n,na,nb->ab", weights**2, abs2, abs2)
+        y_sq_sum += outer(weights**2, abs2, abs2)
     x_bar, y_bar = x_sum / n_samples, y_sum / n_samples
     x_bar, y_bar = (x_bar + x_bar.conj().T) / 2, (y_bar + y_bar.conj().T) / 2
     var = np.maximum(y_sq_sum / n_samples - np.abs(y_bar) ** 2, 0.0)
-    return {
-        "n": n, "k": k, "r": r, "n_samples": n_samples, "seed": seed,
-        "lhs_distance": trace_distance(rho_k, y_bar),
-        "bound": float(epsilon(SymTriple(n, k, 2, r))),
-        "identity_residual": trace_distance(rho_k, x_bar),
-        "mc_tolerance": 5.0 * 0.5 * np.sqrt((k + 1) * float(var.sum()) / n_samples),
-    }
+    return oracle.McReport(
+        n=n,
+        k=k,
+        r=r,
+        n_samples=n_samples,
+        seed=seed,
+        lhs_distance=trace_distance(rho_k, y_bar),
+        bound=float(epsilon(SymTriple(n, k, 2, r))),
+        identity_residual=trace_distance(rho_k, x_bar),
+        mc_tolerance=5.0 * (0.5 * sqrt((k + 1) * float(var.sum()) / n_samples)),
+    )
 
 
 def test_mc_theorem1_matches_its_einsum_reference():
     # the matmul sums differ from einsum's only in summation order
-    for r in range(3):
-        for seed in range(3):
-            rep = mc_theorem1(4, 2, r, 10**4, seed)
-            for name, want in _mc_einsum_reference(4, 2, r, 10**4, seed).items():
-                assert getattr(rep, name) == pytest.approx(want, rel=0, abs=1e-12), (r, seed, name)
+    for seed in range(3):
+        for r, rep in enumerate(mc_theorem1(4, 2, (0, 1, 2), 10**4, seed)):
+            want = _mc_reference(4, 2, r, 10**4, seed, _einsum_outer)
+            for name, value in vars(want).items():
+                assert getattr(rep, name) == pytest.approx(value, rel=0, abs=1e-12), (r, seed, name)
 
 
-def test_mc_theorem1_guards():
+def test_mc_theorem1_equals_its_single_radius_reference():
+    # field for field, bit for bit; 4097 samples end in a one-sample batch
+    for seed in (0, 7, 2**31 - 1):
+        for n_samples in (1000, 4097):
+            got = mc_theorem1(4, 2, (0, 1, 2), n_samples, seed)
+            want = [_mc_reference(4, 2, r, n_samples, seed) for r in (0, 1, 2)]
+            assert got == want, (seed, n_samples)
+
+
+def test_mc_inequality_samples_once_for_all_radii(monkeypatch):
+    calls = 0
+    haar = oracle.haar_su2
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return haar(*args)
+
+    monkeypatch.setattr(oracle, "haar_su2", counted)
+    verify.mc_inequality(0, 10**4)
+    assert calls == 3  # the batches of 4096 + 4096 + 1808 samples, once
+
+
+def test_mc_theorem1_guards(monkeypatch):
     with pytest.raises(ValueError):
-        mc_theorem1(4, 0, 0, 10**3, 0)
+        mc_theorem1(4, 0, (0,), 10**3, 0)
     with pytest.raises(ValueError):
-        mc_theorem1(4, 4, 0, 10**3, 0)
+        mc_theorem1(4, 4, (0,), 10**3, 0)
     with pytest.raises(ValueError):
-        mc_theorem1(17, 2, 0, 10**3, 0)
+        mc_theorem1(17, 2, (0,), 10**3, 0)
     with pytest.raises(ValueError):
-        mc_theorem1(4, 2, 0, 999, 0)
+        mc_theorem1(4, 2, (0,), 999, 0)
     with pytest.raises(ValueError):
-        mc_theorem1(4, 2, 3, 10**3, 0)
+        mc_theorem1(4, 2, (3,), 10**3, 0)
+
+    # every radius is checked before the first sample is drawn
+    def fail(*args):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(oracle, "haar_su2", fail)
+    with pytest.raises(ValueError, match=r"^need 0 <= r <= k, got r=3$"):
+        mc_theorem1(4, 2, (0, 1, 3), 10**3, 0)

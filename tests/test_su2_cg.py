@@ -337,27 +337,50 @@ def test_row_check_needs_no_splitting(no_splitting, monkeypatch):
     # sign in one coefficient breaks orthogonality
     assert verify.cg_rows_orthonormal(range(0, 9, 2)) == "1563 exact row products"
 
-    singlet_middle = (TwoJ(2), TwoJ(0), TwoJ(2), TwoJ(0), TwoJ(0), TwoJ(0))
+    # the mutants patch the doubled-int core that cg and the checks share
+    core = su2_cg._cg_doubled
+    singlet_middle = (2, 0, 2, 0, 0, 0)
 
     def flipped(*args):
-        value = cg(*args)
+        value = core(*args)
         return -value if args == singlet_middle else value
 
-    monkeypatch.setattr(su2_cg, "cg", flipped)
+    monkeypatch.setattr(su2_cg, "_cg_doubled", flipped)
+    assert cg(1, 0, 1, 0, 0, 0) == -core(*singlet_middle)
     # <1 0 1 0 | 1 0> = 0, so the first row pair the flip breaks is j = 0, 2
     with pytest.raises(AssertionError, match=r"row orthogonality \(2, 2, 0, 4, 0\)"):
         verify.cg_rows_orthonormal(range(0, 3))
 
     # an entry off by sqrt(2) makes its product incommensurable with the others
-    quintet_low = (TwoJ(2), TwoJ(-2), TwoJ(2), TwoJ(2), TwoJ(4), TwoJ(0))
+    quintet_low = (2, -2, 2, 2, 4, 0)
 
     def stretched(*args):
-        value = cg(*args)
+        value = core(*args)
         return value * ExactReal.sqrt(2) if args == quintet_low else value
 
-    monkeypatch.setattr(su2_cg, "cg", stretched)
+    monkeypatch.setattr(su2_cg, "_cg_doubled", stretched)
+    assert cg(1, -1, 1, 1, 2, 0) == core(*quintet_low) * ExactReal.sqrt(2)
     with pytest.raises(AssertionError, match=r"\(2, 2, 0, 4, 0\): incommensurable products"):
         verify.cg_rows_orthonormal(range(0, 3))
+
+
+def test_ladder_check_reaches_the_core_without_cg(monkeypatch):
+    # the table sweeps pass plain doubled ints to the core; cg's argument
+    # handling runs for none of the 7,809 entries
+    calls = {"core": 0, "cg": 0}
+    core, public = su2_cg._cg_doubled, su2_cg.cg
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(su2_cg, "_cg_doubled", counted("core", core))
+    monkeypatch.setattr(su2_cg, "cg", counted("cg", public))
+    assert verify.cg_oracle_match(8) == "7809 exact matches for j1,j2 <= 4"
+    assert calls == {"core": 7_809, "cg": 0}
 
 
 def test_one_racah_evaluation_per_coefficient(monkeypatch):
