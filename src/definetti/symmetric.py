@@ -15,8 +15,15 @@ twice the chance that more than r of e balls drawn without replacement
 from an urn of k marked and n - k + d - 1 unmarked ones are marked (the
 urn of Diaconis & Freedman, "Finite exchangeable sequences", Ann.
 Probab. 8, 745, 1980).  `delta_psi_weights` keeps the weight-by-weight
-sum, in integers by C(k,i)/C(n,i) = perm(n-i, n-k) / perm(n, n-k), and
-each function builds a single Fraction at the end.
+sum, in integers by C(k,i)/C(n,i) = perm(n-i, n-k) / perm(n, n-k).
+
+Each closed form is a private integer kernel and a public wrapper:
+`_epsilon_parts`, `_closed_form_parts` and `_error_d2_parts` return the
+unreduced (numerator, denominator) pair, and `epsilon`, `closed_form_sum`
+and `exact_error_d2` validate and build the one Fraction from it.
+`_bounds` is the float kernel of `bound_exponential`.  The `verify`
+checks call the kernels and compare the pairs by cross-multiplication,
+with no gcd and no SymTriple per cell.
 """
 
 from __future__ import annotations
@@ -66,7 +73,7 @@ _set_n, _set_k, _set_d, _set_r = _slot_setters(SymTriple)
 def dim_sym(n: int, d: int) -> int:
     """Dimension of the n-fold symmetric power of C^d: C(n+d-1, n)."""
     if n < 0 or d < 1:
-        raise ValueError(f"need n >= 0 and d >= 1, got n={n}, d={d}")
+        raise ValueError(f"need n >= 0 and d >= 1, got n={_number(n)}, d={_number(d)}")
     return comb(n + d - 1, n)
 
 
@@ -81,13 +88,17 @@ def epsilon(t: SymTriple) -> Fraction:
     binomials and d - 2 small-integer steps.  At r = k the top term
     C(k, k+1) is 0, and so is every other, without a branch.
     """
-    n, k, d, r = t.n, t.k, t.d, t.r
+    return Fraction(*_epsilon_parts(t.n, t.k, t.d, t.r))
+
+
+def _epsilon_parts(n: int, k: int, d: int, r: int) -> tuple[int, int]:
+    """epsilon's unreduced (numerator, denominator), for valid (n, k, d, r)."""
     e, m = r + d - 1, n - k + d - 1
     term = total = comb(m, d - 2) * comb(k, r + 1)
     for l in range(d - 2, 0, -1):
         term = term * (l * (k - e + l)) // ((m - l + 1) * (e - l + 1))
         total += term
-    return Fraction(2 * total, comb(n + d - 1, e))
+    return 2 * total, comb(n + d - 1, e)
 
 
 def term_overlap(w: Weight, n: int, k: int) -> Fraction:
@@ -97,11 +108,11 @@ def term_overlap(w: Weight, n: int, k: int) -> Fraction:
     symmetric power, paired with n-k reference sites.
     """
     if w.total != k:
-        raise ValueError(f"weight sums to {w.total}, expected k={k}")
+        raise ValueError(f"weight sums to {_number(w.total)}, expected k={_number(k)}")
     if any(x < 0 for x in w):
         raise ValueError(f"need nonnegative entries, got {w}")
     if not 0 < k <= n:
-        raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
+        raise ValueError(f"need 0 < k <= n, got k={_number(k)}, n={_number(n)}")
     return Fraction(factorial(k), factorial(n)) * perm(w[0] + n - k, n - k)
 
 
@@ -110,7 +121,7 @@ def weight_profile(ws: Sequence[Weight], k: int) -> list[int]:
     profile = [0] * (k + 1)
     for w in ws:
         if not 0 <= w[0] <= k:
-            raise ValueError(f"leading coordinate {w[0]} outside 0..{k}")
+            raise ValueError(f"leading coordinate {_number(w[0])} outside 0..{_number(k)}")
         profile[w[0]] += 1
     return profile
 
@@ -125,20 +136,20 @@ def delta_psi_weights(n: int, k: int, d: int, f: Sequence[int]) -> Fraction:
     the sum taken in integers and one Fraction built at the end.
     """
     if d < 2:
-        raise ValueError(f"need local dimension d >= 2, got {d}")
+        raise ValueError(f"need local dimension d >= 2, got {_number(d)}")
     if not 0 < k <= n:
-        raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
+        raise ValueError(f"need 0 < k <= n, got k={_number(k)}, n={_number(n)}")
     if len(f) != k + 1:
-        raise ValueError(f"profile must have length k+1 = {k + 1}, got {len(f)}")
+        raise ValueError(f"profile must have length k+1 = {_number(k + 1)}, got {len(f)}")
     total = 0
     for i, count in enumerate(f):
         if count < 0:
-            raise ValueError(f"profile counts must be nonnegative, got f[{i}]={count}")
+            raise ValueError(f"profile counts must be nonnegative, got f[{i}]={_number(count)}")
         avail = comb(k - i + d - 2, k - i)
         if count > avail:
             raise ValueError(
                 f"profile exceeds available weights at leading coordinate {i}: "
-                f"{count} > {avail}"
+                f"{_number(count)} > {_number(avail)}"
             )
         if count:
             total += perm(n - k + i, n - k) * count
@@ -152,11 +163,20 @@ def closed_form_sum(n: int, k: int, r: int) -> Fraction:
     perm(n, r)) for 0 <= r <= k <= n; at r = k, perm(k, k+1) = 0 gives
     the empty sum.
     """
+    _check_nkr(n, k, r)
+    return Fraction(*_closed_form_parts(n, k, r))
+
+
+def _closed_form_parts(n: int, k: int, r: int) -> tuple[int, int]:
+    """closed_form_sum's unreduced (numerator, denominator), for valid (n, k, r)."""
+    return perm(k, r + 1), (n - k + 1) * perm(n, r)
+
+
+def _check_nkr(n: int, k: int, r: int) -> None:
     if not 0 < k <= n:
-        raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
+        raise ValueError(f"need 0 < k <= n, got k={_number(k)}, n={_number(n)}")
     if not 0 <= r <= k:
-        raise ValueError(f"need 0 <= r <= k, got r={r}")
-    return Fraction(perm(k, r + 1), (n - k + 1) * perm(n, r))
+        raise ValueError(f"need 0 <= r <= k, got r={_number(r)}")
 
 
 class BoundPair(NamedTuple):
@@ -180,7 +200,14 @@ def bound_exponential(t: SymTriple) -> BoundPair:
     """
     n, k, d, r = t.n, t.k, t.d, t.r
     if d > min(k, n - k):
-        raise ValueError(f"bounds need d <= min(k, n-k), got d={d}, k={k}, n-k={n - k}")
+        raise ValueError(
+            f"bounds need d <= min(k, n-k), got d={_number(d)}, k={_number(k)}, n-k={_number(n - k)}"
+        )
+    return BoundPair(*_bounds(n, k, d, r))
+
+
+def _bounds(n: int, k: int, d: int, r: int) -> tuple[float, float]:
+    """bound_exponential's (intermediate, headline), for d <= min(k, n-k)."""
     base = k / (n - r)
     try:
         inter = (
@@ -193,8 +220,11 @@ def bound_exponential(t: SymTriple) -> BoundPair:
     except OverflowError:
         inter = head = inf
     if not (isfinite(inter) and isfinite(head)):
-        raise ValueError(f"the bounds leave the float range at n={n}, k={k}, d={d}, r={r}")
-    return BoundPair(intermediate=inter, headline=head)
+        raise ValueError(
+            f"the bounds leave the float range at n={_number(n)}, k={_number(k)}, "
+            f"d={_number(d)}, r={_number(r)}"
+        )
+    return inter, head
 
 
 def exact_error_d2(n: int, k: int, r: int) -> Fraction:
@@ -203,8 +233,10 @@ def exact_error_d2(n: int, k: int, r: int) -> Fraction:
     That is 2 perm(k, r+1) / perm(n+1, r+1), exactly 0 at r = k, where
     perm(k, k+1) = 0.
     """
-    if not 0 < k <= n:
-        raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
-    if not 0 <= r <= k:
-        raise ValueError(f"need 0 <= r <= k, got r={r}")
-    return Fraction(2 * perm(k, r + 1), perm(n + 1, r + 1))
+    _check_nkr(n, k, r)
+    return Fraction(*_error_d2_parts(n, k, r))
+
+
+def _error_d2_parts(n: int, k: int, r: int) -> tuple[int, int]:
+    """exact_error_d2's unreduced (numerator, denominator), for valid (n, k, r)."""
+    return 2 * perm(k, r + 1), perm(n + 1, r + 1)

@@ -60,6 +60,13 @@ def _exact(a, b, what: str) -> None:
         raise AssertionError(f"{what}: {a!r} != {b!r}")
 
 
+def _same_ratio(a: tuple[int, int], b: tuple[int, int], what: str) -> None:
+    """Two (numerator, denominator) pairs, denominators nonzero, name the
+    same rational: compared by cross-multiplication, with no gcd."""
+    if a[0] * b[1] != b[0] * a[1]:
+        raise AssertionError(f"{what}: {Fraction(*a)!r} != {Fraction(*b)!r}")
+
+
 # ---------------------------------------------------------------------------
 # weights
 
@@ -321,7 +328,11 @@ def tail_sum_closed_form(n_max: int) -> str:
             for r in range(k, -1, -1):
                 if r < k:
                     direct += Fraction(comb(k, r + 1), comb(n, r + 1))
-                _exact(symmetric.closed_form_sum(n, k, r), direct, f"closed form {(n, k, r)}")
+                _same_ratio(
+                    symmetric._closed_form_parts(n, k, r),
+                    (direct.numerator, direct.denominator),
+                    f"closed form {(n, k, r)}",
+                )
     return f"tail sums exact up to n={n_max}"
 
 
@@ -330,9 +341,11 @@ def tail_sum_recursion(n_max: int) -> str:
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
             for r in range(1, k + 1):
-                lhs = symmetric.closed_form_sum(n, k, r)
-                rhs = symmetric.closed_form_sum(n, k, r - 1) - Fraction(comb(k, r), comb(n, r))
-                _exact(lhs, rhs, f"recursion {(n, k, r)}")
+                # a/b - c/e = (a e - c b) / (b e)
+                a, b = symmetric._closed_form_parts(n, k, r - 1)
+                c, e = comb(k, r), comb(n, r)
+                rhs = (a * e - c * b, b * e)
+                _same_ratio(symmetric._closed_form_parts(n, k, r), rhs, f"recursion {(n, k, r)}")
     return f"descent recursion exact up to n={n_max}"
 
 
@@ -341,9 +354,9 @@ def d2_exact_error(n_max: int) -> str:
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
             for r in range(0, k + 1):
-                _exact(
-                    symmetric.exact_error_d2(n, k, r),
-                    symmetric.epsilon(SymTriple(n, k, 2, r)),
+                _same_ratio(
+                    symmetric._error_d2_parts(n, k, r),
+                    symmetric._epsilon_parts(n, k, 2, r),
                     f"d=2 error {(n, k, r)}",
                 )
     return f"d=2 factorial form equals the sum, n <= {n_max}"
@@ -358,9 +371,9 @@ def bound_chain(n_max: int, d_max: int) -> str:
                 if d > min(k, n - k):
                     continue
                 for r in range(0, k + 1):
-                    t = SymTriple(n, k, d, r)
-                    eps = float(symmetric.epsilon(t))
-                    inter, head = symmetric.bound_exponential(t)
+                    num, den = symmetric._epsilon_parts(n, k, d, r)
+                    eps = num / den  # int true division rounds once, as float(epsilon) does
+                    inter, head = symmetric._bounds(n, k, d, r)
                     if not eps / 2 <= inter * (1 + 1e-12):
                         raise AssertionError(f"eps/2 > intermediate at {(n, k, d, r)}")
                     if not inter <= head / 2 * (1 + 1e-12):
@@ -376,9 +389,11 @@ def profile_consistency(n_max: int, d_max: int) -> str:
             for d in range(2, d_max + 1):
                 for r in range(0, k + 1):
                     prof = symmetric.weight_profile(weights.w_r_set(k, d, r, "down"), k)
-                    _exact(
-                        symmetric.delta_psi_weights(n, k, d, prof),
-                        1 - symmetric.epsilon(SymTriple(n, k, d, r)) / 2,
+                    got = symmetric.delta_psi_weights(n, k, d, prof)
+                    num, den = symmetric._epsilon_parts(n, k, d, r)
+                    _same_ratio(
+                        (got.numerator, got.denominator),
+                        (2 * den - num, 2 * den),  # 1 - epsilon/2
                         f"profile consistency {(n, k, d, r)}",
                     )
     return f"window profile reproduces 1 - eps/2, n <= {n_max}"
@@ -474,7 +489,10 @@ def tower_orthonormal(pairs, delta_max: int, n_max: int, cutoff: int, tol: float
         for Delta in range(0, delta_max + 1):
             for s in oracle.pair_tower(mu, nu, Delta, n_max, cutoff):
                 flat.append(s.reshape(-1))
-        gram = np.array([[float(np.dot(a, b)) for b in flat] for a in flat])
+        # one matrix-vector product per row: a single stack @ stack.T would
+        # go to the threaded BLAS matrix product, which slows the next check
+        stack = np.array(flat)
+        gram = np.array([stack @ a for a in flat])
         defects.append(np.abs(gram - np.eye(len(flat))).max())
     worst = float(np.max(defects))  # unlike max(), np.max propagates a NaN
     if not worst <= tol:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import factorial
 
-from .report import _Frozen, _slot_setters
+from .report import _Frozen, _number, _slot_setters
 
 __all__ = [
     "Weight",
@@ -83,7 +83,7 @@ class Weight(_Frozen):
         return Weight(self.entries[::-1])
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(x) for x in self.entries) + ")"
+        return "(" + ",".join(_number(x) for x in self.entries) + ")"
 
 
 (_set_entries,) = _slot_setters(Weight)

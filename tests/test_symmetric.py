@@ -6,9 +6,13 @@ from math import comb, factorial, perm
 
 import pytest
 
-from definetti import weights
+from definetti import symmetric, verify, weights
 from definetti.symmetric import (
     SymTriple,
+    _bounds,
+    _closed_form_parts,
+    _epsilon_parts,
+    _error_d2_parts,
     bound_exponential,
     closed_form_sum,
     delta_psi_weights,
@@ -180,3 +184,65 @@ def test_exact_error_d2_closed_form():
         exact_error_d2(4, 0, 0)
     with pytest.raises(ValueError):
         exact_error_d2(4, 2, 3)
+
+
+def _counted(fn, counts, name):
+    def wrapper(*args):
+        counts[name] += 1
+        return fn(*args)
+
+    return wrapper
+
+
+def test_symmetric_checks_reach_the_kernel_without_epsilon(monkeypatch):
+    counts = {"epsilon": 0, "_epsilon_parts": 0}
+    for name in counts:
+        monkeypatch.setattr(symmetric, name, _counted(getattr(symmetric, name), counts, name))
+    assert verify.bound_chain(40, 4) == "28994 chain comparisons hold"
+    assert counts == {"epsilon": 0, "_epsilon_parts": 28994}
+    verify.d2_exact_error(12)
+    verify.profile_consistency(8, 3)
+    assert counts["epsilon"] == 0
+
+    # the kernel's sum started one term early, at i = r
+    parts = _epsilon_parts
+    monkeypatch.setattr(symmetric, "_epsilon_parts", lambda n, k, d, r: parts(n, k, d, max(r - 1, 0)))
+    for check, args in (
+        (verify.d2_exact_error, (40,)),
+        (verify.bound_chain, (40, 4)),
+        (verify.profile_consistency, (16, 3)),
+    ):
+        with pytest.raises(AssertionError):
+            check(*args)
+    assert epsilon(SymTriple(4, 2, 2, 1)) != Fraction(1, 5)
+
+
+def test_tail_sum_checks_reach_the_closed_form_kernel(monkeypatch):
+    parts = _closed_form_parts
+    monkeypatch.setattr(symmetric, "_closed_form_parts", lambda n, k, r: parts(n, k, max(r - 1, 0)))
+    for check in (verify.tail_sum_closed_form, verify.tail_sum_recursion):
+        with pytest.raises(AssertionError):
+            check(30)
+    assert closed_form_sum(4, 2, 1) != Fraction(1, 6)
+
+
+def test_kernels_equal_the_public_values_on_a_seeded_grid():
+    rng = random.Random(23)
+    cells = [(20000, 10000, 4, 100), (20000, 1, 2, 0), (20000, 20000, 8, 19999)]
+    for _ in range(300):
+        n = rng.choice((rng.randint(1, 60), rng.randint(1, 20000)))
+        k = rng.randint(1, n)
+        cells.append((n, k, rng.randint(2, 8), rng.randint(0, min(k, 400))))
+    bounded = 0
+    for n, k, d, r in cells:
+        t = SymTriple(n, k, d, r)
+        num, den = _epsilon_parts(n, k, d, r)
+        assert Fraction(num, den) == epsilon(t), t
+        assert num / den == float(epsilon(t)), t  # bit for bit
+        if d == 2:
+            assert Fraction(*_error_d2_parts(n, k, r)) == exact_error_d2(n, k, r) == epsilon(t), t
+        assert Fraction(*_closed_form_parts(n, k, r)) == closed_form_sum(n, k, r), t
+        if d <= min(k, n - k):
+            assert _bounds(n, k, d, r) == bound_exponential(t), t
+            bounded += 1
+    assert bounded > 100

@@ -8,7 +8,7 @@ from math import inf, nan
 
 import pytest
 
-from definetti import su2_cg, verify
+from definetti import su2_cg, symmetric, verify
 from definetti.exact import ExactReal
 from definetti.heisenberg import HeisenbergTriple, coherent_bound, epsilon_heisenberg
 from definetti.report import DeltaReport, _Frozen
@@ -105,6 +105,26 @@ BIG = 10**5000  # past the interpreter's 4300-digit int-to-str limit
         pytest.param(HeisenbergTriple, (1, 1, -BIG, 0), "offset Delta", id="HeisenbergTriple-Delta"),
         pytest.param(SymTriple, (-BIG, 1, 2, 0), "n=", id="SymTriple-n"),
         pytest.param(SymTriple, (4, 2, -BIG, 0), "dimension d", id="SymTriple-d"),
+        pytest.param(symmetric.dim_sym, (-BIG, 2), "n=", id="dim_sym-n"),
+        pytest.param(symmetric.dim_sym, (2, -BIG), "d=", id="dim_sym-d"),
+        pytest.param(symmetric.term_overlap, (Weight((0, 2)), 4, BIG), "expected k=", id="term_overlap-total"),
+        pytest.param(symmetric.term_overlap, (Weight((BIG + 2, -BIG)), 4, 2), "nonnegative", id="term_overlap-w"),
+        pytest.param(symmetric.term_overlap, (Weight((BIG, 0)), 4, BIG), "k=", id="term_overlap-k"),
+        pytest.param(symmetric.weight_profile, ([Weight((BIG, 0))], 2), "leading", id="weight_profile"),
+        pytest.param(symmetric.delta_psi_weights, (4, 2, -BIG, [0, 0, 1]), "dimension d", id="delta_psi-d"),
+        pytest.param(symmetric.delta_psi_weights, (-BIG, 2, 2, [0, 0, 1]), "n=", id="delta_psi-n"),
+        pytest.param(symmetric.delta_psi_weights, (4, 2, 2, [0, 0, -BIG]), "f[2]=", id="delta_psi-f"),
+        pytest.param(symmetric.delta_psi_weights, (4, 2, 2, [0, 0, BIG]), "exceeds", id="delta_psi-cap"),
+        pytest.param(symmetric.closed_form_sum, (10, -BIG, 1), "k=", id="closed_form_sum-k"),
+        pytest.param(symmetric.closed_form_sum, (4, 2, BIG), "r=", id="closed_form_sum-r"),
+        pytest.param(symmetric.exact_error_d2, (-BIG, 2, 0), "n=", id="exact_error_d2-n"),
+        pytest.param(symmetric.exact_error_d2, (4, 2, -BIG), "r=", id="exact_error_d2-r"),
+        pytest.param(
+            symmetric.bound_exponential, (SymTriple(2 * BIG, BIG, BIG + 1, 0),), "d=", id="bound_exponential-d"
+        ),
+        pytest.param(
+            symmetric.bound_exponential, (SymTriple(BIG, 3, 3, 0),), "float range", id="bound_exponential-range"
+        ),
     ],
 )
 def test_a_refusal_names_an_over_long_number_by_its_digit_count(call, args, names):
