@@ -116,8 +116,16 @@ def term_overlap(w: Weight, n: int, k: int) -> Fraction:
     return Fraction(factorial(k), factorial(n)) * perm(w[0] + n - k, n - k)
 
 
+# a profile is a list of k + 1 counts, so k is refused above this bound
+# (an 8 MB list) before the list is built
+PROFILE_K_GUARD = 10**6
+
+
 def weight_profile(ws: Sequence[Weight], k: int) -> list[int]:
-    """Counts f_i of weights with leading coordinate i, for i = 0..k."""
+    """Counts f_i of weights with leading coordinate i, for i = 0..k,
+    for 0 <= k <= PROFILE_K_GUARD."""
+    if not 0 <= k <= PROFILE_K_GUARD:
+        raise ValueError(f"need 0 <= k <= {PROFILE_K_GUARD}, got k={_number(k)}")
     profile = [0] * (k + 1)
     for w in ws:
         if not 0 <= w[0] <= k:

@@ -16,7 +16,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, isqrt
+from math import comb, isqrt, lcm
+from operator import attrgetter
 
 import numpy as np
 
@@ -65,6 +66,13 @@ def _same_ratio(a: tuple[int, int], b: tuple[int, int], what: str) -> None:
     same rational: compared by cross-multiplication, with no gcd."""
     if a[0] * b[1] != b[0] * a[1]:
         raise AssertionError(f"{what}: {Fraction(*a)!r} != {Fraction(*b)!r}")
+
+
+def _ratio_sum(terms) -> tuple[int, int]:
+    """The sum of (numerator, denominator) pairs as one unreduced pair over
+    the lcm of the denominators."""
+    den = lcm(*(d for _, d in terms))
+    return sum(n * (den // d) for n, d in terms), den
 
 
 # ---------------------------------------------------------------------------
@@ -172,31 +180,33 @@ def cg_oracle_match(tj_max: int) -> str:
     return f"{exact} exact matches for j1,j2 <= {TwoJ(tj_max)}"
 
 
-def _in_units_of_first(products, what: str) -> Fraction:
-    """The sum of the nonzero exact reals in `products`, in units of the
-    first of them.
+# the stored (sign, num, den) of an ExactReal sign * sqrt(num/den)
+_parts = attrgetter("_sign", "_num", "_den")
+_square_parts = attrgetter("_num", "_den")
+
+
+def _in_units_of_first(products, what: str) -> tuple[int, int]:
+    """The sum of the nonzero (sign, num, den) triples, in units of the
+    first of them, as an unreduced (numerator, denominator) pair.
 
     Each one must be a rational multiple of the first: (p/p0)^2 = n/d is
     then a rational square, so n*d is a perfect square and p/p0 =
     sign * isqrt(n*d)/d.  A product that is not raises AssertionError.
     """
-    total = Fraction(0)
-    first = None
-    for p in products:
-        if not p:
+    terms = []
+    for sign, num, den in products:
+        if not sign:
             continue
-        if first is None:
-            first = p.square()
-            first_sign = p.sign
-            total += 1
+        if not terms:
+            sign0, num0, den0 = sign, num, den
+            terms.append((1, 1))
             continue
-        sq = p.square()
-        n, d = sq.numerator * first.denominator, sq.denominator * first.numerator
+        n, d = num * den0, den * num0
         root = isqrt(n * d)
         if root * root != n * d:
             raise AssertionError(f"{what}: incommensurable products")
-        total += Fraction(p.sign * first_sign * root, d)
-    return total
+        terms.append((sign * sign0 * root, d))
+    return _ratio_sum(terms)
 
 
 def cg_rows_orthonormal(tjs) -> str:
@@ -205,45 +215,47 @@ def cg_rows_orthonormal(tjs) -> str:
 
     A row's squares sum to exactly 1.  The products of two rows are
     rational multiples of each other for true coefficients, and their
-    rational sum in units of the first is exactly 0; nothing is split
-    into coeff * sqrt(core).
+    rational sum in units of the first is exactly 0.  Both are summed in
+    integers over one common denominator; nothing is split.
     """
+    core = su2_cg._cg_doubled
     count = 0
     for tj1 in tjs:
         for tj2 in tjs:
             for tm in range(-(tj1 + tj2), tj1 + tj2 + 1, 2):
                 tm1s = range(max(-tj1, tm - tj2), min(tj1, tm + tj2) + 1, 2)
                 row_tjs = range(max(abs(tj1 - tj2), abs(tm)), tj1 + tj2 + 1, 2)
-                rows = [[su2_cg._cg_doubled(tj1, tm1, tj2, tm - tm1, tj, tm) for tm1 in tm1s]
-                        for tj in row_tjs]
-                for a in range(len(rows)):
+                rows = [[_parts(core(tj1, tm1, tj2, tm - tm1, tj, tm)) for tm1 in tm1s] for tj in row_tjs]
+                for a, row_a in enumerate(rows):
                     for b in range(a, len(rows)):
                         what = f"row orthogonality {(tj1, tj2, row_tjs[a], row_tjs[b], tm)}"
                         if a == b:
-                            got = sum((x.square() for x in rows[a]), Fraction(0))
-                            _exact(got, Fraction(1), what)
+                            _same_ratio(_ratio_sum([(n, d) for _, n, d in row_a]), (1, 1), what)
                         else:
-                            products = [x * y for x, y in zip(rows[a], rows[b])]
-                            _exact(_in_units_of_first(products, what), Fraction(0), what)
+                            products = [
+                                (sa * sb, na * nb, da * db)
+                                for (sa, na, da), (sb, nb, db) in zip(row_a, rows[b])
+                            ]
+                            _same_ratio(_in_units_of_first(products, what), (0, 1), what)
                         count += 1
     return f"{count} exact row products"
 
 
 def cg_columns_complete(tjs) -> str:
     """Squared coefficients of every product state sum to exactly 1,
-    for 2j1, 2j2 in tjs."""
+    for 2j1, 2j2 in tjs: in integers over one common denominator."""
+    core = su2_cg._cg_doubled
     count = 0
     for tj1 in tjs:
         for tj2 in tjs:
+            tjs_12 = range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
             for tm1 in range(-tj1, tj1 + 1, 2):
                 for tm2 in range(-tj2, tj2 + 1, 2):
                     tm = tm1 + tm2
-                    total = Fraction(0)
-                    for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                        if abs(tm) > tj:
-                            continue
-                        total += su2_cg._cg_doubled(tj1, tm1, tj2, tm2, tj, tm).square()
-                    _exact(total, Fraction(1), f"completeness {(tj1, tj2, tm1, tm2)}")
+                    squares = [
+                        _square_parts(core(tj1, tm1, tj2, tm2, tj, tm)) for tj in tjs_12 if abs(tm) <= tj
+                    ]
+                    _same_ratio(_ratio_sum(squares), (1, 1), f"completeness {(tj1, tj2, tm1, tm2)}")
                     count += 1
     return f"{count} exact column sums"
 
@@ -312,27 +324,30 @@ def window_reflection(tj_max: int, r_max: int) -> str:
 def zero_radius_identity(n_max: int, d_max: int) -> str:
     """epsilon at r = 0 is twice the dimension-ratio deficit."""
     for n in range(1, n_max + 1):
+        dims = {d: symmetric.dim_sym(n, d) for d in range(2, d_max + 1)}
         for k in range(1, n + 1):
-            for d in range(2, d_max + 1):
+            for d, whole in dims.items():
                 got = symmetric.epsilon(SymTriple(n, k, d, 0))
-                want = 2 * (1 - Fraction(symmetric.dim_sym(n - k, d), symmetric.dim_sym(n, d)))
-                _exact(got, want, f"r=0 identity {(n, k, d)}")
+                _same_ratio(
+                    (got.numerator, got.denominator),
+                    (2 * (whole - symmetric.dim_sym(n - k, d)), whole),
+                    f"r=0 identity {(n, k, d)}",
+                )
     return f"r=0 identity exact up to n={n_max}, d={d_max}"
 
 
 def tail_sum_closed_form(n_max: int) -> str:
-    """The closed-form tail sum equals the direct sum for every r <= k."""
+    """The closed-form tail sum equals the direct sum for every r <= k,
+    the direct sum taken in integers over lcm(C(n, 0..n))."""
     for n in range(1, n_max + 1):
+        den = lcm(*(comb(n, i) for i in range(n + 1)))
+        units = [den // comb(n, i) for i in range(n + 1)]
         for k in range(1, n + 1):
-            direct = Fraction(0)
+            direct = 0
             for r in range(k, -1, -1):
                 if r < k:
-                    direct += Fraction(comb(k, r + 1), comb(n, r + 1))
-                _same_ratio(
-                    symmetric._closed_form_parts(n, k, r),
-                    (direct.numerator, direct.denominator),
-                    f"closed form {(n, k, r)}",
-                )
+                    direct += comb(k, r + 1) * units[r + 1]
+                _same_ratio(symmetric._closed_form_parts(n, k, r), (direct, den), f"closed form {(n, k, r)}")
     return f"tail sums exact up to n={n_max}"
 
 
@@ -384,11 +399,11 @@ def bound_chain(n_max: int, d_max: int) -> str:
 
 def profile_consistency(n_max: int, d_max: int) -> str:
     """The weight profile of the radius window reproduces 1 - epsilon/2."""
-    for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
-            for d in range(2, d_max + 1):
-                for r in range(0, k + 1):
-                    prof = symmetric.weight_profile(weights.w_r_set(k, d, r, "down"), k)
+    for k in range(1, n_max + 1):
+        for d in range(2, d_max + 1):
+            for r in range(0, k + 1):
+                prof = symmetric.weight_profile(weights.w_r_set(k, d, r, "down"), k)
+                for n in range(k, n_max + 1):
                     got = symmetric.delta_psi_weights(n, k, d, prof)
                     num, den = symmetric._epsilon_parts(n, k, d, r)
                     _same_ratio(
@@ -401,15 +416,12 @@ def profile_consistency(n_max: int, d_max: int) -> str:
 
 def full_profile_unity(n_max: int, d_max: int) -> str:
     """The profile of every k-site weight gives overlap exactly 1."""
-    for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
-            for d in range(2, d_max + 1):
-                prof = symmetric.weight_profile(weights.sym_weights(k, d), k)
-                _exact(
-                    symmetric.delta_psi_weights(n, k, d, prof),
-                    Fraction(1),
-                    f"full profile {(n, k, d)}",
-                )
+    one = Fraction(1)
+    for k in range(1, n_max + 1):
+        for d in range(2, d_max + 1):
+            prof = symmetric.weight_profile(weights.sym_weights(k, d), k)
+            for n in range(k, n_max + 1):
+                _exact(symmetric.delta_psi_weights(n, k, d, prof), one, f"full profile {(n, k, d)}")
     return f"full weight set gives exactly 1, n <= {n_max}"
 
 
@@ -430,18 +442,20 @@ def dense_projector_oracle(n_max_by_d, tol: float) -> str:
 
 
 def single_weight_overlap(n_max: int, d_max: int) -> str:
-    """Projector traces of single weight vectors match term_overlap."""
+    """Projector traces of single weight vectors match term_overlap.  Each
+    weight vector is built once and, as in oracle.brute_delta_symmetric,
+    contracted with the n-site basis rows whose trailing sites are |1...1>."""
     count = 0
     for d in range(2, d_max + 1):
-        for n in range(1, n_max + 1):
-            for k in range(1, n + 1):
-                _, basis = oracle._sym_basis_matrix(n, d)
-                for w in weights.sym_weights(k, d):
-                    vec = oracle.sym_basis_vector(w)
-                    psi = np.zeros(d ** (n - k))
-                    psi[0] = 1.0
-                    full = np.kron(vec, psi)
-                    got = float(((full @ basis) ** 2).sum())
+        for k in range(1, n_max + 1):
+            contracted = [
+                (n, oracle._sym_basis_matrix(n, d)[1].reshape(d**k, d ** (n - k), -1)[:, 0, :])
+                for n in range(k, n_max + 1)
+            ]
+            for w in weights.sym_weights(k, d):
+                vec = oracle.sym_basis_vector(w)
+                for n, basis in contracted:
+                    got = float(((vec @ basis) ** 2).sum())
                     _approx(got, float(symmetric.term_overlap(w, n, k)), 1e-12, f"overlap {(w, n, k)}")
                     count += 1
     return f"{count} projector traces match term_overlap"
@@ -489,11 +503,14 @@ def tower_orthonormal(pairs, delta_max: int, n_max: int, cutoff: int, tol: float
         for Delta in range(0, delta_max + 1):
             for s in oracle.pair_tower(mu, nu, Delta, n_max, cutoff):
                 flat.append(s.reshape(-1))
-        # one matrix-vector product per row: a single stack @ stack.T would
-        # go to the threaded BLAS matrix product, which slows the next check
+        # the upper triangle, one matrix-vector product per row: a single
+        # stack @ stack.T would go to the threaded BLAS matrix product,
+        # which slows the next check
         stack = np.array(flat)
-        gram = np.array([stack @ a for a in flat])
-        defects.append(np.abs(gram - np.eye(len(flat))).max())
+        for i, a in enumerate(flat):
+            row = stack[i:] @ a
+            row[0] -= 1.0
+            defects.append(np.abs(row).max())
     worst = float(np.max(defects))  # unlike max(), np.max propagates a NaN
     if not worst <= tol:
         raise AssertionError(f"gram defect {worst:.2e} > {tol:g}")
@@ -518,28 +535,30 @@ def coherent_consistency(n_max: int, rs) -> str:
     """The coherent-splitting bound equals the offset-0 oscillator bound."""
     for n in range(2, n_max + 1):
         for k in range(1, n):
+            mu, nu = Fraction(k), Fraction(n - k)
             for r in rs:
                 got = heisenberg.coherent_bound(n, k, r)
-                want = heisenberg.epsilon_heisenberg(
-                    heisenberg.HeisenbergTriple(Fraction(k), Fraction(n - k), 0, r)
-                )
+                want = heisenberg.epsilon_heisenberg(heisenberg.HeisenbergTriple(mu, nu, 0, r))
                 _exact(got, want, f"coherent {(n, k, r)}")
     return f"splitting bound consistent up to n={n_max}"
 
 
 def mass_identities(pairs, delta_max: int) -> str:
     """Schmidt coefficients sum to exactly 1; the number weights beyond
-    n = 200 sum to at most their tail bound."""
+    n = 200 sum to at most their tail bound.  For exact weights."""
     for Delta in range(0, delta_max + 1):
         for mu, nu in pairs:
-            schmidt = sum(heisenberg.alpha_coeff(Delta, ell, mu, nu) for ell in range(Delta + 1))
-            _exact(schmidt, Fraction(1), f"schmidt mass {(Delta, mu, nu)}")
-            head = sum(heisenberg.alpha_weight(Delta, n, mu, nu) for n in range(200))
-            tail = (mu + nu) / nu - head  # full mass is (mu+nu)/nu
+            coeffs = [heisenberg.alpha_coeff(Delta, i, mu, nu).as_integer_ratio() for i in range(Delta + 1)]
+            _same_ratio(_ratio_sum(coeffs), (1, 1), f"schmidt mass {(Delta, mu, nu)}")
+            masses = [heisenberg.alpha_weight(Delta, n, mu, nu).as_integer_ratio() for n in range(200)]
+            head, den = _ratio_sum(masses)
+            full = Fraction(mu + nu) / nu  # the full mass
+            tail = full.numerator * den - head * full.denominator  # over full.denominator * den
+            tail_float = tail / (full.denominator * den)
             cap = heisenberg.alpha_weight_tail_bound(Delta, 200, mu, nu)
             # the bound is exactly tight at Delta=0, so allow roundoff
-            if not (tail >= 0 and float(tail) <= cap * (1 + 1e-12)):
-                raise AssertionError(f"tail {float(tail):.3e} outside [0, {cap:.3e}]")
+            if not (tail >= 0 and tail_float <= cap * (1 + 1e-12)):
+                raise AssertionError(f"tail {tail_float:.3e} outside [0, {cap:.3e}]")
     return "schmidt mass exactly 1; number-weight tail under its bound"
 
 

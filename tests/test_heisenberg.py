@@ -82,6 +82,13 @@ def test_alpha_coeff():
         alpha_coeff(2, -1, 1, 1)
 
 
+def test_mass_check_sees_a_shifted_number_weight(monkeypatch):
+    weight = heisenberg.alpha_weight
+    monkeypatch.setattr(heisenberg, "alpha_weight", lambda D, n, mu, nu: weight(D, n + 1, mu, nu))
+    with pytest.raises(AssertionError, match=r"^tail 1\.000e\+00 outside \[0, "):
+        verify.mass_identities([(Fraction(2), Fraction(7))], 0)
+
+
 def test_alpha_weight():
     assert alpha_weight(0, 0, 1, 1) == 1
     assert alpha_weight(1, 2, 1, 1) == Fraction(3, 8)

@@ -224,6 +224,22 @@ def test_fock_oracle_builds_one_tower_per_offset(monkeypatch):
     assert calls == 6 * 4  # one per (mu, nu, Delta), not one per radius
 
 
+def test_single_weight_overlap_builds_each_weight_vector_once(monkeypatch):
+    verify.single_weight_overlap(7, 3)  # the basis matrices, built once and kept
+    calls = 0
+    vector = oracle.sym_basis_vector
+
+    def counted(w):
+        nonlocal calls
+        calls += 1
+        return vector(w)
+
+    monkeypatch.setattr(oracle, "sym_basis_vector", counted)
+    assert verify.single_weight_overlap(7, 3) == "434 projector traces match term_overlap"
+    # one per weight of each (k, d), k <= 7, d = 2, 3; not one per trace
+    assert calls == sum(dim_sym(k, d) for k in range(1, 8) for d in (2, 3)) == 154
+
+
 def test_haar_su2():
     rng = np.random.default_rng(3)
     us = haar_su2(rng, 8)

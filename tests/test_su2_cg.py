@@ -364,6 +364,26 @@ def test_row_check_needs_no_splitting(no_splitting, monkeypatch):
         verify.cg_rows_orthonormal(range(0, 3))
 
 
+def test_column_check_sees_a_doubled_entry(monkeypatch):
+    # the column sums are taken from the stored parts of each entry; one
+    # radicand times 4 doubles its coefficient and breaks its column
+    assert verify.cg_columns_complete(range(0, 9, 2)) == "625 exact column sums"
+    core = su2_cg._cg_doubled
+    triplet_middle = (2, 0, 2, 0, 4, 0)
+
+    def doubled(*args):
+        value = core(*args)
+        if args != triplet_middle:
+            return value
+        square = value.square()
+        return ExactReal.from_square(value.sign, 4 * square.numerator, square.denominator)
+
+    monkeypatch.setattr(su2_cg, "_cg_doubled", doubled)
+    assert cg(1, 0, 1, 0, 2, 0).square() == 4 * core(*triplet_middle).square() == Fraction(8, 3)
+    with pytest.raises(AssertionError, match=r"^completeness \(2, 2, 0, 0\): "):
+        verify.cg_columns_complete(range(0, 3))
+
+
 def test_ladder_check_reaches_the_core_without_cg(monkeypatch):
     # the table sweeps pass plain doubled ints to the core; cg's argument
     # handling runs for none of the 7,809 entries

@@ -146,6 +146,10 @@ def test_weight_profile():
     assert weight_profile(ws, 2) == [1, 2, 1]
     with pytest.raises(ValueError):
         weight_profile([Weight((3, -1))], 2)
+    # k is refused before a list of k + 1 counts is built
+    for k, shown in ((10**30, str(10**30)), (10**60, "a 61-digit integer"), (-1, "-1")):
+        with pytest.raises(ValueError, match=rf"^need 0 <= k <= 1000000, got k={shown}$"):
+            weight_profile(ws, k)
 
 
 def test_delta_psi_weights_anchors():

@@ -171,10 +171,13 @@ def test_weight_memo_is_safe_and_bounded():
     for ((n, d), r, direction), window in got.items():
         weights._sym_weights.cache_clear()
         assert window == w_r_set(n, d, r, direction), ((n, d), r, direction)
-    # one enumeration per (n, k, d) column of the profile check, not one per r
+    # the profile checks enumerate each (k, d) once, for every r and n
     weights._sym_weights.cache_clear()
     verify.profile_consistency(16, 3)
-    assert weights._sym_weights.cache_info().misses <= 272
+    assert weights._sym_weights.cache_info().misses <= 16 * 2
+    weights._sym_weights.cache_clear()
+    verify.full_profile_unity(20, 3)
+    assert weights._sym_weights.cache_info().misses <= 20 * 2
 
 
 def test_w_r_set_matches_height():
