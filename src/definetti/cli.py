@@ -299,9 +299,11 @@ def _compute_exact_radius(tokens: list[str]):
         return exact_radius(*weights.values())
     d, n, k, ell = _parse_params(tokens, {"d": _int, "n": _int, "k": _int, "l": _int}).values()
     if d != 2:
-        raise ValueError(f"the n/k/l shortcut is two-level only (d=2), got d={d}")
+        raise ValueError(f"the n/k/l shortcut is two-level only (d=2), got d={_number(d)}")
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={_number(k)}, n={_number(n)}")
     if not 0 <= ell <= min(k, n - k):
-        raise ValueError(f"need 0 <= l <= min(k, n-k), got l={ell}")
+        raise ValueError(f"need 0 <= l <= min(k, n-k), got l={_number(ell)}")
     return exact_radius(Weight((n - ell, ell)), Weight((k, 0)), Weight((n - k, 0)))
 
 
@@ -403,7 +405,7 @@ def _validate_spec(spec: FigureSpec) -> None:
     # the parsers refused negative j1, j2, nonpositive mu, nu and
     # r-max over its limit
     if spec.r_max < 0:
-        raise ValueError(f"need r-max >= 0, got {spec.r_max}")
+        raise ValueError(f"need r-max >= 0, got {_number(spec.r_max)}")
     tj1, tj2 = spec.j1.doubled, spec.j2.doubled
     if spec.figure_id in (1, 2):
         if spec.tj_min > spec.tj_max:
@@ -418,9 +420,9 @@ def _validate_spec(spec: FigureSpec) -> None:
                 )
     else:
         if spec.delta_max < 0:
-            raise ValueError(f"need delta-max >= 0, got {spec.delta_max}")
+            raise ValueError(f"need delta-max >= 0, got {_number(spec.delta_max)}")
         if spec.delta_max > FIGURE_DELTA_MAX_GUARD:
-            raise ValueError(f"need delta-max <= {FIGURE_DELTA_MAX_GUARD}, got {spec.delta_max}")
+            raise ValueError(f"need delta-max <= {FIGURE_DELTA_MAX_GUARD}, got {_number(spec.delta_max)}")
         if tj1 + tj2 - 2 * spec.delta_max < abs(tj1 - tj2):
             raise ValueError(
                 f"overlay needs j1+j2-Delta >= |j1-j2|: Delta = {spec.delta_max} is too large"
@@ -587,12 +589,12 @@ def cmd_verify(args) -> int:
         return 2
     if args.samples > MC_SAMPLES_GUARD:
         print(
-            f"definetti verify: --samples must be at most {MC_SAMPLES_GUARD}, got {args.samples}",
+            f"definetti verify: --samples must be at most {MC_SAMPLES_GUARD}, got {_number(args.samples)}",
             file=sys.stderr,
         )
         return 2
     if args.seed < 0:
-        print(f"definetti verify: --seed must be nonnegative, got {args.seed}", file=sys.stderr)
+        print(f"definetti verify: --seed must be nonnegative, got {_number(args.seed)}", file=sys.stderr)
         return 2
     if not (math.isfinite(args.tol) and args.tol > 0):
         print(f"definetti verify: --tol must be finite and positive, got {args.tol!r}", file=sys.stderr)

@@ -210,7 +210,7 @@ def coherent_bound(n: int, k: int, r: int):
     2k/n at r = 0 and 2 (k/n)^((r+1)/2) otherwise.
     """
     if not 0 < k < n:
-        raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
+        raise ValueError(f"need 0 < k < n, got k={_number(k)}, n={_number(n)}")
     if k.__class__ is n.__class__ is int:
         mu, nu = k, n - k  # exact weights as they stand
     else:

@@ -102,6 +102,13 @@ def _sym_basis_matrix(n: int, d: int) -> tuple[tuple[Weight, ...], np.ndarray]:
     return ws, mat
 
 
+def _aligned_rows(n: int, k: int, d: int) -> np.ndarray:
+    """The n-site symmetric basis contracted with |psi> = |1...1> on its
+    trailing n-k sites: a read-only view of the rows with those sites at 1."""
+    mat = _sym_basis_matrix(n, d)[1]
+    return mat.reshape(d**k, d ** (n - k), mat.shape[1])[:, 0, :]
+
+
 def brute_delta_symmetric(t: SymTriple) -> float:
     """Dense evaluation of the overlap functional for the symmetric family.
 
@@ -115,11 +122,7 @@ def brute_delta_symmetric(t: SymTriple) -> float:
     ws_k, mat_k = _sym_basis_matrix(k, d)
     keep = [i for i, w in enumerate(ws_k) if w[0] >= k - r]
     x_mat = mat_k[:, keep]
-    _, mat_n = _sym_basis_matrix(n, d)
-    # contracting |psi> = |1...1> on the trailing n-k sites picks the
-    # leading column of each reshaped basis vector
-    contracted = mat_n.reshape(d**k, d ** (n - k), mat_n.shape[1])[:, 0, :]
-    total = float(((x_mat.T @ contracted) ** 2).sum())
+    total = float(((x_mat.T @ _aligned_rows(n, k, d)) ** 2).sum())
     return dim_sym(n - k, d) / dim_sym(n, d) * total
 
 
@@ -170,38 +173,6 @@ def _lower(v: list[int], tj1: int, tj2: int, tm: int) -> list[int]:
     return _reduced(out)
 
 
-def _cg_oracle_exact(tj1: int, tj2: int) -> dict[tuple[int, int, int], ExactReal]:
-    tj_top = tj1 + tj2
-    blocks: list[tuple[int, list[int]]] = []  # (2j, rescaled state) of each block at m
-    table: dict[tuple[int, int, int], ExactReal] = {}
-    raw = ExactReal._raw
-    for tm in range(tj_top, -tj_top - 2, -2):
-        w = _slice_weights(tj1, tj2, tm)
-        blocks = [(tj, _lower(v, tj1, tj2, tm + 2)) for tj, v in blocks if tj >= -tm]
-        norms = [_wdot(u, u, w) for _, u in blocks]
-        if tm >= abs(tj1 - tj2):
-            v = [0] * (tj1 + 1)
-            v[0] = 1  # seed at m1 = j1, m2 = m - j1
-            for (_, u), uu in zip(blocks, norms):
-                vu = _wdot(v, u, w)
-                if vu:
-                    v = _reduced([uu * vi - vu * ui for vi, ui in zip(v, u)])
-            if v[0] <= 0:
-                raise AssertionError("phase convention broken: seed overlap not positive")
-            blocks.append((tm, v))
-            norms.append(_wdot(v, v, w))
-        # each entry is sign(a) sqrt(a^2 W / norm2) in lowest terms, (0, 0, 1)
-        # at a = 0; built unvalidated, as it is canonical by construction
-        span = _span(tj1, tj2, tm)
-        entries = [(tj1 - 2 * i, w[i]) for i in span]
-        for (tj, v), norm2 in zip(blocks, norms):
-            for (tm1, wi), a in zip(entries, v[span.start : span.stop]):
-                num = a * a * wi
-                g = gcd(num, norm2)
-                table[tj, tm, tm1] = raw((a > 0) - (a < 0), num // g, norm2 // g)
-    return table
-
-
 def cg_oracle(j1, j2) -> dict[tuple[int, int, int], ExactReal]:
     """Full coupling table for j1 x j2 built by exact ladder synthesis.
 
@@ -236,7 +207,35 @@ def cg_oracle(j1, j2) -> dict[tuple[int, int, int], ExactReal]:
         raise ValueError(
             f"size guard exceeded: 2*j = {max(tj1, tj2)} > {CG_TABLE_GUARD}"
         )
-    return _cg_oracle_exact(tj1, tj2)
+    tj_top = tj1 + tj2
+    blocks: list[tuple[int, list[int]]] = []  # (2j, rescaled state) of each block at m
+    table: dict[tuple[int, int, int], ExactReal] = {}
+    raw = ExactReal._raw
+    for tm in range(tj_top, -tj_top - 2, -2):
+        w = _slice_weights(tj1, tj2, tm)
+        blocks = [(tj, _lower(v, tj1, tj2, tm + 2)) for tj, v in blocks if tj >= -tm]
+        norms = [_wdot(u, u, w) for _, u in blocks]
+        if tm >= abs(tj1 - tj2):
+            v = [0] * (tj1 + 1)
+            v[0] = 1  # seed at m1 = j1, m2 = m - j1
+            for (_, u), uu in zip(blocks, norms):
+                vu = _wdot(v, u, w)
+                if vu:
+                    v = _reduced([uu * vi - vu * ui for vi, ui in zip(v, u)])
+            if v[0] <= 0:
+                raise AssertionError("phase convention broken: seed overlap not positive")
+            blocks.append((tm, v))
+            norms.append(_wdot(v, v, w))
+        # each entry is sign(a) sqrt(a^2 W / norm2) in lowest terms, (0, 0, 1)
+        # at a = 0; built unvalidated, as it is canonical by construction
+        span = _span(tj1, tj2, tm)
+        entries = [(tj1 - 2 * i, w[i]) for i in span]
+        for (tj, v), norm2 in zip(blocks, norms):
+            for (tm1, wi), a in zip(entries, v[span.start : span.stop]):
+                num = a * a * wi
+                g = gcd(num, norm2)
+                table[tj, tm, tm1] = raw((a > 0) - (a < 0), num // g, norm2 // g)
+    return table
 
 
 def lambda_up_set(j1, j2, j) -> set[Weight]:
@@ -305,25 +304,21 @@ def pair_tower(mu: float, nu: float, Delta: int, n_max: int, cutoff: int) -> lis
     return states
 
 
-def heis_oracle(mu, nu, Delta: int, r_max: int, cutoff: int) -> list[float]:
+def heis_oracle(mu, nu, Delta: int, r_max: int) -> list[float]:
     """Truncated-Fock evaluations of the vacuum-window overlap at r = 0..r_max.
 
     The value at r sums (nu/(mu+nu)) * sum_n sum_{n' <= r} |<n', 0 | psi_n>|^2
-    over the first max(r - Delta, 0) + 11 states of one offset-Delta tower;
-    the cutoff guard keeps every state exactly representable, so the only
+    over the first max(r - Delta, 0) + 11 states of one offset-Delta tower,
+    truncated past every state it holds (r_max + Delta + 40), so the only
     numerical error is double-precision roundoff.
     """
     if not (float(mu) > 0 and float(nu) > 0):
         raise ValueError(f"mode weights must be positive, got mu={mu}, nu={nu}")
     if r_max < 0 or Delta < 0:
         raise ValueError(f"need r_max >= 0 and Delta >= 0, got r_max={r_max}, Delta={Delta}")
-    if cutoff < r_max + Delta + 40:
-        raise ValueError(
-            f"cutoff guard: need cutoff >= r_max + Delta + 40 = {r_max + Delta + 40}, got {cutoff}"
-        )
     mu, nu = float(mu), float(nu)
     columns = []  # squared n2 = 0 columns, all that the window reads
-    for state in pair_tower(mu, nu, Delta, max(r_max - Delta, 0) + 10, cutoff):
+    for state in pair_tower(mu, nu, Delta, max(r_max - Delta, 0) + 10, r_max + Delta + 40):
         nrm = np.linalg.norm(state)
         if abs(nrm - 1.0) > 1e-9:
             raise RuntimeError(f"tower state leaked through the truncation: norm {nrm}")

@@ -215,14 +215,13 @@ def _cg_doubled(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> Exa
 
 @lru_cache(maxsize=2)
 def _window_column(tj1: int, tj2: int, tj: int, tm2: int, direction: str) -> list:
-    """[count, total, scale, delta]: total sums s^2 / m_den of
-    `_racah_parts` over the first `count` window terms of one column, and
-    delta = scale * total is the overlap they give; delta_su2 updates both
-    in place.  The triangle part of R is the same for the whole column, so
-    it is taken once, in scale = (2j2+1)/(2j+1) times it, and a call that
-    adds no term reuses delta and multiplies nothing."""
+    """[count, total, scale]: total sums s^2 / m_den of `_racah_parts`
+    over the first `count` window terms of one column, which delta_su2
+    updates in place, and scale * total is the overlap they give.  The
+    triangle part of R is the same for the whole column, so it is taken
+    once, in scale = (2j2+1)/(2j+1) times it."""
     t_num, t_den = _triangle(tj1, tj2, tj)
-    return [0, Fraction(0), Fraction((tj2 + 1) * t_num, (tj + 1) * t_den), Fraction(0)]
+    return [0, Fraction(0), Fraction((tj2 + 1) * t_num, (tj + 1) * t_den)]
 
 
 def delta_su2(j1, j2, j, m2, r: int, direction: str = "down") -> DeltaReport:
@@ -250,18 +249,16 @@ def delta_su2(j1, j2, j, m2, r: int, direction: str = "down") -> DeltaReport:
         raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
     count = min(r, tj1) + 1  # beyond i = 2j1 the window has no more terms
     memo = _window_column(tj1, tj2, tj, tm2, direction)
-    start, total, scale, delta = memo if memo[0] <= count else (0, Fraction(0), memo[2], 0)
-    if start < count:
-        for i in range(start, count):
-            tm1 = tj1 - 2 * i if direction == "down" else -tj1 + 2 * i
-            tm = tm1 + tm2
-            if abs(tm) <= tj:
-                s, m_den = _racah_parts(tj1, tm1, tj2, tm2, tj, tm)
-                total += Fraction(s * s, m_den)
-        delta = scale * total
-        memo[:] = count, total, scale, delta
+    start, total, scale = memo if memo[0] <= count else (0, Fraction(0), memo[2])
+    for i in range(start, count):
+        tm1 = tj1 - 2 * i if direction == "down" else -tj1 + 2 * i
+        tm = tm1 + tm2
+        if abs(tm) <= tj:
+            s, m_den = _racah_parts(tj1, tm1, tj2, tm2, tj, tm)
+            total += Fraction(s * s, m_den)
+    memo[:] = count, total, scale
     return DeltaReport.from_delta(
-        delta,
+        scale * total,
         formula_id=f"su2-cg-window/{direction}",
         psi_label=f"|j2 m2> = |{TwoJ(tj2)} {TwoJ(tm2)}>",
     )

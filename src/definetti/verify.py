@@ -22,6 +22,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import heisenberg, oracle, su2_cg, symmetric, weights
+from .report import _sqrt_float
 from .su2_cg import TwoJ
 from .symmetric import SymTriple
 from .weights import Weight
@@ -51,13 +52,7 @@ def _approx(a: float, b: float, tol: float, what: str) -> None:
 
 
 def _exact(a, b, what: str) -> None:
-    if a.__class__ is b.__class__ is Fraction:
-        # both in lowest terms, so equal exactly when their parts are, and
-        # compared without Fraction.__eq__'s type dispatch
-        differ = a.numerator != b.numerator or a.denominator != b.denominator
-    else:
-        differ = a != b
-    if differ:
+    if a != b:
         raise AssertionError(f"{what}: {a!r} != {b!r}")
 
 
@@ -300,8 +295,7 @@ def window_saturation(tj_max: int) -> str:
                     if rep.delta < prev:
                         raise AssertionError(f"delta not monotone at {(tj1, tj2, tj, r)}")
                     prev = rep.delta
-                full = su2_cg.delta_su2(TwoJ(tj1), TwoJ(tj2), TwoJ(tj), TwoJ(tj2), tj1)
-                _exact(full.delta, Fraction(1), f"saturation {(tj1, tj2, tj)}")
+                _exact(prev, Fraction(1), f"saturation {(tj1, tj2, tj)}")  # r = 2j1: the full window
     return "monotone in r, exactly 1 at r = 2*j1"
 
 
@@ -443,15 +437,12 @@ def dense_projector_oracle(n_max_by_d, tol: float) -> str:
 
 def single_weight_overlap(n_max: int, d_max: int) -> str:
     """Projector traces of single weight vectors match term_overlap.  Each
-    weight vector is built once and, as in oracle.brute_delta_symmetric,
-    contracted with the n-site basis rows whose trailing sites are |1...1>."""
+    weight vector is built once and contracted, as in brute_delta_symmetric,
+    with the basis rows whose trailing sites are |1...1> (_aligned_rows)."""
     count = 0
     for d in range(2, d_max + 1):
         for k in range(1, n_max + 1):
-            contracted = [
-                (n, oracle._sym_basis_matrix(n, d)[1].reshape(d**k, d ** (n - k), -1)[:, 0, :])
-                for n in range(k, n_max + 1)
-            ]
+            contracted = [(n, oracle._aligned_rows(n, k, d)) for n in range(k, n_max + 1)]
             for w in weights.sym_weights(k, d):
                 vec = oracle.sym_basis_vector(w)
                 for n, basis in contracted:
@@ -470,7 +461,7 @@ def fock_oracle(pairs, delta_max: int, r_max: int, tol: float) -> str:
     count = 0
     for mu, nu in pairs:
         for Delta in range(0, delta_max + 1):
-            for r, got in enumerate(oracle.heis_oracle(mu, nu, Delta, r_max, r_max + Delta + 40)):
+            for r, got in enumerate(oracle.heis_oracle(mu, nu, Delta, r_max)):
                 want = float(
                     heisenberg.delta_number_space(
                         heisenberg.HeisenbergTriple(Fraction(mu), Fraction(nu), Delta, r)
@@ -532,14 +523,22 @@ def geometric_closed_form(pairs, r_max: int) -> str:
 
 
 def coherent_consistency(n_max: int, rs) -> str:
-    """The coherent-splitting bound equals the offset-0 oscillator bound."""
+    """The coherent-splitting bound is its closed form in type and value:
+    the Fraction 2 (k/n)^h, h = 1 at r = 0 and (r+1)/2 at odd r, and the
+    float 2 sqrt((k/n)^(r+1)), its root rounded once, at even r >= 2."""
     for n in range(2, n_max + 1):
         for k in range(1, n):
-            mu, nu = Fraction(k), Fraction(n - k)
             for r in rs:
                 got = heisenberg.coherent_bound(n, k, r)
-                want = heisenberg.epsilon_heisenberg(heisenberg.HeisenbergTriple(mu, nu, 0, r))
-                _exact(got, want, f"coherent {(n, k, r)}")
+                what = f"coherent {(n, k, r)}"
+                kind = float if r and not r % 2 else Fraction
+                if got.__class__ is not kind:
+                    raise AssertionError(f"{what}: {got!r} is not a {kind.__name__}")
+                if kind is float:
+                    _exact(got, 2.0 * _sqrt_float(k ** (r + 1), n ** (r + 1)), what)
+                else:
+                    h = (r + 1) // 2 or 1
+                    _same_ratio((got.numerator, got.denominator), (2 * k**h, n**h), what)
     return f"splitting bound consistent up to n={n_max}"
 
 

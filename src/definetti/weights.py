@@ -263,7 +263,7 @@ def exact_radius(lam: Weight, mu: Weight, nu: Weight) -> int:
     t, rem = divmod(mu.total - v.total, lam.dim)
     if rem:
         raise ValueError(
-            f"invalid triple: sum(mu) - sum(lambda - nu) = {mu.total - v.total} "
+            f"invalid triple: sum(mu) - sum(lambda - nu) = {_number(mu.total - v.total)} "
             f"is not a multiple of d = {lam.dim}"
         )
     return height_up(mu, v.shifted(t)).height

@@ -169,6 +169,16 @@ def test_compute_usage_errors(capsys):
     assert err  # diagnostics land on stderr
 
 
+def test_exact_radius_shortcut_checks_k_before_l(capsys):
+    for argv, message in (
+        (["d=2", "n=4", "k=5", "l=0"], "need 0 <= k <= n, got k=5, n=4"),
+        (["d=2", "n=4", "k=-1", "l=0"], "need 0 <= k <= n, got k=-1, n=4"),
+        (["d=2", "n=4", "k=3", "l=2"], "need 0 <= l <= min(k, n-k), got l=2"),
+    ):
+        code, out, err = run(capsys, "compute", "exact-radius", *argv)
+        assert (code, out, err) == (2, "", f"definetti compute exact-radius: {message}\n"), argv
+
+
 def test_non_half_integer_is_named_as_typed(capsys):
     for argv, message in (
         (["compute", "su2-delta", "j1=1/3", "j2=1/2", "j=1", "m2=1/2", "r=0"],

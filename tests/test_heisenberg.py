@@ -379,6 +379,24 @@ def test_coherent_bound():
         coherent_bound(10, 11, 0)
 
 
+def test_coherent_check_catches_a_faulty_tail_and_a_wrong_type(monkeypatch):
+    tail, bound = heisenberg._tail, heisenberg.coherent_bound
+
+    def off_by_one(p, q, Delta, n):
+        return tail(p, q, Delta, n) + (Delta == 0)
+
+    assert verify.coherent_consistency(60, (0, 1, 2, 5)) == "splitting bound consistent up to n=60"
+    # a reference built from epsilon_heisenberg would share this fault
+    monkeypatch.setattr(heisenberg, "_tail", off_by_one)
+    with pytest.raises(AssertionError, match=r"^coherent \(2, 1, 2\): "):
+        verify.coherent_consistency(60, (0, 1, 2, 5))
+    monkeypatch.undo()
+    # equal in value, so only the type comparison sees it
+    monkeypatch.setattr(heisenberg, "coherent_bound", lambda n, k, r: float(bound(n, k, r)))
+    with pytest.raises(AssertionError, match=r"^coherent \(2, 1, 0\): 1.0 is not a Fraction$"):
+        verify.coherent_consistency(60, (0, 1, 2, 5))
+
+
 def test_delta_report_range():
     with pytest.raises(ValueError, match=r"^delta out of range: Fraction\(3, 2\)$"):
         DeltaReport.from_delta(Fraction(3, 2), "f", "psi")

@@ -181,9 +181,7 @@ def test_pair_vacuum_and_tower():
 
 
 def test_heis_oracle_matches_formula():
-    assert heis_oracle(1, 1, 0, 0, 40)[0] == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(ValueError):
-        heis_oracle(1, 1, 0, 5, 40)  # cutoff below r_max + Delta + 40
+    assert heis_oracle(1, 1, 0, 0)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def _heis_single_radius_reference(mu, nu, Delta, r, cutoff):
@@ -201,10 +199,11 @@ def _heis_single_radius_reference(mu, nu, Delta, r, cutoff):
 
 def test_heis_oracle_equals_its_single_radius_reference():
     # criterion 9's grid, bit for bit: the shared tower's first states are
-    # the short tower's, and each window sums them in the same order
+    # the short tower's, and each window sums them in the same order; the
+    # reference truncates each radius at its own r + Delta + 40
     for mu, nu in product(range(1, 11), repeat=2):
         for Delta in range(6):
-            got = heis_oracle(mu, nu, Delta, 10, 10 + Delta + 40)
+            got = heis_oracle(mu, nu, Delta, 10)
             want = [_heis_single_radius_reference(mu, nu, Delta, r, r + Delta + 40) for r in range(11)]
             assert got == want, (mu, nu, Delta)
 
@@ -238,6 +237,21 @@ def test_single_weight_overlap_builds_each_weight_vector_once(monkeypatch):
     assert verify.single_weight_overlap(7, 3) == "434 projector traces match term_overlap"
     # one per weight of each (k, d), k <= 7, d = 2, 3; not one per trace
     assert calls == sum(dim_sym(k, d) for k in range(1, 8) for d in (2, 3)) == 154
+
+
+def test_a_broken_aligned_contraction_fails_both_symmetric_oracles(monkeypatch):
+    # contracting the trailing sites with |d...d> instead of |1...1>
+    def last_level(n, k, d):
+        mat = oracle._sym_basis_matrix(n, d)[1]
+        return mat.reshape(d**k, d ** (n - k), mat.shape[1])[:, -1, :]
+
+    assert verify.dense_projector_oracle(((3, 4),), 1e-10) == "30 dense cross-checks within 1e-10"
+    assert verify.single_weight_overlap(4, 3) == "95 projector traces match term_overlap"
+    monkeypatch.setattr(oracle, "_aligned_rows", last_level)
+    with pytest.raises(AssertionError, match="dense oracle"):
+        verify.dense_projector_oracle(((3, 4),), 1e-10)
+    with pytest.raises(AssertionError, match="overlap"):
+        verify.single_weight_overlap(4, 3)
 
 
 def test_haar_su2():

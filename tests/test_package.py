@@ -144,3 +144,44 @@ def test_every_module_level_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+# code that only the benchmark's tracer still reads; a later change deletes
+# it, which stays a pure deletion while no other module reads these names
+BENCHMARK_ONLY = {"RadicalSum", "radicals", "split_square", "TRIAL_DIVISOR_BOUND", "_fact"}
+
+
+def _benchmark_only_reads(source: str) -> set[str]:
+    """The BENCHMARK_ONLY names that source reads and does not define at
+    its top level: as names, attributes, imported names or modules."""
+    tree = ast.parse(source)
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            read.add(node.module.rpartition(".")[2])
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return (read - defined) & BENCHMARK_ONLY
+
+
+def test_benchmark_only_code_is_read_by_no_other_module():
+    assert _benchmark_only_reads("from .exact import split_square") == {"split_square"}
+    assert _benchmark_only_reads("from . import radicals") == {"radicals"}
+    assert _benchmark_only_reads("from .radicals import X\nsu2_cg._fact(3)") == {"radicals", "_fact"}
+    assert _benchmark_only_reads("_fact = 1\nprint(_fact, 'split_square')") == set()
+    readers = {
+        path.name: names
+        for path in sorted((SRC / "definetti").glob("*.py"))
+        if path.name != "radicals.py" and (names := _benchmark_only_reads(path.read_text()))
+    }
+    assert not readers, readers

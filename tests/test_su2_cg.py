@@ -474,6 +474,40 @@ def test_delta_su2_memo_independent_of_call_order():
         assert rep == fresh, ((tj1, tj2, tj, tm2, direction), r)
 
 
+def test_delta_su2_sweep_sums_each_new_term_once(monkeypatch):
+    # a radius repeated, one step back (which sums afresh), then past
+    # 2j1, where the window has no more terms
+    calls = 0
+    racah = su2_cg._racah_parts
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return racah(*args)
+
+    radii = [0, 1, 2, 2, 1, 2, 3, 3, 5, 6, 7, 9, 9]
+    for tj1, tj2, tj, tm2, direction in ((6, 4, 6, 2, "down"), (6, 4, 4, -2, "up"), (5, 3, 4, 1, "up")):
+        column = (TwoJ(tj1), TwoJ(tj2), TwoJ(tj), TwoJ(tm2))
+        tm1s = [tj1 - 2 * i if direction == "down" else -tj1 + 2 * i for i in range(tj1 + 1)]
+        in_block = [abs(tm1 + tm2) <= tj for tm1 in tm1s]
+        su2_cg._window_column.cache_clear()
+        monkeypatch.setattr(su2_cg, "_racah_parts", counted)
+        got, summed, kept = [], [], 0
+        for r in radii:
+            calls = 0
+            got.append(delta_su2(*column, r, direction))
+            count = min(r, tj1) + 1
+            start = kept if kept <= count else 0
+            summed.append((calls, sum(in_block[start:count])))
+            kept = count
+        monkeypatch.setattr(su2_cg, "_racah_parts", racah)
+        assert all(c == want for c, want in summed), (column, summed)
+        for r, rep in zip(radii, got):
+            su2_cg._window_column.cache_clear()
+            assert rep == delta_su2(*column, r, direction), (column, r)
+        assert got[-1].delta == 1
+
+
 def test_delta_su2_validation():
     with pytest.raises(ValueError):
         delta_su2(1, 1, 5, 1, 0)

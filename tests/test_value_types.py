@@ -2,13 +2,15 @@
 and validation whose fast paths give the verdicts of the slow ones."""
 
 import copy
+import io
 import pickle
+from contextlib import redirect_stderr
 from fractions import Fraction
 from math import inf, nan
 
 import pytest
 
-from definetti import su2_cg, symmetric, verify
+from definetti import cli, su2_cg, symmetric, verify, weights
 from definetti.exact import ExactReal
 from definetti.heisenberg import HeisenbergTriple, coherent_bound, epsilon_heisenberg
 from definetti.report import DeltaReport, _Frozen
@@ -92,47 +94,79 @@ def test_sym_triple_refusals():
 
 
 BIG = 10**5000  # past the interpreter's 4300-digit int-to-str limit
+LONG = "1" + "0" * 299  # a 300-digit integer as typed
+
+
+def _verify_refusal(*argv):
+    """Raise the diagnostic of a `verify` usage error as a ValueError."""
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = cli.main(["verify", "weights", *argv])
+    if code == 2:
+        raise ValueError(err.getvalue().removesuffix("\n"))
 
 
 @pytest.mark.parametrize(
-    "call, args, names",
+    "call, args, names, digits",
     [
-        pytest.param(su2_cg.delta_su2, (1, 1, BIG, 0, 0), "j=", id="delta_su2-j"),
-        pytest.param(su2_cg.delta_su2, (1, 1, 1, 0, -BIG), "radius r", id="delta_su2-r"),
-        pytest.param(su2_cg.cg, (1, 0, 1, 0, BIG, 0), "j=", id="cg-j"),
-        pytest.param(su2_cg.cg, (1, BIG, 1, 0, 1, 0), "(j1, m1): |m|=", id="cg-m1"),
-        pytest.param(HeisenbergTriple, (-BIG, 1, 0, 0), "mu=", id="HeisenbergTriple-mu"),
-        pytest.param(HeisenbergTriple, (1, 1, -BIG, 0), "offset Delta", id="HeisenbergTriple-Delta"),
-        pytest.param(SymTriple, (-BIG, 1, 2, 0), "n=", id="SymTriple-n"),
-        pytest.param(SymTriple, (4, 2, -BIG, 0), "dimension d", id="SymTriple-d"),
-        pytest.param(symmetric.dim_sym, (-BIG, 2), "n=", id="dim_sym-n"),
-        pytest.param(symmetric.dim_sym, (2, -BIG), "d=", id="dim_sym-d"),
-        pytest.param(symmetric.term_overlap, (Weight((0, 2)), 4, BIG), "expected k=", id="term_overlap-total"),
-        pytest.param(symmetric.term_overlap, (Weight((BIG + 2, -BIG)), 4, 2), "nonnegative", id="term_overlap-w"),
-        pytest.param(symmetric.term_overlap, (Weight((BIG, 0)), 4, BIG), "k=", id="term_overlap-k"),
-        pytest.param(symmetric.weight_profile, ([Weight((BIG, 0))], 2), "leading", id="weight_profile"),
-        pytest.param(symmetric.delta_psi_weights, (4, 2, -BIG, [0, 0, 1]), "dimension d", id="delta_psi-d"),
-        pytest.param(symmetric.delta_psi_weights, (-BIG, 2, 2, [0, 0, 1]), "n=", id="delta_psi-n"),
-        pytest.param(symmetric.delta_psi_weights, (4, 2, 2, [0, 0, -BIG]), "f[2]=", id="delta_psi-f"),
-        pytest.param(symmetric.delta_psi_weights, (4, 2, 2, [0, 0, BIG]), "exceeds", id="delta_psi-cap"),
-        pytest.param(symmetric.closed_form_sum, (10, -BIG, 1), "k=", id="closed_form_sum-k"),
-        pytest.param(symmetric.closed_form_sum, (4, 2, BIG), "r=", id="closed_form_sum-r"),
-        pytest.param(symmetric.exact_error_d2, (-BIG, 2, 0), "n=", id="exact_error_d2-n"),
-        pytest.param(symmetric.exact_error_d2, (4, 2, -BIG), "r=", id="exact_error_d2-r"),
+        pytest.param(su2_cg.delta_su2, (1, 1, BIG, 0, 0), "j=", 5001, id="delta_su2-j"),
+        pytest.param(su2_cg.delta_su2, (1, 1, 1, 0, -BIG), "radius r", 5001, id="delta_su2-r"),
+        pytest.param(su2_cg.cg, (1, 0, 1, 0, BIG, 0), "j=", 5001, id="cg-j"),
+        pytest.param(su2_cg.cg, (1, BIG, 1, 0, 1, 0), "(j1, m1): |m|=", 5001, id="cg-m1"),
+        pytest.param(HeisenbergTriple, (-BIG, 1, 0, 0), "mu=", 5001, id="HeisenbergTriple-mu"),
+        pytest.param(HeisenbergTriple, (1, 1, -BIG, 0), "offset Delta", 5001, id="HeisenbergTriple-Delta"),
+        pytest.param(SymTriple, (-BIG, 1, 2, 0), "n=", 5001, id="SymTriple-n"),
+        pytest.param(SymTriple, (4, 2, -BIG, 0), "dimension d", 5001, id="SymTriple-d"),
+        pytest.param(symmetric.dim_sym, (-BIG, 2), "n=", 5001, id="dim_sym-n"),
+        pytest.param(symmetric.dim_sym, (2, -BIG), "d=", 5001, id="dim_sym-d"),
         pytest.param(
-            symmetric.bound_exponential, (SymTriple(2 * BIG, BIG, BIG + 1, 0),), "d=", id="bound_exponential-d"
+            symmetric.term_overlap, (Weight((0, 2)), 4, BIG), "expected k=", 5001, id="term_overlap-total",
         ),
         pytest.param(
-            symmetric.bound_exponential, (SymTriple(BIG, 3, 3, 0),), "float range", id="bound_exponential-range"
+            symmetric.term_overlap, (Weight((BIG + 2, -BIG)), 4, 2), "nonnegative", 5001, id="term_overlap-w",
         ),
+        pytest.param(symmetric.term_overlap, (Weight((BIG, 0)), 4, BIG), "k=", 5001, id="term_overlap-k"),
+        pytest.param(symmetric.weight_profile, ([Weight((BIG, 0))], 2), "leading", 5001, id="weight_profile"),
+        pytest.param(symmetric.delta_psi_weights, (4, 2, -BIG, [0, 0, 1]), "dimension d", 5001, id="delta_psi-d"),
+        pytest.param(symmetric.delta_psi_weights, (-BIG, 2, 2, [0, 0, 1]), "n=", 5001, id="delta_psi-n"),
+        pytest.param(symmetric.delta_psi_weights, (4, 2, 2, [0, 0, -BIG]), "f[2]=", 5001, id="delta_psi-f"),
+        pytest.param(symmetric.delta_psi_weights, (4, 2, 2, [0, 0, BIG]), "exceeds", 5001, id="delta_psi-cap"),
+        pytest.param(symmetric.closed_form_sum, (10, -BIG, 1), "k=", 5001, id="closed_form_sum-k"),
+        pytest.param(symmetric.closed_form_sum, (4, 2, BIG), "r=", 5001, id="closed_form_sum-r"),
+        pytest.param(symmetric.exact_error_d2, (-BIG, 2, 0), "n=", 5001, id="exact_error_d2-n"),
+        pytest.param(symmetric.exact_error_d2, (4, 2, -BIG), "r=", 5001, id="exact_error_d2-r"),
+        pytest.param(
+            symmetric.bound_exponential, (SymTriple(2 * BIG, BIG, BIG + 1, 0),), "d=", 5001,
+            id="bound_exponential-d",
+        ),
+        pytest.param(
+            symmetric.bound_exponential, (SymTriple(BIG, 3, 3, 0),), "float range", 5001,
+            id="bound_exponential-range",
+        ),
+        # past _SHOWN_DIGITS but under the interpreter's limit, so that a
+        # message could still echo it in full
+        pytest.param(cli.figure_spec, (1, {"r_max": f"-{LONG}"}), "r-max >= 0", 300, id="figure-r-max"),
+        pytest.param(cli.figure_spec, (3, {"delta_max": f"-{LONG}"}), "delta-max >= 0", 300, id="figure-delta"),
+        pytest.param(cli.figure_spec, (3, {"delta_max": LONG}), "delta-max <= 100", 300, id="figure-delta-max"),
+        pytest.param(_verify_refusal, (f"--samples={LONG}",), "--samples", 300, id="verify-samples"),
+        pytest.param(_verify_refusal, (f"--seed=-{LONG}",), "--seed", 300, id="verify-seed"),
+        pytest.param(cli._compute_exact_radius, ([f"d={LONG}", "n=4", "k=2", "l=0"],), "d=", 300, id="radius-d"),
+        pytest.param(cli._compute_exact_radius, (["d=2", "n=4", f"k={LONG}", "l=0"],), "k=", 300, id="radius-k"),
+        pytest.param(cli._compute_exact_radius, (["d=2", "n=4", "k=2", f"l={LONG}"],), "l=", 300, id="radius-l"),
+        pytest.param(
+            weights.exact_radius, (Weight((0, 0)), Weight((int(LONG) + 1, 0)), Weight((0, 0))),
+            "invalid triple", 300, id="exact_radius",
+        ),
+        pytest.param(coherent_bound, (5, int(LONG), 0), "k=", 300, id="coherent_bound-k"),
+        pytest.param(coherent_bound, (-int(LONG), 1, 0), "n=", 300, id="coherent_bound-n"),
     ],
 )
-def test_a_refusal_names_an_over_long_number_by_its_digit_count(call, args, names):
+def test_a_refusal_names_an_over_long_number_by_its_digit_count(call, args, names, digits):
     with pytest.raises(ValueError) as info:
         call(*args)
     message = str(info.value)
     assert "\n" not in message and len(message) < 200, message
-    assert names in message and "5001-digit integer" in message, message
+    assert names in message and f"{digits}-digit integer" in message, message
 
 
 def test_weight_refusals_and_coercions():
