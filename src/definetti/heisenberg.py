@@ -22,6 +22,11 @@ equivalent binomial tail
 the chance of at most Delta successes of probability y in r + 1 trials
 (Diaconis & Freedman's urn, drawn with replacement): one integer over
 s^(r+1), _tail, summed on the side of Delta with fewer terms.
+
+The error bound has one kernel, _bound(mu, nu, Delta, r), on plain
+fields: epsilon_heisenberg reads them from its triple, and
+coherent_bound, the Delta = 0 corollary, validates (n, k, r) itself and
+builds no HeisenbergTriple.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ _set_mu, _set_nu, _set_Delta, _set_r = _slot_setters(HeisenbergTriple)
 def alpha_coeff(D: int, ell: int, mu, nu):
     """Schmidt weight of |D-ell> x |ell> inside |psi_D>: C(D,ell) mu^ell nu^(D-ell) / (mu+nu)^D."""
     if not 0 <= ell <= D:
-        raise ValueError(f"need 0 <= ell <= Delta, got ell={ell}, Delta={D}")
+        raise ValueError(f"need 0 <= ell <= Delta, got ell={_number(ell)}, Delta={_number(D)}")
     _check_weights(mu, nu)
     p, q = _coprime(mu, nu)
     return _value(mu, nu, comb(D, ell) * p**ell * q ** (D - ell), (p + q) ** D)
@@ -83,7 +88,7 @@ def alpha_weight(D: int, n: int, mu, nu):
     Negative binomial: (nu/(mu+nu))^D * C(n+D, D) * (mu/(mu+nu))^n.
     """
     if D < 0 or n < 0:
-        raise ValueError(f"need Delta >= 0 and n >= 0, got {D}, {n}")
+        raise ValueError(f"need Delta >= 0 and n >= 0, got {_number(D)}, {_number(n)}")
     _check_weights(mu, nu)
     p, q = _coprime(mu, nu)
     return _value(mu, nu, comb(n + D, D) * q**D * p**n, (p + q) ** (D + n))
@@ -194,20 +199,27 @@ def epsilon_heisenberg(t: HeisenbergTriple):
     x^(r+1), a float rounded only at the end and positive whenever the
     bound is a normal float (>= 2^-1022).
     """
-    p, q = _coprime(t.mu, t.nu)
-    s, n = p + q, t.r + 1
-    if t.Delta == 0 and n == 1:
-        return _value(t.mu, t.nu, 2 * p, s)
-    if t.Delta == 0 and n % 2 == 0:
-        return _value(t.mu, t.nu, 2 * p ** (n // 2), s ** (n // 2))
-    return 2.0 * _sqrt_float(_tail(p, q, t.Delta, n), s**n)
+    return _bound(t.mu, t.nu, t.Delta, t.r)
+
+
+def _bound(mu, nu, Delta: int, r: int):
+    """epsilon_heisenberg of the triple (mu, nu, Delta, r), for fields
+    that HeisenbergTriple would accept."""
+    p, q = _coprime(mu, nu)
+    s, n = p + q, r + 1
+    if Delta == 0 and n == 1:
+        return _value(mu, nu, 2 * p, s)
+    if Delta == 0 and n % 2 == 0:
+        return _value(mu, nu, 2 * p ** (n // 2), s ** (n // 2))
+    return 2.0 * _sqrt_float(_tail(p, q, Delta, n), s**n)
 
 
 def coherent_bound(n: int, k: int, r: int):
     """Error bound for k-of-n coherent-splitting reconstruction.
 
     Definitionally the oscillator bound at mu = k, nu = n - k, Delta = 0:
-    2k/n at r = 0 and 2 (k/n)^((r+1)/2) otherwise.
+    2k/n at r = 0 and 2 (k/n)^((r+1)/2) otherwise.  It checks k and r as
+    HeisenbergTriple would, with its messages, and builds none.
     """
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={_number(k)}, n={_number(n)}")
@@ -215,4 +227,6 @@ def coherent_bound(n: int, k: int, r: int):
         mu, nu = k, n - k  # exact weights as they stand
     else:
         mu, nu = Fraction(k), Fraction(n - k)
-    return epsilon_heisenberg(HeisenbergTriple(mu=mu, nu=nu, Delta=0, r=r))
+    if not isinstance(r, int) or r < 0:
+        raise ValueError(f"need an integer radius r >= 0, got {_number(r, repr)}")
+    return _bound(mu, nu, 0, r)

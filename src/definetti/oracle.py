@@ -6,11 +6,14 @@ plus lowering synthesis in integer arithmetic (on a factorial-rescaled
 product basis, with one square root taken per entry at the end),
 oscillator overlaps from truncated Fock matrices, and the reconstruction
 theorem itself gets a Monte Carlo end-to-end inequality check.
+
+The symmetric basis sorts all d^n product indices into their type
+classes in one numpy pass, by the sorted digits of each index, with no
+per-class enumeration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd, sqrt
 from operator import mul
@@ -18,9 +21,10 @@ from operator import mul
 import numpy as np
 
 from .exact import ExactReal
+from .report import _Frozen, _number, _slot_setters
 from .su2_cg import _check_triple, as_twoj
 from .symmetric import SymTriple, dim_sym, epsilon
-from .weights import Weight, sym_weights
+from .weights import Weight, sym_weights, type_class_size
 
 __all__ = [
     "McReport",
@@ -61,22 +65,27 @@ def trace_distance(a, b) -> float:
 # symmetric subspace
 
 
-def _class_indices(w: Weight):
-    """Row-major product-basis indices of the type class of w."""
-    d = w.dim
-    counts = list(w.entries)
+def _class_keys(n: int, d: int) -> np.ndarray:
+    """The type class of every row-major product index of n sites in C^d,
+    in one numpy pass: the index's n base-d digits, sorted, read back as
+    a base-d number below d^n.  Classes with more 0s, then more 1s, and
+    so on get smaller keys, so ascending keys follow the descending
+    lexicographic order of the weights."""
+    digits = np.empty((d**n, n), dtype=np.min_scalar_type(d - 1))
+    rest = np.arange(d**n)
+    for site in range(n - 1, -1, -1):
+        rest, digits[:, site] = np.divmod(rest, d)
+    digits.sort(axis=1)
+    return _base_d(digits, d)
 
-    def rec(acc: int, remaining: int):
-        if remaining == 0:
-            yield acc
-            return
-        for a in range(d):
-            if counts[a]:
-                counts[a] -= 1
-                yield from rec(acc * d + a, remaining - 1)
-                counts[a] += 1
 
-    yield from rec(0, w.total)
+def _base_d(digits: np.ndarray, d: int) -> np.ndarray:
+    """Each row of base-d digits, most significant first, as a number."""
+    keys = np.zeros(digits.shape[:-1], dtype=np.int64)
+    for site in range(digits.shape[-1]):
+        keys *= d
+        keys += digits[..., site]
+    return keys
 
 
 def sym_basis_vector(w: Weight) -> np.ndarray:
@@ -84,20 +93,24 @@ def sym_basis_vector(w: Weight) -> np.ndarray:
     n, d = w.total, w.dim
     if d**n > SYM_SIZE_GUARD:
         raise ValueError(f"size guard exceeded: {d}^{n} > {SYM_SIZE_GUARD}")
-    idx = np.fromiter(_class_indices(w), dtype=np.int64)
+    size = type_class_size(w)  # refuses a negative entry
+    key = _base_d(np.repeat(np.arange(d), w.entries), d)  # the class's sorted digits
     vec = np.zeros(d**n)
-    vec[idx] = 1.0 / sqrt(len(idx))
+    vec[_class_keys(n, d) == key] = 1.0 / sqrt(size)
     return vec
 
 
 @lru_cache(maxsize=32)
 def _sym_basis_matrix(n: int, d: int) -> tuple[tuple[Weight, ...], np.ndarray]:
     """The weights of Sym^n(C^d) in descending lexicographic order, and a
-    read-only matrix whose columns are their orthonormal vectors."""
+    read-only matrix whose columns are their orthonormal vectors, from
+    one sort of the product indices into their type classes."""
     ws = tuple(sym_weights(n, d))
+    if d**n > SYM_SIZE_GUARD:
+        raise ValueError(f"size guard exceeded: {d}^{n} > {SYM_SIZE_GUARD}")
+    _, cols, sizes = np.unique(_class_keys(n, d), return_inverse=True, return_counts=True)
     mat = np.zeros((d**n, len(ws)))
-    for col, w in enumerate(ws):
-        mat[:, col] = sym_basis_vector(w)
+    mat[np.arange(d**n), cols] = (1.0 / np.sqrt(sizes))[cols]
     mat.setflags(write=False)
     return ws, mat
 
@@ -261,7 +274,7 @@ def lambda_up_set(j1, j2, j) -> set[Weight]:
 def fock_annihilator(cutoff: int) -> np.ndarray:
     """Annihilation matrix on span{|0>, ..., |cutoff>}."""
     if cutoff < 1:
-        raise ValueError(f"need cutoff >= 1, got {cutoff}")
+        raise ValueError(f"need cutoff >= 1, got {_number(cutoff)}")
     return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
 
 
@@ -280,9 +293,9 @@ def pair_create(mu: float, nu: float, state: np.ndarray) -> np.ndarray:
 def pair_vacuum(mu: float, nu: float, Delta: int, cutoff: int) -> np.ndarray:
     """The offset-Delta paired vacuum sum_l (-1)^l sqrt(alpha_l) |Delta-l> x |l>."""
     if not (mu > 0 and nu > 0):
-        raise ValueError(f"mode weights must be positive, got mu={mu}, nu={nu}")
+        raise ValueError(f"mode weights must be positive, got mu={_number(mu)}, nu={_number(nu)}")
     if Delta < 0 or Delta > cutoff:
-        raise ValueError(f"need 0 <= Delta <= cutoff, got Delta={Delta}, cutoff={cutoff}")
+        raise ValueError(f"need 0 <= Delta <= cutoff, got Delta={_number(Delta)}, cutoff={_number(cutoff)}")
     mu, nu = float(mu), float(nu)
     state = np.zeros((cutoff + 1, cutoff + 1))
     for ell in range(Delta + 1):
@@ -313,9 +326,9 @@ def heis_oracle(mu, nu, Delta: int, r_max: int) -> list[float]:
     numerical error is double-precision roundoff.
     """
     if not (float(mu) > 0 and float(nu) > 0):
-        raise ValueError(f"mode weights must be positive, got mu={mu}, nu={nu}")
+        raise ValueError(f"mode weights must be positive, got mu={_number(mu)}, nu={_number(nu)}")
     if r_max < 0 or Delta < 0:
-        raise ValueError(f"need r_max >= 0 and Delta >= 0, got r_max={r_max}, Delta={Delta}")
+        raise ValueError(f"need r_max >= 0 and Delta >= 0, got r_max={_number(r_max)}, Delta={_number(Delta)}")
     mu, nu = float(mu), float(nu)
     columns = []  # squared n2 = 0 columns, all that the window reads
     for state in pair_tower(mu, nu, Delta, max(r_max - Delta, 0) + 10, r_max + Delta + 40):
@@ -336,23 +349,35 @@ def heis_oracle(mu, nu, Delta: int, r_max: int) -> list[float]:
 # Monte Carlo check of the reconstruction inequality
 
 
-@dataclass(frozen=True)
-class McReport:
+class McReport(_Frozen):
     """Outcome of the Monte Carlo end-to-end inequality check."""
 
-    n: int
-    k: int
-    r: int
-    n_samples: int
-    seed: int
-    lhs_distance: float
-    bound: float
-    identity_residual: float
-    mc_tolerance: float
+    __slots__ = (
+        "n", "k", "r", "n_samples", "seed", "lhs_distance", "bound", "identity_residual", "mc_tolerance",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        k: int,
+        r: int,
+        n_samples: int,
+        seed: int,
+        lhs_distance: float,
+        bound: float,
+        identity_residual: float,
+        mc_tolerance: float,
+    ) -> None:
+        fields = (n, k, r, n_samples, seed, lhs_distance, bound, identity_residual, mc_tolerance)
+        for set_field, value in zip(_MC_SETTERS, fields):
+            set_field(self, value)
 
     @property
     def passed(self) -> bool:
         return self.lhs_distance <= self.bound + self.mc_tolerance
+
+
+_MC_SETTERS = _slot_setters(McReport)
 
 
 def haar_su2(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -400,16 +425,16 @@ def mc_theorem1(n: int, k: int, rs: tuple[int, ...], n_samples: int, seed: int) 
     All radii share the state and the samples.
     """
     if not 0 < k < n:
-        raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
-    if 2**n > 2**16:
-        raise ValueError(f"size guard exceeded: 2^{n} > 2^16")
+        raise ValueError(f"need 0 < k < n, got k={_number(k)}, n={_number(n)}")
+    if n > 16:  # 2^n > 2^16, without raising 2 to a huge n
+        raise ValueError(f"size guard exceeded: 2^{_number(n)} > 2^16")
     if n_samples < MC_SAMPLES_MIN:
-        raise ValueError(f"need at least 10^3 samples, got {n_samples}")
+        raise ValueError(f"need at least 10^3 samples, got {_number(n_samples)}")
     if n_samples > MC_SAMPLES_GUARD:
-        raise ValueError(f"size guard exceeded: {n_samples} samples > {MC_SAMPLES_GUARD}")
+        raise ValueError(f"size guard exceeded: {_number(n_samples)} samples > {MC_SAMPLES_GUARD}")
     for r in rs:
         if not 0 <= r <= k:
-            raise ValueError(f"need 0 <= r <= k, got r={r}")
+            raise ValueError(f"need 0 <= r <= k, got r={_number(r)}")
     d = 2
     dim_b = d ** (n - k)
     d_formal = dim_sym(n - k, d)

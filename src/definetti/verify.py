@@ -13,7 +13,6 @@ caught here.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, isqrt, lcm
@@ -22,18 +21,25 @@ from operator import attrgetter
 import numpy as np
 
 from . import heisenberg, oracle, su2_cg, symmetric, weights
-from .report import _sqrt_float
+from .report import _Frozen, _slot_setters, _sqrt_float
 from .su2_cg import TwoJ
 from .symmetric import SymTriple
 from .weights import Weight
 
 
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+class Check(_Frozen):
+    """The outcome of one check: its name, verdict, detail line and time."""
+
+    __slots__ = ("name", "passed", "detail", "seconds")
+
+    def __init__(self, name: str, passed: bool, detail: str, seconds: float) -> None:
+        _set_name(self, name)
+        _set_passed(self, passed)
+        _set_detail(self, detail)
+        _set_seconds(self, seconds)
+
+
+_set_name, _set_passed, _set_detail, _set_seconds = _slot_setters(Check)
 
 
 def _check(name: str, fn, *args) -> Check:
@@ -79,14 +85,15 @@ def simple_root_decomposition(k: int, d_max: int) -> str:
     simple roots, for 2 <= d <= d_max."""
     count = 0
     for d in range(2, d_max + 1):
-        roots = [weights.simple_root(i, d) for i in range(1, d)]
-        for w in weights.sym_weights(k, d):
-            for w2 in weights.sym_weights(k, d):
+        roots = [weights.simple_root(i, d).entries for i in range(1, d)]
+        ws = weights.sym_weights(k, d)
+        for w in ws:
+            for w2 in ws:
                 hd = weights.height_down(w2, w)
-                rebuilt = w2
+                rebuilt = w2.entries
                 for c, alpha in zip(hd.coefficients, roots):
-                    rebuilt = Weight(tuple(a - c * b for a, b in zip(rebuilt, alpha)))
-                _exact(rebuilt, w, "root decomposition must reconstruct the weight")
+                    rebuilt = tuple(a - c * b for a, b in zip(rebuilt, alpha))
+                _exact(Weight(rebuilt), w, "root decomposition must reconstruct the weight")
                 count += 1
     return f"{count} reconstructions exact"
 
@@ -160,6 +167,11 @@ def two_level_radius(n_max: int) -> str:
 # SU(2) coupling coefficients (angular momenta doubled throughout)
 
 
+# the stored (sign, num, den) of an ExactReal sign * sqrt(num/den)
+_parts = attrgetter("_sign", "_num", "_den")
+_square_parts = attrgetter("_num", "_den")
+
+
 def cg_oracle_match(tj_max: int) -> str:
     """Ladder-built tables for 2j1, 2j2 <= tj_max equal the closed form,
     entry for entry as exact reals."""
@@ -169,15 +181,10 @@ def cg_oracle_match(tj_max: int) -> str:
             table = oracle.cg_oracle(TwoJ(tj1), TwoJ(tj2))
             for (tj, tm, tm1), val in table.items():
                 closed = su2_cg._cg_doubled(tj1, tm1, tj2, tm - tm1, tj, tm)
-                if closed != val:  # a label for every entry would cost a tenth of the check
+                if _parts(closed) != _parts(val):  # a label for every entry would cost a tenth of the check
                     _exact(closed, val, f"entry 2(j1,j2,j,m,m1)={(tj1, tj2, tj, tm, tm1)}")
                 exact += 1
     return f"{exact} exact matches for j1,j2 <= {TwoJ(tj_max)}"
-
-
-# the stored (sign, num, den) of an ExactReal sign * sqrt(num/den)
-_parts = attrgetter("_sign", "_num", "_den")
-_square_parts = attrgetter("_num", "_den")
 
 
 def _in_units_of_first(products, what: str) -> tuple[int, int]:
@@ -436,15 +443,16 @@ def dense_projector_oracle(n_max_by_d, tol: float) -> str:
 
 
 def single_weight_overlap(n_max: int, d_max: int) -> str:
-    """Projector traces of single weight vectors match term_overlap.  Each
-    weight vector is built once and contracted, as in brute_delta_symmetric,
-    with the basis rows whose trailing sites are |1...1> (_aligned_rows)."""
+    """Projector traces of single weight vectors match term_overlap.  The
+    weight vectors are the columns of the k-site basis matrix, each
+    contracted, as in brute_delta_symmetric, with the basis rows whose
+    trailing sites are |1...1> (_aligned_rows)."""
     count = 0
     for d in range(2, d_max + 1):
         for k in range(1, n_max + 1):
             contracted = [(n, oracle._aligned_rows(n, k, d)) for n in range(k, n_max + 1)]
-            for w in weights.sym_weights(k, d):
-                vec = oracle.sym_basis_vector(w)
+            ws, mat = oracle._sym_basis_matrix(k, d)
+            for w, vec in zip(ws, mat.T):
                 for n, basis in contracted:
                     got = float(((vec @ basis) ** 2).sum())
                     _approx(got, float(symmetric.term_overlap(w, n, k)), 1e-12, f"overlap {(w, n, k)}")
@@ -587,9 +595,8 @@ def haar_schur_average(seed: int, n_samples: int) -> str:
     g = oracle.haar_su2(rng, n_samples)
     for a in range(2):
         for b in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[a, b] = 1.0
-            avg = np.einsum("nij,jk,nlk->il", g, e, g.conj()) / n_samples
+            # sum_n g_n |a><b| g_n^dagger, entry (i, l) = sum_n g_n[i, a] conj(g_n[l, b])
+            avg = (g[:, :, a].T @ g[:, :, b].conj()) / n_samples
             want = np.eye(2) * (0.5 if a == b else 0.0)
             defect = float(np.abs(avg - want).max())
             if not defect <= 3 / np.sqrt(n_samples):

@@ -3,17 +3,19 @@
 Weights are integer d-tuples.  The dominance order compares prefix sums;
 heights measure how many simple-root steps separate a weight from the
 top (height down from lambda) or the bottom (height up from the reversal
-of mu).  For the symmetric representation with weights summing to n the
-two heights reduce to n - w_1 and n - w_d.
+of mu).  A height's simple-root coefficients are the prefix sums of the
+difference, taken straight from the two entry tuples, with no Weight
+built for the difference.  For the symmetric representation with weights
+summing to n the two heights reduce to n - w_1 and n - w_d.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial
+from operator import sub
 
 from .report import _Frozen, _number, _slot_setters
 
@@ -104,23 +106,26 @@ def _int_entries(given) -> tuple[int, ...]:
     return entries
 
 
-@dataclass(frozen=True)
-class HeightDecomposition:
+class HeightDecomposition(_Frozen):
     """Simple-root coefficients of a weight difference and their height.
 
     Integer weights with matching coordinate sums always decompose with
     integer coefficients; the height is the largest absolute coefficient.
     """
 
-    coefficients: tuple[int, ...]
-    height: int
+    __slots__ = ("coefficients", "height")
 
-    def __post_init__(self) -> None:
-        if not self.coefficients:
+    def __init__(self, coefficients: tuple[int, ...], height: int) -> None:
+        if not coefficients:
             raise ValueError("decomposition needs at least one coefficient")
-        expected = max(abs(c) for c in self.coefficients)
-        if self.height != expected:
-            raise ValueError(f"height {self.height} != max |coefficient| {expected}")
+        expected = max(abs(c) for c in coefficients)
+        if height != expected:
+            raise ValueError(f"height {_number(height)} != max |coefficient| {_number(expected)}")
+        _set_coefficients(self, coefficients)
+        _set_height(self, height)
+
+
+_set_coefficients, _set_height = _slot_setters(HeightDecomposition)
 
 
 def _same_dim(a: Weight, b: Weight) -> None:
@@ -131,9 +136,9 @@ def _same_dim(a: Weight, b: Weight) -> None:
 def simple_root(i: int, d: int) -> Weight:
     """The i-th simple root of SU(d), i in 1..d-1: e_i - e_(i+1)."""
     if d < 2:
-        raise ValueError(f"need dimension d >= 2, got {d}")
+        raise ValueError(f"need dimension d >= 2, got {_number(d)}")
     if not 1 <= i <= d - 1:
-        raise ValueError(f"root index must lie in 1..{d - 1}, got {i}")
+        raise ValueError(f"root index must lie in 1..{_number(d - 1)}, got {_number(i)}")
     v = [0] * d
     v[i - 1] = 1
     v[i] = -1
@@ -161,15 +166,20 @@ def weight_leq(w: Weight, w2: Weight) -> bool:
     return True
 
 
-def _height(ref: Weight, w: Weight, diff) -> HeightDecomposition:
-    """Root decomposition of diff(ref, w), for ref and w of one dimension
-    and coordinate sum; height is the largest |coefficient|."""
+def _height(ref: Weight, w: Weight, plus: tuple, minus: tuple) -> HeightDecomposition:
+    """Root decomposition of the difference plus - minus of the entries
+    of ref and w, for ref and w of one dimension and coordinate sum;
+    height is the largest |coefficient|."""
     _same_dim(ref, w)
-    if ref.total != w.total:
-        raise ValueError(f"no root decomposition: coordinate sums differ ({ref.total} vs {w.total})")
-    # writing diff = sum_i c_i * alpha_i forces c_i = sum_{j<=i} diff_j
-    coeffs = tuple(accumulate(diff(ref, w).entries[:-1]))
-    return HeightDecomposition(coeffs, max(abs(c) for c in coeffs))
+    # writing diff = sum_i c_i * alpha_i forces c_i = sum_{j<=i} diff_j;
+    # the last prefix sum is the difference of the coordinate sums
+    *coeffs, excess = accumulate(map(sub, plus, minus))
+    if excess:
+        raise ValueError(
+            "no root decomposition: coordinate sums differ "
+            f"({_number(ref.total)} vs {_number(w.total)})"
+        )
+    return HeightDecomposition(tuple(coeffs), max(map(abs, coeffs)))
 
 
 def height_down(lam: Weight, w: Weight) -> HeightDecomposition:
@@ -177,7 +187,7 @@ def height_down(lam: Weight, w: Weight) -> HeightDecomposition:
 
     Requires matching coordinate sums, otherwise no decomposition exists.
     """
-    return _height(lam, w, lambda lam, w: lam - w)
+    return _height(lam, w, lam.entries, w.entries)
 
 
 def height_up(mu: Weight, w: Weight) -> HeightDecomposition:
@@ -186,7 +196,7 @@ def height_up(mu: Weight, w: Weight) -> HeightDecomposition:
     The reversal of mu is the lowest weight of the irreducible with
     highest weight mu.  Requires matching coordinate sums.
     """
-    return _height(mu, w, lambda mu, w: w - mu.reversed())
+    return _height(mu, w, w.entries, mu.entries[::-1])
 
 
 def sym_weights(n: int, d: int) -> list[Weight]:
@@ -205,9 +215,9 @@ def sym_weights(n: int, d: int) -> list[Weight]:
 @lru_cache(maxsize=2)
 def _sym_weights(n: int, d: int) -> tuple[Weight, ...]:
     if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+        raise ValueError(f"need n >= 0, got {_number(n)}")
     if d < 2:
-        raise ValueError(f"need dimension d >= 2, got {d}")
+        raise ValueError(f"need dimension d >= 2, got {_number(d)}")
     out: list[Weight] = []
 
     def rec(prefix: list[int], remaining: int, slots: int) -> None:
@@ -231,7 +241,7 @@ def w_r_set(n: int, d: int, r: int, direction: str = "down") -> list[Weight]:
     that memo, this is not thread-safe.
     """
     if r < 0:
-        raise ValueError(f"need radius r >= 0, got {r}")
+        raise ValueError(f"need radius r >= 0, got {_number(r)}")
     ws = _sym_weights(n, d)
     if direction == "down":
         return [w for w in ws if w[0] >= n - r]

@@ -379,6 +379,45 @@ def test_coherent_bound():
         coherent_bound(10, 11, 0)
 
 
+def _coherent_through_a_triple(n, k, r):
+    """coherent_bound as it was before it checked (n, k, r) itself: the
+    bound of the triple (k, n - k, 0, r)."""
+    if not 0 < k < n:
+        raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
+    if k.__class__ is n.__class__ is int:
+        mu, nu = k, n - k
+    else:
+        mu, nu = Fraction(k), Fraction(n - k)
+    return epsilon_heisenberg(HeisenbergTriple(mu=mu, nu=nu, Delta=0, r=r))
+
+
+def _result_or_refusal(fn, *args):
+    try:
+        got = fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(got), got
+
+
+def test_coherent_bound_equals_the_bound_of_its_triple():
+    cells = 0
+    for n in range(2, 61):
+        ks = [*range(1, n), True]
+        ks += [Fraction(2 * j + 1, 2) for j in range(n - 1)] + [j + 0.5 for j in range(n - 1)]
+        for k in ks:
+            for r in range(8):
+                got = coherent_bound(n, k, r)
+                want = _coherent_through_a_triple(n, k, r)
+                assert got == want and type(got) is type(want), (n, k, r)
+                cells += 1
+    assert cells == 8 * sum(3 * (n - 1) + 1 for n in range(2, 61))
+    # the refusals, and which of two bad arguments is named
+    for n, k in ((10, 0), (10, 10), (10, 11), (10, -1), (10, 0.0), (10, Fraction(10)), (10, 3), (2, True)):
+        for r in (0, 3, -1, 1.5, 2.0, Fraction(1), None, True):
+            got = _result_or_refusal(coherent_bound, n, k, r)
+            assert got == _result_or_refusal(_coherent_through_a_triple, n, k, r), (n, k, r)
+
+
 def test_coherent_check_catches_a_faulty_tail_and_a_wrong_type(monkeypatch):
     tail, bound = heisenberg._tail, heisenberg.coherent_bound
 

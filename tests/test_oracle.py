@@ -26,7 +26,7 @@ from definetti.oracle import (
 )
 from definetti.su2_cg import TwoJ, _racah_parts, _triangle
 from definetti.symmetric import SymTriple, dim_sym, epsilon
-from definetti.weights import Weight
+from definetti.weights import Weight, sym_weights
 
 
 def test_trace_distance():
@@ -46,6 +46,46 @@ def test_sym_basis_orthonormal():
         for w, vec in zip(ws, mat.T):
             assert w.total == n and w.dim == d
             assert np.array_equal(vec, sym_basis_vector(w))
+
+
+def _class_indices(w):
+    """Row-major product-basis indices of the type class of w, by the
+    recursive enumeration of the class that the basis used to be built by."""
+    d, counts = w.dim, list(w.entries)
+
+    def rec(acc, remaining):
+        if remaining == 0:
+            yield acc
+            return
+        for a in range(d):
+            if counts[a]:
+                counts[a] -= 1
+                yield from rec(acc * d + a, remaining - 1)
+                counts[a] += 1
+
+    yield from rec(0, w.total)
+
+
+def _reference_vector(w):
+    idx = np.fromiter(_class_indices(w), dtype=np.int64)
+    vec = np.zeros(w.dim**w.total)
+    vec[idx] = 1.0 / sqrt(len(idx))
+    return vec
+
+
+def test_sym_basis_equals_its_per_class_reference():
+    cases = [(n, d) for d in range(2, 6) for n in range(14) if d**n <= 10**4]
+    assert len(cases) == 36 and (0, 5) in cases and (13, 2) in cases
+    for n, d in cases:
+        ws, mat = oracle._sym_basis_matrix(n, d)
+        assert ws == tuple(sym_weights(n, d)), (n, d)
+        assert not mat.flags.writeable
+        want = np.column_stack([_reference_vector(w) for w in ws])
+        assert np.array_equal(mat, want), (n, d)
+        for w, column in zip(ws, want.T):
+            assert np.array_equal(sym_basis_vector(w), column), w
+    with pytest.raises(ValueError, match="nonnegative"):
+        sym_basis_vector(Weight((3, -1)))
 
 
 def test_brute_delta_matches_formula():
@@ -224,19 +264,17 @@ def test_fock_oracle_builds_one_tower_per_offset(monkeypatch):
 
 
 def test_single_weight_overlap_builds_each_weight_vector_once(monkeypatch):
-    verify.single_weight_overlap(7, 3)  # the basis matrices, built once and kept
-    calls = 0
-    vector = oracle.sym_basis_vector
+    def unused(w):
+        raise AssertionError("a weight vector built on its own")
 
-    def counted(w):
-        nonlocal calls
-        calls += 1
-        return vector(w)
-
-    monkeypatch.setattr(oracle, "sym_basis_vector", counted)
+    # the weight vectors are the columns of the basis matrices
+    monkeypatch.setattr(oracle, "sym_basis_vector", unused)
+    oracle._sym_basis_matrix.cache_clear()
     assert verify.single_weight_overlap(7, 3) == "434 projector traces match term_overlap"
-    # one per weight of each (k, d), k <= 7, d = 2, 3; not one per trace
-    assert calls == sum(dim_sym(k, d) for k in range(1, 8) for d in (2, 3)) == 154
+    # one build per (k, d), k <= 7, d = 2, 3, which the n-site contractions reuse
+    assert oracle._sym_basis_matrix.cache_info().misses == 7 * 2
+    verify.single_weight_overlap(7, 3)
+    assert oracle._sym_basis_matrix.cache_info().misses == 7 * 2
 
 
 def test_a_broken_aligned_contraction_fails_both_symmetric_oracles(monkeypatch):
@@ -336,7 +374,8 @@ def test_mc_theorem1_matches_its_einsum_reference():
     for seed in range(3):
         for r, rep in enumerate(mc_theorem1(4, 2, (0, 1, 2), 10**4, seed)):
             want = _mc_reference(4, 2, r, 10**4, seed, _einsum_outer)
-            for name, value in vars(want).items():
+            for name in oracle.McReport.__slots__:
+                value = getattr(want, name)
                 assert getattr(rep, name) == pytest.approx(value, rel=0, abs=1e-12), (r, seed, name)
 
 

@@ -185,3 +185,25 @@ def test_benchmark_only_code_is_read_by_no_other_module():
         if path.name != "radicals.py" and (names := _benchmark_only_reads(path.read_text()))
     }
     assert not readers, readers
+
+
+def _imports_dataclasses(source: str) -> bool:
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "dataclasses" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "dataclasses":
+            return True
+    return False
+
+
+def test_no_module_imports_dataclasses():
+    # the value types share report._Frozen; a dataclass would be a second
+    # kind of value type, and builds its class at every import
+    assert _imports_dataclasses("from dataclasses import dataclass")
+    assert _imports_dataclasses("def f():\n    import dataclasses")
+    assert not _imports_dataclasses("from .report import _Frozen\nx = 'dataclasses'")
+    readers = [
+        path.name for path in sorted((SRC / "definetti").glob("*.py")) if _imports_dataclasses(path.read_text())
+    ]
+    assert not readers, readers

@@ -10,13 +10,15 @@ from math import inf, nan
 
 import pytest
 
-from definetti import cli, su2_cg, symmetric, verify, weights
+from definetti import cli, heisenberg, oracle, su2_cg, symmetric, verify, weights
 from definetti.exact import ExactReal
 from definetti.heisenberg import HeisenbergTriple, coherent_bound, epsilon_heisenberg
+from definetti.oracle import McReport
 from definetti.report import DeltaReport, _Frozen
 from definetti.su2_cg import TwoJ
 from definetti.symmetric import SymTriple
-from definetti.weights import Weight
+from definetti.verify import Check
+from definetti.weights import HeightDecomposition, Weight
 
 # (instance, its fields in order, its repr)
 VALUES = (
@@ -27,6 +29,11 @@ VALUES = (
      "HeisenbergTriple(mu=Fraction(1, 2), nu=2, Delta=3, r=1)"),
     (SymTriple(6, 3, 2, 1), (6, 3, 2, 1), "SymTriple(n=6, k=3, d=2, r=1)"),
     (Weight((4, 0, 1)), ((4, 0, 1),), "Weight(entries=(4, 0, 1))"),
+    (HeightDecomposition((1, -3), 3), ((1, -3), 3), "HeightDecomposition(coefficients=(1, -3), height=3)"),
+    (McReport(4, 2, 1, 1000, 7, 0.25, 0.5, 0.01, 0.02), (4, 2, 1, 1000, 7, 0.25, 0.5, 0.01, 0.02),
+     "McReport(n=4, k=2, r=1, n_samples=1000, seed=7, lhs_distance=0.25, bound=0.5, "
+     "identity_residual=0.01, mc_tolerance=0.02)"),
+    (Check("c", True, "ok", 0.5), ("c", True, "ok", 0.5), "Check(name='c', passed=True, detail='ok', seconds=0.5)"),
 )
 
 
@@ -159,6 +166,28 @@ def _verify_refusal(*argv):
         ),
         pytest.param(coherent_bound, (5, int(LONG), 0), "k=", 300, id="coherent_bound-k"),
         pytest.param(coherent_bound, (-int(LONG), 1, 0), "n=", 300, id="coherent_bound-n"),
+        pytest.param(weights.simple_root, (-BIG, 3), "root index", 5001, id="simple_root-i"),
+        pytest.param(weights.simple_root, (1, -BIG), "dimension d", 5001, id="simple_root-d"),
+        pytest.param(weights.w_r_set, (2, 2, -BIG), "radius r", 5001, id="w_r_set-r"),
+        pytest.param(weights.sym_weights, (-BIG, 2), "n >= 0", 5001, id="sym_weights-n"),
+        pytest.param(weights.sym_weights, (2, -BIG), "dimension d", 5001, id="sym_weights-d"),
+        pytest.param(weights.height_down, (Weight((BIG, 0)), Weight((0, 0))), "sums differ", 5001, id="height_down"),
+        pytest.param(weights.height_up, (Weight((0, 0)), Weight((0, -BIG))), "sums differ", 5001, id="height_up"),
+        pytest.param(heisenberg.alpha_coeff, (1, -BIG, 1, 1), "ell=", 5001, id="alpha_coeff-ell"),
+        pytest.param(heisenberg.alpha_coeff, (-BIG, 0, 1, 1), "Delta=", 5001, id="alpha_coeff-Delta"),
+        pytest.param(heisenberg.alpha_weight, (-BIG, 0, 1, 1), "Delta >= 0", 5001, id="alpha_weight-Delta"),
+        pytest.param(heisenberg.alpha_weight, (0, -BIG, 1, 1), "n >= 0", 5001, id="alpha_weight-n"),
+        pytest.param(oracle.heis_oracle, (1, 1, -BIG, 0), "Delta=", 5001, id="heis_oracle-Delta"),
+        pytest.param(oracle.heis_oracle, (1, 1, 0, -BIG), "r_max=", 5001, id="heis_oracle-r_max"),
+        pytest.param(oracle.fock_annihilator, (-BIG,), "cutoff", 5001, id="fock_annihilator"),
+        pytest.param(oracle.pair_vacuum, (-BIG, 1, 0, 1), "mu=", 5001, id="pair_vacuum-mu"),
+        pytest.param(oracle.pair_vacuum, (1, 1, -BIG, 1), "Delta=", 5001, id="pair_vacuum-Delta"),
+        pytest.param(oracle.pair_vacuum, (1, 1, 0, -BIG), "cutoff=", 5001, id="pair_vacuum-cutoff"),
+        pytest.param(oracle.mc_theorem1, (4, -BIG, (0,), 1000, 0), "k=", 5001, id="mc_theorem1-k"),
+        pytest.param(oracle.mc_theorem1, (BIG, 2, (0,), 1000, 0), "size guard", 5001, id="mc_theorem1-n"),
+        pytest.param(oracle.mc_theorem1, (4, 2, (0,), -BIG, 0), "samples", 5001, id="mc_theorem1-few"),
+        pytest.param(oracle.mc_theorem1, (4, 2, (0,), BIG, 0), "samples >", 5001, id="mc_theorem1-many"),
+        pytest.param(oracle.mc_theorem1, (4, 2, (-BIG,), 1000, 0), "r=", 5001, id="mc_theorem1-r"),
     ],
 )
 def test_a_refusal_names_an_over_long_number_by_its_digit_count(call, args, names, digits):

@@ -1,6 +1,7 @@
 """Weight-lattice combinatorics: dominance order, heights, windows, radius."""
 
 import random
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -107,6 +108,49 @@ def test_height_requires_matching_sums():
         height_down(Weight((3, 0)), Weight((2, 0)))
     with pytest.raises(ValueError):
         height_up(Weight((3, 0)), Weight((2, 0)))
+
+
+def _reference_height(ref, w, diff):
+    """A height as computed before heights were read from the entry
+    tuples: the Weight diff(ref, w) and the prefix sums of its entries."""
+    if ref.dim != w.dim:
+        raise ValueError(f"dimension mismatch: {ref.dim} vs {w.dim}")
+    if ref.total != w.total:
+        raise ValueError(f"no root decomposition: coordinate sums differ ({ref.total} vs {w.total})")
+    coeffs = tuple(accumulate(diff(ref, w).entries[:-1]))
+    return HeightDecomposition(coeffs, max(abs(c) for c in coeffs))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_heights_equal_the_weight_difference_reference():
+    down, up = (lambda lam, w: lam - w), (lambda mu, w: w - mu.reversed())
+    checked = refused = 0
+    for d in (2, 3, 4):
+        ws = [w for n in range(7) for w in sym_weights(n, d)]
+        for a in ws:
+            for b in ws:
+                got = (_outcome(height_down, a, b), _outcome(height_up, a, b))
+                want = (_outcome(_reference_height, a, b, down), _outcome(_reference_height, a, b, up))
+                assert got == want, (a, b)
+                if isinstance(got[0], str):
+                    refused += 1
+                else:
+                    assert type(got[0].coefficients) is type(got[1].coefficients) is tuple
+                    checked += 1
+    # every pair of one coordinate sum decomposes, every other pair is refused
+    assert checked == sum(comb(n + d - 1, n) ** 2 for n in range(7) for d in (2, 3, 4)) == 13670
+    assert checked + refused == sum(comb(6 + d, d) ** 2 for d in (2, 3, 4))
+    for fn in (height_down, height_up):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
+            fn(Weight((1, 0)), Weight((1, 0, 0)))
+        with pytest.raises(ValueError, match=r"^no root decomposition: coordinate sums differ \(3 vs 2\)$"):
+            fn(Weight((3, 0)), Weight((2, 0)))
 
 
 def test_height_decomposition_validation():
