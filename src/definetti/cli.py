@@ -18,7 +18,7 @@ from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import partial
 
-from .report import _number
+from .report import _number, _shown
 
 # heisenberg, symmetric and weights are imported where they are used, so
 # a process that computes a coupling-window figure never loads them
@@ -83,15 +83,6 @@ def _parse_params(tokens: list[str], parsers: dict, optional: tuple[str, ...] = 
     return parsed | {key: params[key] for key in optional if key in params}
 
 
-# a diagnostic echoes at most 40 characters of a token, so that it stays
-# one short line: a longer token is cut to its first 32
-def _shown(token: str) -> str:
-    """repr(token), cut when it is long."""
-    if len(token) <= 40:
-        return repr(token)
-    return f"{token[:32]!r}... ({len(token)} characters)"
-
-
 def _typed(s: str) -> str:
     """s as typed, without surrounding space, cut when it is long."""
     s = s.strip()
@@ -123,6 +114,22 @@ def _int(s: str, key: str, limit: int | None = None) -> int:
         ) from None
     if limit is not None and value > limit:
         raise ValueError(f"need {key} <= {limit}, got {_number(value)}")
+    return value
+
+
+def _option_int(s: str) -> int:
+    """An argparse type that names an over-long integer as _int does."""
+    try:
+        return _int(s, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _figure_id(s: str) -> int:
+    """1, 2 or 3; argparse's choice check would echo a long integer whole."""
+    value = _option_int(s)
+    if value not in (1, 2, 3):
+        raise argparse.ArgumentTypeError(f"invalid choice: {_number(value)} (choose from 1, 2, 3)")
     return value
 
 
@@ -513,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("params", nargs="*", metavar="key=value")
 
     p_figure = sub.add_parser("figure", help="emit the CSV grid behind one of the three figures")
-    p_figure.add_argument("figure_id", type=int, choices=(1, 2, 3), metavar="{1,2,3}")
+    p_figure.add_argument("figure_id", type=_figure_id, metavar="{1,2,3}")
     p_figure.add_argument("--out", help="write CSV here instead of stdout")
     p_figure.add_argument("--j1", help="left angular momentum (default 100)")
     p_figure.add_argument("--j2", help="right angular momentum (default 100)")
@@ -526,12 +533,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run oracle and property suites")
     p_verify.add_argument("suite", choices=("weights", "cg", "symmetric", "heisenberg", "mc", "all"))
-    p_verify.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p_verify.add_argument("--seed", type=_option_int, default=0, help="RNG seed (default 0)")
     p_verify.add_argument(
         "--tol", type=float, default=1e-10, help="oracle tolerance, finite and positive (default 1e-10)"
     )
     p_verify.add_argument(
-        "--samples", type=int, default=10**4, help="Monte Carlo sample count, 10^3 to 10^7 (default 10^4)"
+        "--samples",
+        type=_option_int,
+        default=10**4,
+        help="Monte Carlo sample count, 10^3 to 10^7 (default 10^4)",
     )
     return parser
 

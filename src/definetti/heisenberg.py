@@ -109,19 +109,7 @@ def alpha_weight_tail_bound(D: int, start: int, mu, nu) -> float:
     return a / (1 - rho)
 
 
-_EXACT_TYPES = (int, Fraction)
-
-
 def _check_weights(mu, nu) -> None:
-    # an int or Fraction is positive when its numerator is; this reads it
-    # without the numbers-ABC check that comparing a Fraction makes
-    if (
-        mu.__class__ in _EXACT_TYPES
-        and nu.__class__ in _EXACT_TYPES
-        and mu.numerator > 0
-        and nu.numerator > 0
-    ):
-        return
     if not mu > 0 or not nu > 0:
         raise ValueError(f"mode weights must be positive, got mu={_number(mu)}, nu={_number(nu)}")
     if not _exact_pair(mu, nu) and inf in (mu, nu):
@@ -129,7 +117,7 @@ def _check_weights(mu, nu) -> None:
 
 
 def _exact_pair(mu, nu) -> bool:
-    return isinstance(mu, _EXACT_TYPES) and isinstance(nu, _EXACT_TYPES)
+    return isinstance(mu, (int, Fraction)) and isinstance(nu, (int, Fraction))
 
 
 def _coprime(mu, nu) -> tuple[int, int]:

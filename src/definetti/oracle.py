@@ -7,9 +7,9 @@ product basis, with one square root taken per entry at the end),
 oscillator overlaps from truncated Fock matrices, and the reconstruction
 theorem itself gets a Monte Carlo end-to-end inequality check.
 
-The symmetric basis sorts all d^n product indices into their type
-classes in one numpy pass, by the sorted digits of each index, with no
-per-class enumeration.
+The symmetric basis has one builder, _sym_basis_matrix: one numpy pass
+sorts the d^n product indices into their type classes by their sorted
+digits, after its size guard, the only one, has run.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from .exact import ExactReal
 from .report import _Frozen, _number, _slot_setters
 from .su2_cg import _check_triple, as_twoj
 from .symmetric import SymTriple, dim_sym, epsilon
-from .weights import Weight, sym_weights, type_class_size
+from .weights import Weight, sym_weights
 
 __all__ = [
     "McReport",
-    "sym_basis_vector",
     "brute_delta_symmetric",
     "trace_distance",
     "cg_oracle",
@@ -76,28 +75,11 @@ def _class_keys(n: int, d: int) -> np.ndarray:
     for site in range(n - 1, -1, -1):
         rest, digits[:, site] = np.divmod(rest, d)
     digits.sort(axis=1)
-    return _base_d(digits, d)
-
-
-def _base_d(digits: np.ndarray, d: int) -> np.ndarray:
-    """Each row of base-d digits, most significant first, as a number."""
-    keys = np.zeros(digits.shape[:-1], dtype=np.int64)
-    for site in range(digits.shape[-1]):
+    keys = np.zeros(d**n, dtype=np.int64)
+    for site in range(n):
         keys *= d
-        keys += digits[..., site]
+        keys += digits[:, site]
     return keys
-
-
-def sym_basis_vector(w: Weight) -> np.ndarray:
-    """Normalized uniform superposition over the type class of w."""
-    n, d = w.total, w.dim
-    if d**n > SYM_SIZE_GUARD:
-        raise ValueError(f"size guard exceeded: {d}^{n} > {SYM_SIZE_GUARD}")
-    size = type_class_size(w)  # refuses a negative entry
-    key = _base_d(np.repeat(np.arange(d), w.entries), d)  # the class's sorted digits
-    vec = np.zeros(d**n)
-    vec[_class_keys(n, d) == key] = 1.0 / sqrt(size)
-    return vec
 
 
 @lru_cache(maxsize=32)
@@ -105,9 +87,11 @@ def _sym_basis_matrix(n: int, d: int) -> tuple[tuple[Weight, ...], np.ndarray]:
     """The weights of Sym^n(C^d) in descending lexicographic order, and a
     read-only matrix whose columns are their orthonormal vectors, from
     one sort of the product indices into their type classes."""
+    # for d >= 2, n > 19 already exceeds 10^6 (2^20 > 10^6), so d is never
+    # raised to a huge n; d < 2 and n < 0 are left to sym_weights to refuse
+    if d > 1 and (n > 19 or d**n > SYM_SIZE_GUARD):
+        raise ValueError(f"size guard exceeded: {_number(d)}^{_number(n)} > {SYM_SIZE_GUARD}")
     ws = tuple(sym_weights(n, d))
-    if d**n > SYM_SIZE_GUARD:
-        raise ValueError(f"size guard exceeded: {d}^{n} > {SYM_SIZE_GUARD}")
     _, cols, sizes = np.unique(_class_keys(n, d), return_inverse=True, return_counts=True)
     mat = np.zeros((d**n, len(ws)))
     mat[np.arange(d**n), cols] = (1.0 / np.sqrt(sizes))[cols]
@@ -130,12 +114,11 @@ def brute_delta_symmetric(t: SymTriple) -> float:
     w_1 >= k - r, and psi the n-k aligned reference sites.
     """
     n, k, d, r = t.n, t.k, t.d, t.r
-    if d**n > SYM_SIZE_GUARD:
-        raise ValueError(f"size guard exceeded: {d}^{n} > {SYM_SIZE_GUARD}")
+    rows = _aligned_rows(n, k, d)  # first: its guard refuses before a k-site basis is built
     ws_k, mat_k = _sym_basis_matrix(k, d)
     keep = [i for i, w in enumerate(ws_k) if w[0] >= k - r]
     x_mat = mat_k[:, keep]
-    total = float(((x_mat.T @ _aligned_rows(n, k, d)) ** 2).sum())
+    total = float(((x_mat.T @ rows) ** 2).sum())
     return dim_sym(n - k, d) / dim_sym(n, d) * total
 
 

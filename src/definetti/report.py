@@ -40,6 +40,15 @@ def _number(x, show=str) -> str:
     return f"a {'negative ' if x < 0 else ''}{digits}-digit integer"
 
 
+# a diagnostic echoes at most 40 characters of a token, so that it stays
+# one short line: a longer str is cut to its first 32
+def _shown(token) -> str:
+    """repr(token), cut when it is a long str."""
+    if not isinstance(token, str) or len(token) <= 40:
+        return repr(token)
+    return f"{token[:32]!r}... ({len(token)} characters)"
+
+
 def _sqrt_float(num: int, den: int) -> float:
     """sqrt(num/den) as a float for integers num >= 0 and den > 0, rounded
     only at the end, with no gcd.

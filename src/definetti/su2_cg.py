@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd, isfinite
 
 from .exact import ExactReal
-from .report import DeltaReport, _Frozen, _number
+from .report import DeltaReport, _Frozen, _number, _shown
 
 __all__ = ["TwoJ", "as_twoj", "cg", "delta_su2"]
 
@@ -246,7 +246,7 @@ def delta_su2(j1, j2, j, m2, r: int, direction: str = "down") -> DeltaReport:
     if not isinstance(r, int) or r < 0:
         raise ValueError(f"need an integer radius r >= 0, got {_number(r, repr)}")
     if direction not in ("down", "up"):
-        raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
+        raise ValueError(f"direction must be 'down' or 'up', got {_shown(direction)}")
     count = min(r, tj1) + 1  # beyond i = 2j1 the window has no more terms
     memo = _window_column(tj1, tj2, tj, tm2, direction)
     start, total, scale = memo if memo[0] <= count else (0, Fraction(0), memo[2])

@@ -17,7 +17,7 @@ from itertools import accumulate
 from math import factorial
 from operator import sub
 
-from .report import _Frozen, _number, _slot_setters
+from .report import _Frozen, _number, _shown, _slot_setters
 
 __all__ = [
     "Weight",
@@ -247,7 +247,7 @@ def w_r_set(n: int, d: int, r: int, direction: str = "down") -> list[Weight]:
         return [w for w in ws if w[0] >= n - r]
     if direction == "up":
         return [w for w in ws if w[-1] >= n - r]
-    raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
+    raise ValueError(f"direction must be 'down' or 'up', got {_shown(direction)}")
 
 
 def type_class_size(w: Weight) -> int:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from definetti import cli, heisenberg, su2_cg, symmetric, verify
+from definetti import cli, heisenberg, su2_cg, symmetric, verify, weights
 from definetti.cli import FigureSpec, figure_spec, figure_values, main
 from definetti.su2_cg import TwoJ
 
@@ -305,6 +305,38 @@ def test_over_long_integers_are_named_by_their_digit_count(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.count("\n") == 1, argv
         assert len(err) < 200 and err.endswith(f": {message}\n"), err
+    # argparse's integer arguments, which it used to echo whole after its
+    # usage lines (5,204 to 5,298 bytes)
+    over = "value has 5000 digits, more than the interpreter converts (4300)"
+    for argv, message in (
+        (["verify", "all", "--seed", "7" * 5000], f"argument --seed: {over}"),
+        (["verify", "all", "--samples", "7" * 5000], f"argument --samples: {over}"),
+        (["figure", "7" * 5000], f"argument {{1,2,3}}: {over}"),
+        # argparse's choice check echoed a convertible integer whole too
+        (["figure", "7" * 4000], "argument {1,2,3}: invalid choice: a 4000-digit integer (choose from 1, 2, 3)"),
+        (["figure", "-" + "7" * 4000],
+         "argument {1,2,3}: invalid choice: a negative 4000-digit integer (choose from 1, 2, 3)"),
+        (["figure", "5"], "argument {1,2,3}: invalid choice: 5 (choose from 1, 2, 3)"),
+        (["verify", "all", "--seed", "x"], "argument --seed: value must be an integer, got 'x'"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and len(err) < 400, argv
+        assert err.endswith(f": error: {message}\n"), err
+
+
+def test_a_long_direction_is_cut(capsys):
+    # the whole token was echoed, a 370-byte line for 300 characters
+    argv = ["compute", "su2-delta", "j1=1", "j2=1", "j=1", "m2=0", "r=0"]
+    long = "x" * 300
+    code, out, err = run(capsys, *argv, f"direction={long}")
+    assert (code, out) == (2, "")
+    cut = f"{long[:32]!r}... (300 characters)"
+    assert err == f"definetti compute su2-delta: direction must be 'down' or 'up', got {cut}\n"
+    code, out, err = run(capsys, *argv, "direction=sideways")
+    assert (code, out) == (2, "")
+    assert err == "definetti compute su2-delta: direction must be 'down' or 'up', got 'sideways'\n"
+    with pytest.raises(ValueError, match=r"\(300 characters\)$"):
+        weights.w_r_set(3, 2, 1, long)
 
 
 def test_int_names_an_over_limit_value_by_its_digit_count(capsys):

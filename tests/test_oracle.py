@@ -1,9 +1,13 @@
 """Dense numerical oracles: projectors, coupling tables, oscillators, Monte Carlo."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,12 +25,13 @@ from definetti.oracle import (
     pair_annihilate,
     pair_tower,
     pair_vacuum,
-    sym_basis_vector,
     trace_distance,
 )
 from definetti.su2_cg import TwoJ, _racah_parts, _triangle
 from definetti.symmetric import SymTriple, dim_sym, epsilon
 from definetti.weights import Weight, sym_weights
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_trace_distance():
@@ -43,9 +48,7 @@ def test_sym_basis_orthonormal():
         ws, mat = oracle._sym_basis_matrix(n, d)
         assert len(ws) == mat.shape[1] == dim_sym(n, d)
         assert np.abs(mat.T @ mat - np.eye(len(ws))).max() < 1e-12
-        for w, vec in zip(ws, mat.T):
-            assert w.total == n and w.dim == d
-            assert np.array_equal(vec, sym_basis_vector(w))
+        assert all(w.total == n and w.dim == d for w in ws)
 
 
 def _class_indices(w):
@@ -82,10 +85,6 @@ def test_sym_basis_equals_its_per_class_reference():
         assert not mat.flags.writeable
         want = np.column_stack([_reference_vector(w) for w in ws])
         assert np.array_equal(mat, want), (n, d)
-        for w, column in zip(ws, want.T):
-            assert np.array_equal(sym_basis_vector(w), column), w
-    with pytest.raises(ValueError, match="nonnegative"):
-        sym_basis_vector(Weight((3, -1)))
 
 
 def test_brute_delta_matches_formula():
@@ -93,6 +92,86 @@ def test_brute_delta_matches_formula():
     assert brute_delta_symmetric(t) == pytest.approx(0.6, abs=1e-12)
     with pytest.raises(ValueError):
         brute_delta_symmetric(SymTriple(21, 1, 2, 0))
+
+
+def _in_child(code: str) -> str:
+    """stdout of code run in a fresh interpreter, which is killed, failing
+    the test, if it has not finished within 10 s: a call that hangs
+    instead of refusing cannot hang the suite."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10, check=True
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("no result within 10 s")
+    return out.stdout
+
+
+def test_sym_basis_guard_runs_before_any_enumeration(monkeypatch):
+    class Enumerated(Exception):
+        pass
+
+    def enumerated(n, d):
+        raise Enumerated
+
+    # each (n, d) past the guard is refused before sym_weights runs, and
+    # each other reaches it: the refused inputs are exactly d^n > 10^6
+    monkeypatch.setattr(oracle, "sym_weights", enumerated)
+    oracle._sym_basis_matrix.cache_clear()
+    for n in range(-1, 26):
+        for d in range(-1, 13):
+            if d >= 2 and d**n > oracle.SYM_SIZE_GUARD:
+                with pytest.raises(ValueError, match=rf"^size guard exceeded: {d}\^{n} > 1000000$"):
+                    oracle._sym_basis_matrix(n, d)
+            else:
+                with pytest.raises(Enumerated):
+                    oracle._sym_basis_matrix(n, d)
+    # 10^7 weights to enumerate first, which took longer than 8 s
+    with pytest.raises(ValueError, match=r"^size guard exceeded: 2\^10000000 > 1000000$"):
+        oracle._sym_basis_matrix(10**7, 2)
+
+
+def test_huge_symmetric_inputs_are_refused_at_once():
+    # each raised d to n before it compared, and never returned
+    code = """
+import time
+from definetti import oracle
+from definetti.symmetric import SymTriple
+for call in (
+    lambda: oracle.brute_delta_symmetric(SymTriple(10**20, 1, 2, 0)),
+    lambda: oracle._sym_basis_matrix(10**5000, 3),
+):
+    start = time.perf_counter()
+    try:
+        call()
+    except ValueError as exc:
+        print(f"{time.perf_counter() - start:.6f} {exc}")
+"""
+    lines = _in_child(code).splitlines()
+    assert [line.split(" ", 1)[1] for line in lines] == [
+        f"size guard exceeded: 2^{10**20} > 1000000",
+        "size guard exceeded: 3^a 5001-digit integer > 1000000",
+    ]
+    assert all(float(line.split(" ", 1)[0]) < 0.1 for line in lines), lines
+
+
+def test_brute_delta_builds_no_k_site_basis_before_it_refuses(monkeypatch):
+    calls = []
+    build = oracle._sym_basis_matrix
+
+    def recorded(n, d):
+        calls.append((n, d))
+        return build(n, d)
+
+    monkeypatch.setattr(oracle, "_sym_basis_matrix", recorded)
+    with pytest.raises(ValueError, match=r"^size guard exceeded: 2\^21 > 1000000$"):
+        brute_delta_symmetric(SymTriple(21, 1, 2, 0))
+    assert calls == [(21, 2)]
+    calls.clear()
+    assert brute_delta_symmetric(SymTriple(4, 2, 2, 0)) == pytest.approx(0.6, abs=1e-12)
+    assert calls == [(4, 2), (2, 2)]
 
 
 def test_cg_oracle_matches_closed_form():
@@ -263,12 +342,8 @@ def test_fock_oracle_builds_one_tower_per_offset(monkeypatch):
     assert calls == 6 * 4  # one per (mu, nu, Delta), not one per radius
 
 
-def test_single_weight_overlap_builds_each_weight_vector_once(monkeypatch):
-    def unused(w):
-        raise AssertionError("a weight vector built on its own")
-
+def test_single_weight_overlap_builds_each_weight_vector_once():
     # the weight vectors are the columns of the basis matrices
-    monkeypatch.setattr(oracle, "sym_basis_vector", unused)
     oracle._sym_basis_matrix.cache_clear()
     assert verify.single_weight_overlap(7, 3) == "434 projector traces match term_overlap"
     # one build per (k, d), k <= 7, d = 2, 3, which the n-site contractions reuse
