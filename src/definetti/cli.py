@@ -133,6 +133,28 @@ def _figure_id(s: str) -> int:
     return value
 
 
+def _choice(*names: str):
+    """An argparse type for one of names, whose refusal cuts a long token
+    as _shown does; argparse's own choice check would echo it whole.  The
+    parser keeps its choices for the usage line, and they see only names."""
+
+    def choice(s: str) -> str:
+        if s not in names:
+            shown = ", ".join(map(repr, names))
+            raise argparse.ArgumentTypeError(f"invalid choice: {_shown(s)} (choose from {shown})")
+        return s
+
+    return choice
+
+
+def _option_float(s: str) -> float:
+    """float(s), refused as argparse's float type is but with a long token cut."""
+    try:
+        return float(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {_shown(s)}") from None
+
+
 # a decimal with an exponent as Fraction reads it: sign, digits with single
 # underscores between them, an optional fraction part, e or E, and spaces
 # around the whole
@@ -516,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="evaluate one closed form from key=value parameters")
-    p_compute.add_argument("subcommand", choices=sorted(COMPUTE_FNS))
+    compute_names = sorted(COMPUTE_FNS)
+    p_compute.add_argument("subcommand", type=_choice(*compute_names), choices=compute_names)
     p_compute.add_argument("params", nargs="*", metavar="key=value")
 
     p_figure = sub.add_parser("figure", help="emit the CSV grid behind one of the three figures")
@@ -532,10 +555,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_figure.add_argument("--delta-max", help="largest embedding offset (figure 3, default 10)")
 
     p_verify = sub.add_parser("verify", help="run oracle and property suites")
-    p_verify.add_argument("suite", choices=("weights", "cg", "symmetric", "heisenberg", "mc", "all"))
+    suites = ("weights", "cg", "symmetric", "heisenberg", "mc", "all")
+    p_verify.add_argument("suite", type=_choice(*suites), choices=suites)
     p_verify.add_argument("--seed", type=_option_int, default=0, help="RNG seed (default 0)")
     p_verify.add_argument(
-        "--tol", type=float, default=1e-10, help="oracle tolerance, finite and positive (default 1e-10)"
+        "--tol", type=_option_float, default=1e-10, help="oracle tolerance, finite and positive (default 1e-10)"
     )
     p_verify.add_argument(
         "--samples",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, gcd, sqrt
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -43,9 +43,13 @@ __all__ = [
 ]
 
 SYM_SIZE_GUARD = 10**6
+# cells of the dense d^n x dim_sym(n, d) basis matrix (160 MB of float64):
+# past every d = 2 basis that SYM_SIZE_GUARD admits, 2^19 x 20 cells, and
+# every basis the checks build, at most 5^5 x 126
+SYM_CELL_GUARD = 2 * 10**7
 CG_TABLE_GUARD = 24  # doubled angular momentum
-# Monte Carlo samples per mc_theorem1 call; the mc suite makes two such
-# calls and took 1.7 s at 10^6 and 18 s at 10^7 samples on a 2-vCPU VM
+# Monte Carlo samples per mc_theorem1 call; the mc suite's two checks read
+# one call, and took 1.5 s at 10^6 and 11 s at 10^7 samples on a 2-vCPU VM
 MC_SAMPLES_MIN = 10**3
 MC_SAMPLES_GUARD = 10**7
 
@@ -91,6 +95,10 @@ def _sym_basis_matrix(n: int, d: int) -> tuple[tuple[Weight, ...], np.ndarray]:
     # raised to a huge n; d < 2 and n < 0 are left to sym_weights to refuse
     if d > 1 and (n > 19 or d**n > SYM_SIZE_GUARD):
         raise ValueError(f"size guard exceeded: {_number(d)}^{_number(n)} > {SYM_SIZE_GUARD}")
+    if d > 1 and n >= 0:
+        cols = comb(n + d - 1, n)  # dim_sym(n, d), at most the d^n <= 10^6 rows
+        if d**n * cols > SYM_CELL_GUARD:
+            raise ValueError(f"size guard exceeded: {d}^{n} x {cols} basis matrix cells > {SYM_CELL_GUARD}")
     ws = tuple(sym_weights(n, d))
     _, cols, sizes = np.unique(_class_keys(n, d), return_inverse=True, return_counts=True)
     mat = np.zeros((d**n, len(ws)))
@@ -126,21 +134,15 @@ def brute_delta_symmetric(t: SymTriple) -> float:
 # coupling coefficients by ladder synthesis
 
 
-def _span(tj1: int, tj2: int, tm: int) -> range:
-    """The indices j1 - m1 of the m-slice, those with |m - m1| <= j2."""
-    k = (tj1 + tj2 - tm) // 2  # j2 - m2 at index 0
-    return range(max(0, k - tj2), min(tj1, k) + 1)
-
-
 def _slice_weights(tj1: int, tj2: int, tm: int) -> list[int]:
     """Integer inner-product weights W = C(2j1, j1-m1) C(2j2, j2-m2) of the
     m-slice, indexed by j1 - m1, and 0 off the slice.  W F = (2j1)! (2j2)!
     for the rescaling F of a product state, so W is 1/F up to a constant.
     """
-    k = (tj1 + tj2 - tm) // 2
-    span = _span(tj1, tj2, tm)
+    k = (tj1 + tj2 - tm) // 2  # j2 - m2 at index 0
+    lo, hi = max(0, k - tj2), min(tj1, k)
     out = [0] * (tj1 + 1)
-    out[span.start : span.stop] = [comb(tj1, i) * comb(tj2, k - i) for i in span]
+    out[lo : hi + 1] = [comb(tj1, i) * comb(tj2, k - i) for i in range(lo, hi + 1)]
     return out
 
 
@@ -152,21 +154,6 @@ def _reduced(v: list[int]) -> list[int]:
     """v divided by the gcd of its entries (direction and sign kept)."""
     g = gcd(*v)
     return [x // g for x in v] if g > 1 else v
-
-
-def _lower(v: list[int], tj1: int, tj2: int, tm: int) -> list[int]:
-    """Apply the total lowering operator to a rescaled state at m.
-
-    On the coordinates a = c sqrt(F), J- takes (m1, m2) to (m1-1, m2)
-    with coefficient j1-m1+1 and to (m1, m2-1) with coefficient j2-m2+1.
-    At index i = j1 - m1 of the slice m-1 these are i and k - i, with
-    k = j1 + j2 - m + 1; the first is 0 at i = 0, where v[i - 1] wraps.
-    """
-    k = (tj1 + tj2 - tm) // 2 + 1
-    span = _span(tj1, tj2, tm - 2)
-    out = [0] * (tj1 + 1)
-    out[span.start : span.stop] = [v[i] * (k - i) + v[i - 1] * i for i in span]
-    return _reduced(out)
 
 
 def cg_oracle(j1, j2) -> dict[tuple[int, int, int], ExactReal]:
@@ -185,10 +172,12 @@ def cg_oracle(j1, j2) -> dict[tuple[int, int, int], ExactReal]:
     C(2j2, j2-m2) = (2j1)! (2j2)! / F.  Gram-Schmidt becomes
     v <- <u,u>_W v - <v,u>_W u, and every state is kept divided by the
     gcd of its entries; positive scalings drop out because only
-    directions and signs matter.  One walk down the m-slices lowers every
-    block, seeds the block j = m and forms the slice's entries as
-    sign(a) sqrt(a^2 W / sum a^2 W), reduced by one gcd, with nothing
-    factored; entries compare with `cg` as (sign, radicand).
+    directions and signs matter.  A state at m is kept only over its
+    slice's span, the indices j1 - m1 with |m - m1| <= j2.  One walk
+    down the m-slices lowers every block, seeds the block j = m and
+    forms the slice's entries as sign(a) sqrt(a^2 W / sum a^2 W),
+    reduced by one gcd, with nothing factored; entries compare with
+    `cg` as (sign, radicand).
 
     The synthesis is exact throughout: a floating version of the same
     ladder is numerically unstable, because any contamination of a low-j
@@ -204,16 +193,34 @@ def cg_oracle(j1, j2) -> dict[tuple[int, int, int], ExactReal]:
             f"size guard exceeded: 2*j = {max(tj1, tj2)} > {CG_TABLE_GUARD}"
         )
     tj_top = tj1 + tj2
-    blocks: list[tuple[int, list[int]]] = []  # (2j, rescaled state) of each block at m
+    blocks: list[tuple[int, list[int]]] = []  # (2j, rescaled state over the span) of each block at m
     table: dict[tuple[int, int, int], ExactReal] = {}
     raw = ExactReal._raw
+    lo = 0
     for tm in range(tj_top, -tj_top - 2, -2):
-        w = _slice_weights(tj1, tj2, tm)
-        blocks = [(tj, _lower(v, tj1, tj2, tm + 2)) for tj, v in blocks if tj >= -tm]
+        k = (tj_top - tm) // 2  # j2 - m2 at index 0
+        shift = max(0, k - tj2) - lo  # the span's start moves by 0 or 1
+        lo, hi = lo + shift, min(tj1, k)
+        span = range(lo, hi + 1)
+        w = _slice_weights(tj1, tj2, tm)[lo : hi + 1]
+        # lowering from m+1: J- takes (m1, m2) to (m1-1, m2) with factor
+        # j1-m1+1 and to (m1, m2-1) with j2-m2+1, on the rescaled
+        # coordinates; at index i of this slice these are i and k - i, and
+        # the previous state, padded with one 0 at each end, is read at i
+        # and i - 1 (each 0 meets a zero factor or falls off the span)
+        down = range(k - lo, k - hi - 1, -1)  # k - i over the span
+        lowered = []
+        for tj, v in blocks:
+            if tj < -tm:
+                break  # blocks run down in j: this one and the rest end above m
+            ext = [0, *v, 0]
+            out = map(add, map(mul, ext[shift + 1 :], down), map(mul, ext[shift:], span))
+            lowered.append((tj, _reduced(list(out))))
+        blocks = lowered
         norms = [_wdot(u, u, w) for _, u in blocks]
         if tm >= abs(tj1 - tj2):
-            v = [0] * (tj1 + 1)
-            v[0] = 1  # seed at m1 = j1, m2 = m - j1
+            v = [0] * len(span)
+            v[0] = 1  # seed at m1 = j1 (lo = 0 here), m2 = m - j1
             for (_, u), uu in zip(blocks, norms):
                 vu = _wdot(v, u, w)
                 if vu:
@@ -224,10 +231,9 @@ def cg_oracle(j1, j2) -> dict[tuple[int, int, int], ExactReal]:
             norms.append(_wdot(v, v, w))
         # each entry is sign(a) sqrt(a^2 W / norm2) in lowest terms, (0, 0, 1)
         # at a = 0; built unvalidated, as it is canonical by construction
-        span = _span(tj1, tj2, tm)
-        entries = [(tj1 - 2 * i, w[i]) for i in span]
+        tm1s = range(tj1 - 2 * lo, tj1 - 2 * hi - 2, -2)
         for (tj, v), norm2 in zip(blocks, norms):
-            for (tm1, wi), a in zip(entries, v[span.start : span.stop]):
+            for tm1, wi, a in zip(tm1s, w, v):
                 num = a * a * wi
                 g = gcd(num, norm2)
                 table[tj, tm, tm1] = raw((a > 0) - (a < 0), num // g, norm2 // g)
@@ -395,8 +401,12 @@ def _matrix_power(gs: np.ndarray, p: int) -> np.ndarray:
 
 _MC_BATCH = 4096
 
+# the arguments and reports of the last mc_theorem1 call, at most one entry:
+# the two mc checks of verify read one run.  Module state, not thread-safe.
+_mc_memo: dict[tuple, tuple[McReport, ...]] = {}
 
-def mc_theorem1(n: int, k: int, rs: tuple[int, ...], n_samples: int, seed: int) -> list[McReport]:
+
+def mc_theorem1(n: int, k: int, rs: tuple[int, ...], n_samples: int, seed: int) -> tuple[McReport, ...]:
     """Monte Carlo check that the projected rotated-product mixture
     reconstructs the reduced state within 2(1-delta), one report per r in rs.
 
@@ -405,7 +415,8 @@ def mc_theorem1(n: int, k: int, rs: tuple[int, ...], n_samples: int, seed: int) 
     (which must converge to the reduced state) and, per r, the mixture
     projected onto rotated radius-r weight windows (which must stay within
     the bound plus Monte Carlo noise, five standard errors by default).
-    All radii share the state and the samples.
+    All radii share the state and the samples.  A call with the arguments
+    of the last one returns its reports again, without sampling.
     """
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={_number(k)}, n={_number(n)}")
@@ -418,6 +429,9 @@ def mc_theorem1(n: int, k: int, rs: tuple[int, ...], n_samples: int, seed: int) 
     for r in rs:
         if not 0 <= r <= k:
             raise ValueError(f"need 0 <= r <= k, got r={_number(r)}")
+    key = (n, k, tuple(rs), n_samples, seed)
+    if key in _mc_memo:
+        return _mc_memo[key]
     d = 2
     dim_b = d ** (n - k)
     d_formal = dim_sym(n - k, d)
@@ -475,4 +489,6 @@ def mc_theorem1(n: int, k: int, rs: tuple[int, ...], n_samples: int, seed: int) 
         se = 0.5 * sqrt((k + 1) * float(var.sum()) / n_samples)
         lhs, bound = trace_distance(rho_k, y_bar), float(epsilon(SymTriple(n, k, 2, r)))
         reports.append(McReport(n, k, r, n_samples, seed, lhs, bound, identity_residual, 5.0 * se))
+    _mc_memo.clear()
+    _mc_memo[key] = reports = tuple(reports)
     return reports

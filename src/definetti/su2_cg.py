@@ -32,6 +32,10 @@ __all__ = ["TwoJ", "as_twoj", "cg", "delta_su2"]
 # unused by the package; kept because perfbench/tracer.py reads its cache_info()
 _fact = lru_cache(maxsize=None)(factorial)
 
+# bound once for _cg_doubled: the attribute lookup cost a few percent of a
+# small coefficient
+_raw = ExactReal._raw
+
 
 # TwoJ(d) for a plain int |d| <= TWOJ_INTERN_BOUND is one shared instance,
 # made on first use, so importing builds none.  The bound is past every 2j
@@ -57,9 +61,10 @@ class TwoJ(_Frozen):
         # 2.0 == 2 would find TwoJ(1) and TwoJ(2)
         plain = doubled.__class__ is int and cls is TwoJ
         if plain:
-            self = _interned.get(doubled)
-            if self is not None:
-                return self
+            try:
+                return _interned[doubled]
+            except KeyError:
+                pass
         elif not isinstance(doubled, int) or isinstance(doubled, bool):
             raise TypeError(f"doubled value must be an integer, got {doubled!r}")
         self = object.__new__(cls)
@@ -210,7 +215,7 @@ def _cg_doubled(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> Exa
     # are valid by construction, so they are reduced here, not by from_square
     num, den = s * s * t_num, m_den * t_den
     g = gcd(num, den)
-    return ExactReal._raw(1 if s > 0 else -1, num // g, den // g)
+    return _raw(1 if s > 0 else -1, num // g, den // g)
 
 
 @lru_cache(maxsize=2)

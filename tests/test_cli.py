@@ -322,6 +322,23 @@ def test_over_long_integers_are_named_by_their_digit_count(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and len(err) < 400, argv
         assert err.endswith(f": error: {message}\n"), err
+    # argparse's choice and float checks echoed a whole token: 430, 503 and
+    # 366-byte error lines for these; short tokens read as argparse put them
+    long, digits = "x" * 300, "x" + "9" * 300
+    suites = "'weights', 'cg', 'symmetric', 'heisenberg', 'mc', 'all'"
+    closed_forms = ", ".join(map(repr, sorted(cli.COMPUTE_FNS)))
+    for argv, message in (
+        (["verify", long], f"argument suite: invalid choice: {long[:32]!r}... (300 characters) (choose from {suites})"),
+        (["verify", "bogus"], f"argument suite: invalid choice: 'bogus' (choose from {suites})"),
+        (["compute", long],
+         f"argument subcommand: invalid choice: {long[:32]!r}... (300 characters) (choose from {closed_forms})"),
+        (["compute", "bogus"], f"argument subcommand: invalid choice: 'bogus' (choose from {closed_forms})"),
+        (["verify", "all", "--tol", digits], f"argument --tol: invalid float value: {digits[:32]!r}... (301 characters)"),
+        (["verify", "all", "--tol", "x"], "argument --tol: invalid float value: 'x'"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.endswith(f": error: {message}\n") and len(err.splitlines()[-1]) < 300, err
 
 
 def test_a_long_direction_is_cut(capsys):

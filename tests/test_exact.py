@@ -1,6 +1,7 @@
 """Exact radical arithmetic: square splitting, ExactReal, RadicalSum."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -149,6 +150,24 @@ def test_exact_real_equality_and_hash():
     assert hash(ExactReal.sqrt(8)) == hash(two_r2)
     assert ExactReal.of(5) == Fraction(5)
     assert ExactReal.zero() == 0
+
+
+def test_exact_real_ne_is_not_eq_for_every_operand():
+    # __ne__ compares the stored triples directly; for any other operand it
+    # must still answer as not ==, and leave str to the other side
+    rng = random.Random(29)
+    values = [ExactReal.zero(), ExactReal.of(2), ExactReal.sqrt(2), -ExactReal.sqrt(Fraction(3, 7))]
+    for _ in range(40):
+        num, den = rng.randrange(0, 30), rng.randrange(1, 30)
+        values.append(ExactReal.from_square(rng.choice((-1, 1)) if num else 0, num, den))
+    others = values + [0, 2, -3, Fraction(1, 2), Fraction(-4, 9), 2.0, 0.5, float("nan"), "2", "x"]
+    for _ in range(2000):
+        x, y = rng.choice(values), rng.choice(others)
+        assert (x != y) is (not (x == y)), (x, y)
+        assert (y != x) is (not (y == x)), (y, x)
+    assert ExactReal.of(2).__ne__("2") is NotImplemented
+    assert ExactReal.of(2).__ne__(2.0) is NotImplemented
+    assert ExactReal.of(2).__ne__(2) is False and ExactReal.of(2).__ne__(Fraction(3)) is True
 
 
 def test_exact_real_multiplication():

@@ -117,7 +117,8 @@ def test_sym_basis_guard_runs_before_any_enumeration(monkeypatch):
         raise Enumerated
 
     # each (n, d) past the guard is refused before sym_weights runs, and
-    # each other reaches it: the refused inputs are exactly d^n > 10^6
+    # each other reaches it: the refused inputs are exactly d^n > 10^6 and,
+    # with n >= 0, d^n x dim_sym(n, d) > 2 * 10^7 basis matrix cells
     monkeypatch.setattr(oracle, "sym_weights", enumerated)
     oracle._sym_basis_matrix.cache_clear()
     for n in range(-1, 26):
@@ -125,12 +126,19 @@ def test_sym_basis_guard_runs_before_any_enumeration(monkeypatch):
             if d >= 2 and d**n > oracle.SYM_SIZE_GUARD:
                 with pytest.raises(ValueError, match=rf"^size guard exceeded: {d}\^{n} > 1000000$"):
                     oracle._sym_basis_matrix(n, d)
+            elif d >= 2 and n >= 0 and d**n * dim_sym(n, d) > oracle.SYM_CELL_GUARD:
+                cells = rf"{d}\^{n} x {dim_sym(n, d)} basis matrix cells"
+                with pytest.raises(ValueError, match=rf"^size guard exceeded: {cells} > 20000000$"):
+                    oracle._sym_basis_matrix(n, d)
             else:
                 with pytest.raises(Enumerated):
                     oracle._sym_basis_matrix(n, d)
     # 10^7 weights to enumerate first, which took longer than 8 s
     with pytest.raises(ValueError, match=r"^size guard exceeded: 2\^10000000 > 1000000$"):
         oracle._sym_basis_matrix(10**7, 2)
+    # 10^6 rows pass the row guard, but this asked numpy for a 37.3 GiB matrix
+    with pytest.raises(ValueError, match=r"^size guard exceeded: 10\^6 x 5005 basis matrix cells > 20000000$"):
+        brute_delta_symmetric(SymTriple(6, 1, 10, 0))
 
 
 def test_huge_symmetric_inputs_are_refused_at_once():
@@ -247,6 +255,35 @@ def test_slice_weights_are_binomial():
                         * factorial((tj2 - tm2) // 2)
                     )
                     assert wi * f == top, (tj1, tj2, tm, tm1)
+
+
+def test_cg_oracle_weighs_each_slice_once_over_its_span(monkeypatch):
+    # every state is kept over its m-slice's span only: each inner product
+    # of a slice pairs two states and the weights, all of the span's length,
+    # and every stored state enters its slice's norms
+    weights, wdot = oracle._slice_weights, oracle._wdot
+    slices, bad = [], []
+
+    def counted(tj1, tj2, tm):
+        slices.append((tj1, tj2, tm))
+        return weights(tj1, tj2, tm)
+
+    def checked(u, v, w):
+        tj1, tj2, tm = slices[-1]
+        span = sum(abs(tm - tj1 + 2 * i) <= tj2 for i in range(tj1 + 1))
+        if not len(u) == len(v) == len(w) == span:
+            bad.append((tj1, tj2, tm, len(u), len(v), len(w), span))
+        return wdot(u, v, w)
+
+    monkeypatch.setattr(oracle, "_slice_weights", counted)
+    monkeypatch.setattr(oracle, "_wdot", checked)
+    for tj1 in range(9):
+        for tj2 in range(9):
+            slices.clear()
+            cg_oracle(TwoJ(tj1), TwoJ(tj2))
+            tms = range(tj1 + tj2, -tj1 - tj2 - 2, -2)
+            assert slices == [(tj1, tj2, tm) for tm in tms], (tj1, tj2)
+    assert bad == []
 
 
 def test_cg_oracle_match_sees_a_dropped_binomial(monkeypatch):
@@ -380,7 +417,9 @@ def test_haar_su2():
 
 def test_mc_theorem1_runs_and_is_deterministic():
     (rep,) = mc_theorem1(4, 2, (1,), 10**3, 7)
+    oracle._mc_memo.clear()  # a second real run, not the memo's reports
     (rep2,) = mc_theorem1(4, 2, (1,), 10**3, 7)
+    assert rep2 is not rep
     assert rep.lhs_distance == rep2.lhs_distance
     assert rep.identity_residual == rep2.identity_residual
     assert rep.passed
@@ -459,7 +498,7 @@ def test_mc_theorem1_equals_its_single_radius_reference():
     for seed in (0, 7, 2**31 - 1):
         for n_samples in (1000, 4097):
             got = mc_theorem1(4, 2, (0, 1, 2), n_samples, seed)
-            want = [_mc_reference(4, 2, r, n_samples, seed) for r in (0, 1, 2)]
+            want = tuple(_mc_reference(4, 2, r, n_samples, seed) for r in (0, 1, 2))
             assert got == want, (seed, n_samples)
 
 
@@ -473,8 +512,20 @@ def test_mc_inequality_samples_once_for_all_radii(monkeypatch):
         return haar(*args)
 
     monkeypatch.setattr(oracle, "haar_su2", counted)
+    oracle._mc_memo.clear()
     verify.mc_inequality(0, 10**4)
     assert calls == 3  # the batches of 4096 + 4096 + 1808 samples, once
+    # mc_identity_recovery drew the state and the samples again, for a
+    # residual that does not depend on the radii; it reads the same run
+    line = verify.mc_identity_recovery(0, 10**4)
+    assert calls == 3
+    oracle._mc_memo.clear()
+    (alone,) = mc_theorem1(4, 2, (2,), 10**4, 0)
+    assert line == f"identity residual {alone.identity_residual:.4f} at N=10000"
+    # the memo keeps the last call only, and a changed argument samples afresh
+    assert mc_theorem1(4, 2, (2,), 10**4, 0) == (alone,) and calls == 6
+    mc_theorem1(4, 2, (2,), 10**4, 1)
+    assert calls == 9 and len(oracle._mc_memo) == 1
 
 
 def test_mc_theorem1_guards(monkeypatch):

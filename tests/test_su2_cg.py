@@ -52,8 +52,11 @@ def test_twoj_coercion():
 
     assert TwoJ(Doubled(5)) == TwoJ(5) and TwoJ(Doubled(5)) is not TwoJ(5)
     assert TwoJ(5).doubled.__class__ is int
+    # the table is read by subscript, where False, True, 1.0 and 2.0 would
+    # find TwoJ(0), TwoJ(1) and TwoJ(2): only a plain int may look
+    assert TwoJ(0) is TwoJ(0) and TwoJ(1) is TwoJ(1) and TwoJ(2) is TwoJ(2)
     table = [(k.__class__, k, id(v)) for k, v in su2_cg._interned.items()]
-    for bad in (True, 2.0, "3"):
+    for bad in (True, False, 1.0, 2.0, "3"):
         with pytest.raises(TypeError):
             TwoJ(bad)
     assert [(k.__class__, k, id(v)) for k, v in su2_cg._interned.items()] == table
@@ -78,6 +81,7 @@ def test_twoj_coercion():
         TwoJ(1.5)
     with pytest.raises(TypeError):
         TwoJ(True)
+
 
 
 def test_over_long_half_integer_is_named_by_its_digit_count():
