@@ -13,12 +13,11 @@ import argparse
 import math
 import re
 import sys
-from collections import namedtuple
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import partial
 
-from .report import _number, _shown
+from .report import _Frozen, _number, _shown
 
 # heisenberg, symmetric and weights are imported where they are used, so
 # a process that computes a coupling-window figure never loads them
@@ -358,13 +357,13 @@ COMPUTE_FNS = {
 # figure
 
 
-FigureSpec = namedtuple(
-    "FigureSpec", ("figure_id", "j1", "j2", "tj_min", "tj_max", "r_max", "mu", "nu", "delta_max")
-)
-FigureSpec.__doc__ = """Resolved parameters of one figure grid: the figure id, j1 and j2
-as TwoJ, the coupled j columns tj_min..tj_max in doubled units, the
-largest radius r_max, and figure 3's mode weights mu, nu (Fractions) and
-largest offset delta_max."""
+class FigureSpec(_Frozen):
+    """Resolved parameters of one figure grid: the figure id, j1 and j2
+    as TwoJ, the coupled j columns tj_min..tj_max in doubled units, the
+    largest radius r_max, and figure 3's mode weights mu, nu (Fractions) and
+    largest offset delta_max."""
+
+    __slots__ = ("figure_id", "j1", "j2", "tj_min", "tj_max", "r_max", "mu", "nu", "delta_max")
 
 
 # Upper limits of the figure options.  Measured alone on a 2-vCPU Xeon VM,

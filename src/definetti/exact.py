@@ -19,9 +19,9 @@ its terms by squarefree core.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, sqrt
+from math import gcd, isqrt
 
-from .report import _number
+from .report import _number, _sqrt_float
 
 # split_square gives up once its trial divisor passes this bound while the
 # unfactored part is still at least its square: that part then has no
@@ -146,9 +146,7 @@ class ExactReal:
         return Fraction(self._num, self._den)
 
     def value(self) -> float:
-        if self._sign == 0:
-            return 0.0
-        return self._sign * sqrt(self._num / self._den)
+        return self._sign * _sqrt_float(self._num, self._den)
 
     def __float__(self) -> float:
         return self.value()

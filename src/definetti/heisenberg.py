@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd, inf
 
-from .report import DeltaReport, _Frozen, _number, _slot_setters, _sqrt_float
+from .report import DeltaReport, _Frozen, _number, _sqrt_float
 
 __all__ = [
     "HeisenbergTriple",
@@ -60,17 +60,11 @@ class HeisenbergTriple(_Frozen):
             raise ValueError(f"need an integer offset Delta >= 0, got {_number(Delta, repr)}")
         if not isinstance(r, int) or r < 0:
             raise ValueError(f"need an integer radius r >= 0, got {_number(r, repr)}")
-        _set_mu(self, mu)
-        _set_nu(self, nu)
-        _set_Delta(self, Delta)
-        _set_r(self, r)
+        self._fill(mu, nu, Delta, r)
 
     @property
     def is_exact(self) -> bool:
         return _exact_pair(self.mu, self.nu)
-
-
-_set_mu, _set_nu, _set_Delta, _set_r = _slot_setters(HeisenbergTriple)
 
 
 def alpha_coeff(D: int, ell: int, mu, nu):

@@ -21,7 +21,7 @@ from operator import add, mul
 import numpy as np
 
 from .exact import ExactReal
-from .report import _Frozen, _number, _slot_setters
+from .report import _Frozen, _number
 from .su2_cg import _check_triple, as_twoj
 from .symmetric import SymTriple, dim_sym, epsilon
 from .weights import Weight, sym_weights
@@ -345,28 +345,9 @@ class McReport(_Frozen):
         "n", "k", "r", "n_samples", "seed", "lhs_distance", "bound", "identity_residual", "mc_tolerance",
     )
 
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        r: int,
-        n_samples: int,
-        seed: int,
-        lhs_distance: float,
-        bound: float,
-        identity_residual: float,
-        mc_tolerance: float,
-    ) -> None:
-        fields = (n, k, r, n_samples, seed, lhs_distance, bound, identity_residual, mc_tolerance)
-        for set_field, value in zip(_MC_SETTERS, fields):
-            set_field(self, value)
-
     @property
     def passed(self) -> bool:
         return self.lhs_distance <= self.bound + self.mc_tolerance
-
-
-_MC_SETTERS = _slot_setters(McReport)
 
 
 def haar_su2(rng: np.random.Generator, size: int) -> np.ndarray:

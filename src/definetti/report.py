@@ -50,36 +50,52 @@ def _shown(token) -> str:
 
 
 def _sqrt_float(num: int, den: int) -> float:
-    """sqrt(num/den) as a float for integers num >= 0 and den > 0, rounded
-    only at the end, with no gcd.
+    """sqrt(num/den) as a float for integers num >= 0 and den > 0, with no
+    gcd: the quotient and its root are each rounded once.
 
-    num/den loses precision below 2^-1022 and is 0 below 2^-1074,
-    although its root may still be a normal float, so there the root is
-    taken of num 4^m / den, which lies near 1, and 2^-m is put back.
+    num/den loses precision below 2^-1022, is 0 below 2^-1074 and raises
+    OverflowError from 2^1024 on, although its root may still be a normal
+    float, so there the root is taken of num/den over 4^m, which lies near
+    1, and 2^m is put back.
     """
-    f = num / den
-    if f >= _MIN_NORMAL or not num:
-        return math.sqrt(f)
-    m = (den.bit_length() - num.bit_length()) // 2
-    return math.ldexp(math.sqrt((num << 2 * m) / den), -m)
+    try:
+        f = num / den
+        if f >= _MIN_NORMAL or not num:
+            return math.sqrt(f)
+    except OverflowError:
+        pass
+    m = (num.bit_length() - den.bit_length()) // 2
+    return math.ldexp(math.sqrt(num / (den << 2 * m) if m >= 0 else (num << -2 * m) / den), m)
 
 
 class _Frozen:
     """Base of the package's small immutable value types.
 
-    A subclass names its fields in __slots__ and sets them in __init__
-    (the interned TwoJ in __new__), after validating them, through the
-    slots' own setters, which _slot_setters returns and the frozen
-    __setattr__ does not block.  Its
-    instances then repr, equal, hash, pickle and copy by their fields in
-    order, as a frozen dataclass does, and never equal an instance of
-    another class.
+    A subclass names its fields in __slots__ and builds by position or by
+    name.  One that validates its fields does so in its own __init__ (the
+    interned TwoJ in __new__) and then sets them with self._fill(...),
+    through the slots' own setters, which the frozen __setattr__ does not
+    block.  Its instances repr, equal, hash, pickle and copy by their
+    fields in order, as a frozen dataclass does, and never equal an
+    instance of another class.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls.__match_args__ = cls.__slots__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *values, **named) -> None:
+        if named:
+            values += tuple(named.pop(name) for name in self.__match_args__[len(values):] if name in named)
+        if named or len(values) != len(self.__match_args__):
+            raise TypeError(f"{self.__class__.__qualname__}() takes each field of {self.__match_args__} once")
+        self._fill(*values)
+
+    def _fill(self, *values) -> None:
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -106,11 +122,6 @@ class _Frozen:
         return hash(self._key())
 
 
-def _slot_setters(cls: type[_Frozen]) -> tuple:
-    """The __set__ of each slot of cls, in field order."""
-    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-
-
 class DeltaReport(_Frozen):
     """An overlap value in [0, 1] plus the error bounds it implies.
 
@@ -135,9 +146,7 @@ class DeltaReport(_Frozen):
             # a Fraction's denominator is positive: 0 <= n/d <= 1 compares ints
             if not (0 <= delta.numerator <= delta.denominator):
                 raise ValueError(f"delta out of range: {delta!r}")
-        _set_delta(self, delta)
-        _set_formula_id(self, formula_id)
-        _set_psi_label(self, psi_label)
+        self._fill(delta, formula_id, psi_label)
 
     @property
     def bound_linear(self) -> Fraction | float:
@@ -155,6 +164,3 @@ class DeltaReport(_Frozen):
     @classmethod
     def from_delta(cls, delta, formula_id: str, psi_label: str) -> "DeltaReport":
         return cls(delta, formula_id, psi_label)
-
-
-_set_delta, _set_formula_id, _set_psi_label = _slot_setters(DeltaReport)

@@ -55,6 +55,7 @@ class TwoJ(_Frozen):
     """
 
     __slots__ = ("doubled",)
+    __init__ = object.__init__  # __new__ fills the field: an interned TwoJ runs no Python __init__
 
     def __new__(cls, doubled: int) -> "TwoJ":
         # only a plain int can find or enter the table: True == 1 and
@@ -68,7 +69,7 @@ class TwoJ(_Frozen):
         elif not isinstance(doubled, int) or isinstance(doubled, bool):
             raise TypeError(f"doubled value must be an integer, got {doubled!r}")
         self = object.__new__(cls)
-        _set_doubled(self, doubled)
+        self._fill(doubled)
         if plain and -TWOJ_INTERN_BOUND <= doubled <= TWOJ_INTERN_BOUND:
             _interned[doubled] = self
         return self
@@ -77,10 +78,6 @@ class TwoJ(_Frozen):
         if self.doubled % 2 == 0:
             return str(self.doubled // 2)
         return f"{self.doubled}/2"
-
-
-# the slot's own setter, which the frozen __setattr__ does not block
-_set_doubled = TwoJ.doubled.__set__
 
 
 def as_twoj(x) -> TwoJ:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import comb, exp, factorial, inf, isfinite, perm
 from typing import NamedTuple, Sequence
 
-from .report import _Frozen, _number, _slot_setters
+from .report import _Frozen, _number
 from .weights import Weight
 
 __all__ = [
@@ -55,19 +55,11 @@ class SymTriple(_Frozen):
     __slots__ = ("n", "k", "d", "r")
 
     def __init__(self, n: int, k: int, d: int, r: int) -> None:
-        if d < 2:
-            raise ValueError(f"need local dimension d >= 2, got {_number(d)}")
-        if not 0 < k <= n:
-            raise ValueError(f"need 0 < k <= n, got k={_number(k)}, n={_number(n)}")
+        _check_d(d)
+        _check_k(n, k)
         if not 0 <= r <= k:
             raise ValueError(f"need 0 <= r <= k, got r={_number(r)}, k={_number(k)}")
-        _set_n(self, n)
-        _set_k(self, k)
-        _set_d(self, d)
-        _set_r(self, r)
-
-
-_set_n, _set_k, _set_d, _set_r = _slot_setters(SymTriple)
+        self._fill(n, k, d, r)
 
 
 def dim_sym(n: int, d: int) -> int:
@@ -111,8 +103,7 @@ def term_overlap(w: Weight, n: int, k: int) -> Fraction:
         raise ValueError(f"weight sums to {_number(w.total)}, expected k={_number(k)}")
     if any(x < 0 for x in w):
         raise ValueError(f"need nonnegative entries, got {w}")
-    if not 0 < k <= n:
-        raise ValueError(f"need 0 < k <= n, got k={_number(k)}, n={_number(n)}")
+    _check_k(n, k)
     return Fraction(factorial(k), factorial(n)) * perm(w[0] + n - k, n - k)
 
 
@@ -143,10 +134,8 @@ def delta_psi_weights(n: int, k: int, d: int, f: Sequence[int]) -> Fraction:
     (dim S(n-k) / dim S(n)) * (k!/n!) * sum_i perm(n-k+i, n-k) f[i], with
     the sum taken in integers and one Fraction built at the end.
     """
-    if d < 2:
-        raise ValueError(f"need local dimension d >= 2, got {_number(d)}")
-    if not 0 < k <= n:
-        raise ValueError(f"need 0 < k <= n, got k={_number(k)}, n={_number(n)}")
+    _check_d(d)
+    _check_k(n, k)
     if len(f) != k + 1:
         raise ValueError(f"profile must have length k+1 = {_number(k + 1)}, got {len(f)}")
     total = 0
@@ -180,9 +169,18 @@ def _closed_form_parts(n: int, k: int, r: int) -> tuple[int, int]:
     return perm(k, r + 1), (n - k + 1) * perm(n, r)
 
 
-def _check_nkr(n: int, k: int, r: int) -> None:
+def _check_d(d: int) -> None:
+    if d < 2:
+        raise ValueError(f"need local dimension d >= 2, got {_number(d)}")
+
+
+def _check_k(n: int, k: int) -> None:
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={_number(k)}, n={_number(n)}")
+
+
+def _check_nkr(n: int, k: int, r: int) -> None:
+    _check_k(n, k)
     if not 0 <= r <= k:
         raise ValueError(f"need 0 <= r <= k, got r={_number(r)}")
 

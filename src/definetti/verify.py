@@ -21,7 +21,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import heisenberg, oracle, su2_cg, symmetric, weights
-from .report import _Frozen, _slot_setters, _sqrt_float
+from .report import _Frozen, _sqrt_float
 from .su2_cg import TwoJ
 from .symmetric import SymTriple
 from .weights import Weight
@@ -31,15 +31,6 @@ class Check(_Frozen):
     """The outcome of one check: its name, verdict, detail line and time."""
 
     __slots__ = ("name", "passed", "detail", "seconds")
-
-    def __init__(self, name: str, passed: bool, detail: str, seconds: float) -> None:
-        _set_name(self, name)
-        _set_passed(self, passed)
-        _set_detail(self, detail)
-        _set_seconds(self, seconds)
-
-
-_set_name, _set_passed, _set_detail, _set_seconds = _slot_setters(Check)
 
 
 def _check(name: str, fn, *args) -> Check:

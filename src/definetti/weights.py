@@ -17,7 +17,7 @@ from itertools import accumulate
 from math import factorial
 from operator import sub
 
-from .report import _Frozen, _number, _shown, _slot_setters
+from .report import _Frozen, _number, _shown
 
 __all__ = [
     "Weight",
@@ -50,7 +50,7 @@ class Weight(_Frozen):
             and all(x.__class__ is int for x in entries)
         ):
             entries = _int_entries(entries)
-        _set_entries(self, entries)
+        self._fill(entries)
 
     @property
     def dim(self) -> int:
@@ -88,9 +88,6 @@ class Weight(_Frozen):
         return "(" + ",".join(_number(x) for x in self.entries) + ")"
 
 
-(_set_entries,) = _slot_setters(Weight)
-
-
 def _int_entries(given) -> tuple[int, ...]:
     """The entries of any iterable as a tuple of ints, refused unless each
     is integral and there are at least two."""
@@ -121,11 +118,7 @@ class HeightDecomposition(_Frozen):
         expected = max(abs(c) for c in coefficients)
         if height != expected:
             raise ValueError(f"height {_number(height)} != max |coefficient| {_number(expected)}")
-        _set_coefficients(self, coefficients)
-        _set_height(self, height)
-
-
-_set_coefficients, _set_height = _slot_setters(HeightDecomposition)
+        self._fill(coefficients, height)
 
 
 def _same_dim(a: Weight, b: Weight) -> None:
@@ -133,10 +126,14 @@ def _same_dim(a: Weight, b: Weight) -> None:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def simple_root(i: int, d: int) -> Weight:
-    """The i-th simple root of SU(d), i in 1..d-1: e_i - e_(i+1)."""
+def _check_d(d: int) -> None:
     if d < 2:
         raise ValueError(f"need dimension d >= 2, got {_number(d)}")
+
+
+def simple_root(i: int, d: int) -> Weight:
+    """The i-th simple root of SU(d), i in 1..d-1: e_i - e_(i+1)."""
+    _check_d(d)
     if not 1 <= i <= d - 1:
         raise ValueError(f"root index must lie in 1..{_number(d - 1)}, got {_number(i)}")
     v = [0] * d
@@ -216,8 +213,7 @@ def sym_weights(n: int, d: int) -> list[Weight]:
 def _sym_weights(n: int, d: int) -> tuple[Weight, ...]:
     if n < 0:
         raise ValueError(f"need n >= 0, got {_number(n)}")
-    if d < 2:
-        raise ValueError(f"need dimension d >= 2, got {_number(d)}")
+    _check_d(d)
     out: list[Weight] = []
 
     def rec(prefix: list[int], remaining: int, slots: int) -> None:

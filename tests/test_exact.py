@@ -3,10 +3,12 @@
 import math
 import random
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
+from definetti import su2_cg
 from definetti.exact import TRIAL_DIVISOR_BOUND, ExactReal, split_square
 from definetti.radicals import RadicalSum, dot
 
@@ -189,6 +191,27 @@ def test_exact_real_square_and_value():
     assert float(ExactReal.zero()) == 0.0
     assert not ExactReal.zero()
     assert ExactReal.sqrt(2)
+
+
+def test_exact_real_value_past_the_float_range_below():
+    # the square lies below 2^-1074: the root is a normal float all the same
+    c = su2_cg.cg(300, 300, 300, -300, 600, 0)
+    sq = c.square()
+    with localcontext() as ctx:
+        ctx.prec = 60
+        want = float((Decimal(sq.numerator) / Decimal(sq.denominator)).sqrt())
+    assert want == pytest.approx(1.588e-180, rel=1e-3)
+    assert abs(float(c) - want) <= math.ulp(want)
+
+
+def test_exact_real_value_past_the_float_range_above():
+    # the square lies above 2^1024
+    assert abs(float(ExactReal.of(10**200)) - 1e200) <= math.ulp(1e200)
+    assert float(ExactReal.of(-(2**600))) == -(2.0**600)
+    assert float(ExactReal.sqrt(Fraction(2**2001, 3))) == pytest.approx(math.sqrt(2 / 3) * 2.0**1000, rel=1e-15)
+    # a root past the float range still overflows
+    with pytest.raises(OverflowError):
+        float(ExactReal.of(10**400))
 
 
 def test_exact_real_validation():

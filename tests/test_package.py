@@ -207,3 +207,34 @@ def test_no_module_imports_dataclasses():
         path.name for path in sorted((SRC / "definetti").glob("*.py")) if _imports_dataclasses(path.read_text())
     ]
     assert not readers, readers
+
+
+def _second_value_type_names(source: str) -> set[str]:
+    """The names of a second value-type mechanism that source reads:
+    collections.namedtuple, or per-type slot setters."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found & {"namedtuple", "_slot_setters"}
+
+
+def test_no_module_builds_a_namedtuple_or_slot_setters():
+    # every value type fills its slots through report._Frozen; BoundPair is
+    # a typing.NamedTuple, which callers unpack
+    assert _second_value_type_names("from collections import namedtuple") == {"namedtuple"}
+    assert _second_value_type_names("import collections\nP = collections.namedtuple('P', 'x')") == {"namedtuple"}
+    assert _second_value_type_names("def _slot_setters(cls): pass") == {"_slot_setters"}
+    assert not _second_value_type_names("from typing import NamedTuple\nx = 'namedtuple'")
+    readers = {
+        path.name: names
+        for path in sorted((SRC / "definetti").glob("*.py"))
+        if (names := _second_value_type_names(path.read_text()))
+    }
+    assert not readers, readers

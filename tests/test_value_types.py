@@ -11,6 +11,7 @@ from math import inf, nan
 import pytest
 
 from definetti import cli, heisenberg, oracle, su2_cg, symmetric, verify, weights
+from definetti.cli import FigureSpec
 from definetti.exact import ExactReal
 from definetti.heisenberg import HeisenbergTriple, coherent_bound, epsilon_heisenberg
 from definetti.oracle import McReport
@@ -34,6 +35,10 @@ VALUES = (
      "McReport(n=4, k=2, r=1, n_samples=1000, seed=7, lhs_distance=0.25, bound=0.5, "
      "identity_residual=0.01, mc_tolerance=0.02)"),
     (Check("c", True, "ok", 0.5), ("c", True, "ok", 0.5), "Check(name='c', passed=True, detail='ok', seconds=0.5)"),
+    (FigureSpec(3, TwoJ(2), TwoJ(4), 0, 2, 5, Fraction(1), Fraction(2), 1),
+     (3, TwoJ(2), TwoJ(4), 0, 2, 5, Fraction(1), Fraction(2), 1),
+     "FigureSpec(figure_id=3, j1=TwoJ(doubled=2), j2=TwoJ(doubled=4), tj_min=0, tj_max=2, r_max=5, "
+     "mu=Fraction(1, 1), nu=Fraction(2, 1), delta_max=1)"),
 )
 
 
@@ -60,6 +65,57 @@ def test_value_types_share_the_frozen_contract(value, fields, text):
         value.extra = 1
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert type(twin) is cls and twin == value and hash(twin) == hash(value)
+
+
+def test_every_value_type_of_the_package_is_covered():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    package = {cls for cls in subclasses(_Frozen) if cls.__module__.startswith("definetti.")}
+    assert package == {type(value) for value, *_ in VALUES}
+    for cls in package:
+        assert cls._setters == tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES, ids=[type(v[0]).__name__ for v in VALUES])
+def test_a_missing_unknown_or_repeated_field_is_a_type_error(value, fields, text):
+    cls = type(value)
+    named = dict(zip(cls.__match_args__, fields))
+    first = cls.__match_args__[0]
+    for args, kwargs in (
+        (fields[:-1], {}),
+        ((), {name: named[name] for name in cls.__match_args__[1:]}),
+        (fields, {"extra": 1}),
+        ((), {**named, "extra": 1}),
+        ((*fields, 1), {}),
+        (fields, {first: named[first]}),
+    ):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+    # by position, by name and mixed, in any keyword order
+    half = len(fields) // 2
+    mixed = dict(reversed(list(named.items())[half:]))
+    assert cls(*fields[:half], **mixed) == cls(**dict(reversed(named.items()))) == value
+
+
+def test_an_interned_twoj_is_filled_once(monkeypatch):
+    interned = TwoJ(3)
+    calls = []
+
+    def fill(self, *values):
+        calls.append(values)
+        _Frozen._fill(self, *values)
+
+    monkeypatch.setattr(TwoJ, "_fill", fill)
+    assert TwoJ(3) is interned and TwoJ(doubled=3) is interned
+    assert calls == []
+    fresh = su2_cg.TWOJ_INTERN_BOUND + 2
+    assert TwoJ(fresh) == TwoJ(fresh) and TwoJ(fresh) is not TwoJ(fresh)
+    assert calls == [(fresh,)] * 4
+    # an interned value runs no Python __init__
+    assert TwoJ.__init__ is object.__init__
 
 
 def test_positional_patterns_follow_the_fields():
