@@ -558,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", type=_choice(*suites), choices=suites)
     p_verify.add_argument("--seed", type=_option_int, default=0, help="RNG seed (default 0)")
     p_verify.add_argument(
-        "--tol", type=_option_float, default=1e-10, help="oracle tolerance, finite and positive (default 1e-10)"
+        "--tol", type=_option_float, default=1e-10, help="oscillator tolerance, finite and positive (default 1e-10)"
     )
     p_verify.add_argument(
         "--samples",

@@ -1,19 +1,20 @@
 """Brute-force oracles for every closed form in the package.
 
 Nothing here reuses the formula derivations: symmetric-subspace overlaps
-are dense projector traces, coupling coefficients come from highest-weight
+are exact projector traces, coupling coefficients come from highest-weight
 plus lowering synthesis in integer arithmetic (on a factorial-rescaled
 product basis, with one square root taken per entry at the end),
 oscillator overlaps from truncated Fock matrices, and the reconstruction
 theorem itself gets a Monte Carlo end-to-end inequality check.
 
-The symmetric basis has one builder, _sym_basis_matrix: one numpy pass
-sorts the d^n product indices into their type classes by their sorted
-digits, after its size guard, the only one, has run.
+The symmetric basis has one builder, _sym_classes: one numpy pass sorts
+the d^n product indices into their type classes by their sorted digits,
+after its size guard, the only one, has run.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, sqrt
 from operator import add, mul
@@ -43,10 +44,6 @@ __all__ = [
 ]
 
 SYM_SIZE_GUARD = 10**6
-# cells of the dense d^n x dim_sym(n, d) basis matrix (160 MB of float64):
-# past every d = 2 basis that SYM_SIZE_GUARD admits, 2^19 x 20 cells, and
-# every basis the checks build, at most 5^5 x 126
-SYM_CELL_GUARD = 2 * 10**7
 CG_TABLE_GUARD = 24  # doubled angular momentum
 # Monte Carlo samples per mc_theorem1 call; the mc suite's two checks read
 # one call, and took 1.5 s at 10^6 and 11 s at 10^7 samples on a 2-vCPU VM
@@ -87,47 +84,49 @@ def _class_keys(n: int, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _sym_basis_matrix(n: int, d: int) -> tuple[tuple[Weight, ...], np.ndarray]:
-    """The weights of Sym^n(C^d) in descending lexicographic order, and a
-    read-only matrix whose columns are their orthonormal vectors, from
-    one sort of the product indices into their type classes."""
+def _sym_classes(n: int, d: int) -> tuple[tuple[Weight, ...], np.ndarray, np.ndarray]:
+    """The weights of Sym^n(C^d) in descending lexicographic order, and the
+    read-only class of each product index and size of each class: weight
+    c's orthonormal vector is 1/sqrt(sizes[c]) where cols == c, else 0."""
     # for d >= 2, n > 19 already exceeds 10^6 (2^20 > 10^6), so d is never
     # raised to a huge n; d < 2 and n < 0 are left to sym_weights to refuse
     if d > 1 and (n > 19 or d**n > SYM_SIZE_GUARD):
         raise ValueError(f"size guard exceeded: {_number(d)}^{_number(n)} > {SYM_SIZE_GUARD}")
-    if d > 1 and n >= 0:
-        cols = comb(n + d - 1, n)  # dim_sym(n, d), at most the d^n <= 10^6 rows
-        if d**n * cols > SYM_CELL_GUARD:
-            raise ValueError(f"size guard exceeded: {d}^{n} x {cols} basis matrix cells > {SYM_CELL_GUARD}")
     ws = tuple(sym_weights(n, d))
     _, cols, sizes = np.unique(_class_keys(n, d), return_inverse=True, return_counts=True)
-    mat = np.zeros((d**n, len(ws)))
-    mat[np.arange(d**n), cols] = (1.0 / np.sqrt(sizes))[cols]
-    mat.setflags(write=False)
-    return ws, mat
+    cols.setflags(write=False)
+    sizes.setflags(write=False)
+    return ws, cols, sizes
 
 
-def _aligned_rows(n: int, k: int, d: int) -> np.ndarray:
-    """The n-site symmetric basis contracted with |psi> = |1...1> on its
-    trailing n-k sites: a read-only view of the rows with those sites at 1."""
-    mat = _sym_basis_matrix(n, d)[1]
-    return mat.reshape(d**k, d ** (n - k), mat.shape[1])[:, 0, :]
+@lru_cache(maxsize=1)
+def _weight_overlaps(n: int, k: int, d: int) -> tuple[Fraction, ...]:
+    """Exact tr[P_n (|w><w| x |1...1><1...1|)], P_n the n-site symmetric
+    projector, for each k-site weight vector |w> in sym_weights order: the
+    k-site indices of class a, padded with n-k trailing 0 digits, fall
+    cnt(a, c) each into n-site classes c, counted from sorted digits alone,
+    and the trace is sum_c cnt(a, c)^2 / (|a| |c|)."""
+    _, cols_n, sizes_n = _sym_classes(n, d)  # first: its guard refuses before a k-site basis is built
+    _, cols_k, sizes_k = _sym_classes(k, d)
+    m = len(sizes_n)
+    pairs, cnts = np.unique(cols_k * m + cols_n.reshape(d**k, d ** (n - k))[:, 0], return_counts=True)
+    sums = [Fraction(0)] * len(sizes_k)
+    for pair, cnt in zip(pairs.tolist(), cnts.tolist()):
+        sums[pair // m] += Fraction(cnt * cnt, int(sizes_n[pair % m]))
+    return tuple(s / int(size) for s, size in zip(sums, sizes_k))
 
 
-def brute_delta_symmetric(t: SymTriple) -> float:
-    """Dense evaluation of the overlap functional for the symmetric family.
+def brute_delta_symmetric(t: SymTriple) -> Fraction:
+    """Exact projector evaluation of the overlap functional for the symmetric family.
 
     Computes (d_B/d_C) tr[P_C (P_X x |psi><psi|)] with C the n-site
     symmetric subspace, X the span of k-site weight vectors with
-    w_1 >= k - r, and psi the n-k aligned reference sites.
+    w_1 >= k - r, and psi the n-k aligned reference sites, as a Fraction.
     """
     n, k, d, r = t.n, t.k, t.d, t.r
-    rows = _aligned_rows(n, k, d)  # first: its guard refuses before a k-site basis is built
-    ws_k, mat_k = _sym_basis_matrix(k, d)
-    keep = [i for i, w in enumerate(ws_k) if w[0] >= k - r]
-    x_mat = mat_k[:, keep]
-    total = float(((x_mat.T @ rows) ** 2).sum())
-    return dim_sym(n - k, d) / dim_sym(n, d) * total
+    overlaps = _weight_overlaps(n, k, d)  # first: the n-site guard refuses before a k-site basis
+    total = sum((o for w, o in zip(_sym_classes(k, d)[0], overlaps) if w[0] >= k - r), Fraction(0))
+    return Fraction(dim_sym(n - k, d), dim_sym(n, d)) * total
 
 
 # ---------------------------------------------------------------------------
@@ -417,17 +416,19 @@ def mc_theorem1(n: int, k: int, rs: tuple[int, ...], n_samples: int, seed: int) 
     dim_b = d ** (n - k)
     d_formal = dim_sym(n - k, d)
 
-    ws_n, mat_n = _sym_basis_matrix(n, d)
+    ws_n, cols_n, sizes_n = _sym_classes(n, d)
     rng_state = np.random.default_rng([seed, 0])
     coeff = rng_state.standard_normal(len(ws_n)) + 1j * rng_state.standard_normal(len(ws_n))
     coeff /= np.linalg.norm(coeff)
-    psi = mat_n @ coeff
+    psi = (coeff / np.sqrt(sizes_n))[cols_n]
 
     big = psi.reshape(d**k, dim_b)
     rho_k = big @ big.conj().T
 
-    ws_k, mat_k = _sym_basis_matrix(k, d)
-    v_mats = [mat_k[:, [i for i, w in enumerate(ws_k) if w[0] >= k - r]] for r in rs]
+    # a row's window projection: its class means on the kept classes, else 0
+    ws_k, cols_k, sizes_k = _sym_classes(k, d)
+    order, starts = np.argsort(cols_k, kind="stable"), np.cumsum(sizes_k) - sizes_k
+    keeps = [np.array([w[0] >= k - r for w in ws_k]) for r in rs]
 
     dim_a = d**k
     x_sum = np.zeros((dim_a, dim_a), dtype=np.complex128)
@@ -446,8 +447,9 @@ def mc_theorem1(n: int, k: int, rs: tuple[int, ...], n_samples: int, seed: int) 
 
         g_k = _matrix_power(g, k)
         back = np.einsum("nba,nb->na", g_k.conj(), phi)  # rotate into the window frame
-        for v_mat, y_sum, y_sq_sum in zip(v_mats, y_sums, y_sq_sums):
-            proj = (back @ v_mat.conj()) @ v_mat.T
+        means = np.add.reduceat(back[:, order], starts, axis=1) / sizes_k
+        for keep, y_sum, y_sq_sum in zip(keeps, y_sums, y_sq_sums):
+            proj = np.where(keep, means, 0.0)[:, cols_k]
             nrm = np.linalg.norm(proj, axis=1)
             safe = np.where(nrm > 1e-150, nrm, 1.0)
             chi_hat = np.einsum("nij,nj->ni", g_k, proj / safe[:, None])

@@ -29,10 +29,10 @@ with no gcd and no SymTriple per cell.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, exp, factorial, inf, isfinite, perm
+from math import comb, exp, factorial, inf, perm
 from typing import NamedTuple, Sequence
 
-from .report import _Frozen, _number
+from .report import _MIN_NORMAL, _Frozen, _number
 from .weights import Weight
 
 __all__ = [
@@ -201,8 +201,8 @@ def bound_exponential(t: SymTriple) -> BoundPair:
                        exp((d-1)r/k + (d-1)^2/k + (d-1)^2/(n-k)) / (d-2)!
         headline     = 2 e^(3d) / (d-2)! * (k/(n-r))^(r+1) * (k(n-k)/(n-r))^(d-2)
 
-    A bound, or a factor of one, that leaves the float range is a
-    ValueError naming the parameters.
+    A bound outside the normal float range [2^-1022, max float], or a
+    factor of one that overflows, is a ValueError naming the parameters.
     """
     n, k, d, r = t.n, t.k, t.d, t.r
     if d > min(k, n - k):
@@ -225,7 +225,7 @@ def _bounds(n: int, k: int, d: int, r: int) -> tuple[float, float]:
         head = 2.0 * exp(3 * d) / factorial(d - 2) * base ** (r + 1) * (k * (n - k) / (n - r)) ** (d - 2)
     except OverflowError:
         inter = head = inf
-    if not (isfinite(inter) and isfinite(head)):
+    if not (_MIN_NORMAL <= inter < inf and _MIN_NORMAL <= head < inf):
         raise ValueError(
             f"the bounds leave the float range at n={_number(n)}, k={_number(k)}, "
             f"d={_number(d)}, r={_number(r)}"

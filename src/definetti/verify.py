@@ -417,8 +417,8 @@ def full_profile_unity(n_max: int, d_max: int) -> str:
     return f"full weight set gives exactly 1, n <= {n_max}"
 
 
-def dense_projector_oracle(n_max_by_d, tol: float) -> str:
-    """Dense projector overlaps match 1 - epsilon/2 to tol, for every
+def dense_projector_oracle(n_max_by_d) -> str:
+    """Projector overlaps equal 1 - epsilon/2 exactly, for every
     (d, n_max) pair given."""
     count = 0
     for d, n_max in n_max_by_d:
@@ -427,28 +427,25 @@ def dense_projector_oracle(n_max_by_d, tol: float) -> str:
                 for r in range(0, k + 1):
                     t = SymTriple(n, k, d, r)
                     got = oracle.brute_delta_symmetric(t)
-                    want = float(1 - symmetric.epsilon(t) / 2)
-                    _approx(got, want, tol, f"dense oracle {(n, k, d, r)}")
+                    _exact(got, 1 - symmetric.epsilon(t) / 2, f"dense oracle {(n, k, d, r)}")
                     count += 1
-    return f"{count} dense cross-checks within {tol:g}"
+    return f"{count} projector overlaps equal 1 - eps/2 exactly"
 
 
 def single_weight_overlap(n_max: int, d_max: int) -> str:
-    """Projector traces of single weight vectors match term_overlap.  The
-    weight vectors are the columns of the k-site basis matrix, each
-    contracted, as in brute_delta_symmetric, with the basis rows whose
-    trailing sites are |1...1> (_aligned_rows)."""
+    """Projector traces of single weight vectors equal term_overlap
+    exactly.  oracle._weight_overlaps gives them, each k-site weight vector
+    contracted, as in brute_delta_symmetric, with the n-site basis on the
+    product indices whose trailing sites are |1...1>."""
     count = 0
     for d in range(2, d_max + 1):
         for k in range(1, n_max + 1):
-            contracted = [(n, oracle._aligned_rows(n, k, d)) for n in range(k, n_max + 1)]
-            ws, mat = oracle._sym_basis_matrix(k, d)
-            for w, vec in zip(ws, mat.T):
-                for n, basis in contracted:
-                    got = float(((vec @ basis) ** 2).sum())
-                    _approx(got, float(symmetric.term_overlap(w, n, k)), 1e-12, f"overlap {(w, n, k)}")
+            ws = weights.sym_weights(k, d)
+            for n in range(k, n_max + 1):
+                for w, got in zip(ws, oracle._weight_overlaps(n, k, d)):
+                    _exact(got, symmetric.term_overlap(w, n, k), f"overlap {(w, n, k)}")
                     count += 1
-    return f"{count} projector traces match term_overlap"
+    return f"{count} projector traces equal term_overlap exactly"
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +651,7 @@ _SUITE_TABLE = {
         ("exponential bound chain", bound_chain, (40, 4)),
         ("window profile consistency", profile_consistency, (16, 3)),
         ("full profile saturates at 1", full_profile_unity, (20, 3)),
-        ("dense projector oracle", dense_projector_oracle, (((2, 9), (3, 6)), _TOL)),
+        ("dense projector oracle", dense_projector_oracle, (((2, 9), (3, 6)),)),
         ("single-weight overlap oracle", single_weight_overlap, (7, 3)),
     ),
     "heisenberg": (

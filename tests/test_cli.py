@@ -108,6 +108,11 @@ def test_compute_sym_bound_past_the_float_range(capsys, monkeypatch):
     code, out, err = run(capsys, "compute", "sym-bound", "n=1000", "k=500", "r=0", "d=117")
     assert (code, out) == (2, "") and err.count("\n") == 1
     assert err.endswith(": the bounds leave the float range at n=1000, k=500, d=117, r=0\n"), err
+    # and below it: these printed intermediate = 0 and headline = 0, exit 0
+    for n, k, r, d in ((100000, 50000, 2000, 2), (20862, 697, 257, 4)):
+        code, out, err = run(capsys, "compute", "sym-bound", f"n={n}", f"k={k}", f"r={r}", f"d={d}")
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.endswith(f": the bounds leave the float range at n={n}, k={k}, d={d}, r={r}\n"), err
 
     def fail(t):
         raise AssertionError("the bounds were computed")
@@ -685,7 +690,7 @@ def test_verify_suites_are_well_formed(monkeypatch):
     args = {name: detail for _, name, detail in rows}
     assert args["projected mixture within bound"] == repr((7, 2000))
     assert args["haar sampler schur average"] == repr((7, 4000))
-    assert args["dense projector oracle"].endswith(", 1e-09)")
+    assert args["truncated-fock oracle grid"].endswith(", 1e-09)")
     # a second run sees the same arguments: no row holds a spent iterator
     assert _suite_rows(monkeypatch, seed=7, tol=1e-9, n_samples=2000) == rows
 

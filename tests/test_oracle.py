@@ -1,6 +1,7 @@
 """Dense numerical oracles: projectors, coupling tables, oscillators, Monte Carlo."""
 
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -43,9 +44,19 @@ def test_trace_distance():
         trace_distance(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
 
 
+def _dense_basis(n, d):
+    """The weights of Sym^n(C^d) and the d^n x dim_sym(n, d) matrix whose
+    columns are their vectors, read off the class of each product index
+    and the size of each class."""
+    ws, cols, sizes = oracle._sym_classes(n, d)
+    mat = np.zeros((d**n, len(ws)))
+    mat[np.arange(d**n), cols] = (1.0 / np.sqrt(sizes))[cols]
+    return ws, mat
+
+
 def test_sym_basis_orthonormal():
     for n, d in [(3, 2), (2, 3), (4, 2)]:
-        ws, mat = oracle._sym_basis_matrix(n, d)
+        ws, mat = _dense_basis(n, d)
         assert len(ws) == mat.shape[1] == dim_sym(n, d)
         assert np.abs(mat.T @ mat - np.eye(len(ws))).max() < 1e-12
         assert all(w.total == n and w.dim == d for w in ws)
@@ -80,18 +91,27 @@ def test_sym_basis_equals_its_per_class_reference():
     cases = [(n, d) for d in range(2, 6) for n in range(14) if d**n <= 10**4]
     assert len(cases) == 36 and (0, 5) in cases and (13, 2) in cases
     for n, d in cases:
-        ws, mat = oracle._sym_basis_matrix(n, d)
+        ws, cols, sizes = oracle._sym_classes(n, d)
         assert ws == tuple(sym_weights(n, d)), (n, d)
-        assert not mat.flags.writeable
+        assert not cols.flags.writeable and not sizes.flags.writeable
+        mat = _dense_basis(n, d)[1]
         want = np.column_stack([_reference_vector(w) for w in ws])
         assert np.array_equal(mat, want), (n, d)
 
 
 def test_brute_delta_matches_formula():
     t = SymTriple(4, 2, 2, 0)
-    assert brute_delta_symmetric(t) == pytest.approx(0.6, abs=1e-12)
+    assert brute_delta_symmetric(t) == Fraction(3, 5)
     with pytest.raises(ValueError):
         brute_delta_symmetric(SymTriple(21, 1, 2, 0))
+
+
+def test_cells_past_the_old_dense_cell_guard_compute_exactly():
+    # each was refused while the basis was a dense d^n x dim_sym(n, d)
+    # matrix of more than 2 * 10^7 cells; (6, 1, 10, 0) asked for 37.3 GiB
+    for cell in ((12, 1, 3, 0), (9, 2, 4, 1), (8, 2, 5, 1), (6, 1, 10, 0)):
+        t = SymTriple(*cell)
+        assert brute_delta_symmetric(t) == 1 - epsilon(t) / 2, cell
 
 
 def _in_child(code: str) -> str:
@@ -117,27 +137,24 @@ def test_sym_basis_guard_runs_before_any_enumeration(monkeypatch):
         raise Enumerated
 
     # each (n, d) past the guard is refused before sym_weights runs, and
-    # each other reaches it: the refused inputs are exactly d^n > 10^6 and,
-    # with n >= 0, d^n x dim_sym(n, d) > 2 * 10^7 basis matrix cells
+    # each other reaches it: the refused inputs are exactly d^n > 10^6
     monkeypatch.setattr(oracle, "sym_weights", enumerated)
-    oracle._sym_basis_matrix.cache_clear()
+    oracle._sym_classes.cache_clear()
+    oracle._weight_overlaps.cache_clear()
     for n in range(-1, 26):
         for d in range(-1, 13):
             if d >= 2 and d**n > oracle.SYM_SIZE_GUARD:
                 with pytest.raises(ValueError, match=rf"^size guard exceeded: {d}\^{n} > 1000000$"):
-                    oracle._sym_basis_matrix(n, d)
-            elif d >= 2 and n >= 0 and d**n * dim_sym(n, d) > oracle.SYM_CELL_GUARD:
-                cells = rf"{d}\^{n} x {dim_sym(n, d)} basis matrix cells"
-                with pytest.raises(ValueError, match=rf"^size guard exceeded: {cells} > 20000000$"):
-                    oracle._sym_basis_matrix(n, d)
+                    oracle._sym_classes(n, d)
             else:
                 with pytest.raises(Enumerated):
-                    oracle._sym_basis_matrix(n, d)
+                    oracle._sym_classes(n, d)
     # 10^7 weights to enumerate first, which took longer than 8 s
     with pytest.raises(ValueError, match=r"^size guard exceeded: 2\^10000000 > 1000000$"):
-        oracle._sym_basis_matrix(10**7, 2)
-    # 10^6 rows pass the row guard, but this asked numpy for a 37.3 GiB matrix
-    with pytest.raises(ValueError, match=r"^size guard exceeded: 10\^6 x 5005 basis matrix cells > 20000000$"):
+        oracle._sym_classes(10**7, 2)
+    # 10^6 product indices pass the guard and reach the enumeration; this
+    # cell was refused by a second guard on dense basis matrix cells
+    with pytest.raises(Enumerated):
         brute_delta_symmetric(SymTriple(6, 1, 10, 0))
 
 
@@ -149,7 +166,7 @@ from definetti import oracle
 from definetti.symmetric import SymTriple
 for call in (
     lambda: oracle.brute_delta_symmetric(SymTriple(10**20, 1, 2, 0)),
-    lambda: oracle._sym_basis_matrix(10**5000, 3),
+    lambda: oracle._sym_classes(10**5000, 3),
 ):
     start = time.perf_counter()
     try:
@@ -167,19 +184,36 @@ for call in (
 
 def test_brute_delta_builds_no_k_site_basis_before_it_refuses(monkeypatch):
     calls = []
-    build = oracle._sym_basis_matrix
+    build = oracle._sym_classes
 
     def recorded(n, d):
         calls.append((n, d))
         return build(n, d)
 
-    monkeypatch.setattr(oracle, "_sym_basis_matrix", recorded)
+    monkeypatch.setattr(oracle, "_sym_classes", recorded)
+    oracle._weight_overlaps.cache_clear()
     with pytest.raises(ValueError, match=r"^size guard exceeded: 2\^21 > 1000000$"):
         brute_delta_symmetric(SymTriple(21, 1, 2, 0))
     assert calls == [(21, 2)]
     calls.clear()
-    assert brute_delta_symmetric(SymTriple(4, 2, 2, 0)) == pytest.approx(0.6, abs=1e-12)
-    assert calls == [(4, 2), (2, 2)]
+    assert brute_delta_symmetric(SymTriple(4, 2, 2, 0)) == Fraction(3, 5)
+    assert calls == [(4, 2), (2, 2), (2, 2)]
+
+
+def test_symmetric_bases_are_freed_after_large_oracle_calls():
+    # the dense bases of these three calls, 2^19 x 20, 3^11 x 78 and
+    # 4^8 x 165 floats, were all held by the basis cache: 268 MB
+    code = """
+import gc, tracemalloc
+from definetti import oracle
+from definetti.symmetric import SymTriple
+tracemalloc.start()
+for cell in ((19, 1, 2, 0), (11, 1, 3, 0), (8, 1, 4, 0)):
+    oracle.brute_delta_symmetric(SymTriple(*cell))
+gc.collect()
+print(tracemalloc.get_traced_memory()[0])
+"""
+    assert int(_in_child(code)) <= 16 * 2**20
 
 
 def test_cg_oracle_matches_closed_form():
@@ -380,26 +414,27 @@ def test_fock_oracle_builds_one_tower_per_offset(monkeypatch):
 
 
 def test_single_weight_overlap_builds_each_weight_vector_once():
-    # the weight vectors are the columns of the basis matrices
-    oracle._sym_basis_matrix.cache_clear()
-    assert verify.single_weight_overlap(7, 3) == "434 projector traces match term_overlap"
+    # the weight vectors are read off the class index of each basis
+    oracle._sym_classes.cache_clear()
+    assert verify.single_weight_overlap(7, 3) == "434 projector traces equal term_overlap exactly"
     # one build per (k, d), k <= 7, d = 2, 3, which the n-site contractions reuse
-    assert oracle._sym_basis_matrix.cache_info().misses == 7 * 2
+    assert oracle._sym_classes.cache_info().misses == 7 * 2
     verify.single_weight_overlap(7, 3)
-    assert oracle._sym_basis_matrix.cache_info().misses == 7 * 2
+    assert oracle._sym_classes.cache_info().misses == 7 * 2
 
 
 def test_a_broken_aligned_contraction_fails_both_symmetric_oracles(monkeypatch):
-    # contracting the trailing sites with |d...d> instead of |1...1>
-    def last_level(n, k, d):
-        mat = oracle._sym_basis_matrix(n, d)[1]
-        return mat.reshape(d**k, d ** (n - k), mat.shape[1])[:, -1, :]
+    # the trailing sites padded with digit d-1, |d...d>, instead of 0, |1...1>
+    source = inspect.getsource(oracle._weight_overlaps)
+    assert source.count("[:, 0]") == 1
+    namespace = dict(vars(oracle))
+    exec(source.replace("[:, 0]", "[:, -1]"), namespace)
 
-    assert verify.dense_projector_oracle(((3, 4),), 1e-10) == "30 dense cross-checks within 1e-10"
-    assert verify.single_weight_overlap(4, 3) == "95 projector traces match term_overlap"
-    monkeypatch.setattr(oracle, "_aligned_rows", last_level)
+    assert verify.dense_projector_oracle(((3, 4),)) == "30 projector overlaps equal 1 - eps/2 exactly"
+    assert verify.single_weight_overlap(4, 3) == "95 projector traces equal term_overlap exactly"
+    monkeypatch.setattr(oracle, "_weight_overlaps", namespace["_weight_overlaps"])
     with pytest.raises(AssertionError, match="dense oracle"):
-        verify.dense_projector_oracle(((3, 4),), 1e-10)
+        verify.dense_projector_oracle(((3, 4),))
     with pytest.raises(AssertionError, match="overlap"):
         verify.single_weight_overlap(4, 3)
 
@@ -436,20 +471,38 @@ def _einsum_outer(w, a, b):
     return np.einsum("n,na,nb->ab", w, a, b)
 
 
-def _mc_reference(n, k, r, n_samples, seed, outer=_matmul_outer):
+def _class_projection(k, r):
+    """The radius-r window projection of each row of a sample matrix, as
+    mc_theorem1 forms it: the row's class mean on the kept classes, 0 on
+    the others."""
+    ws, cols, sizes = oracle._sym_classes(k, 2)
+    order, starts = np.argsort(cols, kind="stable"), np.cumsum(sizes) - sizes
+    keep = np.array([w[0] >= k - r for w in ws])
+    return lambda back: np.where(keep, np.add.reduceat(back[:, order], starts, axis=1) / sizes, 0.0)[:, cols]
+
+
+def _dense_projection(k, r):
+    """The same projection through the dense matrix V of the window's
+    basis vectors, as back V^* V^T."""
+    ws, mat = _dense_basis(k, 2)
+    v_mat = mat[:, [i for i, w in enumerate(ws) if w[0] >= k - r]]
+    return lambda back: (back @ v_mat.conj()) @ v_mat.T
+
+
+def _mc_reference(n, k, r, n_samples, seed, outer=_matmul_outer, projection=_class_projection):
     """mc_theorem1's report at one radius, as it was computed before one
     sampling pass served every radius; outer(w, a, b) = sum_n w_n a_n b_n^T
     forms its three sample sums, by matmul as mc_theorem1 does or by einsum
-    in the sample order that the matmuls reorder."""
+    in the sample order that the matmuls reorder, and projection(k, r)
+    gives the window projection of the rotated samples."""
     d, dim_b, d_formal = 2, 2 ** (n - k), dim_sym(n - k, 2)
-    ws_n, mat_n = oracle._sym_basis_matrix(n, d)
+    ws_n, cols_n, sizes_n = oracle._sym_classes(n, d)
     rng_state = np.random.default_rng([seed, 0])
     coeff = rng_state.standard_normal(len(ws_n)) + 1j * rng_state.standard_normal(len(ws_n))
     coeff /= np.linalg.norm(coeff)
-    big = (mat_n @ coeff).reshape(d**k, dim_b)
+    big = (coeff / np.sqrt(sizes_n))[cols_n].reshape(d**k, dim_b)
     rho_k = big @ big.conj().T
-    ws_k, mat_k = oracle._sym_basis_matrix(k, d)
-    v_mat = mat_k[:, [i for i, w in enumerate(ws_k) if w[0] >= k - r]]
+    project = projection(k, r)
     x_sum = np.zeros((d**k, d**k), dtype=np.complex128)
     y_sum = np.zeros((d**k, d**k), dtype=np.complex128)
     y_sq_sum = np.zeros((d**k, d**k))
@@ -460,7 +513,7 @@ def _mc_reference(n, k, r, n_samples, seed, outer=_matmul_outer):
         weights = d_formal * np.linalg.norm(phi, axis=1) ** 2
         x_sum += d_formal * outer(np.ones(len(phi)), phi, phi.conj())
         g_k = oracle._matrix_power(g, k)
-        proj = (np.einsum("nba,nb->na", g_k.conj(), phi) @ v_mat.conj()) @ v_mat.T
+        proj = project(np.einsum("nba,nb->na", g_k.conj(), phi))
         nrm = np.linalg.norm(proj, axis=1)
         chi_hat = np.einsum("nij,nj->ni", g_k, proj / np.where(nrm > 1e-150, nrm, 1.0)[:, None])
         chi_hat[nrm <= 1e-150] = 0.0
@@ -484,10 +537,11 @@ def _mc_reference(n, k, r, n_samples, seed, outer=_matmul_outer):
 
 
 def test_mc_theorem1_matches_its_einsum_reference():
-    # the matmul sums differ from einsum's only in summation order
+    # the matmul sums differ from einsum's, and the class means from the
+    # dense projection's matrix products, only in summation order
     for seed in range(3):
         for r, rep in enumerate(mc_theorem1(4, 2, (0, 1, 2), 10**4, seed)):
-            want = _mc_reference(4, 2, r, 10**4, seed, _einsum_outer)
+            want = _mc_reference(4, 2, r, 10**4, seed, _einsum_outer, _dense_projection)
             for name in oracle.McReport.__slots__:
                 value = getattr(want, name)
                 assert getattr(rep, name) == pytest.approx(value, rel=0, abs=1e-12), (r, seed, name)

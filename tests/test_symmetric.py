@@ -1,6 +1,7 @@
 """Symmetric-subspace error formulas: epsilon, profiles, and bounds."""
 
 import random
+import re
 from fractions import Fraction
 from math import comb, factorial, perm
 
@@ -237,7 +238,7 @@ def test_kernels_equal_the_public_values_on_a_seeded_grid():
         n = rng.choice((rng.randint(1, 60), rng.randint(1, 20000)))
         k = rng.randint(1, n)
         cells.append((n, k, rng.randint(2, 8), rng.randint(0, min(k, 400))))
-    bounded = 0
+    bounded = refused = 0
     for n, k, d, r in cells:
         t = SymTriple(n, k, d, r)
         num, den = _epsilon_parts(n, k, d, r)
@@ -247,6 +248,13 @@ def test_kernels_equal_the_public_values_on_a_seeded_grid():
             assert Fraction(*_error_d2_parts(n, k, r)) == exact_error_d2(n, k, r) == epsilon(t), t
         assert Fraction(*_closed_form_parts(n, k, r)) == closed_form_sum(n, k, r), t
         if d <= min(k, n - k):
-            assert _bounds(n, k, d, r) == bound_exponential(t), t
-            bounded += 1
-    assert bounded > 100
+            try:
+                pair = _bounds(n, k, d, r)
+            except ValueError as exc:  # a bound past the float range: both refuse alike
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    bound_exponential(t)
+                refused += 1
+            else:
+                assert pair == bound_exponential(t), t
+                bounded += 1
+    assert bounded > 100 and refused > 0
