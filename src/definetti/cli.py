@@ -27,12 +27,10 @@ _TWELVE_SIG = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
 
 def render_decimal(x) -> str:
-    """12 significant digits, round-half-even, exact trailing zeros dropped."""
-    if isinstance(x, Fraction):
-        d = _TWELVE_SIG.divide(Decimal(x.numerator), Decimal(x.denominator))
-    else:
-        d = _TWELVE_SIG.plus(Decimal(float(x)))
-    return str(d)
+    """The exact value of x, a Fraction or a float, to 12 significant
+    digits, round-half-even, exact trailing zeros dropped."""
+    num, den = x.as_integer_ratio()
+    return str(_TWELVE_SIG.divide(Decimal(num), Decimal(den)))
 
 
 def _printable_in_full(x: Fraction) -> bool:

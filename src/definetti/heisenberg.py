@@ -178,8 +178,8 @@ def epsilon_heisenberg(t: HeisenbergTriple):
     float inputs there get its float, rounded once.  Otherwise the bound
     is 2 sqrt(T / s^(r+1)), T = _tail(p, q, Delta, r + 1) as in
     delta_number_space, whose one term at Delta = 0 is the telescoped
-    x^(r+1), a float rounded only at the end and positive whenever the
-    bound is a normal float (>= 2^-1022).
+    x^(r+1): the root of that exact quotient, a float rounded only at
+    the end (correctly) and positive whenever the root is > 2^-1075.
     """
     return _bound(t.mu, t.nu, t.Delta, t.r)
 

@@ -22,7 +22,8 @@ from operator import add, mul
 import numpy as np
 
 from .exact import ExactReal
-from .report import _Frozen, _number
+from .heisenberg import _check_weights, _coprime
+from .report import _Frozen, _number, _sqrt_float
 from .su2_cg import _check_triple, as_twoj
 from .symmetric import SymTriple, dim_sym, epsilon
 from .weights import Weight, sym_weights
@@ -266,39 +267,42 @@ def fock_annihilator(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
 
 
-def pair_annihilate(mu: float, nu: float, state: np.ndarray) -> np.ndarray:
+def _pair_ladder(mu, nu, state: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(sqrt(mu) a x 1 + sqrt(nu) 1 x a)/sqrt(mu+nu) on state, for a ladder matrix a."""
+    p, q = _coprime(mu, nu)
+    return _sqrt_float(p, p + q) * (a @ state) + _sqrt_float(q, p + q) * (state @ a.T)
+
+
+def pair_annihilate(mu, nu, state: np.ndarray) -> np.ndarray:
     """Apply the combined mode (sqrt(mu) a1 + sqrt(nu) a2)/sqrt(mu+nu)."""
-    a = fock_annihilator(state.shape[0] - 1)
-    return (sqrt(mu) * (a @ state) + sqrt(nu) * (state @ a.T)) / sqrt(mu + nu)
+    return _pair_ladder(mu, nu, state, fock_annihilator(state.shape[0] - 1))
 
 
-def pair_create(mu: float, nu: float, state: np.ndarray) -> np.ndarray:
+def pair_create(mu, nu, state: np.ndarray) -> np.ndarray:
     """Apply the combined creation operator (sqrt(mu) a1+ + sqrt(nu) a2+)/sqrt(mu+nu)."""
-    a = fock_annihilator(state.shape[0] - 1)
-    return (sqrt(mu) * (a.T @ state) + sqrt(nu) * (state @ a)) / sqrt(mu + nu)
+    return _pair_ladder(mu, nu, state, fock_annihilator(state.shape[0] - 1).T)
 
 
-def pair_vacuum(mu: float, nu: float, Delta: int, cutoff: int) -> np.ndarray:
-    """The offset-Delta paired vacuum sum_l (-1)^l sqrt(alpha_l) |Delta-l> x |l>."""
-    if not (mu > 0 and nu > 0):
-        raise ValueError(f"mode weights must be positive, got mu={_number(mu)}, nu={_number(nu)}")
+def pair_vacuum(mu, nu, Delta: int, cutoff: int) -> np.ndarray:
+    """The offset-Delta paired vacuum sum_l (-1)^l sqrt(alpha_l) |Delta-l> x |l>,
+    alpha_l = C(Delta, l) p^l q^(Delta-l) / (p+q)^Delta for p/q = mu/nu in lowest terms."""
+    _check_weights(mu, nu)
     if Delta < 0 or Delta > cutoff:
         raise ValueError(f"need 0 <= Delta <= cutoff, got Delta={_number(Delta)}, cutoff={_number(cutoff)}")
-    mu, nu = float(mu), float(nu)
+    p, q = _coprime(mu, nu)
     state = np.zeros((cutoff + 1, cutoff + 1))
     for ell in range(Delta + 1):
-        alpha = comb(Delta, ell) * mu**ell * nu ** (Delta - ell) / (mu + nu) ** Delta
-        state[Delta - ell, ell] = (-1.0) ** ell * sqrt(alpha)
+        root = _sqrt_float(comb(Delta, ell) * p**ell * q ** (Delta - ell), (p + q) ** Delta)
+        state[Delta - ell, ell] = -root if ell % 2 else root
     return state
 
 
-def pair_tower(mu: float, nu: float, Delta: int, n_max: int, cutoff: int) -> list[np.ndarray]:
+def pair_tower(mu, nu, Delta: int, n_max: int, cutoff: int) -> list[np.ndarray]:
     """States |psi_n> = (a+)^n |psi_0> / sqrt(n!) for n = 0..n_max."""
     if Delta + n_max > cutoff:
         raise ValueError(
             f"tower would leave the truncation: Delta+n_max = {Delta + n_max} > cutoff = {cutoff}"
         )
-    mu, nu = float(mu), float(nu)
     states = [pair_vacuum(mu, nu, Delta, cutoff)]
     for n in range(1, n_max + 1):
         states.append(pair_create(mu, nu, states[-1]) / sqrt(n))
@@ -313,11 +317,11 @@ def heis_oracle(mu, nu, Delta: int, r_max: int) -> list[float]:
     truncated past every state it holds (r_max + Delta + 40), so the only
     numerical error is double-precision roundoff.
     """
-    if not (float(mu) > 0 and float(nu) > 0):
-        raise ValueError(f"mode weights must be positive, got mu={_number(mu)}, nu={_number(nu)}")
+    _check_weights(mu, nu)
     if r_max < 0 or Delta < 0:
         raise ValueError(f"need r_max >= 0 and Delta >= 0, got r_max={_number(r_max)}, Delta={_number(Delta)}")
-    mu, nu = float(mu), float(nu)
+    p, q = _coprime(mu, nu)
+    y = q / (p + q)
     columns = []  # squared n2 = 0 columns, all that the window reads
     for state in pair_tower(mu, nu, Delta, max(r_max - Delta, 0) + 10, r_max + Delta + 40):
         nrm = np.linalg.norm(state)
@@ -329,7 +333,7 @@ def heis_oracle(mu, nu, Delta: int, r_max: int) -> list[float]:
         total = 0.0
         for col in columns[: max(r - Delta, 0) + 11]:
             total += float(col[: r + 1].sum())
-        out.append(nu / (mu + nu) * total)
+        out.append(y * total)
     return out
 
 

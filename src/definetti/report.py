@@ -8,9 +8,9 @@ distance here is normalized as (1/2)*tr|A-B|.
 
 from __future__ import annotations
 
-import math
 import sys
 from fractions import Fraction
+from math import isqrt
 
 _FLOAT_SLACK = 1e-12
 _MIN_NORMAL = sys.float_info.min  # 2^-1022
@@ -50,22 +50,20 @@ def _shown(token) -> str:
 
 
 def _sqrt_float(num: int, den: int) -> float:
-    """sqrt(num/den) as a float for integers num >= 0 and den > 0, with no
-    gcd: the quotient and its root are each rounded once.
+    """sqrt(num/den), correctly rounded, for integers num >= 0 and den > 0,
+    with no gcd and one integer path at every scale.
 
-    num/den loses precision below 2^-1022, is 0 below 2^-1074 and raises
-    OverflowError from 2^1024 on, although its root may still be a normal
-    float, so there the root is taken of num/den over 4^m, which lies near
-    1, and 2^m is put back.
+    q = isqrt(num 4^s / den) keeps at least two bits below the float's
+    last place, subnormal roots included, and its lowest bit is set when
+    the root is not exactly q (a sticky bit), so the one rounding of q/2^s,
+    a correctly rounded int division, is the rounding of the root.  A root
+    past the float range raises OverflowError.
     """
-    try:
-        f = num / den
-        if f >= _MIN_NORMAL or not num:
-            return math.sqrt(f)
-    except OverflowError:
-        pass
-    m = (num.bit_length() - den.bit_length()) // 2
-    return math.ldexp(math.sqrt(num / (den << 2 * m) if m >= 0 else (num << -2 * m) / den), m)
+    s = 55 - max((num.bit_length() - den.bit_length()) // 2, -1022)
+    q2, rem = divmod(num << 2 * s, den) if s >= 0 else divmod(num, den << -2 * s)
+    q = isqrt(q2)
+    q |= bool(rem or q * q != q2)  # sticky bit: the root is not exactly q
+    return q / (1 << s) if s >= 0 else float(q << -s)
 
 
 class _Frozen:
@@ -155,11 +153,10 @@ class DeltaReport(_Frozen):
 
     @property
     def bound_sqrt(self) -> float:
-        """2 sqrt(1 - delta), the general bound."""
-        d = self.delta
-        if isinstance(d, float):
-            return 2.0 * math.sqrt(1 - d)
-        return 2.0 * _sqrt_float(d.denominator - d.numerator, d.denominator)
+        """2 sqrt(1 - delta), the general bound: the root of the exact value
+        the stored delta holds, a float delta included, rounded once."""
+        num, den = self.delta.as_integer_ratio()
+        return 2.0 * _sqrt_float(den - num, den)
 
     @classmethod
     def from_delta(cls, delta, formula_id: str, psi_label: str) -> "DeltaReport":

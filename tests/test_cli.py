@@ -2,11 +2,13 @@
 
 import copy
 import pickle
+import random
 import re
+import struct
 import time
-from decimal import Context, Decimal
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 from pathlib import Path
 
 import pytest
@@ -705,3 +707,18 @@ def test_verify_comparison_sees_nan():
 def test_no_command_is_usage_error(capsys):
     assert run(capsys, )[0] == 2
     assert run(capsys, "bogus")[0] == 2
+
+
+def test_render_decimal_reads_a_float_as_the_exact_value_it_stores():
+    # a float prints as its exact value rounded once to 12 digits, as the
+    # Fraction of that value prints
+    rng = random.Random(11)
+    xs = [struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0] for _ in range(4000)]
+    xs += [rng.getrandbits(52) * 2.0**-1074 for _ in range(1000)]  # subnormals
+    xs += [float(rng.randrange(10**18)) for _ in range(1000)]
+    xs += [rng.randrange(10**6) / 10 ** rng.randrange(8) for _ in range(1000)]
+    twelve = Context(prec=12, rounding=ROUND_HALF_EVEN)
+    for x in filter(isfinite, xs):
+        got = cli.render_decimal(x)
+        assert got == str(twelve.plus(Decimal(x))), x
+        assert got == cli.render_decimal(Fraction(x)), x

@@ -3,10 +3,12 @@
 import copy
 import pickle
 import random
+import struct
+import sys
 import time
 from decimal import Context, Decimal
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb, inf, nextafter, sqrt, ulp
 
 import pytest
 
@@ -173,7 +175,8 @@ def test_integer_kernels_match_termwise_sum():
             assert eps == 2 * x ** ((r + 1) // 2) and type(eps) is Fraction, (mu, nu, D, r)
             assert (eps / 2) ** 2 == 1 - delta
         else:
-            assert eps == 2.0 * sqrt(float(1 - delta)) and type(eps) is float, (mu, nu, D, r)
+            # the root of the Fraction 1 - delta, rounded once
+            assert _is_rounded_root(eps / 2, 1 - delta) and type(eps) is float, (mu, nu, D, r)
         weight = alpha_weight(D, r, mu, nu)
         assert weight == y**D * comb(r + D, D) * x**r and type(weight) is Fraction, (mu, nu, D, r)
         if r <= D:
@@ -594,3 +597,59 @@ def test_sqrt_float_ignores_a_common_factor():
         assert want == sqrt(num / den) or num / den < 2**-1022
         for k in (2, 3, 2**40 + 15, 10**30):
             assert _sqrt_float(k * num, k * den) == want, (num, den, k)
+
+
+def _is_rounded_root(got: float, x: Fraction) -> bool:
+    """Whether got is sqrt(x) rounded to nearest, ties to even: x lies
+    strictly between the squares of the midpoints from got to its two
+    neighbours, or on one of them when got's last bit is 0."""
+    if not 0 <= got < inf:
+        return False
+    f = Fraction(got)
+    lo = (f + Fraction(nextafter(got, 0.0))) / 2  # 0 at got = 0
+    hi = f + Fraction(ulp(got)) / 2
+    even = not struct.unpack("<Q", struct.pack("<d", got))[0] & 1
+    return lo * lo < x < hi * hi or (x in (lo * lo, hi * hi) and even)
+
+
+def _radicands(rng):
+    """(num, den) at every scale: random sides; roots in and below the
+    subnormal band; exact squares and ties m^2 4^e times a common factor;
+    roots up to the float max."""
+    for _ in range(12000):
+        yield rng.getrandbits(rng.randint(1, 200)), rng.getrandbits(rng.randint(1, 200)) + 1
+    for _ in range(3000):
+        num = rng.getrandbits(rng.randint(1, 120)) + 1
+        yield num, (rng.getrandbits(60) + 1) << (num.bit_length() + rng.randint(2000, 2110))
+    for _ in range(3000):
+        m, e, c = rng.getrandbits(rng.randint(1, 55)) | 1, rng.randint(-1080, 960), rng.randint(1, 2**40)
+        yield (c * m * m << 2 * e, c) if e >= 0 else (c * m * m, c << -2 * e)
+    for _ in range(2000):
+        yield rng.getrandbits(rng.randint(1900, 2047)), rng.getrandbits(rng.randint(1, 40)) + 1
+    top = 2**1024 - 2**970  # the midpoint from the float max to 2^1024
+    yield from ((0, 1), (0, 3 << 5000), (1, 1 << 2148), (1, 1 << 2150), (1, (1 << 2150) - 1), (top * top - 1, 1))
+
+
+def test_sqrt_float_is_the_correctly_rounded_root():
+    # sqrt(num / den) rounds twice, and misses the correctly rounded root
+    # on about one random radicand in eight
+    cases = list(_radicands(random.Random(32)))
+    assert len(cases) > 20000
+    for num, den in cases:
+        assert _is_rounded_root(_sqrt_float(num, den), Fraction(num, den)), (num, den)
+    assert _sqrt_float(1, 1 << 2150) == 0.0 and _sqrt_float(1, (1 << 2150) - 1) == 2.0**-1074
+    top = 2**1024 - 2**970
+    assert _sqrt_float(top * top - 1, 1) == sys.float_info.max
+    for num, den in ((top * top, 1), (2**2048, 1), (1 << 5000, 7)):
+        with pytest.raises(OverflowError):
+            _sqrt_float(num, den)
+
+
+def test_bound_sqrt_is_the_rounded_root_of_the_exact_delta():
+    # a float delta is read as the exact value it stores, as a Fraction is
+    assert DeltaReport(6.384713381046937e-17, "f", "psi").bound_sqrt == 2.0
+    rng = random.Random(9)
+    for _ in range(2000):
+        d = 10.0 ** rng.uniform(-20, 0)
+        for delta in (d, Fraction(d)):
+            assert _is_rounded_root(DeltaReport(delta, "f", "psi").bound_sqrt / 2, 1 - Fraction(d)), delta

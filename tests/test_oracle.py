@@ -7,7 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, sqrt
+from math import comb, factorial, inf, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +15,7 @@ import pytest
 
 from definetti import oracle, verify
 from definetti.exact import ExactReal
+from definetti.heisenberg import alpha_coeff
 from definetti.oracle import (
     brute_delta_symmetric,
     cg_oracle,
@@ -28,6 +29,7 @@ from definetti.oracle import (
     pair_vacuum,
     trace_distance,
 )
+from definetti.report import _sqrt_float
 from definetti.su2_cg import TwoJ, _racah_parts, _triangle
 from definetti.symmetric import SymTriple, dim_sym, epsilon
 from definetti.weights import Weight, sym_weights
@@ -372,6 +374,26 @@ def test_pair_vacuum_and_tower():
 
 def test_heis_oracle_matches_formula():
     assert heis_oracle(1, 1, 0, 0)[0] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_the_fock_oracle_reads_the_exact_ratio_of_the_weights():
+    # equal weights past the float range, or whose sum or powers are,
+    # give the values of (1, 1); an infinite weight is refused, as every
+    # closed form refuses it
+    base = heis_oracle(1, 1, 0, 3)
+    assert base == [0.5, 0.75, 0.875, 0.9375]
+    assert heis_oracle(Fraction(10**400), Fraction(10**400), 0, 3) == base
+    assert heis_oracle(1e308, 1e308, 0, 3) == base
+    assert np.array_equal(pair_vacuum(1e200, 1e200, 2, 10), pair_vacuum(1, 1, 2, 10))
+    for call in (heis_oracle, pair_vacuum):
+        with pytest.raises(ValueError, match=r"^mode weights must be finite, got mu=inf, nu=1.0$"):
+            call(inf, 1.0, 0, 3)
+    # each amplitude is the root of its exact Schmidt weight, rounded once
+    mu, nu, D = Fraction(2, 3), 5, 6
+    state = pair_vacuum(mu, nu, D, D)
+    for ell in range(D + 1):
+        alpha = alpha_coeff(D, ell, mu, nu)
+        assert state[D - ell, ell] == (-1) ** ell * _sqrt_float(alpha.numerator, alpha.denominator), ell
 
 
 def _heis_single_radius_reference(mu, nu, Delta, r, cutoff):

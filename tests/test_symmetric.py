@@ -175,6 +175,26 @@ def test_bound_exponential_chain():
     assert head == pytest.approx(1345.21634659, rel=1e-11)
 
 
+def test_bound_chain_holds_exactly_at_the_cli_scale():
+    # seeded cells with n log-uniform up to 10^5, compared through the
+    # exact values of the floats with no slack; a cell whose bounds
+    # underflow would break the chain (0 < epsilon/2), and is refused
+    rng = random.Random(32)
+    accepted = refused = 0
+    while accepted < 300:
+        n = round(10 ** rng.uniform(0.6, 5))
+        k = rng.randint(2, n - 2)
+        t = SymTriple(n, k, rng.randint(2, min(k, n - k, 40)), rng.randint(0, k))
+        try:
+            inter, head = bound_exponential(t)
+        except ValueError:
+            refused += 1
+            continue
+        assert epsilon(t) / 2 <= Fraction(inter) <= Fraction(head) / 2, t
+        accepted += 1
+    assert refused > 0
+
+
 def test_bound_exponential_needs_small_d():
     with pytest.raises(ValueError):
         bound_exponential(SymTriple(10, 2, 3, 0))
