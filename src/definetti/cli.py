@@ -10,7 +10,6 @@ to stderr; data goes to stdout or --out.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from decimal import ROUND_HALF_EVEN, Context, Decimal
@@ -142,14 +141,6 @@ def _choice(*names: str):
         return s
 
     return choice
-
-
-def _option_float(s: str) -> float:
-    """float(s), refused as argparse's float type is but with a long token cut."""
-    try:
-        return float(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {_shown(s)}") from None
 
 
 # a decimal with an exponent as Fraction reads it: sign, digits with single
@@ -527,8 +518,18 @@ def render_csv(header: list[str], curves: list[list[Fraction]], r_max: int) -> s
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose usage errors cut every long run of
+    non-space characters as _typed does: argparse's own messages echo an
+    unrecognized argument or an unknown command whole.  The subparsers
+    are of this class too."""
+
+    def error(self, message: str):
+        super().error(re.sub(r"\S{41,}", lambda m: _typed(m[0]), message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="definetti",
         description="Closed-form overlap functionals, their verification suites, and figure data.",
     )
@@ -555,15 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     suites = ("weights", "cg", "symmetric", "heisenberg", "mc", "all")
     p_verify.add_argument("suite", type=_choice(*suites), choices=suites)
     p_verify.add_argument("--seed", type=_option_int, default=0, help="RNG seed (default 0)")
-    p_verify.add_argument(
-        "--tol", type=_option_float, default=1e-10, help="oscillator tolerance, finite and positive (default 1e-10)"
-    )
-    p_verify.add_argument(
-        "--samples",
-        type=_option_int,
-        default=10**4,
-        help="Monte Carlo sample count, 10^3 to 10^7 (default 10^4)",
-    )
     return parser
 
 
@@ -612,25 +604,12 @@ def cmd_figure(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import verify as verify_suites
-    from .oracle import MC_SAMPLES_GUARD, MC_SAMPLES_MIN
 
     names = list(verify_suites.SUITES) if args.suite == "all" else [args.suite]
-    if args.samples < MC_SAMPLES_MIN:
-        print("definetti verify: --samples must be at least 10^3", file=sys.stderr)
-        return 2
-    if args.samples > MC_SAMPLES_GUARD:
-        print(
-            f"definetti verify: --samples must be at most {MC_SAMPLES_GUARD}, got {_number(args.samples)}",
-            file=sys.stderr,
-        )
-        return 2
     if args.seed < 0:
         print(f"definetti verify: --seed must be nonnegative, got {_number(args.seed)}", file=sys.stderr)
         return 2
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        print(f"definetti verify: --tol must be finite and positive, got {args.tol!r}", file=sys.stderr)
-        return 2
-    results = verify_suites.run_suites(names, seed=args.seed, tol=args.tol, n_samples=args.samples)
+    results = verify_suites.run_suites(names, seed=args.seed)
     failed = 0
     total = 0
     for suite, checks in results:

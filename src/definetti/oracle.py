@@ -45,11 +45,15 @@ __all__ = [
 ]
 
 SYM_SIZE_GUARD = 10**6
+# float64 cells in the dense (cutoff+1)^2 Fock matrices one call holds:
+# heis_oracle at r_max = 200, Delta = 10 keeps 201 states of 251^2 cells,
+# 12.7 M (about 100 MB)
+FOCK_CELL_GUARD = 13 * 10**6
 CG_TABLE_GUARD = 24  # doubled angular momentum
 # Monte Carlo samples per mc_theorem1 call; the mc suite's two checks read
 # one call, and took 1.5 s at 10^6 and 11 s at 10^7 samples on a 2-vCPU VM
-MC_SAMPLES_MIN = 10**3
-MC_SAMPLES_GUARD = 10**7
+MC_SAMPLE_MIN = 10**3
+MC_SAMPLE_GUARD = 10**7
 
 
 def trace_distance(a, b) -> float:
@@ -260,10 +264,18 @@ def lambda_up_set(j1, j2, j) -> set[Weight]:
 # truncated oscillator pair
 
 
+def _check_fock_cells(states: int, cutoff: int) -> None:
+    """Refuse states dense (cutoff+1)^2 matrices of more than
+    FOCK_CELL_GUARD cells in all, before numpy allocates any."""
+    if states * (cutoff + 1) ** 2 > FOCK_CELL_GUARD:
+        raise ValueError(f"size guard exceeded: {_number(states)} x {_number(cutoff + 1)}^2 cells > {FOCK_CELL_GUARD}")
+
+
 def fock_annihilator(cutoff: int) -> np.ndarray:
     """Annihilation matrix on span{|0>, ..., |cutoff>}."""
     if cutoff < 1:
         raise ValueError(f"need cutoff >= 1, got {_number(cutoff)}")
+    _check_fock_cells(1, cutoff)
     return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
 
 
@@ -289,6 +301,7 @@ def pair_vacuum(mu, nu, Delta: int, cutoff: int) -> np.ndarray:
     _check_weights(mu, nu)
     if Delta < 0 or Delta > cutoff:
         raise ValueError(f"need 0 <= Delta <= cutoff, got Delta={_number(Delta)}, cutoff={_number(cutoff)}")
+    _check_fock_cells(1, cutoff)
     p, q = _coprime(mu, nu)
     state = np.zeros((cutoff + 1, cutoff + 1))
     for ell in range(Delta + 1):
@@ -301,8 +314,9 @@ def pair_tower(mu, nu, Delta: int, n_max: int, cutoff: int) -> list[np.ndarray]:
     """States |psi_n> = (a+)^n |psi_0> / sqrt(n!) for n = 0..n_max."""
     if Delta + n_max > cutoff:
         raise ValueError(
-            f"tower would leave the truncation: Delta+n_max = {Delta + n_max} > cutoff = {cutoff}"
+            f"tower would leave the truncation: Delta+n_max = {_number(Delta + n_max)} > cutoff = {_number(cutoff)}"
         )
+    _check_fock_cells(n_max + 1, cutoff)
     states = [pair_vacuum(mu, nu, Delta, cutoff)]
     for n in range(1, n_max + 1):
         states.append(pair_create(mu, nu, states[-1]) / sqrt(n))
@@ -406,10 +420,10 @@ def mc_theorem1(n: int, k: int, rs: tuple[int, ...], n_samples: int, seed: int) 
         raise ValueError(f"need 0 < k < n, got k={_number(k)}, n={_number(n)}")
     if n > 16:  # 2^n > 2^16, without raising 2 to a huge n
         raise ValueError(f"size guard exceeded: 2^{_number(n)} > 2^16")
-    if n_samples < MC_SAMPLES_MIN:
+    if n_samples < MC_SAMPLE_MIN:
         raise ValueError(f"need at least 10^3 samples, got {_number(n_samples)}")
-    if n_samples > MC_SAMPLES_GUARD:
-        raise ValueError(f"size guard exceeded: {_number(n_samples)} samples > {MC_SAMPLES_GUARD}")
+    if n_samples > MC_SAMPLE_GUARD:
+        raise ValueError(f"size guard exceeded: {_number(n_samples)} samples > {MC_SAMPLE_GUARD}")
     for r in rs:
         if not 0 <= r <= k:
             raise ValueError(f"need 0 <= r <= k, got r={_number(r)}")

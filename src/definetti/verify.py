@@ -370,7 +370,9 @@ def d2_exact_error(n_max: int) -> str:
 
 
 def bound_chain(n_max: int, d_max: int) -> str:
-    """epsilon/2 <= intermediate <= headline/2 wherever the bound applies."""
+    """epsilon/2 <= intermediate <= headline/2 wherever the bound applies,
+    compared exactly: epsilon as its integer parts, each bound as the
+    exact value of its float."""
     count = 0
     for n in range(4, n_max + 1):
         for k in range(2, n - 1):
@@ -379,11 +381,11 @@ def bound_chain(n_max: int, d_max: int) -> str:
                     continue
                 for r in range(0, k + 1):
                     num, den = symmetric._epsilon_parts(n, k, d, r)
-                    eps = num / den  # int true division rounds once, as float(epsilon) does
                     inter, head = symmetric._bounds(n, k, d, r)
-                    if not eps / 2 <= inter * (1 + 1e-12):
+                    a, b = inter.as_integer_ratio()  # the exact float, b > 0
+                    if not num * b <= 2 * den * a:
                         raise AssertionError(f"eps/2 > intermediate at {(n, k, d, r)}")
-                    if not inter <= head / 2 * (1 + 1e-12):
+                    if not 2 * inter <= head:  # doubling a float is exact
                         raise AssertionError(f"intermediate > headline/2 at {(n, k, d, r)}")
                     count += 1
     return f"{count} chain comparisons hold"
@@ -452,8 +454,13 @@ def single_weight_overlap(n_max: int, d_max: int) -> str:
 # oscillator pair; `pairs` lists (mu, nu) mode weights
 
 
-def fock_oracle(pairs, delta_max: int, r_max: int, tol: float) -> str:
-    """Truncated-Fock overlaps match the number-window formula to tol."""
+# the largest difference or defect the float oscillator checks allow: each
+# is double-precision roundoff on quantities of size about 1
+ROUNDOFF = 1e-10
+
+
+def fock_oracle(pairs, delta_max: int, r_max: int) -> str:
+    """Truncated-Fock overlaps match the number-window formula to ROUNDOFF."""
     count = 0
     for mu, nu in pairs:
         for Delta in range(0, delta_max + 1):
@@ -463,27 +470,27 @@ def fock_oracle(pairs, delta_max: int, r_max: int, tol: float) -> str:
                         heisenberg.HeisenbergTriple(Fraction(mu), Fraction(nu), Delta, r)
                     ).delta
                 )
-                _approx(got, want, tol, f"fock oracle {(mu, nu, Delta, r)}")
+                _approx(got, want, ROUNDOFF, f"fock oracle {(mu, nu, Delta, r)}")
                 count += 1
     return f"{count} truncated-fock cross-checks"
 
 
-def vacuum_annihilation(pairs, delta_max: int, tol: float) -> str:
-    """The combined mode annihilates every paired vacuum to within tol."""
+def vacuum_annihilation(pairs, delta_max: int) -> str:
+    """The combined mode annihilates every paired vacuum to within ROUNDOFF."""
     residuals = []
     for mu, nu in pairs:
         for Delta in range(0, delta_max + 1):
             state = oracle.pair_vacuum(mu, nu, Delta, Delta + 30)
             residuals.append(np.linalg.norm(oracle.pair_annihilate(mu, nu, state)))
     worst = float(np.max(residuals))  # unlike max(), np.max propagates a NaN
-    if not worst <= tol:
-        raise AssertionError(f"annihilation residual {worst:.2e} > {tol:g}")
+    if not worst <= ROUNDOFF:
+        raise AssertionError(f"annihilation residual {worst:.2e} > {ROUNDOFF:g}")
     return f"worst residual {worst:.2e}"
 
 
-def tower_orthonormal(pairs, delta_max: int, n_max: int, cutoff: int, tol: float) -> str:
+def tower_orthonormal(pairs, delta_max: int, n_max: int, cutoff: int) -> str:
     """The towers of all offsets 0..delta_max together form one
-    orthonormal family, per (mu, nu), to within tol."""
+    orthonormal family, per (mu, nu), to within ROUNDOFF."""
     defects = []
     for mu, nu in pairs:
         flat = []
@@ -499,8 +506,8 @@ def tower_orthonormal(pairs, delta_max: int, n_max: int, cutoff: int, tol: float
             row[0] -= 1.0
             defects.append(np.abs(row).max())
     worst = float(np.max(defects))  # unlike max(), np.max propagates a NaN
-    if not worst <= tol:
-        raise AssertionError(f"gram defect {worst:.2e} > {tol:g}")
+    if not worst <= ROUNDOFF:
+        raise AssertionError(f"gram defect {worst:.2e} > {ROUNDOFF:g}")
     return f"worst gram defect {worst:.2e}"
 
 
@@ -623,8 +630,8 @@ def mc_identity_recovery(seed: int, n_samples: int) -> str:
 # ---------------------------------------------------------------------------
 # suites: (check name, check function, arguments) rows per suite, in run order
 
-# placeholders in a row's arguments, which run_suites fills in
-_SEED, _TOL, _SAMPLES = object(), object(), object()
+# the placeholder in a row's arguments that run_suites fills with the seed
+_SEED = object()
 
 _SUITE_TABLE = {
     "weights": (
@@ -655,13 +662,9 @@ _SUITE_TABLE = {
         ("single-weight overlap oracle", single_weight_overlap, (7, 3)),
     ),
     "heisenberg": (
-        ("truncated-fock oracle grid", fock_oracle, (tuple(product((1, 2, 5), (1, 3))), 3, 6, _TOL)),
-        (
-            "paired vacuum annihilation",
-            vacuum_annihilation,
-            (((1.0, 1.0), (2.0, 3.0), (0.5, 1.25)), 6, _TOL),
-        ),
-        ("tower orthonormality", tower_orthonormal, (((1.0, 1.0), (2.0, 3.0)), 5, 5, 40, _TOL)),
+        ("truncated-fock oracle grid", fock_oracle, (tuple(product((1, 2, 5), (1, 3))), 3, 6)),
+        ("paired vacuum annihilation", vacuum_annihilation, (((1.0, 1.0), (2.0, 3.0), (0.5, 1.25)), 6)),
+        ("tower orthonormality", tower_orthonormal, (((1.0, 1.0), (2.0, 3.0)), 5, 5, 40)),
         ("offset-0 geometric closed form", geometric_closed_form, (tuple(product((1, 2, 5), (1, 4))), 12)),
         ("coherent-splitting consistency", coherent_consistency, (60, (0, 1, 2, 5))),
         (
@@ -673,26 +676,21 @@ _SUITE_TABLE = {
     ),
     "mc": (
         ("haar sampler schur average", haar_schur_average, (_SEED, 4000)),
-        ("projected mixture within bound", mc_inequality, (_SEED, _SAMPLES)),
-        ("unprojected mixture recovers reduced state", mc_identity_recovery, (_SEED, _SAMPLES)),
+        ("projected mixture within bound", mc_inequality, (_SEED, 10**4)),
+        ("unprojected mixture recovers reduced state", mc_identity_recovery, (_SEED, 10**4)),
     ),
 }
 
 SUITES = tuple(_SUITE_TABLE)
 
 
-def run_suites(
-    names: list[str],
-    seed: int = 0,
-    tol: float = 1e-10,
-    n_samples: int = 10**4,
-) -> list[tuple[str, list[Check]]]:
-    """Run the named suites in the order given."""
+def run_suites(names: list[str], seed: int = 0) -> list[tuple[str, list[Check]]]:
+    """Run the named suites in the order given: each check's ranges,
+    tolerances and sample counts are fixed, so the seed alone varies."""
     unknown = [n for n in names if n not in _SUITE_TABLE]
     if unknown:
         raise KeyError(f"unknown suite(s): {', '.join(unknown)}")
-    fill = {_SEED: seed, _TOL: tol, _SAMPLES: n_samples}
     return [
-        (n, [_check(name, fn, *(fill.get(a, a) for a in args)) for name, fn, args in _SUITE_TABLE[n]])
+        (n, [_check(name, fn, *(seed if a is _SEED else a for a in args)) for name, fn, args in _SUITE_TABLE[n]])
         for n in names
     ]

@@ -106,9 +106,9 @@ def test_criterion_08_coupling_table_oracle():
 def test_criterion_09_oscillator_oracle():
     with criterion(9, "truncated oscillator oracle matches the number-window formula"):
         pairs = list(product(range(1, 11), repeat=2))
-        verify.fock_oracle(pairs, 5, 10, 1e-10)
-        verify.vacuum_annihilation(pairs, 5, 1e-10)
-        verify.tower_orthonormal(pairs, 5, 12, 60, 1e-10)
+        verify.fock_oracle(pairs, 5, 10)
+        verify.vacuum_annihilation(pairs, 5)
+        verify.tower_orthonormal(pairs, 5, 12, 60)
         verify.geometric_closed_form(pairs, 10)
 
 

@@ -317,7 +317,6 @@ def test_over_long_integers_are_named_by_their_digit_count(capsys):
     over = "value has 5000 digits, more than the interpreter converts (4300)"
     for argv, message in (
         (["verify", "all", "--seed", "7" * 5000], f"argument --seed: {over}"),
-        (["verify", "all", "--samples", "7" * 5000], f"argument --samples: {over}"),
         (["figure", "7" * 5000], f"argument {{1,2,3}}: {over}"),
         # argparse's choice check echoed a convertible integer whole too
         (["figure", "7" * 4000], "argument {1,2,3}: invalid choice: a 4000-digit integer (choose from 1, 2, 3)"),
@@ -329,8 +328,8 @@ def test_over_long_integers_are_named_by_their_digit_count(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and len(err) < 400, argv
         assert err.endswith(f": error: {message}\n"), err
-    # argparse's choice and float checks echoed a whole token: 430, 503 and
-    # 366-byte error lines for these; short tokens read as argparse put them
+    # argparse's choice checks echoed a whole token: 430 and 503-byte error
+    # lines for these; short tokens read as argparse put them
     long, digits = "x" * 300, "x" + "9" * 300
     suites = "'weights', 'cg', 'symmetric', 'heisenberg', 'mc', 'all'"
     closed_forms = ", ".join(map(repr, sorted(cli.COMPUTE_FNS)))
@@ -340,12 +339,26 @@ def test_over_long_integers_are_named_by_their_digit_count(capsys):
         (["compute", long],
          f"argument subcommand: invalid choice: {long[:32]!r}... (300 characters) (choose from {closed_forms})"),
         (["compute", "bogus"], f"argument subcommand: invalid choice: 'bogus' (choose from {closed_forms})"),
-        (["verify", "all", "--tol", digits], f"argument --tol: invalid float value: {digits[:32]!r}... (301 characters)"),
-        (["verify", "all", "--tol", "x"], "argument --tol: invalid float value: 'x'"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.endswith(f": error: {message}\n") and len(err.splitlines()[-1]) < 300, err
+    # argparse's own errors echoed an unrecognized argument or an unknown
+    # command whole: 542 to 598-byte lines for 500 digits; the parser's
+    # error cuts every long run of non-space characters
+    nines = "9" * 500
+    for argv, cut in (
+        (["verify", "all", f"--bogus={nines}"], f"--bogus={nines[:24]}... (508 characters)"),
+        (["figure", "1", nines], f"{nines[:32]}... (500 characters)"),
+        (["compute", "su2-delta", "j1=1", f"--x{nines}"], f"--x{nines[:29]}... (503 characters)"),
+        ([nines], f"invalid choice: '{nines[:31]}... (502 characters)"),
+        (["verify", "all", f"--samples={nines[:300]}"], f"--samples={nines[:22]}... (310 characters)"),
+        (["verify", "all", "--samples", "7" * 5000], f"--samples {'7' * 32}... (5000 characters)"),
+        (["verify", "all", f"--tol={digits}"], f"--tol={digits[:26]}... (307 characters)"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert cut in err.splitlines()[-1] and max(len(line.encode()) for line in err.splitlines()) < 300, err
 
 
 def test_a_long_direction_is_cut(capsys):
@@ -617,31 +630,38 @@ def test_verify_weights_suite(capsys):
     assert lines[-1].endswith("checks passed")
 
 
-def test_verify_usage_errors(capsys):
+def test_verify_usage_errors(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "bogus")
     assert code == 2
-    code, _, err = run(capsys, "verify", "mc", "--samples", "10")
-    assert code == 2 and err
     code, out, err = run(capsys, "verify", "mc", "--seed=-1")
     assert code == 2 and out == "" and err.count("\n") == 1
-    for tol in ("nan", "inf", "0", "-1e-10"):
-        code, out, err = run(capsys, "verify", "weights", f"--tol={tol}")
-        assert code == 2 and out == "" and err.count("\n") == 1, tol
+    # verify has one configuration: a tolerance or a sample count, which
+    # could flip its verdict, is an unknown argument, and no check runs
+    def fail(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "run_suites", fail)
+    for argv in (["all", "--tol", "1e300"], ["mc", "--samples", "1000"], ["weights", "--tol=nan"]):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[1:])}\n"), err
+        assert max(len(line.encode()) for line in err.splitlines()) < 300, err
 
 
 def test_verify_samples_over_the_guard_start_no_sampling(capsys, monkeypatch):
-    # --samples 10^21 used to be accepted and loop through ~2.4e17 batches
+    # --samples 10^21 used to be accepted and loop through ~2.4e17 batches;
+    # verify now reads no sample count, and mc_theorem1 refuses one over
+    # its guard
     from definetti import oracle
 
     def fail(*args):
         raise AssertionError("sampling started")
 
     monkeypatch.setattr(oracle, "haar_su2", fail)
-    for samples in (oracle.MC_SAMPLES_GUARD + 1, 10**21):
+    for samples in (oracle.MC_SAMPLE_GUARD + 1, 10**21):
         code, out, err = run(capsys, "verify", "mc", "--samples", str(samples))
-        assert code == 2 and out == "" and err.count("\n") == 1, samples
-        assert f"at most {oracle.MC_SAMPLES_GUARD}" in err
-        with pytest.raises(ValueError, match="size guard exceeded"):
+        assert (code, out) == (2, "") and err.endswith(f"error: unrecognized arguments: --samples {samples}\n")
+        with pytest.raises(ValueError, match=f"size guard exceeded: .* > {oracle.MC_SAMPLE_GUARD}$"):
             oracle.mc_theorem1(4, 2, (1,), samples, 0)
 
 
@@ -652,9 +672,9 @@ def test_verify_samples_under_the_minimum_start_no_sampling(capsys, monkeypatch)
         raise AssertionError("sampling started")
 
     monkeypatch.setattr(oracle, "haar_su2", fail)
-    samples = oracle.MC_SAMPLES_MIN - 1
+    samples = oracle.MC_SAMPLE_MIN - 1
     code, out, err = run(capsys, "verify", "mc", "--samples", str(samples))
-    assert (code, out, err) == (2, "", "definetti verify: --samples must be at least 10^3\n")
+    assert (code, out) == (2, "") and err.endswith("error: unrecognized arguments: --samples 999\n")
     with pytest.raises(ValueError, match=r"^need at least 10\^3 samples, got 999$"):
         oracle.mc_theorem1(4, 2, (1,), samples, 0)
 
@@ -663,8 +683,11 @@ def test_verify_parser_offers_every_suite():
     # cli builds its parser without importing verify, which loads numpy,
     # so it lists the suites itself
     (subparsers,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
-    (suite,) = [a for a in subparsers.choices["verify"]._actions if a.dest == "suite"]
+    actions = subparsers.choices["verify"]._actions
+    (suite,) = [a for a in actions if a.dest == "suite"]
     assert sorted(suite.choices) == sorted(("all", *verify.SUITES))
+    # the suite and the seed are all that verify reads
+    assert [a.option_strings or a.dest for a in actions] == [["-h", "--help"], "suite", ["--seed"]]
 
 
 def _suite_rows(monkeypatch, **kwargs):
@@ -683,18 +706,19 @@ def test_verify_suites_are_well_formed(monkeypatch):
         verify.run_suites(["nope"])
     with pytest.raises(KeyError, match="nope"):
         verify.run_suites(["weights", "nope"])
-    rows = _suite_rows(monkeypatch, seed=7, tol=1e-9, n_samples=2000)
+    rows = _suite_rows(monkeypatch, seed=7)
     assert len(rows) == 31
     assert list(verify.SUITES) == list(dict.fromkeys(s for s, _, _ in rows))
     for suite in verify.SUITES:
         names = [name for s, name, _ in rows if s == suite]
         assert len(set(names)) == len(names), suite
     args = {name: detail for _, name, detail in rows}
-    assert args["projected mixture within bound"] == repr((7, 2000))
+    assert args["projected mixture within bound"] == repr((7, 10**4))
+    assert args["unprojected mixture recovers reduced state"] == repr((7, 10**4))
     assert args["haar sampler schur average"] == repr((7, 4000))
-    assert args["truncated-fock oracle grid"].endswith(", 1e-09)")
+    assert args["truncated-fock oracle grid"].endswith(", 3, 6)")
     # a second run sees the same arguments: no row holds a spent iterator
-    assert _suite_rows(monkeypatch, seed=7, tol=1e-9, n_samples=2000) == rows
+    assert _suite_rows(monkeypatch, seed=7) == rows
 
 
 def test_verify_comparison_sees_nan():

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, inf, sqrt
+from math import comb, factorial, inf, isqrt, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -372,6 +372,27 @@ def test_pair_vacuum_and_tower():
         pair_tower(1.0, 1.0, 5, 20, 24)
 
 
+def test_the_fock_matrices_stop_at_their_cell_guard(monkeypatch):
+    # heis_oracle at r_max = 200 holds 211 - Delta states of (241 + Delta)^2
+    # cells, the most at Delta = 10; at r_max = 1000 it would hold 8.2 GiB
+    assert 201 * 251**2 <= oracle.FOCK_CELL_GUARD < 216 * 246**2
+    assert len(heis_oracle(1, 1, 10, 200)) == 201
+    side = isqrt(oracle.FOCK_CELL_GUARD) + 1  # one matrix of side^2 cells is past the guard
+    for call, args in (
+        (heis_oracle, (1, 1, 0, 205)),  # 216 states of 246^2 cells
+        (pair_tower, (1, 1, 0, 1000, 1000)),
+        (pair_vacuum, (1, 1, 0, side - 1)),
+        (fock_annihilator, (side - 1,)),
+    ):
+        with pytest.raises(ValueError, match=f"^size guard exceeded: .* cells > {oracle.FOCK_CELL_GUARD}$"):
+            call(*args)
+    # the guard bounds the cells held, inclusive: 13 states of 13^2 fit
+    monkeypatch.setattr(oracle, "FOCK_CELL_GUARD", 13 * 13**2)
+    assert len(pair_tower(1, 1, 0, 12, 12)) == 13
+    with pytest.raises(ValueError, match=r"^size guard exceeded: 13 x 14\^2 cells > 2197$"):
+        pair_tower(1, 1, 0, 12, 13)
+
+
 def test_heis_oracle_matches_formula():
     assert heis_oracle(1, 1, 0, 0)[0] == pytest.approx(0.5, abs=1e-12)
 
@@ -431,7 +452,7 @@ def test_fock_oracle_builds_one_tower_per_offset(monkeypatch):
 
     monkeypatch.setattr(oracle, "pair_tower", counted)
     pairs = tuple(product((1, 2, 5), (1, 3)))
-    assert verify.fock_oracle(pairs, 3, 6, 1e-10) == "168 truncated-fock cross-checks"
+    assert verify.fock_oracle(pairs, 3, 6) == "168 truncated-fock cross-checks"
     assert calls == 6 * 4  # one per (mu, nu, Delta), not one per radius
 
 

@@ -195,6 +195,20 @@ def test_bound_chain_holds_exactly_at_the_cli_scale():
     assert refused > 0
 
 
+def test_bound_chain_compares_exactly(monkeypatch):
+    # an intermediate bound 1e-13 (relative) below epsilon/2 breaks the
+    # chain; a slack of 1e-12 once let it through
+    bounds = symmetric._bounds
+
+    def low(n, k, d, r):
+        num, den = _epsilon_parts(n, k, d, r)
+        return num / den / 2 * (1 - 1e-13), bounds(n, k, d, r)[1]
+
+    monkeypatch.setattr(symmetric, "_bounds", low)
+    with pytest.raises(AssertionError, match=r"^eps/2 > intermediate at \(4, 2, 2, 0\)$"):
+        verify.bound_chain(40, 4)
+
+
 def test_bound_exponential_needs_small_d():
     with pytest.raises(ValueError):
         bound_exponential(SymTriple(10, 2, 3, 0))

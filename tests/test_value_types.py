@@ -211,7 +211,6 @@ def _verify_refusal(*argv):
         pytest.param(cli.figure_spec, (1, {"r_max": f"-{LONG}"}), "r-max >= 0", 300, id="figure-r-max"),
         pytest.param(cli.figure_spec, (3, {"delta_max": f"-{LONG}"}), "delta-max >= 0", 300, id="figure-delta"),
         pytest.param(cli.figure_spec, (3, {"delta_max": LONG}), "delta-max <= 100", 300, id="figure-delta-max"),
-        pytest.param(_verify_refusal, (f"--samples={LONG}",), "--samples", 300, id="verify-samples"),
         pytest.param(_verify_refusal, (f"--seed=-{LONG}",), "--seed", 300, id="verify-seed"),
         pytest.param(cli._compute_exact_radius, ([f"d={LONG}", "n=4", "k=2", "l=0"],), "d=", 300, id="radius-d"),
         pytest.param(cli._compute_exact_radius, (["d=2", "n=4", f"k={LONG}", "l=0"],), "k=", 300, id="radius-k"),
@@ -236,6 +235,10 @@ def _verify_refusal(*argv):
         pytest.param(oracle.heis_oracle, (1, 1, -BIG, 0), "Delta=", 5001, id="heis_oracle-Delta"),
         pytest.param(oracle.heis_oracle, (1, 1, 0, -BIG), "r_max=", 5001, id="heis_oracle-r_max"),
         pytest.param(oracle.fock_annihilator, (-BIG,), "cutoff", 5001, id="fock_annihilator"),
+        pytest.param(oracle.heis_oracle, (1, 1, 0, BIG), "size guard", 5001, id="heis_oracle-size"),
+        pytest.param(oracle.fock_annihilator, (BIG,), "size guard", 5001, id="fock_annihilator-size"),
+        pytest.param(oracle.pair_vacuum, (1, 1, 0, BIG), "size guard", 5001, id="pair_vacuum-size"),
+        pytest.param(oracle.pair_tower, (1, 1, 0, BIG, 1), "truncation", 5001, id="pair_tower-n_max"),
         pytest.param(oracle.pair_vacuum, (-BIG, 1, 0, 1), "mu=", 5001, id="pair_vacuum-mu"),
         pytest.param(oracle.pair_vacuum, (1, 1, -BIG, 1), "Delta=", 5001, id="pair_vacuum-Delta"),
         pytest.param(oracle.pair_vacuum, (1, 1, 0, -BIG), "cutoff=", 5001, id="pair_vacuum-cutoff"),
