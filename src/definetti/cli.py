@@ -519,13 +519,21 @@ def render_csv(header: list[str], curves: list[list[Fraction]], r_max: int) -> s
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, whose usage errors cut every long run of
-    non-space characters as _typed does: argparse's own messages echo an
-    unrecognized argument or an unknown command whole.  The subparsers
-    are of this class too."""
+    """argparse's parser, the subparsers' too, whose errors cut each argv
+    token (kept longest first) of more than 40 characters as _typed does,
+    and show one with a line break by its repr: argparse echoes an unknown
+    command, an unrecognized argument or an ambiguous option whole."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._tokens = sorted(sys.argv[1:] if args is None else args, key=len, reverse=True)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str):
-        super().error(re.sub(r"\S{41,}", lambda m: _typed(m[0]), message))
+        for tok in self._tokens:
+            shown = tok if "".join(tok.splitlines()) == tok else repr(tok)
+            if shown != tok or len(tok) > 40:
+                message = message.replace(repr(tok), _typed(repr(tok))).replace(tok, _typed(shown))
+        super().error(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,8 +4,9 @@ Nothing here reuses the formula derivations: symmetric-subspace overlaps
 are exact projector traces, coupling coefficients come from highest-weight
 plus lowering synthesis in integer arithmetic (on a factorial-rescaled
 product basis, with one square root taken per entry at the end),
-oscillator overlaps from truncated Fock matrices, and the reconstruction
-theorem itself gets a Monte Carlo end-to-end inequality check.
+oscillator overlaps from truncated Fock states, which the ladders shift,
+and the reconstruction theorem itself gets a Monte Carlo end-to-end
+inequality check.
 
 The symmetric basis has one builder, _sym_classes: one numpy pass sorts
 the d^n product indices into their type classes by their sorted digits,
@@ -34,7 +35,6 @@ __all__ = [
     "trace_distance",
     "cg_oracle",
     "lambda_up_set",
-    "fock_annihilator",
     "pair_annihilate",
     "pair_create",
     "pair_vacuum",
@@ -45,9 +45,9 @@ __all__ = [
 ]
 
 SYM_SIZE_GUARD = 10**6
-# float64 cells in the dense (cutoff+1)^2 Fock matrices one call holds:
-# heis_oracle at r_max = 200, Delta = 10 keeps 201 states of 251^2 cells,
-# 12.7 M (about 100 MB)
+# float64 cells in the (cutoff+1)^2 Fock states one call holds, as the
+# ladders shift a state with no matrix: heis_oracle at r_max = 200,
+# Delta = 10 keeps 201 states of 251^2 cells, 12.7 M (about 100 MB)
 FOCK_CELL_GUARD = 13 * 10**6
 CG_TABLE_GUARD = 24  # doubled angular momentum
 # Monte Carlo samples per mc_theorem1 call; the mc suite's two checks read
@@ -271,28 +271,29 @@ def _check_fock_cells(states: int, cutoff: int) -> None:
         raise ValueError(f"size guard exceeded: {_number(states)} x {_number(cutoff + 1)}^2 cells > {FOCK_CELL_GUARD}")
 
 
-def fock_annihilator(cutoff: int) -> np.ndarray:
-    """Annihilation matrix on span{|0>, ..., |cutoff>}."""
-    if cutoff < 1:
-        raise ValueError(f"need cutoff >= 1, got {_number(cutoff)}")
-    _check_fock_cells(1, cutoff)
-    return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
-
-
-def _pair_ladder(mu, nu, state: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """(sqrt(mu) a x 1 + sqrt(nu) 1 x a)/sqrt(mu+nu) on state, for a ladder matrix a."""
+def _pair_ladder(mu, nu, state: np.ndarray, create: bool) -> np.ndarray:
+    """(sqrt(mu) a x 1 + sqrt(nu) 1 x a)/sqrt(mu+nu), or its adjoint, by shifts:
+    (a S)[i, j] = sqrt(i+1) S[i+1, j], (S a^T)[i, j] = sqrt(j+1) S[i, j+1], and
+    a+ the other way; an amplitude shifted past the cutoff is dropped."""
+    if state.ndim != 2 or state.shape[0] != state.shape[1]:
+        raise ValueError(f"need a square 2-D state, got shape {state.shape}")
+    roots = np.sqrt(np.arange(1.0, len(state)))
+    read, write = (slice(None, -1), slice(1, None)) if create else (slice(1, None), slice(None, -1))
+    rows, cols = np.zeros((2, *state.shape), np.result_type(state, 1.0))
+    rows[write] = roots[:, None] * state[read]
+    cols[:, write] = state[:, read] * roots
     p, q = _coprime(mu, nu)
-    return _sqrt_float(p, p + q) * (a @ state) + _sqrt_float(q, p + q) * (state @ a.T)
+    return _sqrt_float(p, p + q) * rows + _sqrt_float(q, p + q) * cols
 
 
 def pair_annihilate(mu, nu, state: np.ndarray) -> np.ndarray:
     """Apply the combined mode (sqrt(mu) a1 + sqrt(nu) a2)/sqrt(mu+nu)."""
-    return _pair_ladder(mu, nu, state, fock_annihilator(state.shape[0] - 1))
+    return _pair_ladder(mu, nu, state, create=False)
 
 
 def pair_create(mu, nu, state: np.ndarray) -> np.ndarray:
     """Apply the combined creation operator (sqrt(mu) a1+ + sqrt(nu) a2+)/sqrt(mu+nu)."""
-    return _pair_ladder(mu, nu, state, fock_annihilator(state.shape[0] - 1).T)
+    return _pair_ladder(mu, nu, state, create=True)
 
 
 def pair_vacuum(mu, nu, Delta: int, cutoff: int) -> np.ndarray:

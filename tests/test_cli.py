@@ -1,6 +1,8 @@
 """Command-line surface: compute output format, CSV figures, verify wiring."""
 
 import copy
+import inspect
+import json
 import pickle
 import random
 import re
@@ -16,6 +18,7 @@ import pytest
 from definetti import cli, heisenberg, su2_cg, symmetric, verify, weights
 from definetti.cli import FigureSpec, figure_spec, figure_values, main
 from definetti.su2_cg import TwoJ
+from test_oracle import _in_child
 
 
 def run(capsys, *argv):
@@ -343,10 +346,12 @@ def test_over_long_integers_are_named_by_their_digit_count(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.endswith(f": error: {message}\n") and len(err.splitlines()[-1]) < 300, err
-    # argparse's own errors echoed an unrecognized argument or an unknown
-    # command whole: 542 to 598-byte lines for 500 digits; the parser's
-    # error cuts every long run of non-space characters
-    nines = "9" * 500
+    # argparse's own errors echoed an unrecognized argument, an unknown
+    # command or an ambiguous option whole: 542 to 598-byte lines for 500
+    # digits, 693 and 699 for 300 spaced words, and a line break split the
+    # diagnostic; the parser's error cuts each long argv token, and shows
+    # one with a line break by its repr
+    nines, spaced = "9" * 500, "x " * 300
     for argv, cut in (
         (["verify", "all", f"--bogus={nines}"], f"--bogus={nines[:24]}... (508 characters)"),
         (["figure", "1", nines], f"{nines[:32]}... (500 characters)"),
@@ -355,10 +360,18 @@ def test_over_long_integers_are_named_by_their_digit_count(capsys):
         (["verify", "all", f"--samples={nines[:300]}"], f"--samples={nines[:22]}... (310 characters)"),
         (["verify", "all", "--samples", "7" * 5000], f"--samples {'7' * 32}... (5000 characters)"),
         (["verify", "all", f"--tol={digits}"], f"--tol={digits[:26]}... (307 characters)"),
+        (["figure", "1", spaced], f"unrecognized arguments: {spaced[:32]}... (599 characters)"),
+        ([spaced], f"invalid choice: '{spaced[:31]}... (602 characters) (choose from"),
+        (["figure", "1", f"--j={spaced}"], f"ambiguous option: --j={spaced[:28]}... (603 characters) could match"),
+        (["figure", "1", "a\nb"], "unrecognized arguments: 'a\\nb'"),
+        (["figure", "1", "a\r\nb", "c\u2028"], "unrecognized arguments: 'a\\r\\nb' 'c\\u2028'"),
+        (["a\nb"], "invalid choice: 'a\\nb' (choose from"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
-        assert cut in err.splitlines()[-1] and max(len(line.encode()) for line in err.splitlines()) < 300, err
+        last = err.splitlines()[-1]
+        assert re.match(r"definetti( figure)?: error: ", last) and cut in last, err
+        assert max(len(line.encode()) for line in err.splitlines()) < 300, err
 
 
 def test_a_long_direction_is_cut(capsys):
@@ -746,3 +759,132 @@ def test_render_decimal_reads_a_float_as_the_exact_value_it_stores():
         got = cli.render_decimal(x)
         assert got == str(twelve.plus(Decimal(x))), x
         assert got == cli.render_decimal(Fraction(x)), x
+
+
+def _cli_contract_records(seed: int, cases: int) -> list:
+    """(argv, exit code or the escaped exception, stderr, broken law or
+    None) of cli.main on each of `cases` compute and figure argument lists,
+    drawn by random.Random(seed) from a fixed token set, under a 3 GiB
+    address-space limit.  Self-contained: it runs in a child interpreter
+    that loads no numpy."""
+    import io
+    import random
+    import resource
+    from contextlib import redirect_stderr, redirect_stdout
+    from fractions import Fraction
+
+    from definetti import cli, symmetric
+
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+    small = ["0", "1", "2", "3", "4", "1/2", "3/2", "-1"]
+    # values that often make a valid cell with the others drawn
+    likely = {
+        "n": ["4", "6", "9"], "k": ["2", "3"], "d": ["2", "3"], "r": ["0", "1", "2"], "l": ["0", "1"],
+        "j1": ["1", "2"], "j2": ["1", "2"], "j": ["1", "2", "3"], "m2": ["0", "1", "-1"],
+        "mu": ["1", "1/3"], "nu": ["1", "3"], "Delta": ["0", "1", "2"], "direction": ["down", "up"],
+        "r-max": ["0", "5"], "delta-max": ["0", "2"],
+    }
+    big = "1" + "0" * 59
+    odd = ["1/0", "0/0", "nan", "inf", "-inf", "1e400", "1e999999999", big, "-" + big, "½", "٣", "1_000", ""]
+    odd += ["x " * 300, "a\nb"]  # argparse's own errors echoed these whole, the second over two lines
+    # each key's values at and one past its guard; at r, (r + 1) bits of
+    # p + q = 2 (mu = nu = 1, or n = 2k) reach COMPUTE_BITS_GUARD
+    limits = {
+        "n": cli.COMPUTE_N_GUARD, "d": cli.COMPUTE_D_GUARD, "r": cli.COMPUTE_BITS_GUARD // 2 - 1,
+        "j1": cli.FIGURE_J_GUARD, "j2": cli.FIGURE_J_GUARD, "r-max": cli.FIGURE_R_MAX_GUARD,
+        "delta-max": cli.FIGURE_DELTA_MAX_GUARD,
+        **dict.fromkeys(("j", "m2", "j-min", "j-max"), 2 * cli.FIGURE_J_GUARD),
+    }
+    guards = {key: [str(limit), str(limit + 1)] for key, limit in limits.items()}
+    keys = {
+        "su2-delta": ("j1", "j2", "j", "m2", "r", "direction"),
+        "sym-epsilon": ("n", "k", "r", "d"),
+        "sym-bound": ("n", "k", "r", "d"),
+        "heis-delta": ("mu", "nu", "Delta", "r"),
+        "heis-epsilon": ("mu", "nu", "Delta", "r"),
+        "coherent-bound": ("n", "k", "r"),
+        "exact-radius": ("d", "n", "k", "l"),
+        "closed-form-sum": ("n", "k", "r"),
+    }
+    rng = random.Random(seed)
+
+    def value(key):
+        roll = rng.random()
+        if roll < 0.5:
+            return rng.choice(likely.get(key, small))
+        return rng.choice(small if roll < 0.8 else small + odd + guards.get(key, []))
+
+    def draw():
+        if rng.random() < 0.5:
+            sub = rng.choice(sorted(keys))
+            argv = ["compute", sub, *(f"{key}={value(key)}" for key in keys[sub] if rng.random() < 0.9)]
+            extra = [f"{keys[sub][0]}=1", "x=1", rng.choice(odd)]  # duplicated, unknown or bare
+        else:
+            argv = ["figure", rng.choice(["1", "2", "3"] * 3 + odd)]
+            for key in ("j1", "j2", "j-min", "j-max", "r-max", "mu", "nu", "delta-max"):
+                if rng.random() < 0.3:
+                    argv += [f"--{key}", value(key)]
+            extra = [rng.choice(odd)]
+        if rng.random() < 0.1:
+            argv.append(rng.choice(extra))
+        if rng.random() < 0.03:
+            argv[0] = rng.choice(odd)  # an unknown command
+        return argv
+
+    def law(argv, out):
+        """What the output of a success breaks, or None."""
+        if argv[0] == "figure":
+            rows = [line.split(",")[1:] for line in out.splitlines()[1:]]
+            for column in zip(*rows):
+                values = [Fraction(cell) for cell in column]
+                if not all(0 <= v <= 1 for v in values) or values != sorted(values, reverse=True):
+                    return f"a figure column leaves [0, 1] or increases in r: {column}"
+        elif argv[1] in ("su2-delta", "heis-delta"):
+            delta = Fraction(out.split(" = ")[0])
+            if not 0 <= delta <= 1:
+                return f"delta = {out.strip()}"
+        elif argv[1] == "sym-bound":
+            t = symmetric.SymTriple(**cli._parse_params(argv[2:], cli._NKRD))
+            inter, head = symmetric._bounds(t.n, t.k, t.d, t.r)
+            if out != f"intermediate = {cli.render_decimal(inter)}\nheadline = {cli.render_decimal(head)}\n":
+                return "the printed bounds are not the bounds"
+            if not 2 * inter <= head:
+                return "intermediate > headline/2"
+            if t.n <= cli.COMPUTE_N_GUARD:  # where compute sym-epsilon computes epsilon
+                num, den = symmetric._epsilon_parts(t.n, t.k, t.d, t.r)
+                a, b = inter.as_integer_ratio()
+                if not num * b <= 2 * den * a:
+                    return "epsilon/2 > intermediate"
+        return None
+
+    records = []
+    for _ in range(cases):
+        argv = draw()
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(argv)
+        except (Exception, SystemExit) as exc:  # the contract is that none escapes main
+            code = repr(exc)[:200]
+        broken = law(argv, out.getvalue()) if code == 0 else None
+        records.append((argv, code, err.getvalue(), broken))
+    return records
+
+
+def test_the_cli_keeps_its_contract_on_a_seeded_sweep():
+    # in a child interpreter, so that a hang or a runaway allocation fails
+    # this test alone; 1500 cases take about 2 s
+    source = inspect.getsource(_cli_contract_records)
+    records = json.loads(_in_child(f"{source}\nimport json\nprint(json.dumps(_cli_contract_records(0, 1500)))"))
+    successes = {"figure": 0, "su2-delta": 0, "heis-delta": 0, "sym-bound": 0}
+    for argv, code, err, broken in records:
+        assert code in (0, 2), (argv, code)
+        diagnostic = re.sub(r"\Ausage: .*\n( +.*\n)*", "", err)  # argparse's usage lines come first
+        if diagnostic:
+            assert diagnostic.startswith("definetti") and diagnostic.splitlines(keepends=True) == [diagnostic], err
+            assert diagnostic.endswith("\n") and len(diagnostic.encode()) < 300, err
+        assert broken is None, (argv, broken)
+        name = argv[0] if argv[0] == "figure" else argv[1]
+        if code == 0 and name in successes:
+            successes[name] += 1
+    assert all(successes.values()), successes  # each law met a success

@@ -15,16 +15,16 @@ import pytest
 
 from definetti import oracle, verify
 from definetti.exact import ExactReal
-from definetti.heisenberg import alpha_coeff
+from definetti.heisenberg import _coprime, alpha_coeff
 from definetti.oracle import (
     brute_delta_symmetric,
     cg_oracle,
-    fock_annihilator,
     haar_su2,
     heis_oracle,
     lambda_up_set,
     mc_theorem1,
     pair_annihilate,
+    pair_create,
     pair_tower,
     pair_vacuum,
     trace_distance,
@@ -351,12 +351,64 @@ def test_lambda_up_set_radius():
     assert detail == "127 coupled blocks inside their up windows"
 
 
+def _dense_annihilator(cutoff: int) -> np.ndarray:
+    """The annihilation matrix on span{|0>, ..., |cutoff>}."""
+    return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
+
+
+def _dense_ladder(mu, nu, state, a):
+    """(sqrt(mu) a x 1 + sqrt(nu) 1 x a)/sqrt(mu+nu) on state, for the dense
+    ladder matrix a, by two matrix products: the reference for the shifts."""
+    p, q = _coprime(mu, nu)
+    return _sqrt_float(p, p + q) * (a @ state) + _sqrt_float(q, p + q) * (state @ a.T)
+
+
+def _dense_create(mu, nu, state):
+    return _dense_ladder(mu, nu, state, _dense_annihilator(len(state) - 1).T)
+
+
+# verify's weight pairs, two exact ratios and a lopsided pair
+LADDER_PAIRS = (*product((1, 2, 5), (1, 3)), (1.0, 1.0), (2.0, 3.0), (0.5, 1.25), (Fraction(2, 3), 5), (1, 99))
+
+
+def test_the_pair_ladders_equal_the_dense_fock_matrices_bit_for_bit(monkeypatch):
+    # a row of the dense products has one nonzero term, so each entry is
+    # the one rounded product that the shift forms; the cutoffs are
+    # verify's (Delta + 30, 40, r_max + Delta + 40) and the smallest
+    rng = np.random.default_rng(34)
+    for cutoff in (1, 2, 30, 36, 40, 46, 49):
+        a = _dense_annihilator(cutoff)
+        state = rng.standard_normal((cutoff + 1, cutoff + 1))
+        for mu, nu in LADDER_PAIRS:
+            assert np.array_equal(pair_annihilate(mu, nu, state), _dense_ladder(mu, nu, state, a)), (cutoff, mu, nu)
+            assert np.array_equal(pair_create(mu, nu, state), _dense_ladder(mu, nu, state, a.T)), (cutoff, mu, nu)
+    # the towers and the oracle built on them, against the same built on
+    # the dense creation matrix
+    grid = [(mu, nu, Delta) for mu, nu in LADDER_PAIRS for Delta in (0, 1, 3, 6)]
+    got = [(pair_tower(mu, nu, Delta, 5, 40), heis_oracle(mu, nu, Delta, 6)) for mu, nu, Delta in grid]
+    monkeypatch.setattr(oracle, "pair_create", _dense_create)
+    for (tower, values), (mu, nu, Delta) in zip(got, grid):
+        assert all(map(np.array_equal, tower, pair_tower(mu, nu, Delta, 5, 40))), (mu, nu, Delta)
+        assert values == heis_oracle(mu, nu, Delta, 6), (mu, nu, Delta)
+
+
 def test_fock_operators():
-    a = fock_annihilator(5)
-    comm = a @ a.T - a.T @ a
-    assert np.abs(np.diag(comm)[:-1] - 1.0).max() < 1e-12  # truncation spoils the last entry
-    with pytest.raises(ValueError):
-        fock_annihilator(0)
+    # [b, b+] = 1 for the combined mode b, on states that the truncation
+    # leaves alone: zero in the last row and column, so b+ drops nothing
+    rng = np.random.default_rng(1)
+    for mu, nu in LADDER_PAIRS:
+        state = np.zeros((21, 21))
+        state[:20, :20] = rng.standard_normal((20, 20))
+        comm = pair_annihilate(mu, nu, pair_create(mu, nu, state)) - pair_create(mu, nu, pair_annihilate(mu, nu, state))
+        assert np.abs(comm - state).max() < 1e-12 * np.abs(state).max(), (mu, nu)
+    # at the edge b+ drops the first mode's quantum: b b+ |20, 0> keeps
+    # only the second mode's share, nu/(mu+nu)
+    edge = np.zeros((21, 21))
+    edge[20, 0] = 1.0
+    assert pair_annihilate(1, 3, pair_create(1, 3, edge))[20, 0] == pytest.approx(0.75, abs=1e-15)
+    for shape in ((3, 4), (4,), (2, 2, 2)):
+        with pytest.raises(ValueError, match=r"^need a square 2-D state, got shape \("):
+            pair_create(1, 1, np.zeros(shape))
 
 
 def test_pair_vacuum_and_tower():
@@ -382,7 +434,6 @@ def test_the_fock_matrices_stop_at_their_cell_guard(monkeypatch):
         (heis_oracle, (1, 1, 0, 205)),  # 216 states of 246^2 cells
         (pair_tower, (1, 1, 0, 1000, 1000)),
         (pair_vacuum, (1, 1, 0, side - 1)),
-        (fock_annihilator, (side - 1,)),
     ):
         with pytest.raises(ValueError, match=f"^size guard exceeded: .* cells > {oracle.FOCK_CELL_GUARD}$"):
             call(*args)

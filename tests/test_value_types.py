@@ -234,9 +234,7 @@ def _verify_refusal(*argv):
         pytest.param(heisenberg.alpha_weight, (0, -BIG, 1, 1), "n >= 0", 5001, id="alpha_weight-n"),
         pytest.param(oracle.heis_oracle, (1, 1, -BIG, 0), "Delta=", 5001, id="heis_oracle-Delta"),
         pytest.param(oracle.heis_oracle, (1, 1, 0, -BIG), "r_max=", 5001, id="heis_oracle-r_max"),
-        pytest.param(oracle.fock_annihilator, (-BIG,), "cutoff", 5001, id="fock_annihilator"),
         pytest.param(oracle.heis_oracle, (1, 1, 0, BIG), "size guard", 5001, id="heis_oracle-size"),
-        pytest.param(oracle.fock_annihilator, (BIG,), "size guard", 5001, id="fock_annihilator-size"),
         pytest.param(oracle.pair_vacuum, (1, 1, 0, BIG), "size guard", 5001, id="pair_vacuum-size"),
         pytest.param(oracle.pair_tower, (1, 1, 0, BIG, 1), "truncation", 5001, id="pair_tower-n_max"),
         pytest.param(oracle.pair_vacuum, (-BIG, 1, 0, 1), "mu=", 5001, id="pair_vacuum-mu"),
