@@ -11,16 +11,20 @@ inequality check.
 The symmetric basis has one builder, _sym_classes: one numpy pass sorts
 the d^n product indices into their type classes by their sorted digits,
 after its size guard, the only one, has run.
+
+numpy is imported inside each function that uses it, after the
+function's refusals: importing this module, the coupling-table synthesis
+and every refusal run without it, and a process without numpy fails only
+the float checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, gcd, sqrt
 from operator import add, mul
-
-import numpy as np
 
 from .exact import ExactReal
 from .heisenberg import _check_weights, _coprime
@@ -45,9 +49,10 @@ __all__ = [
 ]
 
 SYM_SIZE_GUARD = 10**6
-# float64 cells in the (cutoff+1)^2 Fock states one call holds, as the
+# float64 cells in the (cutoff+1)^2 Fock states one call makes, as the
 # ladders shift a state with no matrix: heis_oracle at r_max = 200,
-# Delta = 10 keeps 201 states of 251^2 cells, 12.7 M (about 100 MB)
+# Delta = 10 makes 201 states of 251^2 cells, 12.7 M (about 100 MB, which
+# pair_tower holds and heis_oracle drops state by state)
 FOCK_CELL_GUARD = 13 * 10**6
 CG_TABLE_GUARD = 24  # doubled angular momentum
 # Monte Carlo samples per mc_theorem1 call; the mc suite's two checks read
@@ -58,6 +63,8 @@ MC_SAMPLE_GUARD = 10**7
 
 def trace_distance(a, b) -> float:
     """(1/2) tr|a - b| for hermitian matrices (the convention used throughout)."""
+    import numpy as np
+
     diff = np.asarray(a) - np.asarray(b)
     herm_defect = np.abs(diff - diff.conj().T).max(initial=0.0)
     if herm_defect > 1e-8:
@@ -76,6 +83,8 @@ def _class_keys(n: int, d: int) -> np.ndarray:
     a base-d number below d^n.  Classes with more 0s, then more 1s, and
     so on get smaller keys, so ascending keys follow the descending
     lexicographic order of the weights."""
+    import numpy as np
+
     digits = np.empty((d**n, n), dtype=np.min_scalar_type(d - 1))
     rest = np.arange(d**n)
     for site in range(n - 1, -1, -1):
@@ -97,6 +106,8 @@ def _sym_classes(n: int, d: int) -> tuple[tuple[Weight, ...], np.ndarray, np.nda
     # raised to a huge n; d < 2 and n < 0 are left to sym_weights to refuse
     if d > 1 and (n > 19 or d**n > SYM_SIZE_GUARD):
         raise ValueError(f"size guard exceeded: {_number(d)}^{_number(n)} > {SYM_SIZE_GUARD}")
+    import numpy as np
+
     ws = tuple(sym_weights(n, d))
     _, cols, sizes = np.unique(_class_keys(n, d), return_inverse=True, return_counts=True)
     cols.setflags(write=False)
@@ -112,6 +123,8 @@ def _weight_overlaps(n: int, k: int, d: int) -> tuple[Fraction, ...]:
     cnt(a, c) each into n-site classes c, counted from sorted digits alone,
     and the trace is sum_c cnt(a, c)^2 / (|a| |c|)."""
     _, cols_n, sizes_n = _sym_classes(n, d)  # first: its guard refuses before a k-site basis is built
+    import numpy as np
+
     _, cols_k, sizes_k = _sym_classes(k, d)
     m = len(sizes_n)
     pairs, cnts = np.unique(cols_k * m + cols_n.reshape(d**k, d ** (n - k))[:, 0], return_counts=True)
@@ -275,6 +288,8 @@ def _pair_ladder(mu, nu, state: np.ndarray, create: bool) -> np.ndarray:
     """(sqrt(mu) a x 1 + sqrt(nu) 1 x a)/sqrt(mu+nu), or its adjoint, by shifts:
     (a S)[i, j] = sqrt(i+1) S[i+1, j], (S a^T)[i, j] = sqrt(j+1) S[i, j+1], and
     a+ the other way; an amplitude shifted past the cutoff is dropped."""
+    import numpy as np
+
     if state.ndim != 2 or state.shape[0] != state.shape[1]:
         raise ValueError(f"need a square 2-D state, got shape {state.shape}")
     roots = np.sqrt(np.arange(1.0, len(state)))
@@ -303,6 +318,8 @@ def pair_vacuum(mu, nu, Delta: int, cutoff: int) -> np.ndarray:
     if Delta < 0 or Delta > cutoff:
         raise ValueError(f"need 0 <= Delta <= cutoff, got Delta={_number(Delta)}, cutoff={_number(cutoff)}")
     _check_fock_cells(1, cutoff)
+    import numpy as np
+
     p, q = _coprime(mu, nu)
     state = np.zeros((cutoff + 1, cutoff + 1))
     for ell in range(Delta + 1):
@@ -311,17 +328,22 @@ def pair_vacuum(mu, nu, Delta: int, cutoff: int) -> np.ndarray:
     return state
 
 
-def pair_tower(mu, nu, Delta: int, n_max: int, cutoff: int) -> list[np.ndarray]:
-    """States |psi_n> = (a+)^n |psi_0> / sqrt(n!) for n = 0..n_max."""
+def _tower_states(mu, nu, Delta: int, n_max: int, cutoff: int):
+    """The states of pair_tower, made one from the last as they are read:
+    the refusals and the vacuum come at the call, and a reader that keeps
+    no state holds about two."""
     if Delta + n_max > cutoff:
         raise ValueError(
             f"tower would leave the truncation: Delta+n_max = {_number(Delta + n_max)} > cutoff = {_number(cutoff)}"
         )
     _check_fock_cells(n_max + 1, cutoff)
-    states = [pair_vacuum(mu, nu, Delta, cutoff)]
-    for n in range(1, n_max + 1):
-        states.append(pair_create(mu, nu, states[-1]) / sqrt(n))
-    return states
+    vacuum = pair_vacuum(mu, nu, Delta, cutoff)
+    return accumulate(range(1, n_max + 1), lambda state, n: pair_create(mu, nu, state) / sqrt(n), initial=vacuum)
+
+
+def pair_tower(mu, nu, Delta: int, n_max: int, cutoff: int) -> list[np.ndarray]:
+    """States |psi_n> = (a+)^n |psi_0> / sqrt(n!) for n = 0..n_max."""
+    return list(_tower_states(mu, nu, Delta, n_max, cutoff))
 
 
 def heis_oracle(mu, nu, Delta: int, r_max: int) -> list[float]:
@@ -329,16 +351,21 @@ def heis_oracle(mu, nu, Delta: int, r_max: int) -> list[float]:
 
     The value at r sums (nu/(mu+nu)) * sum_n sum_{n' <= r} |<n', 0 | psi_n>|^2
     over the first max(r - Delta, 0) + 11 states of one offset-Delta tower,
-    truncated past every state it holds (r_max + Delta + 40), so the only
-    numerical error is double-precision roundoff.
+    truncated past every state it makes (r_max + Delta + 40), so the only
+    numerical error is double-precision roundoff.  Each state's squared
+    n2 = 0 column, all that the windows read, is kept as the ladder makes
+    it, and the state is dropped.
     """
     _check_weights(mu, nu)
     if r_max < 0 or Delta < 0:
         raise ValueError(f"need r_max >= 0 and Delta >= 0, got r_max={_number(r_max)}, Delta={_number(Delta)}")
+    states = _tower_states(mu, nu, Delta, max(r_max - Delta, 0) + 10, r_max + Delta + 40)  # refuses first
+    import numpy as np
+
     p, q = _coprime(mu, nu)
     y = q / (p + q)
-    columns = []  # squared n2 = 0 columns, all that the window reads
-    for state in pair_tower(mu, nu, Delta, max(r_max - Delta, 0) + 10, r_max + Delta + 40):
+    columns = []
+    for state in states:
         nrm = np.linalg.norm(state)
         if abs(nrm - 1.0) > 1e-9:
             raise RuntimeError(f"tower state leaked through the truncation: norm {nrm}")
@@ -370,6 +397,8 @@ class McReport(_Frozen):
 
 def haar_su2(rng: np.random.Generator, size: int) -> np.ndarray:
     """size Haar-uniform SU(2) matrices via unit quaternions."""
+    import numpy as np
+
     q = rng.standard_normal((size, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     a, b, c, d = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
@@ -383,6 +412,8 @@ def haar_su2(rng: np.random.Generator, size: int) -> np.ndarray:
 
 # p-th tensor power of each sample, p >= 1
 def _vector_power(vs: np.ndarray, p: int) -> np.ndarray:
+    import numpy as np
+
     out = vs
     for _ in range(p - 1):
         out = np.einsum("ni,nj->nij", out, vs).reshape(vs.shape[0], -1)
@@ -390,6 +421,8 @@ def _vector_power(vs: np.ndarray, p: int) -> np.ndarray:
 
 
 def _matrix_power(gs: np.ndarray, p: int) -> np.ndarray:
+    import numpy as np
+
     out = gs
     dim = gs.shape[1]
     for _ in range(p - 1):
@@ -431,6 +464,8 @@ def mc_theorem1(n: int, k: int, rs: tuple[int, ...], n_samples: int, seed: int) 
     key = (n, k, tuple(rs), n_samples, seed)
     if key in _mc_memo:
         return _mc_memo[key]
+    import numpy as np
+
     d = 2
     dim_b = d ** (n - k)
     d_formal = dim_sym(n - k, d)

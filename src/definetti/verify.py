@@ -7,7 +7,9 @@ one table of (check name, function, fixed ranges) rows, and run_suites
 reports one line per row; the acceptance tests call the same functions
 at their own pinned ranges.  Formula functions are looked up through
 their modules at call time, so an injected mutation in any module is
-caught here.
+caught here.  numpy is imported only inside the float checks that use
+it: the weights and cg suites run without it, and where it is missing
+each float check fails on its own line.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from fractions import Fraction
 from itertools import product
 from math import comb, isqrt, lcm
 from operator import attrgetter
-
-import numpy as np
 
 from . import heisenberg, oracle, su2_cg, symmetric, weights
 from .report import _Frozen, _sqrt_float
@@ -477,6 +477,8 @@ def fock_oracle(pairs, delta_max: int, r_max: int) -> str:
 
 def vacuum_annihilation(pairs, delta_max: int) -> str:
     """The combined mode annihilates every paired vacuum to within ROUNDOFF."""
+    import numpy as np
+
     residuals = []
     for mu, nu in pairs:
         for Delta in range(0, delta_max + 1):
@@ -491,6 +493,8 @@ def vacuum_annihilation(pairs, delta_max: int) -> str:
 def tower_orthonormal(pairs, delta_max: int, n_max: int, cutoff: int) -> str:
     """The towers of all offsets 0..delta_max together form one
     orthonormal family, per (mu, nu), to within ROUNDOFF."""
+    import numpy as np
+
     defects = []
     for mu, nu in pairs:
         flat = []
@@ -586,6 +590,8 @@ def saturation_limit() -> str:
 
 def haar_schur_average(seed: int, n_samples: int) -> str:
     """The sampled group average of |a><b| is the Schur projection."""
+    import numpy as np
+
     rng = np.random.default_rng([seed, 17])
     g = oracle.haar_su2(rng, n_samples)
     for a in range(2):
@@ -620,6 +626,8 @@ def mc_identity_recovery(seed: int, n_samples: int) -> str:
     """The unprojected mixture recovers the reduced state to within
     0.02 * sqrt(10^5 / n_samples) in trace distance, read from the run
     of mc_inequality (the residual does not depend on the radii)."""
+    import numpy as np
+
     rep = oracle.mc_theorem1(*_MC_RUN, n_samples, seed)[0]
     cap = 0.02 * np.sqrt(10**5 / n_samples)
     if not rep.identity_residual <= cap:

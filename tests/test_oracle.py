@@ -494,14 +494,14 @@ def test_heis_oracle_equals_its_single_radius_reference():
 
 def test_fock_oracle_builds_one_tower_per_offset(monkeypatch):
     calls = 0
-    tower = oracle.pair_tower
+    tower = oracle._tower_states  # the ladder that pair_tower lists and heis_oracle reads
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return tower(*args)
 
-    monkeypatch.setattr(oracle, "pair_tower", counted)
+    monkeypatch.setattr(oracle, "_tower_states", counted)
     pairs = tuple(product((1, 2, 5), (1, 3)))
     assert verify.fock_oracle(pairs, 3, 6) == "168 truncated-fock cross-checks"
     assert calls == 6 * 4  # one per (mu, nu, Delta), not one per radius

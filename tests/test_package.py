@@ -25,6 +25,8 @@ NOT_AT_START = (
     "definetti.oracle",
     "definetti.verify",
 )
+# the modules that a `verify` command adds, numpy aside
+VERIFY = ("definetti.heisenberg", "definetti.oracle", "definetti.symmetric", "definetti.verify", "definetti.weights")
 
 
 def test_namespace_resolves_every_public_name():
@@ -71,13 +73,15 @@ print(json.dumps({"at_import": at_import, "after": sorted(sys.modules), "codes":
 """
 
 
-def _modules(*argv):
+def _child(code: str, *argv: str, check: bool = True) -> subprocess.CompletedProcess:
+    """code run in a fresh interpreter that imports the package from SRC."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    return json.loads(out)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=check)
+
+
+def _modules(*argv):
+    return json.loads(_child(_PROBE, *argv).stdout)
 
 
 def test_cli_import_loads_only_the_coupling_path():
@@ -96,10 +100,13 @@ def test_cli_import_loads_only_the_coupling_path():
 def test_import_interns_no_twoj():
     # TwoJ's intern table fills on first use, so importing costs nothing
     probe = "import definetti.cli, definetti.verify, definetti.su2_cg as m; print(len(m._interned))"
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "0\n"
+    assert _child(probe).stdout == "0\n"
+
+
+@pytest.mark.parametrize("modules", ["definetti, definetti.verify", "definetti.oracle"])
+def test_importing_the_checks_loads_no_numpy(modules):
+    # numpy is imported inside the float oracles and checks that use it
+    assert _child(f"import sys, {modules}; print('numpy' in sys.modules)").stdout == "False\n"
 
 
 @pytest.mark.parametrize(
@@ -108,14 +115,43 @@ def test_import_interns_no_twoj():
         (["figure", "1", "--r-max", "2"], set()),
         (["compute", "su2-delta", "j1=1/2", "j2=1/2", "j=1", "m2=1/2", "r=0"], set()),
         (["figure", "3", "--r-max", "2", "--delta-max", "1"], {"definetti.heisenberg"}),
+        # the exact suites need no numpy; the float ones load it, so the
+        # lazy imports hide no dependency
+        (["verify", "weights"], set(VERIFY)),
+        (["verify", "cg"], set(VERIFY)),
+        (["verify", "symmetric"], {*VERIFY, "numpy"}),
+        (["verify", "all"], {*VERIFY, "numpy"}),
     ],
 )
 def test_a_command_adds_only_what_it_computes_with(argv, added):
     probe = _modules(*argv)
     assert probe["codes"] == [0]
     new = set(probe["after"]) - set(probe["at_import"])
-    assert {m for m in new if m.startswith("definetti")} == added
+    assert {m for m in new if m.startswith("definetti") or m in NOT_AT_START} == added
     assert not set(probe["after"]) & (set(NOT_AT_START) - added)
+
+
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # import numpy raises ModuleNotFoundError
+from definetti.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "suite, failed, last",
+    [("weights", 0, "6/6 checks passed"), ("cg", 0, "6/6 checks passed"), ("symmetric", 2, "7/9 checks passed")],
+    ids=("weights", "cg", "symmetric"),
+)
+def test_without_numpy_only_the_float_checks_fail(suite, failed, last):
+    # the symmetric suite's two float checks are its projector oracles;
+    # each fails on its own line, and no traceback reaches stderr
+    out = _child(_WITHOUT_NUMPY, "verify", suite, check=False)
+    lines = out.stdout.splitlines()
+    assert (out.returncode, lines[-1], out.stderr) == (1 if failed else 0, last, "")
+    fails = [line for line in lines if line.startswith("[FAIL]")]
+    assert len(fails) == failed and all("ModuleNotFoundError" in line for line in fails), out.stdout
 
 
 @pytest.mark.parametrize("module", ["weights", "su2_cg", "symmetric", "heisenberg"])
