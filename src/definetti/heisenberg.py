@@ -88,19 +88,25 @@ def alpha_weight(D: int, n: int, mu, nu):
     return _value(mu, nu, comb(n + D, D) * q**D * p**n, (p + q) ** (D + n))
 
 
-def alpha_weight_tail_bound(D: int, start: int, mu, nu) -> float:
+def alpha_weight_tail_bound(D: int, start: int, mu, nu):
     """Geometric bound on sum_{n >= start} alpha_weight(D, n, mu, nu).
 
-    Term ratios are x * (n+1+D)/(n+1) <= x * (1 + D/(start+1)); when that
-    is below 1 the tail is dominated by a geometric series.
+    Term ratios are x * (n+1+D)/(n+1) <= rho = x * (1 + D/(start+1)); when
+    that is below 1 the tail is dominated by the geometric series
+    a / (1 - rho), a = alpha_weight(D, start, mu, nu).  With x = p/s,
+    s = p + q, that is C(start+D, D) q^D p^start (start+1) s over
+    s^(D+start) (s (start+1) - p (start+1+D)): an exact Fraction for exact
+    weights, and for float weights its float, rounded once.
     """
-    a = float(alpha_weight(D, start, mu, nu))
+    if D < 0 or start < 0:
+        raise ValueError(f"need Delta >= 0 and n >= 0, got {_number(D)}, {_number(start)}")
+    _check_weights(mu, nu)
     p, q = _coprime(mu, nu)
-    x = p / (p + q)
-    rho = x * (1 + D / (start + 1))
-    if rho >= 1:
-        raise ValueError(f"tail not yet geometric at start={start} (ratio {rho:.3f} >= 1)")
-    return a / (1 - rho)
+    s, m = p + q, start + 1
+    gap = s * m - p * (m + D)  # s (start+1) (1 - rho)
+    if gap <= 0:
+        raise ValueError(f"tail not yet geometric at start={start} (ratio {p * (m + D) / (s * m):.3f} >= 1)")
+    return _value(mu, nu, comb(start + D, D) * q**D * p**start * m * s, s ** (D + start) * gap)
 
 
 def _check_weights(mu, nu) -> None:

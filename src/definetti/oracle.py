@@ -1,16 +1,13 @@
 """Brute-force oracles for every closed form in the package.
 
 Nothing here reuses the formula derivations: symmetric-subspace overlaps
-are exact projector traces, coupling coefficients come from highest-weight
-plus lowering synthesis in integer arithmetic (on a factorial-rescaled
-product basis, with one square root taken per entry at the end),
+are exact Haar moments of the projector, coupling coefficients come from
+highest-weight plus lowering synthesis in integer arithmetic (on a
+factorial-rescaled product basis, with one square root taken per entry
+at the end),
 oscillator overlaps from truncated Fock states, which the ladders shift,
 and the reconstruction theorem itself gets a Monte Carlo end-to-end
 inequality check.
-
-The symmetric basis has one builder, _sym_classes: one numpy pass sorts
-the d^n product indices into their type classes by their sorted digits,
-after its size guard, the only one, has run.
 
 numpy is imported inside each function that uses it, after the
 function's refusals: importing this module, the coupling-table synthesis
@@ -23,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, gcd, sqrt
+from math import comb, gcd, prod, sqrt
 from operator import add, mul
 
 from .exact import ExactReal
@@ -48,7 +45,11 @@ __all__ = [
     "mc_theorem1",
 ]
 
-SYM_SIZE_GUARD = 10**6
+# a symmetric term table holds dim_sym(k, d) integers, each a product of
+# factorials below (n+d-1)!; at both bounds one took 0.06-0.3 s and at most
+# a few MB on a 2-vCPU VM, and d stays inside sym_weights' recursion
+SYM_TERM_GUARD = 10**4
+SYM_FACTORIAL_GUARD = 500  # n + d
 # float64 cells in the (cutoff+1)^2 Fock states one call makes, as the
 # ladders shift a state with no matrix: heis_oracle at r_max = 200,
 # Delta = 10 makes 201 states of 251^2 cells, 12.7 M (about 100 MB, which
@@ -77,74 +78,41 @@ def trace_distance(a, b) -> float:
 # symmetric subspace
 
 
-def _class_keys(n: int, d: int) -> np.ndarray:
-    """The type class of every row-major product index of n sites in C^d,
-    in one numpy pass: the index's n base-d digits, sorted, read back as
-    a base-d number below d^n.  Classes with more 0s, then more 1s, and
-    so on get smaller keys, so ascending keys follow the descending
-    lexicographic order of the weights."""
-    import numpy as np
-
-    digits = np.empty((d**n, n), dtype=np.min_scalar_type(d - 1))
-    rest = np.arange(d**n)
-    for site in range(n - 1, -1, -1):
-        rest, digits[:, site] = np.divmod(rest, d)
-    digits.sort(axis=1)
-    keys = np.zeros(d**n, dtype=np.int64)
-    for site in range(n):
-        keys *= d
-        keys += digits[:, site]
-    return keys
-
-
-@lru_cache(maxsize=32)
-def _sym_classes(n: int, d: int) -> tuple[tuple[Weight, ...], np.ndarray, np.ndarray]:
-    """The weights of Sym^n(C^d) in descending lexicographic order, and the
-    read-only class of each product index and size of each class: weight
-    c's orthonormal vector is 1/sqrt(sizes[c]) where cols == c, else 0."""
-    # for d >= 2, n > 19 already exceeds 10^6 (2^20 > 10^6), so d is never
-    # raised to a huge n; d < 2 and n < 0 are left to sym_weights to refuse
-    if d > 1 and (n > 19 or d**n > SYM_SIZE_GUARD):
-        raise ValueError(f"size guard exceeded: {_number(d)}^{_number(n)} > {SYM_SIZE_GUARD}")
-    import numpy as np
-
-    ws = tuple(sym_weights(n, d))
-    _, cols, sizes = np.unique(_class_keys(n, d), return_inverse=True, return_counts=True)
-    cols.setflags(write=False)
-    sizes.setflags(write=False)
-    return ws, cols, sizes
-
-
 @lru_cache(maxsize=1)
-def _weight_overlaps(n: int, k: int, d: int) -> tuple[Fraction, ...]:
-    """Exact tr[P_n (|w><w| x |1...1><1...1|)], P_n the n-site symmetric
-    projector, for each k-site weight vector |w> in sym_weights order: the
-    k-site indices of class a, padded with n-k trailing 0 digits, fall
-    cnt(a, c) each into n-site classes c, counted from sorted digits alone,
-    and the trace is sum_c cnt(a, c)^2 / (|a| |c|)."""
-    _, cols_n, sizes_n = _sym_classes(n, d)  # first: its guard refuses before a k-site basis is built
-    import numpy as np
-
-    _, cols_k, sizes_k = _sym_classes(k, d)
-    m = len(sizes_n)
-    pairs, cnts = np.unique(cols_k * m + cols_n.reshape(d**k, d ** (n - k))[:, 0], return_counts=True)
-    sums = [Fraction(0)] * len(sizes_k)
-    for pair, cnt in zip(pairs.tolist(), cnts.tolist()):
-        sums[pair // m] += Fraction(cnt * cnt, int(sizes_n[pair % m]))
-    return tuple(s / int(size) for s, size in zip(sums, sizes_k))
+def _moment_terms(n: int, k: int, d: int) -> tuple[tuple[int, ...], int]:
+    """The numerators, over one denominator (n+d-1)!, of
+    (d_B/d_C) tr[P_n (|w><w| x |0...0><0...0|)] for each k-site weight
+    vector |w> in sym_weights order.  With P_n = dim_sym(n, d) times the
+    Haar integral of (|z><z|)^(x n) over the unit sphere of C^d, the
+    trace is dim_sym(n, d) multinomial(k; w) times the moment
+    E[prod |z_i|^(2 a_i)] = (d-1)! prod a_i! / (sum a_i + d-1)! at
+    a = w + (n-k) e_0, the reference sites' powers on z_0.  The size guard
+    runs before a weight is enumerated or a factorial built, and compares
+    n + d first, which bounds the binomial dim_sym(k, d)."""
+    if n + d > SYM_FACTORIAL_GUARD:
+        raise ValueError(f"size guard exceeded: n + d = {_number(n + d)} > {SYM_FACTORIAL_GUARD}")
+    if dim_sym(k, d) > SYM_TERM_GUARD:
+        raise ValueError(f"size guard exceeded: dim_sym(k, d) = {_number(dim_sym(k, d))} > {SYM_TERM_GUARD}")
+    fact = list(accumulate(range(1, n + d), mul, initial=1))  # 0!, ..., (n+d-1)!
+    scale = dim_sym(n - k, d) * fact[d - 1]
+    nums = []
+    for w in sym_weights(k, d):
+        a = (w[0] + n - k, *w[1:])
+        nums.append(scale * (fact[k] // prod(fact[x] for x in w)) * prod(fact[x] for x in a))
+    return tuple(nums), fact[n + d - 1]
 
 
 def brute_delta_symmetric(t: SymTriple) -> Fraction:
-    """Exact projector evaluation of the overlap functional for the symmetric family.
+    """Exact Haar-moment evaluation of the overlap functional for the symmetric family.
 
     Computes (d_B/d_C) tr[P_C (P_X x |psi><psi|)] with C the n-site
     symmetric subspace, X the span of k-site weight vectors with
-    w_1 >= k - r, and psi the n-k aligned reference sites, as a Fraction.
+    w_1 >= k - r, and psi the n-k aligned reference sites, as a Fraction:
+    the sum of the window's _moment_terms.
     """
     n, k, d, r = t.n, t.k, t.d, t.r
-    overlaps = _weight_overlaps(n, k, d)  # first: the n-site guard refuses before a k-site basis
-    total = sum((o for w, o in zip(_sym_classes(k, d)[0], overlaps) if w[0] >= k - r), Fraction(0))
-    return Fraction(dim_sym(n - k, d), dim_sym(n, d)) * total
+    nums, den = _moment_terms(n, k, d)  # first: its guard refuses before the weights are enumerated
+    return Fraction(sum(x for w, x in zip(sym_weights(k, d), nums) if w[0] >= k - r), den)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +399,19 @@ def _matrix_power(gs: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _qubit_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The type class of each of the 2^n qubit product indices, its number
+    of 1 digits c, and the size C(n, c) of each class: class c holds the
+    weight (n - c, c), the c-th of sym_weights(n, 2), and its orthonormal
+    vector is 1/sqrt(sizes[c]) where cols == c, else 0."""
+    import numpy as np
+
+    index, cols = np.arange(2**n), np.zeros(2**n, dtype=np.intp)
+    for bit in range(n):
+        cols += (index >> bit) & 1
+    return cols, np.array([comb(n, c) for c in range(n + 1)])
+
+
 _MC_BATCH = 4096
 
 # the arguments and reports of the last mc_theorem1 call, at most one entry:
@@ -470,9 +451,9 @@ def mc_theorem1(n: int, k: int, rs: tuple[int, ...], n_samples: int, seed: int) 
     dim_b = d ** (n - k)
     d_formal = dim_sym(n - k, d)
 
-    ws_n, cols_n, sizes_n = _sym_classes(n, d)
+    cols_n, sizes_n = _qubit_classes(n)
     rng_state = np.random.default_rng([seed, 0])
-    coeff = rng_state.standard_normal(len(ws_n)) + 1j * rng_state.standard_normal(len(ws_n))
+    coeff = rng_state.standard_normal(n + 1) + 1j * rng_state.standard_normal(n + 1)
     coeff /= np.linalg.norm(coeff)
     psi = (coeff / np.sqrt(sizes_n))[cols_n]
 
@@ -480,9 +461,9 @@ def mc_theorem1(n: int, k: int, rs: tuple[int, ...], n_samples: int, seed: int) 
     rho_k = big @ big.conj().T
 
     # a row's window projection: its class means on the kept classes, else 0
-    ws_k, cols_k, sizes_k = _sym_classes(k, d)
+    cols_k, sizes_k = _qubit_classes(k)
     order, starts = np.argsort(cols_k, kind="stable"), np.cumsum(sizes_k) - sizes_k
-    keeps = [np.array([w[0] >= k - r for w in ws_k]) for r in rs]
+    keeps = [np.arange(k + 1) <= r for r in rs]  # weight (k - c, c) is in the window when c <= r
 
     dim_a = d**k
     x_sum = np.zeros((dim_a, dim_a), dtype=np.complex128)

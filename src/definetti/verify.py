@@ -8,8 +8,8 @@ reports one line per row; the acceptance tests call the same functions
 at their own pinned ranges.  Formula functions are looked up through
 their modules at call time, so an injected mutation in any module is
 caught here.  numpy is imported only inside the float checks that use
-it: the weights and cg suites run without it, and where it is missing
-each float check fails on its own line.
+it: the weights, cg and symmetric suites run without it, and where it is
+missing each float check of heisenberg and mc fails on its own line.
 """
 
 from __future__ import annotations
@@ -420,8 +420,8 @@ def full_profile_unity(n_max: int, d_max: int) -> str:
 
 
 def dense_projector_oracle(n_max_by_d) -> str:
-    """Projector overlaps equal 1 - epsilon/2 exactly, for every
-    (d, n_max) pair given."""
+    """Projector overlaps, as Haar moments, equal 1 - epsilon/2 exactly,
+    for every (d, n_max) pair given."""
     count = 0
     for d, n_max in n_max_by_d:
         for n in range(1, n_max + 1):
@@ -435,17 +435,18 @@ def dense_projector_oracle(n_max_by_d) -> str:
 
 
 def single_weight_overlap(n_max: int, d_max: int) -> str:
-    """Projector traces of single weight vectors equal term_overlap
-    exactly.  oracle._weight_overlaps gives them, each k-site weight vector
-    contracted, as in brute_delta_symmetric, with the n-site basis on the
-    product indices whose trailing sites are |1...1>."""
+    """The Haar-moment term of each k-site weight vector, the one that
+    brute_delta_symmetric sums from oracle._moment_terms, equals
+    dim_sym(n-k, d)/dim_sym(n, d) times term_overlap exactly."""
     count = 0
     for d in range(2, d_max + 1):
         for k in range(1, n_max + 1):
             ws = weights.sym_weights(k, d)
             for n in range(k, n_max + 1):
-                for w, got in zip(ws, oracle._weight_overlaps(n, k, d)):
-                    _exact(got, symmetric.term_overlap(w, n, k), f"overlap {(w, n, k)}")
+                ratio = Fraction(symmetric.dim_sym(n - k, d), symmetric.dim_sym(n, d))
+                nums, den = oracle._moment_terms(n, k, d)
+                for w, num in zip(ws, nums):
+                    _exact(Fraction(num, den), ratio * symmetric.term_overlap(w, n, k), f"overlap {(w, n, k)}")
                     count += 1
     return f"{count} projector traces equal term_overlap exactly"
 
@@ -559,12 +560,11 @@ def mass_identities(pairs, delta_max: int) -> str:
             masses = [heisenberg.alpha_weight(Delta, n, mu, nu).as_integer_ratio() for n in range(200)]
             head, den = _ratio_sum(masses)
             full = Fraction(mu + nu) / nu  # the full mass
-            tail = full.numerator * den - head * full.denominator  # over full.denominator * den
-            tail_float = tail / (full.denominator * den)
-            cap = heisenberg.alpha_weight_tail_bound(Delta, 200, mu, nu)
-            # the bound is exactly tight at Delta=0, so allow roundoff
-            if not (tail >= 0 and tail_float <= cap * (1 + 1e-12)):
-                raise AssertionError(f"tail {tail_float:.3e} outside [0, {cap:.3e}]")
+            tail, tail_den = full.numerator * den - head * full.denominator, full.denominator * den
+            cap, cap_den = heisenberg.alpha_weight_tail_bound(Delta, 200, mu, nu).as_integer_ratio()
+            # the bound is exactly tight at Delta=0, so it is compared exactly
+            if not (tail >= 0 and tail * cap_den <= cap * tail_den):
+                raise AssertionError(f"tail {tail / tail_den:.3e} outside [0, {cap / cap_den:.3e}]")
     return "schmidt mass exactly 1; number-weight tail under its bound"
 
 

@@ -92,7 +92,7 @@ def test_criterion_06_exponential_bound_chain():
 def test_criterion_07_dense_projector_oracle():
     with criterion(7, "projector overlap equals 1 - epsilon/2 exactly"):
         t0 = time.perf_counter()
-        verify.dense_projector_oracle(((2, 12), (3, 8)))
+        verify.dense_projector_oracle(((2, 12), (3, 8), (5, 8), (2, 30)))
         assert time.perf_counter() - t0 < 300
 
 

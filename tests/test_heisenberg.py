@@ -123,12 +123,17 @@ def test_mode_weights_must_be_positive():
 
 
 def test_alpha_weight_tail_bound():
+    # exact weights give an exact bound, which 400 terms of the tail stay
+    # under; float weights give its float, rounded once
     for D, start, mu, nu in [(0, 0, 1, 9), (2, 5, 1, 3), (4, 12, 2, 3)]:
         cap = alpha_weight_tail_bound(D, start, mu, nu)
-        tail = sum(float(alpha_weight(D, n, mu, nu)) for n in range(start, start + 400))
-        assert tail <= cap * (1 + 1e-12)
-    with pytest.raises(ValueError):
-        alpha_weight_tail_bound(5, 0, 1, 1)  # ratio 3 >= 1
+        assert isinstance(cap, Fraction)
+        assert sum(alpha_weight(D, n, mu, nu) for n in range(start, start + 400)) < cap
+        assert alpha_weight_tail_bound(D, start, float(mu), float(nu)) == float(cap)
+    # at Delta = 0 the tail is geometric, and the bound its sum x^start / (1 - x)
+    assert alpha_weight_tail_bound(0, 3, 1, 9) == Fraction(1, 10) ** 3 / Fraction(9, 10)
+    with pytest.raises(ValueError, match=r"^tail not yet geometric at start=0 \(ratio 3\.000 >= 1\)$"):
+        alpha_weight_tail_bound(5, 0, 1, 1)
 
 
 def test_delta_number_space_values():
@@ -507,8 +512,7 @@ def test_alpha_weight_at_float_range_weights():
     _assert_tracks_exact(alpha_weight(3, 5, 1e308, 1e308), want)
     _assert_tracks_exact(alpha_coeff(3, 1, 1e308, 1e308), _exact_float(alpha_coeff, 3, 1, 1e308, 1e308))
     _assert_tracks_exact(
-        alpha_weight_tail_bound(3, 10, 1e308, 1e308),
-        alpha_weight_tail_bound(3, 10, Fraction(1e308), Fraction(1e308)),
+        alpha_weight_tail_bound(3, 10, 1e308, 1e308), _exact_float(alpha_weight_tail_bound, 3, 10, 1e308, 1e308)
     )
 
 

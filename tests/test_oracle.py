@@ -29,7 +29,7 @@ from definetti.oracle import (
     pair_vacuum,
     trace_distance,
 )
-from definetti.report import _sqrt_float
+from definetti.report import _number, _sqrt_float
 from definetti.su2_cg import TwoJ, _racah_parts, _triangle
 from definetti.symmetric import SymTriple, dim_sym, epsilon
 from definetti.weights import Weight, sym_weights
@@ -46,22 +46,22 @@ def test_trace_distance():
         trace_distance(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
 
 
-def _dense_basis(n, d):
-    """The weights of Sym^n(C^d) and the d^n x dim_sym(n, d) matrix whose
-    columns are their vectors, read off the class of each product index
-    and the size of each class."""
-    ws, cols, sizes = oracle._sym_classes(n, d)
-    mat = np.zeros((d**n, len(ws)))
-    mat[np.arange(d**n), cols] = (1.0 / np.sqrt(sizes))[cols]
-    return ws, mat
+def _dense_basis(n):
+    """The weights of Sym^n(C^2) and the 2^n x (n + 1) matrix whose
+    columns are their vectors, read off the qubit class of each product
+    index and the size of each class."""
+    cols, sizes = oracle._qubit_classes(n)
+    mat = np.zeros((2**n, n + 1))
+    mat[np.arange(2**n), cols] = (1.0 / np.sqrt(sizes))[cols]
+    return sym_weights(n, 2), mat
 
 
 def test_sym_basis_orthonormal():
-    for n, d in [(3, 2), (2, 3), (4, 2)]:
-        ws, mat = _dense_basis(n, d)
-        assert len(ws) == mat.shape[1] == dim_sym(n, d)
+    for n in (0, 1, 3, 4, 9):
+        ws, mat = _dense_basis(n)
+        assert len(ws) == mat.shape[1] == dim_sym(n, 2)
         assert np.abs(mat.T @ mat - np.eye(len(ws))).max() < 1e-12
-        assert all(w.total == n and w.dim == d for w in ws)
+        assert all(w.total == n and w.dim == 2 for w in ws)
 
 
 def _class_indices(w):
@@ -90,22 +90,25 @@ def _reference_vector(w):
 
 
 def test_sym_basis_equals_its_per_class_reference():
-    cases = [(n, d) for d in range(2, 6) for n in range(14) if d**n <= 10**4]
-    assert len(cases) == 36 and (0, 5) in cases and (13, 2) in cases
-    for n, d in cases:
-        ws, cols, sizes = oracle._sym_classes(n, d)
-        assert ws == tuple(sym_weights(n, d)), (n, d)
-        assert not cols.flags.writeable and not sizes.flags.writeable
-        mat = _dense_basis(n, d)[1]
+    # the qubit class map that mc_theorem1 reads, class c = the index's
+    # number of 1 digits, against the recursive enumeration of each class
+    for n in range(14):
+        ws, mat = _dense_basis(n)
+        assert ws == [Weight((n - c, c)) for c in range(n + 1)], n
         want = np.column_stack([_reference_vector(w) for w in ws])
-        assert np.array_equal(mat, want), (n, d)
+        assert np.array_equal(mat, want), n
 
 
 def test_brute_delta_matches_formula():
     t = SymTriple(4, 2, 2, 0)
     assert brute_delta_symmetric(t) == Fraction(3, 5)
-    with pytest.raises(ValueError):
-        brute_delta_symmetric(SymTriple(21, 1, 2, 0))
+    # refused while the oracle enumerated the d^n product indices, d^n > 10^6
+    t = SymTriple(21, 1, 2, 0)
+    assert brute_delta_symmetric(t) == 1 - epsilon(t) / 2
+    for n, k, d in ((30, 10, 2), (9, 4, 5)):
+        for r in range(k + 1):
+            t = SymTriple(n, k, d, r)
+            assert brute_delta_symmetric(t) == 1 - epsilon(t) / 2, (n, k, d, r)
 
 
 def test_cells_past_the_old_dense_cell_guard_compute_exactly():
@@ -131,33 +134,57 @@ def _in_child(code: str) -> str:
     return out.stdout
 
 
+def _moment_guard_message(n, k, d):
+    """The refusal of the guard's bounds, n + d <= 500 and C(k+d-1, k) <=
+    10^4 weights, or None, for inputs small enough to compute the binomial
+    of."""
+    if n + d > 500:
+        return f"size guard exceeded: n + d = {n + d} > 500"
+    if comb(k + d - 1, k) > 10**4:
+        return f"size guard exceeded: dim_sym(k, d) = {_number(comb(k + d - 1, k))} > 10000"
+    return None
+
+
 def test_sym_basis_guard_runs_before_any_enumeration(monkeypatch):
     class Enumerated(Exception):
         pass
 
-    def enumerated(n, d):
+    def enumerated(*args, **kwargs):
         raise Enumerated
 
-    # each (n, d) past the guard is refused before sym_weights runs, and
-    # each other reaches it: the refused inputs are exactly d^n > 10^6
+    # each (n, k, d) past the guard is refused before a weight is enumerated
+    # or a factorial built, and each other reaches them
     monkeypatch.setattr(oracle, "sym_weights", enumerated)
-    oracle._sym_classes.cache_clear()
-    oracle._weight_overlaps.cache_clear()
-    for n in range(-1, 26):
-        for d in range(-1, 13):
-            if d >= 2 and d**n > oracle.SYM_SIZE_GUARD:
-                with pytest.raises(ValueError, match=rf"^size guard exceeded: {d}\^{n} > 1000000$"):
-                    oracle._sym_classes(n, d)
-            else:
-                with pytest.raises(Enumerated):
-                    oracle._sym_classes(n, d)
+    monkeypatch.setattr(oracle, "accumulate", enumerated)
+    oracle._moment_terms.cache_clear()
+    cells = [
+        (n, k, d)
+        for d in (2, 3, 4, 5, 9, 30, 250, 499)
+        for n in (1, 9, 17, 140, 250, 498, 499)
+        for k in {1, 2, 8, n // 2, n}
+        if 0 < k <= n
+    ]
+    cells += [(497, 139, 3), (497, 140, 3), (480, 19, 5), (480, 20, 5), (1, 1, 499), (1, 1, 500), (2, 1, 498)]
+    refused = 0
+    for n, k, d in cells:
+        message = _moment_guard_message(n, k, d)
+        if message:
+            refused += 1
+            with pytest.raises(ValueError) as info:
+                oracle._moment_terms(n, k, d)
+            assert str(info.value) == message, (n, k, d)
+        else:
+            with pytest.raises(Enumerated):
+                oracle._moment_terms(n, k, d)
+    assert 0 < refused < len(cells)
     # 10^7 weights to enumerate first, which took longer than 8 s
-    with pytest.raises(ValueError, match=r"^size guard exceeded: 2\^10000000 > 1000000$"):
-        oracle._sym_classes(10**7, 2)
-    # 10^6 product indices pass the guard and reach the enumeration; this
-    # cell was refused by a second guard on dense basis matrix cells
-    with pytest.raises(Enumerated):
-        brute_delta_symmetric(SymTriple(6, 1, 10, 0))
+    with pytest.raises(ValueError, match=r"^size guard exceeded: n \+ d = 10000002 > 500$"):
+        oracle._moment_terms(10**7, 10**7, 2)
+    # a cell refused by a guard on dense basis matrix cells, and one past
+    # the old d^n <= 10^6 guard, reach the enumeration
+    for cell in ((6, 1, 10, 0), (9, 4, 5, 0)):
+        with pytest.raises(Enumerated):
+            brute_delta_symmetric(SymTriple(*cell))
 
 
 def test_huge_symmetric_inputs_are_refused_at_once():
@@ -166,51 +193,50 @@ def test_huge_symmetric_inputs_are_refused_at_once():
 import time
 from definetti import oracle
 from definetti.symmetric import SymTriple
-for call in (
-    lambda: oracle.brute_delta_symmetric(SymTriple(10**20, 1, 2, 0)),
-    lambda: oracle._sym_classes(10**5000, 3),
-):
+for cell in ((10**20, 1, 2, 0), (10**5000, 1, 3, 0)):
     start = time.perf_counter()
     try:
-        call()
+        oracle.brute_delta_symmetric(SymTriple(*cell))
     except ValueError as exc:
         print(f"{time.perf_counter() - start:.6f} {exc}")
 """
     lines = _in_child(code).splitlines()
     assert [line.split(" ", 1)[1] for line in lines] == [
-        f"size guard exceeded: 2^{10**20} > 1000000",
-        "size guard exceeded: 3^a 5001-digit integer > 1000000",
+        f"size guard exceeded: n + d = {10**20 + 2} > 500",
+        "size guard exceeded: n + d = a 5001-digit integer > 500",
     ]
     assert all(float(line.split(" ", 1)[0]) < 0.1 for line in lines), lines
 
 
 def test_brute_delta_builds_no_k_site_basis_before_it_refuses(monkeypatch):
     calls = []
-    build = oracle._sym_classes
+    enumerate_weights = oracle.sym_weights
 
-    def recorded(n, d):
-        calls.append((n, d))
-        return build(n, d)
+    def recorded(k, d):
+        calls.append((k, d))
+        return enumerate_weights(k, d)
 
-    monkeypatch.setattr(oracle, "_sym_classes", recorded)
-    oracle._weight_overlaps.cache_clear()
-    with pytest.raises(ValueError, match=r"^size guard exceeded: 2\^21 > 1000000$"):
-        brute_delta_symmetric(SymTriple(21, 1, 2, 0))
-    assert calls == [(21, 2)]
-    calls.clear()
+    monkeypatch.setattr(oracle, "sym_weights", recorded)
+    oracle._moment_terms.cache_clear()
+    with pytest.raises(ValueError, match=r"^size guard exceeded: n \+ d = 501 > 500$"):
+        brute_delta_symmetric(SymTriple(499, 1, 2, 0))
+    with pytest.raises(ValueError, match=r"^size guard exceeded: dim_sym\(k, d\) = 10011 > 10000$"):
+        brute_delta_symmetric(SymTriple(497, 140, 3, 0))
+    assert calls == []
     assert brute_delta_symmetric(SymTriple(4, 2, 2, 0)) == Fraction(3, 5)
-    assert calls == [(4, 2), (2, 2), (2, 2)]
+    assert calls == [(2, 2), (2, 2)]  # the term table, then the window
 
 
 def test_symmetric_bases_are_freed_after_large_oracle_calls():
-    # the dense bases of these three calls, 2^19 x 20, 3^11 x 78 and
-    # 4^8 x 165 floats, were all held by the basis cache: 268 MB
+    # each cell is past the old d^n <= 10^6 guard, whose dense bases at
+    # 2^19 x 20, 3^11 x 78 and 4^8 x 165 floats once held 268 MB; the
+    # term tables of the first two, 250 and 9,870 integers, are dropped
     code = """
 import gc, tracemalloc
 from definetti import oracle
 from definetti.symmetric import SymTriple
 tracemalloc.start()
-for cell in ((19, 1, 2, 0), (11, 1, 3, 0), (8, 1, 4, 0)):
+for cell in ((498, 249, 2, 100), (497, 139, 3, 70), (9, 4, 5, 2)):
     oracle.brute_delta_symmetric(SymTriple(*cell))
 gc.collect()
 print(tracemalloc.get_traced_memory()[0])
@@ -508,25 +534,27 @@ def test_fock_oracle_builds_one_tower_per_offset(monkeypatch):
 
 
 def test_single_weight_overlap_builds_each_weight_vector_once():
-    # the weight vectors are read off the class index of each basis
-    oracle._sym_classes.cache_clear()
+    # one term table per (n, k, d), k <= n <= 7, d = 2, 3, whose terms are
+    # the moments of the k-site weight vectors
+    oracle._moment_terms.cache_clear()
     assert verify.single_weight_overlap(7, 3) == "434 projector traces equal term_overlap exactly"
-    # one build per (k, d), k <= 7, d = 2, 3, which the n-site contractions reuse
-    assert oracle._sym_classes.cache_info().misses == 7 * 2
-    verify.single_weight_overlap(7, 3)
-    assert oracle._sym_classes.cache_info().misses == 7 * 2
+    assert oracle._moment_terms.cache_info().misses == 2 * 28
+    # the radius loop of the dense check reads one table per (n, k)
+    oracle._moment_terms.cache_clear()
+    assert verify.dense_projector_oracle(((3, 4),)) == "30 projector overlaps equal 1 - eps/2 exactly"
+    assert oracle._moment_terms.cache_info()[:2] == (20, 10)  # (hits, misses)
 
 
 def test_a_broken_aligned_contraction_fails_both_symmetric_oracles(monkeypatch):
-    # the trailing sites padded with digit d-1, |d...d>, instead of 0, |1...1>
-    source = inspect.getsource(oracle._weight_overlaps)
-    assert source.count("[:, 0]") == 1
+    # the n-k reference powers put on |z_(d-1)|^2 instead of |z_0|^2
+    source = inspect.getsource(oracle._moment_terms)
+    assert source.count("a = (w[0] + n - k, *w[1:])") == 1
     namespace = dict(vars(oracle))
-    exec(source.replace("[:, 0]", "[:, -1]"), namespace)
+    exec(source.replace("a = (w[0] + n - k, *w[1:])", "a = (*w[:-1], w[-1] + n - k)"), namespace)
 
     assert verify.dense_projector_oracle(((3, 4),)) == "30 projector overlaps equal 1 - eps/2 exactly"
     assert verify.single_weight_overlap(4, 3) == "95 projector traces equal term_overlap exactly"
-    monkeypatch.setattr(oracle, "_weight_overlaps", namespace["_weight_overlaps"])
+    monkeypatch.setattr(oracle, "_moment_terms", namespace["_moment_terms"])
     with pytest.raises(AssertionError, match="dense oracle"):
         verify.dense_projector_oracle(((3, 4),))
     with pytest.raises(AssertionError, match="overlap"):
@@ -569,16 +597,16 @@ def _class_projection(k, r):
     """The radius-r window projection of each row of a sample matrix, as
     mc_theorem1 forms it: the row's class mean on the kept classes, 0 on
     the others."""
-    ws, cols, sizes = oracle._sym_classes(k, 2)
+    cols, sizes = oracle._qubit_classes(k)
     order, starts = np.argsort(cols, kind="stable"), np.cumsum(sizes) - sizes
-    keep = np.array([w[0] >= k - r for w in ws])
+    keep = np.array([w[0] >= k - r for w in sym_weights(k, 2)])
     return lambda back: np.where(keep, np.add.reduceat(back[:, order], starts, axis=1) / sizes, 0.0)[:, cols]
 
 
 def _dense_projection(k, r):
     """The same projection through the dense matrix V of the window's
     basis vectors, as back V^* V^T."""
-    ws, mat = _dense_basis(k, 2)
+    ws, mat = _dense_basis(k)
     v_mat = mat[:, [i for i, w in enumerate(ws) if w[0] >= k - r]]
     return lambda back: (back @ v_mat.conj()) @ v_mat.T
 
@@ -590,9 +618,9 @@ def _mc_reference(n, k, r, n_samples, seed, outer=_matmul_outer, projection=_cla
     in the sample order that the matmuls reorder, and projection(k, r)
     gives the window projection of the rotated samples."""
     d, dim_b, d_formal = 2, 2 ** (n - k), dim_sym(n - k, 2)
-    ws_n, cols_n, sizes_n = oracle._sym_classes(n, d)
+    cols_n, sizes_n = oracle._qubit_classes(n)
     rng_state = np.random.default_rng([seed, 0])
-    coeff = rng_state.standard_normal(len(ws_n)) + 1j * rng_state.standard_normal(len(ws_n))
+    coeff = rng_state.standard_normal(n + 1) + 1j * rng_state.standard_normal(n + 1)
     coeff /= np.linalg.norm(coeff)
     big = (coeff / np.sqrt(sizes_n))[cols_n].reshape(d**k, dim_b)
     rho_k = big @ big.conj().T

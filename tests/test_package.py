@@ -119,8 +119,9 @@ def test_importing_the_checks_loads_no_numpy(modules):
         # lazy imports hide no dependency
         (["verify", "weights"], set(VERIFY)),
         (["verify", "cg"], set(VERIFY)),
-        (["verify", "symmetric"], {*VERIFY, "numpy"}),
+        (["verify", "symmetric"], set(VERIFY)),
         (["verify", "all"], {*VERIFY, "numpy"}),
+        (["verify", "heisenberg"], {*VERIFY, "numpy"}),
     ],
 )
 def test_a_command_adds_only_what_it_computes_with(argv, added):
@@ -141,11 +142,16 @@ sys.exit(main(sys.argv[1:]))
 
 @pytest.mark.parametrize(
     "suite, failed, last",
-    [("weights", 0, "6/6 checks passed"), ("cg", 0, "6/6 checks passed"), ("symmetric", 2, "7/9 checks passed")],
-    ids=("weights", "cg", "symmetric"),
+    [
+        ("weights", 0, "6/6 checks passed"),
+        ("cg", 0, "6/6 checks passed"),
+        ("symmetric", 0, "9/9 checks passed"),
+        ("heisenberg", 3, "4/7 checks passed"),
+    ],
+    ids=("weights", "cg", "symmetric", "heisenberg"),
 )
 def test_without_numpy_only_the_float_checks_fail(suite, failed, last):
-    # the symmetric suite's two float checks are its projector oracles;
+    # the heisenberg suite's three float checks are its truncated-Fock ones;
     # each fails on its own line, and no traceback reaches stderr
     out = _child(_WITHOUT_NUMPY, "verify", suite, check=False)
     lines = out.stdout.splitlines()
