@@ -47,14 +47,19 @@ __all__ = [
 
 # a symmetric term table holds dim_sym(k, d) integers, each a product of
 # factorials below (n+d-1)!; at both bounds one took 0.06-0.3 s and at most
-# a few MB on a 2-vCPU VM, and d stays inside sym_weights' recursion
+# a few MB on a 2-vCPU VM
 SYM_TERM_GUARD = 10**4
 SYM_FACTORIAL_GUARD = 500  # n + d
-# float64 cells in the (cutoff+1)^2 Fock states one call makes, as the
-# ladders shift a state with no matrix: heis_oracle at r_max = 200,
-# Delta = 10 makes 201 states of 251^2 cells, 12.7 M (about 100 MB, which
-# pair_tower holds and heis_oracle drops state by state)
+# float64 cells of the dense (cutoff+1)^2 Fock states that pair_vacuum and
+# pair_tower return, every one held at once: 13 M cells is about 100 MB
 FOCK_CELL_GUARD = 13 * 10**6
+# heis_oracle holds two states and one kept n2 = 0 column per state, and its
+# ladder touches every cell of each state it makes.  On a 2-vCPU VM, at 4 M
+# cells held, (1, 1, 1370, 0) peaked 92 MB above the interpreter (a ladder
+# step briefly holds six states), and the whole call took 9-11 ns per cell
+# touched: 0.71-0.88 s at (1, 1, 10, 400), 81.6 M cells
+HEIS_HELD_GUARD = 4 * 10**6
+HEIS_WORK_GUARD = 10**8
 CG_TABLE_GUARD = 24  # doubled angular momentum
 # Monte Carlo samples per mc_theorem1 call; the mc suite's two checks read
 # one call, and took 1.5 s at 10^6 and 11 s at 10^7 samples on a 2-vCPU VM
@@ -246,7 +251,7 @@ def lambda_up_set(j1, j2, j) -> set[Weight]:
 
 
 def _check_fock_cells(states: int, cutoff: int) -> None:
-    """Refuse states dense (cutoff+1)^2 matrices of more than
+    """Refuse to hold states dense (cutoff+1)^2 matrices of more than
     FOCK_CELL_GUARD cells in all, before numpy allocates any."""
     if states * (cutoff + 1) ** 2 > FOCK_CELL_GUARD:
         raise ValueError(f"size guard exceeded: {_number(states)} x {_number(cutoff + 1)}^2 cells > {FOCK_CELL_GUARD}")
@@ -298,19 +303,19 @@ def pair_vacuum(mu, nu, Delta: int, cutoff: int) -> np.ndarray:
 
 def _tower_states(mu, nu, Delta: int, n_max: int, cutoff: int):
     """The states of pair_tower, made one from the last as they are read:
-    the refusals and the vacuum come at the call, and a reader that keeps
-    no state holds about two."""
-    if Delta + n_max > cutoff:
-        raise ValueError(
-            f"tower would leave the truncation: Delta+n_max = {_number(Delta + n_max)} > cutoff = {_number(cutoff)}"
-        )
-    _check_fock_cells(n_max + 1, cutoff)
+    the vacuum comes at the call, and a reader that keeps no state holds
+    about two.  The callers refuse first, each by what it holds."""
     vacuum = pair_vacuum(mu, nu, Delta, cutoff)
     return accumulate(range(1, n_max + 1), lambda state, n: pair_create(mu, nu, state) / sqrt(n), initial=vacuum)
 
 
 def pair_tower(mu, nu, Delta: int, n_max: int, cutoff: int) -> list[np.ndarray]:
     """States |psi_n> = (a+)^n |psi_0> / sqrt(n!) for n = 0..n_max."""
+    if Delta + n_max > cutoff:
+        raise ValueError(
+            f"tower would leave the truncation: Delta+n_max = {_number(Delta + n_max)} > cutoff = {_number(cutoff)}"
+        )
+    _check_fock_cells(n_max + 1, cutoff)
     return list(_tower_states(mu, nu, Delta, n_max, cutoff))
 
 
@@ -322,12 +327,24 @@ def heis_oracle(mu, nu, Delta: int, r_max: int) -> list[float]:
     truncated past every state it makes (r_max + Delta + 40), so the only
     numerical error is double-precision roundoff.  Each state's squared
     n2 = 0 column, all that the windows read, is kept as the ladder makes
-    it, and the state is dropped.
+    it, and the state is dropped.  It refuses, before numpy loads, more
+    than HEIS_HELD_GUARD cells held and more than HEIS_WORK_GUARD cells
+    touched by the ladder.
     """
     _check_weights(mu, nu)
     if r_max < 0 or Delta < 0:
         raise ValueError(f"need r_max >= 0 and Delta >= 0, got r_max={_number(r_max)}, Delta={_number(Delta)}")
-    states = _tower_states(mu, nu, Delta, max(r_max - Delta, 0) + 10, r_max + Delta + 40)  # refuses first
+    n_max, side = max(r_max - Delta, 0) + 10, r_max + Delta + 41  # side = cutoff + 1
+    if 2 * side**2 + (n_max + 1) * side > HEIS_HELD_GUARD:
+        raise ValueError(
+            f"size guard exceeded: 2 x {_number(side)}^2 + {_number(n_max + 1)} x {_number(side)} cells held"
+            f" > {HEIS_HELD_GUARD}"
+        )
+    if (n_max + 1) * side**2 > HEIS_WORK_GUARD:
+        raise ValueError(
+            f"size guard exceeded: {_number(n_max + 1)} x {_number(side)}^2 cells touched > {HEIS_WORK_GUARD}"
+        )
+    states = _tower_states(mu, nu, Delta, n_max, side - 1)
     import numpy as np
 
     p, q = _coprime(mu, nu)
@@ -412,7 +429,14 @@ def _qubit_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return cols, np.array([comb(n, c) for c in range(n + 1)])
 
 
-_MC_BATCH = 4096
+# samples drawn and rotated at once.  A batch's arrays are mc_theorem1's
+# working set: at (4, 2, (0, 1, 2), 10^4) tracemalloc traced 0.75 MB, against
+# 1.24 MB at 1,024 and 4.17 MB at 4,096, and `verify all` peaked at 38.4 MB
+# RSS against 39.0 at 1,024; a call took 10.9 ms against 9.8 and 10.7
+# (medians of 60 alternating calls, 2-vCPU VM).  standard_normal draws in
+# sequence, so the samples do not depend on the batch size (the sums over
+# batches do, by summation order only: a few units in the last place)
+_MC_BATCH = 512
 
 # the arguments and reports of the last mc_theorem1 call, at most one entry:
 # the two mc checks of verify read one run.  Module state, not thread-safe.

@@ -214,17 +214,21 @@ def _sym_weights(n: int, d: int) -> tuple[Weight, ...]:
     if n < 0:
         raise ValueError(f"need n >= 0, got {_number(n)}")
     _check_d(d)
-    out: list[Weight] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(Weight(tuple(prefix + [remaining])))
-            return
-        for first in range(remaining, -1, -1):
-            rec(prefix + [first], remaining - first, slots - 1)
-
-    rec([], n, d)
-    return tuple(out)
+    # a weight's successor moves one unit off w[i], the last nonzero entry
+    # before w[-1], and puts it with all of w[-1] into w[i+1] (the entries
+    # between are 0); the last weight (0, ..., 0, n) has no such i
+    w = [n] + [0] * (d - 1)
+    out = [Weight(tuple(w))]
+    i = 0
+    while True:
+        while i >= 0 and not w[i]:
+            i -= 1
+        if i < 0:
+            return tuple(out)
+        w[i] -= 1
+        w[-1], w[i + 1] = 0, w[-1] + 1  # w[-1] first: i + 1 may be the last index
+        i = min(i + 1, d - 2)
+        out.append(Weight(tuple(w)))
 
 
 def w_r_set(n: int, d: int, r: int, direction: str = "down") -> list[Weight]:

@@ -15,7 +15,7 @@ import pytest
 
 from definetti import oracle, verify
 from definetti.exact import ExactReal
-from definetti.heisenberg import _coprime, alpha_coeff
+from definetti.heisenberg import HeisenbergTriple, _coprime, alpha_coeff, delta_number_space
 from definetti.oracle import (
     brute_delta_symmetric,
     cg_oracle,
@@ -450,14 +450,55 @@ def test_pair_vacuum_and_tower():
         pair_tower(1.0, 1.0, 5, 20, 24)
 
 
+def _heis_cells(Delta, r_max):
+    """(cells held, cells touched) by heis_oracle: two states of side^2
+    cells and one column of side cells per state, and every state made."""
+    states, side = max(r_max - Delta, 0) + 11, r_max + Delta + 41
+    return 2 * side**2 + states * side, states * side**2
+
+
 def test_the_fock_matrices_stop_at_their_cell_guard(monkeypatch):
-    # heis_oracle at r_max = 200 holds 211 - Delta states of (241 + Delta)^2
-    # cells, the most at Delta = 10; at r_max = 1000 it would hold 8.2 GiB
-    assert 201 * 251**2 <= oracle.FOCK_CELL_GUARD < 216 * 246**2
-    assert len(heis_oracle(1, 1, 10, 200)) == 201
+    # heis_oracle holds about two states, so a tower of 216 states of 246^2
+    # cells, past FOCK_CELL_GUARD in all, runs; each radius against the
+    # closed form
+    assert 216 * 246**2 > oracle.FOCK_CELL_GUARD
+    for r, got in enumerate(heis_oracle(1, 1, 0, 205)):
+        want = float(delta_number_space(HeisenbergTriple(Fraction(1), Fraction(1), 0, r)).delta)
+        assert abs(got - want) <= verify.ROUNDOFF, r
+    # just past its held guard (few large states) and its work guard (many
+    # states), each call one step past one guard and inside the other;
+    # neither refusal loads numpy
+    held, work = oracle.HEIS_HELD_GUARD, oracle.HEIS_WORK_GUARD
+    assert _heis_cells(1370, 0)[0] <= held < _heis_cells(1371, 0)[0] and _heis_cells(1371, 0)[1] <= work
+    assert _heis_cells(0, 433)[1] <= work < _heis_cells(0, 434)[1] and _heis_cells(0, 434)[0] <= held
+    code = """
+import sys
+from definetti import oracle
+for args in ((1, 1, 1371, 0), (1, 1, 0, 434)):
+    try:
+        oracle.heis_oracle(*args)
+    except ValueError as exc:
+        print(exc)
+print("numpy" in sys.modules)
+"""
+    assert _in_child(code).splitlines() == [
+        f"size guard exceeded: 2 x 1412^2 + 11 x 1412 cells held > {held}",
+        f"size guard exceeded: 445 x 475^2 cells touched > {work}",
+        "False",
+    ]
+    # both bounds are inclusive: (Delta, r_max) = (0, 3) holds
+    # 2 x 44^2 + 14 x 44 cells and touches 14 x 44^2
+    assert _heis_cells(0, 3) == (4488, 27104)
+    for guard, cells in (("HEIS_HELD_GUARD", 4488), ("HEIS_WORK_GUARD", 27104)):
+        monkeypatch.setattr(oracle, guard, cells)
+        assert len(heis_oracle(1, 1, 0, 3)) == 4
+        monkeypatch.setattr(oracle, guard, cells - 1)
+        with pytest.raises(ValueError, match=f"^size guard exceeded: .* > {cells - 1}$"):
+            heis_oracle(1, 1, 0, 3)
+        monkeypatch.undo()
+    # pair_vacuum and pair_tower hold every state they return
     side = isqrt(oracle.FOCK_CELL_GUARD) + 1  # one matrix of side^2 cells is past the guard
     for call, args in (
-        (heis_oracle, (1, 1, 0, 205)),  # 216 states of 246^2 cells
         (pair_tower, (1, 1, 0, 1000, 1000)),
         (pair_vacuum, (1, 1, 0, side - 1)),
     ):
@@ -671,6 +712,7 @@ def test_mc_theorem1_matches_its_einsum_reference():
 
 def test_mc_theorem1_equals_its_single_radius_reference():
     # field for field, bit for bit; 4097 samples end in a one-sample batch
+    assert 4097 % oracle._MC_BATCH == 1
     for seed in (0, 7, 2**31 - 1):
         for n_samples in (1000, 4097):
             got = mc_theorem1(4, 2, (0, 1, 2), n_samples, seed)
@@ -688,20 +730,36 @@ def test_mc_inequality_samples_once_for_all_radii(monkeypatch):
         return haar(*args)
 
     monkeypatch.setattr(oracle, "haar_su2", counted)
+    batches = -(-(10**4) // oracle._MC_BATCH)  # one haar_su2 call per batch of a run
     oracle._mc_memo.clear()
     verify.mc_inequality(0, 10**4)
-    assert calls == 3  # the batches of 4096 + 4096 + 1808 samples, once
+    assert calls == batches  # every batch once, for all radii
     # mc_identity_recovery drew the state and the samples again, for a
     # residual that does not depend on the radii; it reads the same run
     line = verify.mc_identity_recovery(0, 10**4)
-    assert calls == 3
+    assert calls == batches
     oracle._mc_memo.clear()
     (alone,) = mc_theorem1(4, 2, (2,), 10**4, 0)
     assert line == f"identity residual {alone.identity_residual:.4f} at N=10000"
     # the memo keeps the last call only, and a changed argument samples afresh
-    assert mc_theorem1(4, 2, (2,), 10**4, 0) == (alone,) and calls == 6
+    assert mc_theorem1(4, 2, (2,), 10**4, 0) == (alone,) and calls == 2 * batches
     mc_theorem1(4, 2, (2,), 10**4, 1)
-    assert calls == 9 and len(oracle._mc_memo) == 1
+    assert calls == 3 * batches and len(oracle._mc_memo) == 1
+
+
+def test_mc_theorem1_holds_one_small_batch():
+    # a batch's sample arrays are the run's working set; numpy reports its
+    # buffers to tracemalloc (0.75 MB at 512 samples a batch, 4.17 MB at 4,096)
+    code = """
+import tracemalloc
+from definetti import oracle
+oracle.mc_theorem1(4, 2, (0, 1, 2), 10**3, 1)  # numpy and its first-call buffers
+oracle._mc_memo.clear()
+tracemalloc.start()
+oracle.mc_theorem1(4, 2, (0, 1, 2), 10**4, 0)
+print(tracemalloc.get_traced_memory()[1])
+"""
+    assert int(_in_child(code)) <= 1.5 * 2**20
 
 
 def test_mc_theorem1_guards(monkeypatch):

@@ -180,6 +180,25 @@ def test_sym_weights_enumeration():
         sym_weights(3, 1)
 
 
+def _recursive_sym_weights(n, d):
+    """The enumeration as it was written before the loop: one recursion
+    level per coordinate, its first entry from n down to 0."""
+    if d == 1:
+        return [(n,)]
+    return [(first, *rest) for first in range(n, -1, -1) for rest in _recursive_sym_weights(n - first, d - 1)]
+
+
+def test_sym_weights_loop_keeps_the_recursive_order():
+    for n in range(9):
+        for d in range(2, 7):
+            assert [w.entries for w in sym_weights(n, d)] == _recursive_sym_weights(n, d), (n, d)
+    # one coordinate per weight moves past any recursion limit
+    ws = sym_weights(1, 1000)
+    assert len(ws) == 1000
+    assert ws[0] == Weight((1,) + (0,) * 999)
+    assert ws[-1] == Weight((0,) * 999 + (1,))
+
+
 def test_w_r_set_windows():
     assert w_r_set(3, 2, 0) == [Weight((3, 0))]
     assert w_r_set(3, 2, 1) == [Weight((3, 0)), Weight((2, 1))]
