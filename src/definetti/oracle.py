@@ -4,7 +4,8 @@ Nothing here reuses the formula derivations: symmetric-subspace overlaps
 are exact Haar moments of the projector, coupling coefficients come from
 highest-weight plus lowering synthesis in integer arithmetic (on a
 factorial-rescaled product basis, with one square root taken per entry
-at the end),
+at the end) down to m = 0, and below it from the Condon-Shortley
+reflection, which the m = 0 entries are checked to obey,
 oscillator overlaps from truncated Fock states, which the ladders shift,
 and the reconstruction theorem itself gets a Monte Carlo end-to-end
 inequality check.
@@ -60,6 +61,14 @@ FOCK_CELL_GUARD = 13 * 10**6
 # touched: 0.71-0.88 s at (1, 1, 10, 400), 81.6 M cells
 HEIS_HELD_GUARD = 4 * 10**6
 HEIS_WORK_GUARD = 10**8
+# tower state n is |n>|Delta> in (combined, orthogonal) mode numbers, and
+# roundoff that a ladder step puts in |n + Delta>|0> grows relative to it
+# by sqrt((n + Delta + 1)/(n + 1)) a step: by sqrt(C(Delta + n, n)) in all.
+# At 1:1 a state's norm first drifted past 1e-9 at C = 2^77.99 (Delta = 24,
+# n = 81; at r_max = 0 at Delta = 1,094, 2^79.24), over every Delta the
+# other guards admit; 1:2 and 2:3 drifted from 2^80.8 (every 29th Delta),
+# and 1:99 and 99:1 never up to this bound (every Delta)
+HEIS_ROUNDOFF_GUARD = 2**77  # C(Delta + n_max, n_max)
 CG_TABLE_GUARD = 24  # doubled angular momentum
 # Monte Carlo samples per mc_theorem1 call; the mc suite's two checks read
 # one call, and took 1.5 s at 10^6 and 11 s at 10^7 samples on a 2-vCPU VM
@@ -164,10 +173,18 @@ def cg_oracle(j1, j2) -> dict[tuple[int, int, int], ExactReal]:
     gcd of its entries; positive scalings drop out because only
     directions and signs matter.  A state at m is kept only over its
     slice's span, the indices j1 - m1 with |m - m1| <= j2.  One walk
-    down the m-slices lowers every block, seeds the block j = m and
-    forms the slice's entries as sign(a) sqrt(a^2 W / sum a^2 W),
+    down the m-slices with m >= 0 lowers every block, seeds the block
+    j = m and forms the slice's entries as sign(a) sqrt(a^2 W / sum a^2 W),
     reduced by one gcd, with nothing factored; entries compare with
     `cg` as (sign, radicand).
+
+    The slices with m < 0 are not lowered: each entry is its mirror's,
+    <j -m | j1 -m1, j2 -m2> = (-1)^(j1+j2-j) <j m | j1 m1, j2 m2>
+    (Edmonds 1957), the same ExactReal or its negation.  When j1 + j2 is
+    an integer the m = 0 slice is its own mirror, and an entry there that
+    breaks the rule raises AssertionError, as a seed of the wrong sign
+    does.  Entries are inserted in m-descending order, each slice's
+    blocks in seeding order and m1 descending within a block.
 
     The synthesis is exact throughout: a floating version of the same
     ladder is numerically unstable, because any contamination of a low-j
@@ -187,7 +204,7 @@ def cg_oracle(j1, j2) -> dict[tuple[int, int, int], ExactReal]:
     table: dict[tuple[int, int, int], ExactReal] = {}
     raw = ExactReal._raw
     lo = 0
-    for tm in range(tj_top, -tj_top - 2, -2):
+    for tm in range(tj_top, -1, -2):
         k = (tj_top - tm) // 2  # j2 - m2 at index 0
         shift = max(0, k - tj2) - lo  # the span's start moves by 0 or 1
         lo, hi = lo + shift, min(tj1, k)
@@ -201,8 +218,6 @@ def cg_oracle(j1, j2) -> dict[tuple[int, int, int], ExactReal]:
         down = range(k - lo, k - hi - 1, -1)  # k - i over the span
         lowered = []
         for tj, v in blocks:
-            if tj < -tm:
-                break  # blocks run down in j: this one and the rest end above m
             ext = [0, *v, 0]
             out = map(add, map(mul, ext[shift + 1 :], down), map(mul, ext[shift:], span))
             lowered.append((tj, _reduced(list(out))))
@@ -227,6 +242,20 @@ def cg_oracle(j1, j2) -> dict[tuple[int, int, int], ExactReal]:
                 num = a * a * wi
                 g = gcd(num, norm2)
                 table[tj, tm, tm1] = raw((a > 0) - (a < 0), num // g, norm2 // g)
+    # m < 0 by reflection, <j -m | j1 -m1, j2 -m2> = (-1)^(j1+j2-j) <j m | j1 m1, j2 m2>;
+    # m = 0 is its own mirror, so there the ladder's entries must obey it
+    for tm in range(-(tj_top % 2), -tj_top - 2, -2):
+        tm1s = range(min(tj1, tm + tj2), max(-tj1, tm - tj2) - 2, -2)
+        for tj in range(tj_top, max(-tm, abs(tj1 - tj2)) - 2, -2):
+            flip = (tj_top - tj) % 4  # j1 + j2 - j odd
+            for tm1 in tm1s:
+                x = table[tj, -tm, -tm1]
+                if flip:
+                    x = -x
+                if tm:
+                    table[tj, tm, tm1] = x
+                elif table[tj, 0, tm1] != x:
+                    raise AssertionError("reflection broken: the m = 0 entries are not their own mirror")
     return table
 
 
@@ -328,8 +357,10 @@ def heis_oracle(mu, nu, Delta: int, r_max: int) -> list[float]:
     numerical error is double-precision roundoff.  Each state's squared
     n2 = 0 column, all that the windows read, is kept as the ladder makes
     it, and the state is dropped.  It refuses, before numpy loads, more
-    than HEIS_HELD_GUARD cells held and more than HEIS_WORK_GUARD cells
-    touched by the ladder.
+    than HEIS_HELD_GUARD cells held, more than HEIS_WORK_GUARD cells
+    touched by the ladder, and a tower whose ladder roundoff,
+    sqrt(C(Delta + n_max, n_max)) times that of one step, could drift a
+    state's norm past the 1e-9 it is checked to (C > HEIS_ROUNDOFF_GUARD).
     """
     _check_weights(mu, nu)
     if r_max < 0 or Delta < 0:
@@ -344,6 +375,11 @@ def heis_oracle(mu, nu, Delta: int, r_max: int) -> list[float]:
         raise ValueError(
             f"size guard exceeded: {_number(n_max + 1)} x {_number(side)}^2 cells touched > {HEIS_WORK_GUARD}"
         )
+    if comb(Delta + n_max, n_max) > HEIS_ROUNDOFF_GUARD:
+        raise ValueError(
+            f"roundoff guard exceeded: C(Delta + n_max, n_max) = C({_number(Delta + n_max)}, {_number(n_max)})"
+            f" > 2^{HEIS_ROUNDOFF_GUARD.bit_length() - 1}"
+        )
     states = _tower_states(mu, nu, Delta, n_max, side - 1)
     import numpy as np
 
@@ -353,7 +389,7 @@ def heis_oracle(mu, nu, Delta: int, r_max: int) -> list[float]:
     for state in states:
         nrm = np.linalg.norm(state)
         if abs(nrm - 1.0) > 1e-9:
-            raise RuntimeError(f"tower state leaked through the truncation: norm {nrm}")
+            raise RuntimeError(f"tower state's norm drifted from 1 by roundoff: norm {nrm}")
         columns.append(state[:, 0] ** 2)
     out = []
     for r in range(r_max + 1):

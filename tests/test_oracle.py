@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from definetti import oracle, verify
+from definetti import oracle, su2_cg, verify
 from definetti.exact import ExactReal
 from definetti.heisenberg import HeisenbergTriple, _coprime, alpha_coeff, delta_number_space
 from definetti.oracle import (
@@ -320,9 +320,10 @@ def test_slice_weights_are_binomial():
 
 
 def test_cg_oracle_weighs_each_slice_once_over_its_span(monkeypatch):
-    # every state is kept over its m-slice's span only: each inner product
-    # of a slice pairs two states and the weights, all of the span's length,
-    # and every stored state enters its slice's norms
+    # the ladder walks the slices with m >= 0 only, each once, the rest
+    # being reflected; every state is kept over its m-slice's span only:
+    # each inner product of a slice pairs two states and the weights, all
+    # of the span's length, and every stored state enters its slice's norms
     weights, wdot = oracle._slice_weights, oracle._wdot
     slices, bad = [], []
 
@@ -343,9 +344,36 @@ def test_cg_oracle_weighs_each_slice_once_over_its_span(monkeypatch):
         for tj2 in range(9):
             slices.clear()
             cg_oracle(TwoJ(tj1), TwoJ(tj2))
-            tms = range(tj1 + tj2, -tj1 - tj2 - 2, -2)
+            tms = range(tj1 + tj2, -1, -2)
             assert slices == [(tj1, tj2, tm) for tm in tms], (tj1, tj2)
     assert bad == []
+
+
+def test_cg_oracle_fails_without_the_reflection_phase(monkeypatch):
+    # the m < 0 slices copied from their mirrors with no (-1)^(j1+j2-j)
+    source = inspect.getsource(oracle.cg_oracle)
+    assert source.count("flip = (tj_top - tj) % 4") == 1
+    namespace = dict(vars(oracle))
+    exec(source.replace("flip = (tj_top - tj) % 4", "flip = 0"), namespace)
+    mutant = namespace["cg_oracle"]
+
+    # integer j1 + j2 with a block of odd j1 + j2 - j: the m = 0 check fires
+    raised = []
+    for tj1, tj2 in product(range(9), repeat=2):
+        try:
+            mutant(TwoJ(tj1), TwoJ(tj2))
+        except AssertionError as exc:
+            assert str(exc) == "reflection broken: the m = 0 entries are not their own mirror"
+            raised.append((tj1, tj2))
+    assert raised == [(a, b) for a, b in product(range(9), repeat=2) if (a + b) % 2 == 0 and a and b]
+    assert len(raised) == 32
+    # half-integer j1 + j2 has no m = 0 slice: the closed form sees the sign
+    table = mutant(TwoJ(1), TwoJ(2))
+    assert table[1, -1, 1] == -cg_oracle(TwoJ(1), TwoJ(2))[1, -1, 1]
+    assert table[1, -1, 1] != su2_cg._cg_doubled(1, 1, 2, -2, 1, -1)
+    monkeypatch.setattr(oracle, "cg_oracle", mutant)
+    with pytest.raises(AssertionError, match="^reflection broken"):
+        verify.cg_oracle_match(8)
 
 
 def test_cg_oracle_match_sees_a_dropped_binomial(monkeypatch):
@@ -511,6 +539,39 @@ print("numpy" in sys.modules)
         pair_tower(1, 1, 0, 12, 13)
 
 
+def test_heis_oracle_refuses_a_tower_its_roundoff_could_drift(monkeypatch):
+    # C(Delta + n_max, n_max) against 2^77, n_max = max(r_max - Delta, 0) + 10:
+    # at r_max = 0, Delta = 936 is in and 937 out; at Delta = 24, r_max = 92
+    # is in and 93 out
+    bound = oracle.HEIS_ROUNDOFF_GUARD
+    assert comb(946, 10) <= bound < comb(947, 10) and comb(102, 78) <= bound < comb(103, 79)
+    for mu, nu in ((1, 1), (1, 99), (99, 1)):
+        assert len(heis_oracle(mu, nu, 24, 92)) == 93
+    assert len(heis_oracle(1, 1, 936, 0)) == 1
+    code = """
+import sys
+from definetti import oracle
+for args in ((1, 1, 937, 0), (1, 1, 24, 93), (1, 1, 1150, 0), (1, 1, 1370, 0)):
+    try:
+        oracle.heis_oracle(*args)
+    except ValueError as exc:
+        print(exc)
+print("numpy" in sys.modules)
+"""
+    prefix = "roundoff guard exceeded: C(Delta + n_max, n_max) ="
+    assert _in_child(code).splitlines() == [
+        f"{prefix} C(947, 10) > 2^77",
+        f"{prefix} C(103, 79) > 2^77",
+        f"{prefix} C(1160, 10) > 2^77",
+        f"{prefix} C(1380, 10) > 2^77",
+        "False",
+    ]
+    # past the guard the norm check still stands: C(160, 60) is about 2^150
+    monkeypatch.setattr(oracle, "HEIS_ROUNDOFF_GUARD", 2**200)
+    with pytest.raises(RuntimeError, match="^tower state's norm drifted from 1 by roundoff: norm "):
+        heis_oracle(1, 1, 100, 150)
+
+
 def test_heis_oracle_matches_formula():
     assert heis_oracle(1, 1, 0, 0)[0] == pytest.approx(0.5, abs=1e-12)
 
@@ -543,7 +604,7 @@ def _heis_single_radius_reference(mu, nu, Delta, r, cutoff):
     for state in pair_tower(mu, nu, Delta, max(r - Delta, 0) + 10, cutoff):
         nrm = np.linalg.norm(state)
         if abs(nrm - 1.0) > 1e-9:
-            raise RuntimeError(f"tower state leaked through the truncation: norm {nrm}")
+            raise RuntimeError(f"tower state's norm drifted from 1 by roundoff: norm {nrm}")
         total += float((state[: r + 1, 0] ** 2).sum())
     return nu / (mu + nu) * total
 
