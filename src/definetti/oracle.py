@@ -7,8 +7,8 @@ factorial-rescaled product basis, with one square root taken per entry
 at the end) down to m = 0, and below it from the Condon-Shortley
 reflection, which the m = 0 entries are checked to obey,
 oscillator overlaps from truncated Fock states, which the ladders shift,
-and the reconstruction theorem itself gets a Monte Carlo end-to-end
-inequality check.
+and the reconstruction theorem itself gets an end-to-end inequality
+check by quadrature over the sphere.
 
 numpy is imported inside each function that uses it, after the
 function's refusals: importing this module, the coupling-table synthesis
@@ -23,6 +23,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, gcd, prod, sqrt
 from operator import add, mul
+from random import Random
 
 from .exact import ExactReal
 from .heisenberg import _check_weights, _coprime
@@ -42,7 +43,6 @@ __all__ = [
     "pair_vacuum",
     "pair_tower",
     "heis_oracle",
-    "haar_su2",
     "mc_theorem1",
 ]
 
@@ -70,10 +70,9 @@ HEIS_WORK_GUARD = 10**8
 # and 1:99 and 99:1 never up to this bound (every Delta)
 HEIS_ROUNDOFF_GUARD = 2**77  # C(Delta + n_max, n_max)
 CG_TABLE_GUARD = 24  # doubled angular momentum
-# Monte Carlo samples per mc_theorem1 call; the mc suite's two checks read
-# one call, and took 1.5 s at 10^6 and 11 s at 10^7 samples on a 2-vCPU VM
-MC_SAMPLE_MIN = 10**3
-MC_SAMPLE_GUARD = 10**7
+# Gauss-Legendre nodes of mc_theorem1's coarse grid; its fine grid has
+# twice as many.  2 QUAD_N - 1 >= n - k for every n <= 16 that it admits
+QUAD_N = 16
 
 
 def trace_distance(a, b) -> float:
@@ -401,37 +400,46 @@ def heis_oracle(mu, nu, Delta: int, r_max: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo check of the reconstruction inequality
+# quadrature check of the reconstruction inequality
 
 
 class McReport(_Frozen):
-    """Outcome of the Monte Carlo end-to-end inequality check."""
+    """Outcome of the end-to-end inequality check at one radius: the
+    distance on the 2 QUAD_N-node grid and on the QUAD_N-node grid, whose
+    gap is the check's tolerance."""
 
-    __slots__ = (
-        "n", "k", "r", "n_samples", "seed", "lhs_distance", "bound", "identity_residual", "mc_tolerance",
-    )
+    __slots__ = ("n", "k", "r", "seed", "lhs_distance", "lhs_coarse", "bound", "identity_residual")
 
     @property
     def passed(self) -> bool:
-        return self.lhs_distance <= self.bound + self.mc_tolerance
+        return self.lhs_distance <= self.bound + abs(self.lhs_distance - self.lhs_coarse) + 1e-12
 
 
-def haar_su2(rng: np.random.Generator, size: int) -> np.ndarray:
-    """size Haar-uniform SU(2) matrices via unit quaternions."""
+def _sphere_rule(n_nodes: int):
+    """The product rule on the sphere of g|0>, one batch per node: yields
+    (weight, g) with g the 2 n_nodes coset points h(theta, phi) =
+    [[c, -s e^(-i phi)], [s e^(i phi), c]], c = cos(theta/2), s =
+    sin(theta/2), at one Gauss-Legendre node in cos(theta) (Golub-Welsch:
+    the eigenvalues of the Jacobi matrix, weights 2 v_0^2) and 2 n_nodes
+    equal phases, weight the node's share of the unit mass on each point.
+    It integrates exactly every polynomial of degree <= 2 n_nodes - 1 in
+    cos(theta) times a trigonometric polynomial of degree < 2 n_nodes in phi."""
     import numpy as np
 
-    q = rng.standard_normal((size, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    a, b, c, d = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    g = np.empty((size, 2, 2), dtype=np.complex128)
-    g[:, 0, 0] = a + 1j * b
-    g[:, 0, 1] = c + 1j * d
-    g[:, 1, 0] = -c + 1j * d
-    g[:, 1, 1] = a - 1j * b
-    return g
+    i = np.arange(1.0, n_nodes)
+    beta = i / np.sqrt(4 * i * i - 1)
+    nodes, vecs = np.linalg.eigh(np.diag(beta, -1))  # eigh reads the lower triangle
+    phases = np.exp(1j * np.pi / n_nodes * np.arange(2 * n_nodes))
+    for x, v0 in zip(nodes, vecs[0]):
+        c, s = np.sqrt((1 + x) / 2), np.sqrt((1 - x) / 2)
+        g = np.empty((2 * n_nodes, 2, 2), dtype=np.complex128)
+        g[:, 0, 0] = g[:, 1, 1] = c
+        g[:, 1, 0] = s * phases
+        g[:, 0, 1] = -s * phases.conj()
+        yield v0 * v0 / (2 * n_nodes), g
 
 
-# p-th tensor power of each sample, p >= 1
+# p-th tensor power of each point, p >= 1
 def _vector_power(vs: np.ndarray, p: int) -> np.ndarray:
     import numpy as np
 
@@ -465,44 +473,37 @@ def _qubit_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return cols, np.array([comb(n, c) for c in range(n + 1)])
 
 
-# samples drawn and rotated at once.  A batch's arrays are mc_theorem1's
-# working set: at (4, 2, (0, 1, 2), 10^4) tracemalloc traced 0.75 MB, against
-# 1.24 MB at 1,024 and 4.17 MB at 4,096, and `verify all` peaked at 38.4 MB
-# RSS against 39.0 at 1,024; a call took 10.9 ms against 9.8 and 10.7
-# (medians of 60 alternating calls, 2-vCPU VM).  standard_normal draws in
-# sequence, so the samples do not depend on the batch size (the sums over
-# batches do, by summation order only: a few units in the last place)
-_MC_BATCH = 512
-
 # the arguments and reports of the last mc_theorem1 call, at most one entry:
 # the two mc checks of verify read one run.  Module state, not thread-safe.
 _mc_memo: dict[tuple, tuple[McReport, ...]] = {}
 
 
-def mc_theorem1(n: int, k: int, rs: tuple[int, ...], n_samples: int, seed: int) -> tuple[McReport, ...]:
-    """Monte Carlo check that the projected rotated-product mixture
+def mc_theorem1(n: int, k: int, rs: tuple[int, ...], seed: int) -> tuple[McReport, ...]:
+    """Check by quadrature that the projected rotated-product mixture
     reconstructs the reduced state within 2(1-delta), one report per r in rs.
 
-    Draws a Haar-random symmetric |Psi> from the seed, samples group
-    elements uniformly, and accumulates both the unprojected mixture
-    (which must converge to the reduced state) and, per r, the mixture
-    projected onto rotated radius-r weight windows (which must stay within
-    the bound plus Monte Carlo noise, five standard errors by default).
-    All radii share the state and the samples.  A call with the arguments
-    of the last one returns its reports again, without sampling.
+    Draws a random symmetric |Psi> of n qubits from the seed and averages
+    over SU(2) both the unprojected mixture (which must equal the reduced
+    state) and, per r, the mixture projected onto rotated radius-r weight
+    windows (which must stay within the bound).  The integrand depends on
+    g only through g|0> up to a phase, so the Haar average is an integral
+    over the sphere, taken by _sphere_rule on QUAD_N and 2 QUAD_N nodes:
+    the unprojected mixture has degree n - k <= 15 in cos(theta) and phi,
+    so both grids give it exactly, and the projected ones converge
+    geometrically, so the grids' gap is each report's tolerance.  All
+    radii share the state and the points.  A call with the arguments of
+    the last one returns its reports again, without integrating.
     """
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={_number(k)}, n={_number(n)}")
     if n > 16:  # 2^n > 2^16, without raising 2 to a huge n
         raise ValueError(f"size guard exceeded: 2^{_number(n)} > 2^16")
-    if n_samples < MC_SAMPLE_MIN:
-        raise ValueError(f"need at least 10^3 samples, got {_number(n_samples)}")
-    if n_samples > MC_SAMPLE_GUARD:
-        raise ValueError(f"size guard exceeded: {_number(n_samples)} samples > {MC_SAMPLE_GUARD}")
     for r in rs:
         if not 0 <= r <= k:
             raise ValueError(f"need 0 <= r <= k, got r={_number(r)}")
-    key = (n, k, tuple(rs), n_samples, seed)
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got seed={_number(seed)}")
+    key = (n, k, tuple(rs), seed)
     if key in _mc_memo:
         return _mc_memo[key]
     import numpy as np
@@ -512,8 +513,8 @@ def mc_theorem1(n: int, k: int, rs: tuple[int, ...], n_samples: int, seed: int) 
     d_formal = dim_sym(n - k, d)
 
     cols_n, sizes_n = _qubit_classes(n)
-    rng_state = np.random.default_rng([seed, 0])
-    coeff = rng_state.standard_normal(n + 1) + 1j * rng_state.standard_normal(n + 1)
+    rng = Random(seed)
+    coeff = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n + 1)])
     coeff /= np.linalg.norm(coeff)
     psi = (coeff / np.sqrt(sizes_n))[cols_n]
 
@@ -526,47 +527,33 @@ def mc_theorem1(n: int, k: int, rs: tuple[int, ...], n_samples: int, seed: int) 
     keeps = [np.arange(k + 1) <= r for r in rs]  # weight (k - c, c) is in the window when c <= r
 
     dim_a = d**k
-    x_sum = np.zeros((dim_a, dim_a), dtype=np.complex128)
-    y_sums = [np.zeros((dim_a, dim_a), dtype=np.complex128) for _ in rs]
-    y_sq_sums = [np.zeros((dim_a, dim_a)) for _ in rs]
+    identity_residual, grids = 0.0, []
+    for n_nodes in (QUAD_N, 2 * QUAD_N):
+        x_sum = np.zeros((dim_a, dim_a), dtype=np.complex128)
+        y_sums = [np.zeros((dim_a, dim_a), dtype=np.complex128) for _ in rs]
+        for weight, g in _sphere_rule(n_nodes):
+            ref = _vector_power(g[:, :, 0], n - k)  # g|0> tensored over the traced sites
+            phi = np.einsum("ab,nb->na", big, ref.conj())
+            masses = weight * d_formal * np.linalg.norm(phi, axis=1) ** 2
+            x_sum += weight * d_formal * (phi.T @ phi.conj())
 
-    rng = np.random.default_rng([seed, 1])
-    done = 0
-    while done < n_samples:
-        batch = min(_MC_BATCH, n_samples - done)
-        g = haar_su2(rng, batch)
-        ref = _vector_power(g[:, :, 0], n - k)  # g|0> tensored over the traced sites
-        phi = np.einsum("ab,nb->na", big, ref.conj())
-        weights = d_formal * np.linalg.norm(phi, axis=1) ** 2
-        x_sum += d_formal * (phi.T @ phi.conj())
+            g_k = _matrix_power(g, k)
+            back = np.einsum("nba,nb->na", g_k.conj(), phi)  # rotate into the window frame
+            means = np.add.reduceat(back[:, order], starts, axis=1) / sizes_k
+            for keep, y_sum in zip(keeps, y_sums):
+                proj = np.where(keep, means, 0.0)[:, cols_k]
+                nrm = np.linalg.norm(proj, axis=1)
+                safe = np.where(nrm > 1e-150, nrm, 1.0)
+                chi_hat = np.einsum("nij,nj->ni", g_k, proj / safe[:, None])
+                chi_hat[nrm <= 1e-150] = 0.0
+                y_sum += (chi_hat * masses[:, None]).T @ chi_hat.conj()
+        identity_residual = max(identity_residual, trace_distance(rho_k, (x_sum + x_sum.conj().T) / 2))
+        grids.append([trace_distance(rho_k, (y_sum + y_sum.conj().T) / 2) for y_sum in y_sums])
 
-        g_k = _matrix_power(g, k)
-        back = np.einsum("nba,nb->na", g_k.conj(), phi)  # rotate into the window frame
-        means = np.add.reduceat(back[:, order], starts, axis=1) / sizes_k
-        for keep, y_sum, y_sq_sum in zip(keeps, y_sums, y_sq_sums):
-            proj = np.where(keep, means, 0.0)[:, cols_k]
-            nrm = np.linalg.norm(proj, axis=1)
-            safe = np.where(nrm > 1e-150, nrm, 1.0)
-            chi_hat = np.einsum("nij,nj->ni", g_k, proj / safe[:, None])
-            chi_hat[nrm <= 1e-150] = 0.0
-
-            y_sum += (chi_hat * weights[:, None]).T @ chi_hat.conj()
-            abs2 = np.abs(chi_hat) ** 2
-            y_sq_sum += (abs2 * (weights**2)[:, None]).T @ abs2
-        done += batch
-
-    x_bar = x_sum / n_samples
-    x_bar = (x_bar + x_bar.conj().T) / 2
-    identity_residual = trace_distance(rho_k, x_bar)
-
-    reports = []
-    for r, y_sum, y_sq_sum in zip(rs, y_sums, y_sq_sums):
-        y_bar = y_sum / n_samples
-        y_bar = (y_bar + y_bar.conj().T) / 2
-        var = np.maximum(y_sq_sum / n_samples - np.abs(y_bar) ** 2, 0.0)
-        se = 0.5 * sqrt((k + 1) * float(var.sum()) / n_samples)
-        lhs, bound = trace_distance(rho_k, y_bar), float(epsilon(SymTriple(n, k, 2, r)))
-        reports.append(McReport(n, k, r, n_samples, seed, lhs, bound, identity_residual, 5.0 * se))
+    reports = tuple(
+        McReport(n, k, r, seed, fine, coarse, float(epsilon(SymTriple(n, k, 2, r))), identity_residual)
+        for r, coarse, fine in zip(rs, *grids)
+    )
     _mc_memo.clear()
-    _mc_memo[key] = reports = tuple(reports)
+    _mc_memo[key] = reports
     return reports

@@ -1,7 +1,7 @@
 """Verification checks and the suites behind the `verify` CLI command.
 
 Each check is a module-level function that takes its ranges (and, where
-it samples, its seed and sample count), raises AssertionError at the
+it draws a random state, its seed), raises AssertionError at the
 first violation and otherwise returns a one-line detail.  The suites are
 one table of (check name, function, fixed ranges) rows, and run_suites
 reports one line per row; the acceptance tests call the same functions
@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from itertools import product
-from math import comb, isqrt, lcm
+from math import comb, factorial, isqrt, lcm
 from operator import attrgetter
 
 from . import heisenberg, oracle, su2_cg, symmetric, weights
@@ -585,54 +585,57 @@ def saturation_limit() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo
+# quadrature check of the reconstruction inequality
 
 
-def haar_schur_average(seed: int, n_samples: int) -> str:
-    """The sampled group average of |a><b| is the Schur projection."""
+def sphere_rule_moments(grids) -> str:
+    """The sphere rule on n_nodes Gauss-Legendre nodes, for each n_nodes in
+    grids, reproduces the Haar moments E|z0|^(2a) |z1|^(2b) = a! b!/(a+b+1)!
+    of z = g|0> for a + b <= 2 n_nodes - 1, to 1e-12 relative."""
     import numpy as np
 
-    rng = np.random.default_rng([seed, 17])
-    g = oracle.haar_su2(rng, n_samples)
-    for a in range(2):
-        for b in range(2):
-            # sum_n g_n |a><b| g_n^dagger, entry (i, l) = sum_n g_n[i, a] conj(g_n[l, b])
-            avg = (g[:, :, a].T @ g[:, :, b].conj()) / n_samples
-            want = np.eye(2) * (0.5 if a == b else 0.0)
-            defect = float(np.abs(avg - want).max())
-            if not defect <= 3 / np.sqrt(n_samples):
-                raise AssertionError(f"schur average defect {defect:.3e} at ({a},{b})")
-    return "group average of |a><b| matches the schur projection"
+    count = 0
+    for n_nodes in grids:
+        top = 2 * n_nodes - 1
+        powers = np.arange(top + 1)
+        got = np.zeros((top + 1, top + 1))
+        for weight, g in oracle._sphere_rule(n_nodes):
+            z0, z1 = np.abs(g[:, 0, 0]) ** 2, np.abs(g[:, 1, 0]) ** 2
+            got += weight * (z0[:, None] ** powers).T @ (z1[:, None] ** powers)
+        for a, row in enumerate(got.tolist()):
+            for b in range(top + 1 - a):
+                want = factorial(a) * factorial(b) / factorial(a + b + 1)
+                if not abs(row[b] - want) <= 1e-12 * want:  # a NaN fails
+                    raise AssertionError(f"moment (a, b) = ({a}, {b}) on {n_nodes} nodes: {row[b]!r} != {want!r}")
+                count += 1
+    return f"{count} moments a! b!/(a+b+1)! exact to 1e-12 on {', '.join(map(str, grids))} nodes"
 
 
-# the one Monte Carlo run (n, k, radii) that both mc checks read: the second
-# check finds it in mc_theorem1's memo
+# the one run (n, k, radii) that both mc checks read: the second check finds
+# it in mc_theorem1's memo
 _MC_RUN = (4, 2, (0, 1, 2))
 
 
-def mc_inequality(seed: int, n_samples: int) -> str:
-    """The projected mixture stays within the bound at n=4, k=2, r=0,1,2."""
+def mc_inequality(seed: int) -> str:
+    """The projected mixture stays within the bound, plus the gap between
+    the two grids, at n=4, k=2, r=0,1,2."""
     lines = []
-    for rep in oracle.mc_theorem1(*_MC_RUN, n_samples, seed):
+    for rep in oracle.mc_theorem1(*_MC_RUN, seed):
         if not rep.passed:
-            raise AssertionError(
-                f"r={rep.r}: lhs {rep.lhs_distance:.4f} > bound {rep.bound:.4f} + tol {rep.mc_tolerance:.4f}"
-            )
-        lines.append(f"r={rep.r}: lhs={rep.lhs_distance:.4f} <= bound={rep.bound:.4f}+{rep.mc_tolerance:.4f}")
+            gap = abs(rep.lhs_distance - rep.lhs_coarse)
+            raise AssertionError(f"r={rep.r}: lhs {rep.lhs_distance:.6f} > bound {rep.bound:.4f} + grid gap {gap:.1e}")
+        lines.append(f"r={rep.r}: lhs={rep.lhs_distance:.6f} (coarse {rep.lhs_coarse:.6f}) <= bound={rep.bound:.4f}")
     return "; ".join(lines)
 
 
-def mc_identity_recovery(seed: int, n_samples: int) -> str:
-    """The unprojected mixture recovers the reduced state to within
-    0.02 * sqrt(10^5 / n_samples) in trace distance, read from the run
-    of mc_inequality (the residual does not depend on the radii)."""
-    import numpy as np
-
-    rep = oracle.mc_theorem1(*_MC_RUN, n_samples, seed)[0]
-    cap = 0.02 * np.sqrt(10**5 / n_samples)
-    if not rep.identity_residual <= cap:
-        raise AssertionError(f"identity residual {rep.identity_residual:.4f} > {cap:.4f}")
-    return f"identity residual {rep.identity_residual:.4f} at N={n_samples}"
+def mc_identity_recovery(seed: int) -> str:
+    """The unprojected mixture equals the reduced state to 1e-12 in trace
+    distance on both grids, read from the run of mc_inequality (the
+    residual does not depend on the radii)."""
+    rep = oracle.mc_theorem1(*_MC_RUN, seed)[0]
+    if not rep.identity_residual <= 1e-12:
+        raise AssertionError(f"identity residual {rep.identity_residual:.3e} > 1e-12")
+    return f"identity residual <= 1e-12 on {oracle.QUAD_N} and {2 * oracle.QUAD_N} nodes"
 
 
 # ---------------------------------------------------------------------------
@@ -683,9 +686,9 @@ _SUITE_TABLE = {
         ("overlap saturates toward 1", saturation_limit, ()),
     ),
     "mc": (
-        ("haar sampler schur average", haar_schur_average, (_SEED, 4000)),
-        ("projected mixture within bound", mc_inequality, (_SEED, 10**4)),
-        ("unprojected mixture recovers reduced state", mc_identity_recovery, (_SEED, 10**4)),
+        ("sphere rule reproduces haar moments", sphere_rule_moments, ((oracle.QUAD_N, 2 * oracle.QUAD_N),)),
+        ("projected mixture within bound", mc_inequality, (_SEED,)),
+        ("unprojected mixture recovers reduced state", mc_identity_recovery, (_SEED,)),
     ),
 }
 
@@ -693,8 +696,8 @@ SUITES = tuple(_SUITE_TABLE)
 
 
 def run_suites(names: list[str], seed: int = 0) -> list[tuple[str, list[Check]]]:
-    """Run the named suites in the order given: each check's ranges,
-    tolerances and sample counts are fixed, so the seed alone varies."""
+    """Run the named suites in the order given: each check's ranges
+    and tolerances are fixed, so the seed alone varies."""
     unknown = [n for n in names if n not in _SUITE_TABLE]
     if unknown:
         raise KeyError(f"unknown suite(s): {', '.join(unknown)}")

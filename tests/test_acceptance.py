@@ -120,11 +120,13 @@ def test_criterion_10_coherent_splitting_bound():
 
 
 def test_criterion_11_monte_carlo_inequality():
-    with criterion(11, "sampled mixtures respect the reconstruction inequality"):
+    with criterion(11, "quadrature mixtures respect the reconstruction inequality"):
         t0 = time.perf_counter()
-        verify.mc_inequality(1, 10**5)  # tolerance is 5 SE
-        verify.mc_identity_recovery(1, 10**5)  # residual <= 0.02 at 10^5 samples
-        assert mc_theorem1(4, 2, (2,), 10**5, 1)[0].lhs_distance < 0.02  # window covers everything
+        # 2 QUAD_N - 1 >= n - k in every cell, so the unprojected mixture is exact
+        for n, k in ((4, 2), (8, 3), (12, 4), (16, 5)):
+            for rep in mc_theorem1(n, k, tuple(range(k + 1)), 1):
+                assert rep.passed, rep
+                assert rep.identity_residual <= 1e-12, rep
         assert time.perf_counter() - t0 < 120
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from definetti import cli, heisenberg, su2_cg, symmetric, verify, weights
+from definetti import cli, heisenberg, oracle, su2_cg, symmetric, verify, weights
 from definetti.cli import FigureSpec, figure_spec, figure_values, main
 from definetti.su2_cg import TwoJ
 from test_oracle import _in_child
@@ -405,7 +405,7 @@ GOLDEN = Path(__file__).with_name("verify_all_seed0.txt")
 
 
 def test_verify_all_transcript_matches_the_golden(capsys):
-    # every detail and Monte Carlo digit of verify all --seed 0; the golden
+    # every detail and quadrature digit of verify all --seed 0; the golden
     # moves only with a change to a check
     code, out, err = run(capsys, "verify", "all", "--seed", "0")
     assert (code, err) == (0, "")
@@ -661,37 +661,6 @@ def test_verify_usage_errors(capsys, monkeypatch):
         assert max(len(line.encode()) for line in err.splitlines()) < 300, err
 
 
-def test_verify_samples_over_the_guard_start_no_sampling(capsys, monkeypatch):
-    # --samples 10^21 used to be accepted and loop through ~2.4e17 batches;
-    # verify now reads no sample count, and mc_theorem1 refuses one over
-    # its guard
-    from definetti import oracle
-
-    def fail(*args):
-        raise AssertionError("sampling started")
-
-    monkeypatch.setattr(oracle, "haar_su2", fail)
-    for samples in (oracle.MC_SAMPLE_GUARD + 1, 10**21):
-        code, out, err = run(capsys, "verify", "mc", "--samples", str(samples))
-        assert (code, out) == (2, "") and err.endswith(f"error: unrecognized arguments: --samples {samples}\n")
-        with pytest.raises(ValueError, match=f"size guard exceeded: .* > {oracle.MC_SAMPLE_GUARD}$"):
-            oracle.mc_theorem1(4, 2, (1,), samples, 0)
-
-
-def test_verify_samples_under_the_minimum_start_no_sampling(capsys, monkeypatch):
-    from definetti import oracle
-
-    def fail(*args):
-        raise AssertionError("sampling started")
-
-    monkeypatch.setattr(oracle, "haar_su2", fail)
-    samples = oracle.MC_SAMPLE_MIN - 1
-    code, out, err = run(capsys, "verify", "mc", "--samples", str(samples))
-    assert (code, out) == (2, "") and err.endswith("error: unrecognized arguments: --samples 999\n")
-    with pytest.raises(ValueError, match=r"^need at least 10\^3 samples, got 999$"):
-        oracle.mc_theorem1(4, 2, (1,), samples, 0)
-
-
 def test_verify_parser_offers_every_suite():
     # cli builds its parser without importing verify, which loads numpy,
     # so it lists the suites itself
@@ -726,9 +695,9 @@ def test_verify_suites_are_well_formed(monkeypatch):
         names = [name for s, name, _ in rows if s == suite]
         assert len(set(names)) == len(names), suite
     args = {name: detail for _, name, detail in rows}
-    assert args["projected mixture within bound"] == repr((7, 10**4))
-    assert args["unprojected mixture recovers reduced state"] == repr((7, 10**4))
-    assert args["haar sampler schur average"] == repr((7, 4000))
+    assert args["projected mixture within bound"] == repr((7,))
+    assert args["unprojected mixture recovers reduced state"] == repr((7,))
+    assert args["sphere rule reproduces haar moments"] == repr(((oracle.QUAD_N, 2 * oracle.QUAD_N),))
     assert args["truncated-fock oracle grid"].endswith(", 3, 6)")
     # a second run sees the same arguments: no row holds a spent iterator
     assert _suite_rows(monkeypatch, seed=7) == rows

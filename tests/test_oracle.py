@@ -1,8 +1,9 @@
-"""Dense numerical oracles: projectors, coupling tables, oscillators, Monte Carlo."""
+"""Dense numerical oracles: projectors, coupling tables, oscillators, the theorem by quadrature."""
 
 import hashlib
 import inspect
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,7 +20,6 @@ from definetti.heisenberg import HeisenbergTriple, _coprime, alpha_coeff, delta_
 from definetti.oracle import (
     brute_delta_symmetric,
     cg_oracle,
-    haar_su2,
     heis_oracle,
     lambda_up_set,
     mc_theorem1,
@@ -663,28 +663,66 @@ def test_a_broken_aligned_contraction_fails_both_symmetric_oracles(monkeypatch):
         verify.single_weight_overlap(4, 3)
 
 
-def test_haar_su2():
-    rng = np.random.default_rng(3)
-    us = haar_su2(rng, 8)
-    assert us.shape == (8, 2, 2)
-    for u in us:
-        assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
-        assert np.linalg.det(u) == pytest.approx(1.0)
-    again = haar_su2(np.random.default_rng(3), 8)
-    assert np.array_equal(us, again)
+def test_sphere_rule_is_gauss_legendre_times_equal_phases():
+    # Golub-Welsch nodes and weights against numpy's own Gauss-Legendre rule
+    for n_nodes in (1, 2, 5, oracle.QUAD_N, 2 * oracle.QUAD_N):
+        x, w = np.polynomial.legendre.leggauss(n_nodes)
+        batches = list(oracle._sphere_rule(n_nodes))
+        assert len(batches) == n_nodes
+        for (weight, g), xi, wi in zip(batches, x, w):
+            assert g.shape == (2 * n_nodes, 2, 2)
+            assert weight * 2 * (2 * n_nodes) == pytest.approx(wi, rel=0, abs=1e-14)
+            assert np.abs(np.abs(g[:, 0, 0]) ** 2 - (1 + xi) / 2).max() < 1e-14
+            # coset points in SU(2), at 2 n_nodes equally spaced phases
+            assert np.abs(g @ g.conj().transpose(0, 2, 1) - np.eye(2)).max() < 1e-14
+            assert np.abs(np.linalg.det(g) - 1).max() < 1e-14
+            phases = np.exp(1j * np.pi / n_nodes * np.arange(2 * n_nodes))
+            assert np.abs(g[:, 1, 0] - np.sqrt((1 - xi) / 2) * phases).max() < 1e-14
+
+
+def test_a_broken_jacobi_matrix_fails_the_moment_check(monkeypatch):
+    assert verify.sphere_rule_moments((3, 4)) == "57 moments a! b!/(a+b+1)! exact to 1e-12 on 3, 4 nodes"
+    # the Chebyshev recurrence in place of Legendre's: still a rule, wrong moments
+    source = inspect.getsource(oracle._sphere_rule)
+    assert source.count("beta = i / np.sqrt(4 * i * i - 1)") == 1
+    namespace = dict(vars(oracle))
+    exec(source.replace("beta = i / np.sqrt(4 * i * i - 1)", "beta = np.full(len(i), 0.5)"), namespace)
+    monkeypatch.setattr(oracle, "_sphere_rule", namespace["_sphere_rule"])
+    with pytest.raises(AssertionError, match="moment"):
+        verify.sphere_rule_moments((3, 4))
 
 
 def test_mc_theorem1_runs_and_is_deterministic():
-    (rep,) = mc_theorem1(4, 2, (1,), 10**3, 7)
+    (rep,) = mc_theorem1(4, 2, (1,), 7)
     oracle._mc_memo.clear()  # a second real run, not the memo's reports
-    (rep2,) = mc_theorem1(4, 2, (1,), 10**3, 7)
+    (rep2,) = mc_theorem1(4, 2, (1,), 7)
     assert rep2 is not rep
     assert rep.lhs_distance == rep2.lhs_distance
     assert rep.identity_residual == rep2.identity_residual
     assert rep.passed
     assert rep.bound == pytest.approx(float(epsilon(SymTriple(4, 2, 2, 1))))
-    (different,) = mc_theorem1(4, 2, (1,), 10**3, 8)
+    (different,) = mc_theorem1(4, 2, (1,), 8)
     assert different.lhs_distance != rep.lhs_distance
+
+
+def _epsilon_sum_shifted(t: SymTriple) -> Fraction:
+    # the shipped sum with its lower limit off by one: epsilon at r + 1, and 0 at r >= k - 1
+    ratio = Fraction(dim_sym(t.n - t.k, t.d), dim_sym(t.n, t.d))
+    total = Fraction(0)
+    for i in range(t.r + 2, t.k + 1):
+        total += Fraction(comb(t.k, i), comb(t.n, i)) * comb(i + t.d - 2, i)
+    return 2 * ratio * total
+
+
+def test_mc_inequality_fails_a_bound_off_by_one_in_r(monkeypatch):
+    # at r = k the bound is 0, and the rule leaves no noise to pass on
+    for n, k, seed in ((4, 2, 0), (4, 2, 1), (7, 3, 5), (9, 4, 2)):
+        (rep,) = mc_theorem1(n, k, (k,), seed)
+        assert rep.bound == 0 and rep.lhs_distance <= 1e-12 and rep.passed, (n, k, seed)
+    monkeypatch.setattr(oracle, "_mc_memo", {})  # no report of the shipped bound is reused, or kept
+    monkeypatch.setattr(oracle, "epsilon", _epsilon_sum_shifted)
+    with pytest.raises(AssertionError, match=r"^r=1: lhs 0\.\d+ > bound 0\.0000 \+ grid gap"):
+        verify.mc_inequality(0)
 
 
 def _matmul_outer(w, a, b):
@@ -696,7 +734,7 @@ def _einsum_outer(w, a, b):
 
 
 def _class_projection(k, r):
-    """The radius-r window projection of each row of a sample matrix, as
+    """The radius-r window projection of each row of a point matrix, as
     mc_theorem1 forms it: the row's class mean on the kept classes, 0 on
     the others."""
     cols, sizes = oracle._qubit_classes(k)
@@ -713,50 +751,45 @@ def _dense_projection(k, r):
     return lambda back: (back @ v_mat.conj()) @ v_mat.T
 
 
-def _mc_reference(n, k, r, n_samples, seed, outer=_matmul_outer, projection=_class_projection):
-    """mc_theorem1's report at one radius, as it was computed before one
-    sampling pass served every radius; outer(w, a, b) = sum_n w_n a_n b_n^T
-    forms its three sample sums, by matmul as mc_theorem1 does or by einsum
-    in the sample order that the matmuls reorder, and projection(k, r)
-    gives the window projection of the rotated samples."""
+def _mc_reference(n, k, r, seed, outer=_matmul_outer, projection=_class_projection):
+    """mc_theorem1's report at one radius, integrated over the same rule
+    one radius at a time; outer(w, a, b) = sum_n w_n a_n b_n^T forms its
+    two sums over each batch of points, by matmul as mc_theorem1 does or
+    by einsum in the point order that the matmuls reorder, and
+    projection(k, r) gives the window projection of the rotated points."""
     d, dim_b, d_formal = 2, 2 ** (n - k), dim_sym(n - k, 2)
     cols_n, sizes_n = oracle._qubit_classes(n)
-    rng_state = np.random.default_rng([seed, 0])
-    coeff = rng_state.standard_normal(n + 1) + 1j * rng_state.standard_normal(n + 1)
+    rng = random.Random(seed)
+    coeff = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n + 1)])
     coeff /= np.linalg.norm(coeff)
     big = (coeff / np.sqrt(sizes_n))[cols_n].reshape(d**k, dim_b)
     rho_k = big @ big.conj().T
     project = projection(k, r)
-    x_sum = np.zeros((d**k, d**k), dtype=np.complex128)
-    y_sum = np.zeros((d**k, d**k), dtype=np.complex128)
-    y_sq_sum = np.zeros((d**k, d**k))
-    rng = np.random.default_rng([seed, 1])
-    for start in range(0, n_samples, oracle._MC_BATCH):
-        g = haar_su2(rng, min(oracle._MC_BATCH, n_samples - start))
-        phi = np.einsum("ab,nb->na", big, oracle._vector_power(g[:, :, 0], n - k).conj())
-        weights = d_formal * np.linalg.norm(phi, axis=1) ** 2
-        x_sum += d_formal * outer(np.ones(len(phi)), phi, phi.conj())
-        g_k = oracle._matrix_power(g, k)
-        proj = project(np.einsum("nba,nb->na", g_k.conj(), phi))
-        nrm = np.linalg.norm(proj, axis=1)
-        chi_hat = np.einsum("nij,nj->ni", g_k, proj / np.where(nrm > 1e-150, nrm, 1.0)[:, None])
-        chi_hat[nrm <= 1e-150] = 0.0
-        y_sum += outer(weights, chi_hat, chi_hat.conj())
-        abs2 = np.abs(chi_hat) ** 2
-        y_sq_sum += outer(weights**2, abs2, abs2)
-    x_bar, y_bar = x_sum / n_samples, y_sum / n_samples
-    x_bar, y_bar = (x_bar + x_bar.conj().T) / 2, (y_bar + y_bar.conj().T) / 2
-    var = np.maximum(y_sq_sum / n_samples - np.abs(y_bar) ** 2, 0.0)
+    residual, lhs = 0.0, []
+    for n_nodes in (oracle.QUAD_N, 2 * oracle.QUAD_N):
+        x_sum = np.zeros((d**k, d**k), dtype=np.complex128)
+        y_sum = np.zeros((d**k, d**k), dtype=np.complex128)
+        for weight, g in oracle._sphere_rule(n_nodes):
+            phi = np.einsum("ab,nb->na", big, oracle._vector_power(g[:, :, 0], n - k).conj())
+            masses = weight * d_formal * np.linalg.norm(phi, axis=1) ** 2
+            x_sum += weight * d_formal * outer(np.ones(len(phi)), phi, phi.conj())
+            g_k = oracle._matrix_power(g, k)
+            proj = project(np.einsum("nba,nb->na", g_k.conj(), phi))
+            nrm = np.linalg.norm(proj, axis=1)
+            chi_hat = np.einsum("nij,nj->ni", g_k, proj / np.where(nrm > 1e-150, nrm, 1.0)[:, None])
+            chi_hat[nrm <= 1e-150] = 0.0
+            y_sum += outer(masses, chi_hat, chi_hat.conj())
+        residual = max(residual, trace_distance(rho_k, (x_sum + x_sum.conj().T) / 2))
+        lhs.append(trace_distance(rho_k, (y_sum + y_sum.conj().T) / 2))
     return oracle.McReport(
         n=n,
         k=k,
         r=r,
-        n_samples=n_samples,
         seed=seed,
-        lhs_distance=trace_distance(rho_k, y_bar),
+        lhs_distance=lhs[1],
+        lhs_coarse=lhs[0],
         bound=float(epsilon(SymTriple(n, k, 2, r))),
-        identity_residual=trace_distance(rho_k, x_bar),
-        mc_tolerance=5.0 * (0.5 * sqrt((k + 1) * float(var.sum()) / n_samples)),
+        identity_residual=residual,
     )
 
 
@@ -764,60 +797,58 @@ def test_mc_theorem1_matches_its_einsum_reference():
     # the matmul sums differ from einsum's, and the class means from the
     # dense projection's matrix products, only in summation order
     for seed in range(3):
-        for r, rep in enumerate(mc_theorem1(4, 2, (0, 1, 2), 10**4, seed)):
-            want = _mc_reference(4, 2, r, 10**4, seed, _einsum_outer, _dense_projection)
+        for r, rep in enumerate(mc_theorem1(4, 2, (0, 1, 2), seed)):
+            want = _mc_reference(4, 2, r, seed, _einsum_outer, _dense_projection)
             for name in oracle.McReport.__slots__:
                 value = getattr(want, name)
                 assert getattr(rep, name) == pytest.approx(value, rel=0, abs=1e-12), (r, seed, name)
 
 
 def test_mc_theorem1_equals_its_single_radius_reference():
-    # field for field, bit for bit; 4097 samples end in a one-sample batch
-    assert 4097 % oracle._MC_BATCH == 1
-    for seed in (0, 7, 2**31 - 1):
-        for n_samples in (1000, 4097):
-            got = mc_theorem1(4, 2, (0, 1, 2), n_samples, seed)
-            want = tuple(_mc_reference(4, 2, r, n_samples, seed) for r in (0, 1, 2))
-            assert got == want, (seed, n_samples)
+    # field for field, bit for bit, on both grids
+    for n, k in ((4, 2), (7, 3)):
+        for seed in (0, 7, 2**31 - 1):
+            got = mc_theorem1(n, k, tuple(range(k + 1)), seed)
+            want = tuple(_mc_reference(n, k, r, seed) for r in range(k + 1))
+            assert got == want, (n, k, seed)
 
 
 def test_mc_inequality_samples_once_for_all_radii(monkeypatch):
     calls = 0
-    haar = oracle.haar_su2
+    rule = oracle._sphere_rule
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return haar(*args)
+        return rule(*args)
 
-    monkeypatch.setattr(oracle, "haar_su2", counted)
-    batches = -(-(10**4) // oracle._MC_BATCH)  # one haar_su2 call per batch of a run
+    monkeypatch.setattr(oracle, "_sphere_rule", counted)
     oracle._mc_memo.clear()
-    verify.mc_inequality(0, 10**4)
-    assert calls == batches  # every batch once, for all radii
-    # mc_identity_recovery drew the state and the samples again, for a
-    # residual that does not depend on the radii; it reads the same run
-    line = verify.mc_identity_recovery(0, 10**4)
-    assert calls == batches
-    oracle._mc_memo.clear()
-    (alone,) = mc_theorem1(4, 2, (2,), 10**4, 0)
-    assert line == f"identity residual {alone.identity_residual:.4f} at N=10000"
-    # the memo keeps the last call only, and a changed argument samples afresh
-    assert mc_theorem1(4, 2, (2,), 10**4, 0) == (alone,) and calls == 2 * batches
-    mc_theorem1(4, 2, (2,), 10**4, 1)
-    assert calls == 3 * batches and len(oracle._mc_memo) == 1
+    verify.mc_inequality(0)
+    assert calls == 2  # each grid once, for all radii
+    # mc_identity_recovery would integrate the state again, for a residual
+    # that does not depend on the radii; it reads the same run
+    line = verify.mc_identity_recovery(0)
+    assert calls == 2 and line == f"identity residual <= 1e-12 on {oracle.QUAD_N} and {2 * oracle.QUAD_N} nodes"
+    (full,) = oracle._mc_memo.values()
+    # the memo keeps the last call only, and a changed argument integrates afresh
+    (alone,) = mc_theorem1(4, 2, (2,), 0)
+    assert calls == 4 and alone.identity_residual == full[0].identity_residual
+    assert mc_theorem1(4, 2, (2,), 0) == (alone,) and calls == 4
+    mc_theorem1(4, 2, (2,), 1)
+    assert calls == 6 and len(oracle._mc_memo) == 1
 
 
 def test_mc_theorem1_holds_one_small_batch():
-    # a batch's sample arrays are the run's working set; numpy reports its
-    # buffers to tracemalloc (0.75 MB at 512 samples a batch, 4.17 MB at 4,096)
+    # a batch is one node's 2 n_nodes points, and its arrays are the run's
+    # working set; numpy reports its buffers to tracemalloc
     code = """
 import tracemalloc
 from definetti import oracle
-oracle.mc_theorem1(4, 2, (0, 1, 2), 10**3, 1)  # numpy and its first-call buffers
+oracle.mc_theorem1(4, 2, (0, 1, 2), 1)  # numpy and its first-call buffers
 oracle._mc_memo.clear()
 tracemalloc.start()
-oracle.mc_theorem1(4, 2, (0, 1, 2), 10**4, 0)
+oracle.mc_theorem1(4, 2, (0, 1, 2), 0)
 print(tracemalloc.get_traced_memory()[1])
 """
     assert int(_in_child(code)) <= 1.5 * 2**20
@@ -825,20 +856,20 @@ print(tracemalloc.get_traced_memory()[1])
 
 def test_mc_theorem1_guards(monkeypatch):
     with pytest.raises(ValueError):
-        mc_theorem1(4, 0, (0,), 10**3, 0)
+        mc_theorem1(4, 0, (0,), 0)
     with pytest.raises(ValueError):
-        mc_theorem1(4, 4, (0,), 10**3, 0)
+        mc_theorem1(4, 4, (0,), 0)
     with pytest.raises(ValueError):
-        mc_theorem1(17, 2, (0,), 10**3, 0)
+        mc_theorem1(17, 2, (0,), 0)
     with pytest.raises(ValueError):
-        mc_theorem1(4, 2, (0,), 999, 0)
-    with pytest.raises(ValueError):
-        mc_theorem1(4, 2, (3,), 10**3, 0)
+        mc_theorem1(4, 2, (3,), 0)
+    with pytest.raises(ValueError, match=r"^need seed >= 0, got seed=-1$"):
+        mc_theorem1(4, 2, (0,), -1)
 
-    # every radius is checked before the first sample is drawn
+    # every radius is checked before the first point is integrated
     def fail(*args):
-        raise AssertionError("sampling started")
+        raise AssertionError("integration started")
 
-    monkeypatch.setattr(oracle, "haar_su2", fail)
+    monkeypatch.setattr(oracle, "_sphere_rule", fail)
     with pytest.raises(ValueError, match=r"^need 0 <= r <= k, got r=3$"):
-        mc_theorem1(4, 2, (0, 1, 3), 10**3, 0)
+        mc_theorem1(4, 2, (0, 1, 3), 0)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,12 @@ def _modules(*argv):
     return json.loads(_child(_PROBE, *argv).stdout)
 
 
+@cache
+def _numpy_alone() -> frozenset[str]:
+    """The modules a process holds after importing numpy and nothing else."""
+    return frozenset(json.loads(_child("import json, sys, numpy; print(json.dumps(sorted(sys.modules)))").stdout))
+
+
 def test_cli_import_loads_only_the_coupling_path():
     probe = _modules()
     loaded = set(probe["at_import"])
@@ -122,6 +129,7 @@ def test_importing_the_checks_loads_no_numpy(modules):
         (["verify", "symmetric"], set(VERIFY)),
         (["verify", "all"], {*VERIFY, "numpy"}),
         (["verify", "heisenberg"], {*VERIFY, "numpy"}),
+        (["verify", "mc"], {*VERIFY, "numpy"}),
     ],
 )
 def test_a_command_adds_only_what_it_computes_with(argv, added):
@@ -130,6 +138,10 @@ def test_a_command_adds_only_what_it_computes_with(argv, added):
     new = set(probe["after"]) - set(probe["at_import"])
     assert {m for m in new if m.startswith("definetti") or m in NOT_AT_START} == added
     assert not set(probe["after"]) & (set(NOT_AT_START) - added)
+    # the theorem check integrates by a fixed rule and draws its state with
+    # the standard library, so no command loads numpy's random generators
+    # beyond what importing numpy itself loads
+    assert "numpy.random" not in set(probe["after"]) - _numpy_alone()
 
 
 _WITHOUT_NUMPY = """
@@ -147,12 +159,14 @@ sys.exit(main(sys.argv[1:]))
         ("cg", 0, "6/6 checks passed"),
         ("symmetric", 0, "9/9 checks passed"),
         ("heisenberg", 3, "4/7 checks passed"),
+        ("mc", 3, "0/3 checks passed"),
     ],
-    ids=("weights", "cg", "symmetric", "heisenberg"),
+    ids=("weights", "cg", "symmetric", "heisenberg", "mc"),
 )
 def test_without_numpy_only_the_float_checks_fail(suite, failed, last):
-    # the heisenberg suite's three float checks are its truncated-Fock ones;
-    # each fails on its own line, and no traceback reaches stderr
+    # the heisenberg suite's three float checks are its truncated-Fock ones,
+    # and every mc check integrates over the sphere in floats; each fails on
+    # its own line, and no traceback reaches stderr
     out = _child(_WITHOUT_NUMPY, "verify", suite, check=False)
     lines = out.stdout.splitlines()
     assert (out.returncode, lines[-1], out.stderr) == (1 if failed else 0, last, "")

@@ -31,9 +31,8 @@ VALUES = (
     (SymTriple(6, 3, 2, 1), (6, 3, 2, 1), "SymTriple(n=6, k=3, d=2, r=1)"),
     (Weight((4, 0, 1)), ((4, 0, 1),), "Weight(entries=(4, 0, 1))"),
     (HeightDecomposition((1, -3), 3), ((1, -3), 3), "HeightDecomposition(coefficients=(1, -3), height=3)"),
-    (McReport(4, 2, 1, 1000, 7, 0.25, 0.5, 0.01, 0.02), (4, 2, 1, 1000, 7, 0.25, 0.5, 0.01, 0.02),
-     "McReport(n=4, k=2, r=1, n_samples=1000, seed=7, lhs_distance=0.25, bound=0.5, "
-     "identity_residual=0.01, mc_tolerance=0.02)"),
+    (McReport(4, 2, 1, 7, 0.25, 0.26, 0.5, 1e-16), (4, 2, 1, 7, 0.25, 0.26, 0.5, 1e-16),
+     "McReport(n=4, k=2, r=1, seed=7, lhs_distance=0.25, lhs_coarse=0.26, bound=0.5, identity_residual=1e-16)"),
     (Check("c", True, "ok", 0.5), ("c", True, "ok", 0.5), "Check(name='c', passed=True, detail='ok', seconds=0.5)"),
     (FigureSpec(3, TwoJ(2), TwoJ(4), 0, 2, 5, Fraction(1), Fraction(2), 1),
      (3, TwoJ(2), TwoJ(4), 0, 2, 5, Fraction(1), Fraction(2), 1),
@@ -240,11 +239,10 @@ def _verify_refusal(*argv):
         pytest.param(oracle.pair_vacuum, (-BIG, 1, 0, 1), "mu=", 5001, id="pair_vacuum-mu"),
         pytest.param(oracle.pair_vacuum, (1, 1, -BIG, 1), "Delta=", 5001, id="pair_vacuum-Delta"),
         pytest.param(oracle.pair_vacuum, (1, 1, 0, -BIG), "cutoff=", 5001, id="pair_vacuum-cutoff"),
-        pytest.param(oracle.mc_theorem1, (4, -BIG, (0,), 1000, 0), "k=", 5001, id="mc_theorem1-k"),
-        pytest.param(oracle.mc_theorem1, (BIG, 2, (0,), 1000, 0), "size guard", 5001, id="mc_theorem1-n"),
-        pytest.param(oracle.mc_theorem1, (4, 2, (0,), -BIG, 0), "samples", 5001, id="mc_theorem1-few"),
-        pytest.param(oracle.mc_theorem1, (4, 2, (0,), BIG, 0), "samples >", 5001, id="mc_theorem1-many"),
-        pytest.param(oracle.mc_theorem1, (4, 2, (-BIG,), 1000, 0), "r=", 5001, id="mc_theorem1-r"),
+        pytest.param(oracle.mc_theorem1, (4, -BIG, (0,), 0), "k=", 5001, id="mc_theorem1-k"),
+        pytest.param(oracle.mc_theorem1, (BIG, 2, (0,), 0), "size guard", 5001, id="mc_theorem1-n"),
+        pytest.param(oracle.mc_theorem1, (4, 2, (-BIG,), 0), "r=", 5001, id="mc_theorem1-r"),
+        pytest.param(oracle.mc_theorem1, (4, 2, (0,), -BIG), "seed=", 5001, id="mc_theorem1-seed"),
     ],
 )
 def test_a_refusal_names_an_over_long_number_by_its_digit_count(call, args, names, digits):
