@@ -8,7 +8,8 @@ at the end) down to m = 0, and below it from the Condon-Shortley
 reflection, which the m = 0 entries are checked to obey,
 oscillator overlaps from truncated Fock states, which the ladders shift,
 and the reconstruction theorem itself gets an end-to-end inequality
-check by quadrature over the sphere.
+check by quadrature over the sphere, in the Dicke bases of the symmetric
+subspaces.
 
 numpy is imported inside each function that uses it, after the
 function's refusals: importing this module, the coupling-table synthesis
@@ -71,8 +72,15 @@ HEIS_WORK_GUARD = 10**8
 HEIS_ROUNDOFF_GUARD = 2**77  # C(Delta + n_max, n_max)
 CG_TABLE_GUARD = 24  # doubled angular momentum
 # Gauss-Legendre nodes of mc_theorem1's coarse grid; its fine grid has
-# twice as many.  2 QUAD_N - 1 >= n - k for every n <= 16 that it admits
+# twice as many.  The rule gives the unprojected mixture, of degree n - k in
+# cos(theta) and in phi, exactly when n - k <= 2 QUAD_N - 1, and
+# mc_theorem1 refuses any larger n - k
 QUAD_N = 16
+# mc_theorem1 touches about (k+1)^2 cells per point for the unprojected sum,
+# the window frame and each distinct radius.  On a 2-vCPU VM calls of 10^7
+# cells took 1.2-1.3 ns per cell, and calls near the guard 0.1-0.3 ns:
+# 0.24 s at (2, 1) with 96,000 radii and 0.25 s at (386, 355, (0,))
+MC_WORK_GUARD = 10**9  # points x (k+1)^2 x (radii + 2)
 
 
 def trace_distance(a, b) -> float:
@@ -404,9 +412,10 @@ def heis_oracle(mu, nu, Delta: int, r_max: int) -> list[float]:
 
 
 class McReport(_Frozen):
-    """Outcome of the end-to-end inequality check at one radius: the
-    distance on the 2 QUAD_N-node grid and on the QUAD_N-node grid, whose
-    gap is the check's tolerance."""
+    """Outcome of the end-to-end inequality check at one radius: the trace
+    norm ||rho - sigma||_1 on the 2 QUAD_N-node grid and on the QUAD_N-node
+    grid, whose gap is the check's tolerance, and the trace distance of the
+    unprojected mixture from the reduced state."""
 
     __slots__ = ("n", "k", "r", "seed", "lhs_distance", "lhs_coarse", "bound", "identity_residual")
 
@@ -439,40 +448,6 @@ def _sphere_rule(n_nodes: int):
         yield v0 * v0 / (2 * n_nodes), g
 
 
-# p-th tensor power of each point, p >= 1
-def _vector_power(vs: np.ndarray, p: int) -> np.ndarray:
-    import numpy as np
-
-    out = vs
-    for _ in range(p - 1):
-        out = np.einsum("ni,nj->nij", out, vs).reshape(vs.shape[0], -1)
-    return out
-
-
-def _matrix_power(gs: np.ndarray, p: int) -> np.ndarray:
-    import numpy as np
-
-    out = gs
-    dim = gs.shape[1]
-    for _ in range(p - 1):
-        out = np.einsum("nij,nkl->nikjl", out, gs).reshape(gs.shape[0], dim * 2, dim * 2)
-        dim *= 2
-    return out
-
-
-def _qubit_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The type class of each of the 2^n qubit product indices, its number
-    of 1 digits c, and the size C(n, c) of each class: class c holds the
-    weight (n - c, c), the c-th of sym_weights(n, 2), and its orthonormal
-    vector is 1/sqrt(sizes[c]) where cols == c, else 0."""
-    import numpy as np
-
-    index, cols = np.arange(2**n), np.zeros(2**n, dtype=np.intp)
-    for bit in range(n):
-        cols += (index >> bit) & 1
-    return cols, np.array([comb(n, c) for c in range(n + 1)])
-
-
 # the arguments and reports of the last mc_theorem1 call, at most one entry:
 # the two mc checks of verify read one run.  Module state, not thread-safe.
 _mc_memo: dict[tuple, tuple[McReport, ...]] = {}
@@ -480,79 +455,92 @@ _mc_memo: dict[tuple, tuple[McReport, ...]] = {}
 
 def mc_theorem1(n: int, k: int, rs: tuple[int, ...], seed: int) -> tuple[McReport, ...]:
     """Check by quadrature that the projected rotated-product mixture
-    reconstructs the reduced state within 2(1-delta), one report per r in rs.
+    reconstructs the reduced state within 2(1-delta) in the trace norm,
+    one report per r in rs.
 
     Draws a random symmetric |Psi> of n qubits from the seed and averages
     over SU(2) both the unprojected mixture (which must equal the reduced
     state) and, per r, the mixture projected onto rotated radius-r weight
-    windows (which must stay within the bound).  The integrand depends on
-    g only through g|0> up to a phase, so the Haar average is an integral
-    over the sphere, taken by _sphere_rule on QUAD_N and 2 QUAD_N nodes:
-    the unprojected mixture has degree n - k <= 15 in cos(theta) and phi,
-    so both grids give it exactly, and the projected ones converge
-    geometrically, so the grids' gap is each report's tolerance.  All
-    radii share the state and the points.  A call with the arguments of
-    the last one returns its reports again, without integrating.
+    windows (which must stay within the bound), all in the Dicke bases of
+    Sym^k and Sym^(n-k), c = the number of 1 digits: Psi[c1, c2] =
+    coeff[c1+c2] sqrt(C(k, c1) C(n-k, c2) / C(n, c1+c2)), (g|0>)^(x n-k)
+    has entries sqrt(C(n-k, c2)) z0^(n-k-c2) z1^c2, a coset point acts on
+    Sym^k as P d(theta) P*, P = diag(e^(i phi c)), with d(theta) from one
+    eigh of J_y (Feng, Wang, Yang & Jin, Phys. Rev. E 92, 043307, 2015),
+    and the window at r is c <= r.  The integrand depends on g only
+    through g|0> up to a phase, so the Haar average is an integral over
+    the sphere, taken by _sphere_rule on QUAD_N and 2 QUAD_N nodes: both
+    give the unprojected mixture, of degree n - k <= 2 QUAD_N - 1, exactly,
+    and the projected ones converge geometrically, so the grids' gap is
+    each report's tolerance.  It refuses, before numpy loads, a larger
+    n - k and more than MC_WORK_GUARD cells touched.  All radii share the
+    state and the points.  A call with the arguments of the last one
+    returns its reports again, without integrating.
     """
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={_number(k)}, n={_number(n)}")
-    if n > 16:  # 2^n > 2^16, without raising 2 to a huge n
-        raise ValueError(f"size guard exceeded: 2^{_number(n)} > 2^16")
+    if n - k > 2 * QUAD_N - 1:
+        raise ValueError(
+            f"size guard exceeded: n - k > {2 * QUAD_N - 1}, the degree the rule gives exactly,"
+            f" at n={_number(n)}, k={_number(k)}"
+        )
     for r in rs:
         if not 0 <= r <= k:
             raise ValueError(f"need 0 <= r <= k, got r={_number(r)}")
     if seed < 0:
         raise ValueError(f"need seed >= 0, got seed={_number(seed)}")
+    points = 10 * QUAD_N**2  # N x 2N on the coarse grid, 2N x 4N on the fine one
+    if points * (k + 1) ** 2 * (len(rs) + 2) > MC_WORK_GUARD:
+        raise ValueError(
+            f"size guard exceeded: {points} points x {_number(k + 1)}^2 x {len(rs) + 2} cells touched > {MC_WORK_GUARD}"
+        )
     key = (n, k, tuple(rs), seed)
     if key in _mc_memo:
         return _mc_memo[key]
     import numpy as np
 
-    d = 2
-    dim_b = d ** (n - k)
-    d_formal = dim_sym(n - k, d)
-
-    cols_n, sizes_n = _qubit_classes(n)
     rng = Random(seed)
     coeff = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n + 1)])
     coeff /= np.linalg.norm(coeff)
-    psi = (coeff / np.sqrt(sizes_n))[cols_n]
+    m, d_formal = n - k, dim_sym(n - k, 2)
+    c1, c2 = np.arange(k + 1), np.arange(m + 1)  # Dicke indices of the kept and the traced sites
+    scale = [[_sqrt_float(comb(k, a) * comb(m, b), comb(n, a + b)) for b in c2.tolist()] for a in c1.tolist()]
+    psi = np.array(scale) * coeff[np.add.outer(c1, c2)]
+    rho_k = psi @ psi.conj().T
 
-    big = psi.reshape(d**k, dim_b)
-    rho_k = big @ big.conj().T
+    ref_scale = np.sqrt([float(comb(m, b)) for b in c2.tolist()])
+    ladder = np.diag(np.sqrt(c1[1:] * (k + 1.0 - c1[1:])), -1)  # J_- takes c to c + 1
+    lam, vecs = np.linalg.eigh((ladder.T - ladder) / 2j)  # J_y
 
-    # a row's window projection: its class means on the kept classes, else 0
-    cols_k, sizes_k = _qubit_classes(k)
-    order, starts = np.argsort(cols_k, kind="stable"), np.cumsum(sizes_k) - sizes_k
-    keeps = [np.arange(k + 1) <= r for r in rs]  # weight (k - c, c) is in the window when c <= r
-
-    dim_a = d**k
     identity_residual, grids = 0.0, []
     for n_nodes in (QUAD_N, 2 * QUAD_N):
-        x_sum = np.zeros((dim_a, dim_a), dtype=np.complex128)
-        y_sums = [np.zeros((dim_a, dim_a), dtype=np.complex128) for _ in rs]
+        x_sum = np.zeros((k + 1, k + 1), dtype=np.complex128)
+        y_sums = {r: np.zeros((k + 1, k + 1), dtype=np.complex128) for r in rs}  # a repeated radius once
         for weight, g in _sphere_rule(n_nodes):
-            ref = _vector_power(g[:, :, 0], n - k)  # g|0> tensored over the traced sites
-            phi = np.einsum("ab,nb->na", big, ref.conj())
+            z0, z1 = g[:, 0, 0], g[:, 1, 0]
+            ref = ref_scale * z0[:, None] ** (m - c2) * z1[:, None] ** c2  # g|0> over the traced sites
+            phi = ref.conj() @ psi.T
             masses = weight * d_formal * np.linalg.norm(phi, axis=1) ** 2
             x_sum += weight * d_formal * (phi.T @ phi.conj())
 
-            g_k = _matrix_power(g, k)
-            back = np.einsum("nba,nb->na", g_k.conj(), phi)  # rotate into the window frame
-            means = np.add.reduceat(back[:, order], starts, axis=1) / sizes_k
-            for keep, y_sum in zip(keeps, y_sums):
-                proj = np.where(keep, means, 0.0)[:, cols_k]
+            theta = 2 * np.arctan2(abs(z1[0]), z0[0].real)  # one node, one theta
+            d_theta = (vecs * np.exp(-1j * theta * lam)) @ vecs.conj().T
+            pc = np.exp(1j * np.angle(z1)[:, None] * c1)  # the diagonal of P at each point
+            frame = (phi * pc.conj()) @ d_theta.conj()  # P* D* phi: the window frame, up to P
+            for r, y_sum in y_sums.items():
+                proj = frame[:, : r + 1]
                 nrm = np.linalg.norm(proj, axis=1)
                 safe = np.where(nrm > 1e-150, nrm, 1.0)
-                chi_hat = np.einsum("nij,nj->ni", g_k, proj / safe[:, None])
+                chi_hat = ((proj / safe[:, None]) @ d_theta[:, : r + 1].T) * pc
                 chi_hat[nrm <= 1e-150] = 0.0
                 y_sum += (chi_hat * masses[:, None]).T @ chi_hat.conj()
         identity_residual = max(identity_residual, trace_distance(rho_k, (x_sum + x_sum.conj().T) / 2))
-        grids.append([trace_distance(rho_k, (y_sum + y_sum.conj().T) / 2) for y_sum in y_sums])
+        grids.append({r: 2 * trace_distance(rho_k, (y_sum + y_sum.conj().T) / 2) for r, y_sum in y_sums.items()})
 
+    coarse, fine = grids
     reports = tuple(
-        McReport(n, k, r, seed, fine, coarse, float(epsilon(SymTriple(n, k, 2, r))), identity_residual)
-        for r, coarse, fine in zip(rs, *grids)
+        McReport(n, k, r, seed, fine[r], coarse[r], float(epsilon(SymTriple(n, k, 2, r))), identity_residual)
+        for r in rs
     )
     _mc_memo.clear()
     _mc_memo[key] = reports

@@ -1,9 +1,9 @@
 """Shared report type for overlap computations.
 
 Every overlap functional delta in this package feeds the same pair of
-trace-distance error bounds: 2*sqrt(1-delta) in general and 2*(1-delta)
-when the target representation appears with multiplicity one.  Trace
-distance here is normalized as (1/2)*tr|A-B|.
+error bounds in the trace norm ||A-B||_1 = tr|A-B|: 2*sqrt(1-delta) in
+general and 2*(1-delta) when the target representation appears with
+multiplicity one.
 """
 
 from __future__ import annotations

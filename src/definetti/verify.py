@@ -617,8 +617,8 @@ _MC_RUN = (4, 2, (0, 1, 2))
 
 
 def mc_inequality(seed: int) -> str:
-    """The projected mixture stays within the bound, plus the gap between
-    the two grids, at n=4, k=2, r=0,1,2."""
+    """The projected mixture stays within the bound in the trace norm,
+    plus the gap between the two grids, at n=4, k=2, r=0,1,2."""
     lines = []
     for rep in oracle.mc_theorem1(*_MC_RUN, seed):
         if not rep.passed:

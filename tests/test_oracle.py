@@ -46,11 +46,38 @@ def test_trace_distance():
         trace_distance(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
 
 
+def _qubit_classes(n):
+    """The type class of each of the 2^n qubit product indices, its number
+    of 1 digits c, and the size C(n, c) of each class: class c holds the
+    weight (n - c, c), the c-th of sym_weights(n, 2), and its orthonormal
+    vector is 1/sqrt(sizes[c]) where cols == c, else 0."""
+    index, cols = np.arange(2**n), np.zeros(2**n, dtype=np.intp)
+    for bit in range(n):
+        cols += (index >> bit) & 1
+    return cols, np.array([comb(n, c) for c in range(n + 1)])
+
+
+def _vector_power(vs, p):
+    """The p-th tensor power of each row of vs, p >= 1."""
+    out = vs
+    for _ in range(p - 1):
+        out = np.einsum("ni,nj->nij", out, vs).reshape(vs.shape[0], -1)
+    return out
+
+
+def _matrix_power(gs, p):
+    """The p-th tensor power of each 2 x 2 matrix of gs, p >= 1."""
+    out = gs
+    for _ in range(p - 1):
+        out = np.einsum("nij,nkl->nikjl", out, gs).reshape(gs.shape[0], 2 * out.shape[1], 2 * out.shape[1])
+    return out
+
+
 def _dense_basis(n):
     """The weights of Sym^n(C^2) and the 2^n x (n + 1) matrix whose
     columns are their vectors, read off the qubit class of each product
     index and the size of each class."""
-    cols, sizes = oracle._qubit_classes(n)
+    cols, sizes = _qubit_classes(n)
     mat = np.zeros((2**n, n + 1))
     mat[np.arange(2**n), cols] = (1.0 / np.sqrt(sizes))[cols]
     return sym_weights(n, 2), mat
@@ -90,8 +117,9 @@ def _reference_vector(w):
 
 
 def test_sym_basis_equals_its_per_class_reference():
-    # the qubit class map that mc_theorem1 reads, class c = the index's
-    # number of 1 digits, against the recursive enumeration of each class
+    # the qubit class map that the theorem check's product-basis reference
+    # reads, class c = the index's number of 1 digits, against the
+    # recursive enumeration of each class
     for n in range(14):
         ws, mat = _dense_basis(n)
         assert ws == [Weight((n - c, c)) for c in range(n + 1)], n
@@ -721,66 +749,62 @@ def test_mc_inequality_fails_a_bound_off_by_one_in_r(monkeypatch):
         assert rep.bound == 0 and rep.lhs_distance <= 1e-12 and rep.passed, (n, k, seed)
     monkeypatch.setattr(oracle, "_mc_memo", {})  # no report of the shipped bound is reused, or kept
     monkeypatch.setattr(oracle, "epsilon", _epsilon_sum_shifted)
-    with pytest.raises(AssertionError, match=r"^r=1: lhs 0\.\d+ > bound 0\.0000 \+ grid gap"):
+    # in the trace norm the shifted bound already fails at r = 0, below r = k
+    with pytest.raises(AssertionError, match=r"^r=0: lhs 0\.\d+ > bound 0\.2000 \+ grid gap"):
         verify.mc_inequality(0)
 
 
-def _matmul_outer(w, a, b):
-    return (a * w[:, None]).T @ b
+def test_mc_inequality_fails_a_halved_bound(monkeypatch):
+    # the check reads the trace norm, which at (4, 2), seed 15 comes within
+    # 0.1% of the bound at r = 1: a bound without its factor 2 fails there
+    reps = mc_theorem1(4, 2, (0, 1, 2), 15)
+    assert all(rep.passed for rep in reps) and reps[1].lhs_distance > 0.999 * reps[1].bound
+    monkeypatch.setattr(oracle, "_mc_memo", {})
+    monkeypatch.setattr(oracle, "epsilon", lambda t: epsilon(t) / 2)
+    assert [rep.passed for rep in mc_theorem1(4, 2, (0, 1, 2), 15)] == [False, False, True]
 
 
 def _einsum_outer(w, a, b):
     return np.einsum("n,na,nb->ab", w, a, b)
 
 
-def _class_projection(k, r):
-    """The radius-r window projection of each row of a point matrix, as
-    mc_theorem1 forms it: the row's class mean on the kept classes, 0 on
-    the others."""
-    cols, sizes = oracle._qubit_classes(k)
-    order, starts = np.argsort(cols, kind="stable"), np.cumsum(sizes) - sizes
-    keep = np.array([w[0] >= k - r for w in sym_weights(k, 2)])
-    return lambda back: np.where(keep, np.add.reduceat(back[:, order], starts, axis=1) / sizes, 0.0)[:, cols]
-
-
 def _dense_projection(k, r):
-    """The same projection through the dense matrix V of the window's
-    basis vectors, as back V^* V^T."""
+    """The radius-r window projection of each row of a point matrix, through
+    the dense matrix V of the window's basis vectors, as back V^* V^T."""
     ws, mat = _dense_basis(k)
     v_mat = mat[:, [i for i, w in enumerate(ws) if w[0] >= k - r]]
     return lambda back: (back @ v_mat.conj()) @ v_mat.T
 
 
-def _mc_reference(n, k, r, seed, outer=_matmul_outer, projection=_class_projection):
-    """mc_theorem1's report at one radius, integrated over the same rule
-    one radius at a time; outer(w, a, b) = sum_n w_n a_n b_n^T forms its
-    two sums over each batch of points, by matmul as mc_theorem1 does or
-    by einsum in the point order that the matmuls reorder, and
-    projection(k, r) gives the window projection of the rotated points."""
+def _mc_reference(n, k, r, seed):
+    """mc_theorem1's report at one radius, integrated over the same rule in
+    the 2^n qubit product basis: the state read through the qubit classes,
+    the reference and the rotations as tensor powers of each point, the
+    window as a dense projection, and the sums over each batch by einsum."""
     d, dim_b, d_formal = 2, 2 ** (n - k), dim_sym(n - k, 2)
-    cols_n, sizes_n = oracle._qubit_classes(n)
+    cols_n, sizes_n = _qubit_classes(n)
     rng = random.Random(seed)
     coeff = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n + 1)])
     coeff /= np.linalg.norm(coeff)
     big = (coeff / np.sqrt(sizes_n))[cols_n].reshape(d**k, dim_b)
     rho_k = big @ big.conj().T
-    project = projection(k, r)
+    project = _dense_projection(k, r)
     residual, lhs = 0.0, []
     for n_nodes in (oracle.QUAD_N, 2 * oracle.QUAD_N):
         x_sum = np.zeros((d**k, d**k), dtype=np.complex128)
         y_sum = np.zeros((d**k, d**k), dtype=np.complex128)
         for weight, g in oracle._sphere_rule(n_nodes):
-            phi = np.einsum("ab,nb->na", big, oracle._vector_power(g[:, :, 0], n - k).conj())
+            phi = np.einsum("ab,nb->na", big, _vector_power(g[:, :, 0], n - k).conj())
             masses = weight * d_formal * np.linalg.norm(phi, axis=1) ** 2
-            x_sum += weight * d_formal * outer(np.ones(len(phi)), phi, phi.conj())
-            g_k = oracle._matrix_power(g, k)
+            x_sum += weight * d_formal * _einsum_outer(np.ones(len(phi)), phi, phi.conj())
+            g_k = _matrix_power(g, k)
             proj = project(np.einsum("nba,nb->na", g_k.conj(), phi))
             nrm = np.linalg.norm(proj, axis=1)
             chi_hat = np.einsum("nij,nj->ni", g_k, proj / np.where(nrm > 1e-150, nrm, 1.0)[:, None])
             chi_hat[nrm <= 1e-150] = 0.0
-            y_sum += outer(masses, chi_hat, chi_hat.conj())
+            y_sum += _einsum_outer(masses, chi_hat, chi_hat.conj())
         residual = max(residual, trace_distance(rho_k, (x_sum + x_sum.conj().T) / 2))
-        lhs.append(trace_distance(rho_k, (y_sum + y_sum.conj().T) / 2))
+        lhs.append(2 * trace_distance(rho_k, (y_sum + y_sum.conj().T) / 2))  # the trace norm
     return oracle.McReport(
         n=n,
         k=k,
@@ -794,23 +818,26 @@ def _mc_reference(n, k, r, seed, outer=_matmul_outer, projection=_class_projecti
 
 
 def test_mc_theorem1_matches_its_einsum_reference():
-    # the matmul sums differ from einsum's, and the class means from the
-    # dense projection's matrix products, only in summation order
-    for seed in range(3):
-        for r, rep in enumerate(mc_theorem1(4, 2, (0, 1, 2), seed)):
-            want = _mc_reference(4, 2, r, seed, _einsum_outer, _dense_projection)
-            for name in oracle.McReport.__slots__:
-                value = getattr(want, name)
-                assert getattr(rep, name) == pytest.approx(value, rel=0, abs=1e-12), (r, seed, name)
+    # the Dicke-basis oracle against the product-basis reference: the two
+    # differ only by roundoff
+    for n, k in ((4, 2), (7, 3), (8, 3), (12, 4)):
+        for seed in range(3):
+            for r, rep in enumerate(mc_theorem1(n, k, tuple(range(k + 1)), seed)):
+                want = _mc_reference(n, k, r, seed)
+                for name in oracle.McReport.__slots__:
+                    value = getattr(want, name)
+                    assert getattr(rep, name) == pytest.approx(value, rel=0, abs=1e-12), (n, k, r, seed, name)
 
 
 def test_mc_theorem1_equals_its_single_radius_reference():
-    # field for field, bit for bit, on both grids
-    for n, k in ((4, 2), (7, 3)):
+    # field for field, bit for bit, on both grids: the radii share the
+    # state and the points, and nothing else
+    for n, k in ((4, 2), (7, 3), (16, 15)):
         for seed in (0, 7, 2**31 - 1):
             got = mc_theorem1(n, k, tuple(range(k + 1)), seed)
-            want = tuple(_mc_reference(n, k, r, seed) for r in range(k + 1))
-            assert got == want, (n, k, seed)
+            for r in range(k + 1):
+                oracle._mc_memo.clear()
+                assert mc_theorem1(n, k, (r,), seed) == (got[r],), (n, k, r, seed)
 
 
 def test_mc_inequality_samples_once_for_all_radii(monkeypatch):
@@ -840,18 +867,22 @@ def test_mc_inequality_samples_once_for_all_radii(monkeypatch):
 
 
 def test_mc_theorem1_holds_one_small_batch():
-    # a batch is one node's 2 n_nodes points, and its arrays are the run's
-    # working set; numpy reports its buffers to tracemalloc
+    # a batch is one node's 2 n_nodes points in the Dicke basis, and its
+    # arrays are the run's working set; numpy reports its buffers to
+    # tracemalloc.  (16, 15) would hold 2^15-square matrices in the
+    # product basis
     code = """
 import tracemalloc
 from definetti import oracle
 oracle.mc_theorem1(4, 2, (0, 1, 2), 1)  # numpy and its first-call buffers
-oracle._mc_memo.clear()
-tracemalloc.start()
-oracle.mc_theorem1(4, 2, (0, 1, 2), 0)
-print(tracemalloc.get_traced_memory()[1])
+for args in ((4, 2, (0, 1, 2), 0), (16, 15, tuple(range(16)), 0)):
+    tracemalloc.start()
+    oracle.mc_theorem1(*args)
+    print(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
 """
-    assert int(_in_child(code)) <= 1.5 * 2**20
+    peaks = [int(line) for line in _in_child(code).splitlines()]
+    assert len(peaks) == 2 and max(peaks) <= 1.5 * 2**20, peaks
 
 
 def test_mc_theorem1_guards(monkeypatch):
@@ -859,8 +890,6 @@ def test_mc_theorem1_guards(monkeypatch):
         mc_theorem1(4, 0, (0,), 0)
     with pytest.raises(ValueError):
         mc_theorem1(4, 4, (0,), 0)
-    with pytest.raises(ValueError):
-        mc_theorem1(17, 2, (0,), 0)
     with pytest.raises(ValueError):
         mc_theorem1(4, 2, (3,), 0)
     with pytest.raises(ValueError, match=r"^need seed >= 0, got seed=-1$"):
@@ -873,3 +902,27 @@ def test_mc_theorem1_guards(monkeypatch):
     monkeypatch.setattr(oracle, "_sphere_rule", fail)
     with pytest.raises(ValueError, match=r"^need 0 <= r <= k, got r=3$"):
         mc_theorem1(4, 2, (0, 1, 3), 0)
+
+    # one step past the exactness guard, n - k <= 2 QUAD_N - 1 = 31, and
+    # past the work guard, 2,560 points x (k+1)^2 x (radii + 2) <= 10^9
+    # cells, each refused before numpy loads; at each bound the call
+    # passes every guard and reaches the numpy import
+    assert (oracle.QUAD_N, oracle.MC_WORK_GUARD, 2560 * 25**2 * 625) == (16, 10**9, 10**9)
+    code = """
+import sys
+sys.modules["numpy"] = None  # import numpy raises ModuleNotFoundError
+from definetti import oracle
+for args in ((47, 15, (0,), 0), (46, 15, (0,), 0), (30, 24, (0,) * 624, 0), (30, 24, (0,) * 623, 0)):
+    try:
+        oracle.mc_theorem1(*args)
+    except ValueError as exc:
+        print(exc)
+    except ModuleNotFoundError:
+        print("admitted")
+"""
+    assert _in_child(code).splitlines() == [
+        "size guard exceeded: n - k > 31, the degree the rule gives exactly, at n=47, k=15",
+        "admitted",
+        "size guard exceeded: 2560 points x 25^2 x 626 cells touched > 1000000000",
+        "admitted",
+    ]
